@@ -242,7 +242,7 @@ def _series_by_name(name: str, prec: int):
     if name == "f2":
         return shimura.weight2_F(prec)
     if name.startswith("plus"):
-        return shimura.plus_cusp_basis(int(name[4:]), prec)[0].to_qexp()
+        return shimura.plus_cusp_basis(int(name[4:]), prec)[0]
     raise KeyError(name)
 
 
@@ -273,7 +273,9 @@ def cmd_mf(args) -> int:
             "weight": f"{w.numerator}/{w.denominator}" if w.denominator != 1 else str(w.numerator),
             "level": series.level,
             "precision": series.precision,
-            "first_coeffs": [f"{c.numerator}/{c.denominator}" for c in series.coeffs[:8]],
+            "first_coeffs": [
+                f"{c.numerator}/{c.denominator}" for c in map(series.coeff, range(min(8, series.precision)))
+            ],
         }
     )
     return EXIT_PASS

@@ -188,7 +188,6 @@ def _exp_powers(gamma: RootLabel):
 
 _EXP_TABLE = {}
 _CERTIFIED = False
-_TABLE_LOCK = __import__("threading").Lock()
 
 
 def _exp_table():
@@ -200,17 +199,16 @@ def _exp_table():
     polynomial identity, so later constructions can skip validation.
     """
     global _CERTIFIED
-    with _TABLE_LOCK:
-        if not _EXP_TABLE:
-            for gamma in ALL_ROOTS:
-                _EXP_TABLE[(gamma.name, gamma.positive)] = _exp_powers(gamma)
-        if not _CERTIFIED:
-            for gamma in ALL_ROOTS:
-                for u in range(1, 14):
-                    mat = _exp_eval(gamma, Fraction(u))
-                    if not preserves_form(mat):
-                        raise AssertionError(f"generator table corrupt at {gamma}")
-            _CERTIFIED = True
+    if not _EXP_TABLE:
+        for gamma in ALL_ROOTS:
+            _EXP_TABLE[(gamma.name, gamma.positive)] = _exp_powers(gamma)
+    if not _CERTIFIED:
+        for gamma in ALL_ROOTS:
+            for u in range(1, 14):
+                mat = _exp_eval(gamma, Fraction(u))
+                if not preserves_form(mat):
+                    raise AssertionError(f"generator table corrupt at {gamma}")
+        _CERTIFIED = True
     return _EXP_TABLE
 
 

@@ -89,21 +89,22 @@ def _smoothed_sum(f: QExpansion, D: int, k: int, x: float, n_max: int, use_mpmat
     if use_mpmath:
         import mpmath
 
-        mpmath.mp.dps = 40
-        acc = mpmath.mpf(0)
-        for n in range(1, n_max + 1):
-            chi = _kronecker(D, n)
-            if chi == 0:
-                continue
-            xx = 2 * mpmath.pi * n * x / D
-            acc += chi * mpmath.mpf(f.coeffs[n].numerator) / f.coeffs[n].denominator / mpmath.mpf(n) ** k * mpmath.gammainc(k, xx, regularized=True)
-        return float(acc)
+        with mpmath.workdps(40):
+            acc = mpmath.mpf(0)
+            for n in range(1, n_max + 1):
+                chi = _kronecker(D, n)
+                if chi == 0:
+                    continue
+                c = f.coeff(n)
+                xx = 2 * mpmath.pi * n * x / D
+                acc += chi * mpmath.mpf(c.numerator) / c.denominator / mpmath.mpf(n) ** k * mpmath.gammainc(k, xx, regularized=True)
+            return float(acc)
     acc = 0.0
     for n in range(1, n_max + 1):
         chi = _kronecker(D, n)
         if chi == 0:
             continue
-        acc += chi * float(f.coeffs[n]) * n ** (-k) * gamma_inc_ratio(k, 2 * math.pi * n * x / D)
+        acc += chi * (f.num[n] / f.den) * n ** (-k) * gamma_inc_ratio(k, 2 * math.pi * n * x / D)
     return acc
 
 
@@ -179,7 +180,7 @@ def cesaro_direct_value(f: QExpansion, D: int, n_terms: int, order: int = 2) -> 
     for n in range(1, n_terms + 1):
         chi = _kronecker(D, n)
         if chi:
-            acc += chi * float(f.coeffs[n]) * n ** (-k)
+            acc += chi * (f.num[n] / f.den) * n ** (-k)
         part.append(acc)
     seq = part
     for _ in range(order):

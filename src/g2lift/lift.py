@@ -34,7 +34,7 @@ from .cubic import (
 from .exact import Matrix2
 from .lfunctions import central_twisted_value
 from .modforms import QExpansion, eigenform, mu_f
-from .shimura import HalfIntegralForm, plus_cusp_basis
+from .shimura import plus_cusp_basis
 
 
 class UnsupportedLatticeIndex(ValueError):
@@ -96,7 +96,7 @@ class LiftContext:
         self.two_k = two_k
         self.k = two_k // 2
         self.f: QExpansion = eigenform(two_k, prec_int)
-        self.g: HalfIntegralForm = plus_cusp_basis(self.k, prec_half)[0]
+        self.g: QExpansion = plus_cusp_basis(self.k, prec_half)[0]
 
     # -- coefficient evaluation ---------------------------------------------
 

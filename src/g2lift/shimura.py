@@ -11,7 +11,6 @@ correspondence checker below certifies the outcome independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List
 
@@ -24,13 +23,13 @@ def theta_half(prec: int) -> QExpansion:
         raise ValueError("precision must be at least 2")
 
     def build():
-        coeffs = [Fraction(0)] * prec
-        coeffs[0] = Fraction(1)
+        coeffs = [0] * prec
+        coeffs[0] = 1
         n = 1
         while n * n < prec:
-            coeffs[n * n] = Fraction(2)
+            coeffs[n * n] = 2
             n += 1
-        return QExpansion(Fraction(1, 2), 4, tuple(coeffs))
+        return QExpansion(Fraction(1, 2), 4, coeffs)
 
     return _cached(("theta", prec), build)
 
@@ -45,34 +44,9 @@ def weight2_F(prec: int) -> QExpansion:
         for d in range(1, prec, 2):
             for m in range(d, prec, 2 * d):  # odd multiples of odd d
                 sums[m] += d
-        return QExpansion(Fraction(2), 4, tuple(Fraction(c) for c in sums))
+        return QExpansion(2, 4, sums)
 
     return _cached(("F", prec), build)
-
-
-@dataclass(frozen=True)
-class HalfIntegralForm:
-    """Weight k + 1/2 form on Gamma0(4) with exact coefficients."""
-
-    k: int
-    coeffs: tuple
-    plus_flag: bool = True
-
-    @property
-    def weight(self) -> Fraction:
-        return Fraction(2 * self.k + 1, 2)
-
-    @property
-    def precision(self) -> int:
-        return len(self.coeffs)
-
-    def coeff(self, n: int) -> Fraction:
-        if not 0 <= n < self.precision:
-            raise PrecisionError(f"coefficient {n} beyond precision {self.precision}")
-        return self.coeffs[n]
-
-    def to_qexp(self) -> QExpansion:
-        return QExpansion(self.weight, 4, self.coeffs)
 
 
 def _monomial_basis(k: int, prec: int) -> List[QExpansion]:
@@ -120,8 +94,9 @@ def _rational_kernel(rows: List[List[Fraction]], ncols: int) -> List[List[Fracti
     return basis
 
 
-def plus_cusp_basis(k: int, prec: int) -> List[HalfIntegralForm]:
-    """Basis of the weight k + 1/2 plus cusp space, c(1)-normalized.
+def plus_cusp_basis(k: int, prec: int) -> List[QExpansion]:
+    """Basis of the weight k + 1/2 plus cusp space on Gamma0(4),
+    c(1)-normalized.
 
     k must be even; prec must clear the solvability threshold 8k so the
     imposed support conditions pin the space.
@@ -142,20 +117,21 @@ def plus_cusp_basis(k: int, prec: int) -> List[HalfIntegralForm]:
         kernel = _rational_kernel(rows, ncols)
         out = []
         for v in kernel:
-            coeffs = [sum(v[j] * mons[j].coeff(n) for j in range(ncols)) for n in range(prec)]
+            g = mons[0].scale(v[0])
+            for j in range(1, ncols):
+                g = g + mons[j].scale(v[j])
             # plus condition must then hold through full precision
-            bad = next((n for n in range(prec) if n % 4 in (2, 3) and coeffs[n] != 0), None)
+            bad = next((n for n in range(prec) if n % 4 in (2, 3) and g.num[n] != 0), None)
             if bad is not None:
                 raise AssertionError(f"plus support violated at q^{bad}")
-            lead = coeffs[1] if coeffs[1] != 0 else next(c for c in coeffs if c != 0)
-            coeffs = [c / lead for c in coeffs]
-            out.append(HalfIntegralForm(k=k, coeffs=tuple(coeffs), plus_flag=True))
+            lead = g.num[1] if g.num[1] != 0 else next(c for c in g.num if c != 0)
+            out.append(g.scale(Fraction(g.den, lead)))
         return out
 
     return _cached(("plus_basis", k, prec), build)
 
 
-def c_coeff(g: HalfIntegralForm, t: int) -> Fraction:
+def c_coeff(g: QExpansion, t: int) -> Fraction:
     """The coefficient c(-t) for negative integer t; exact zero on the
     excluded residues -t == 2, 3 (mod 4)."""
     if t >= 0:
@@ -191,14 +167,17 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
-def shimura_lift_check(g: HalfIntegralForm, f: QExpansion, D: int, n_max: int) -> bool:
-    """Exact correspondence check for all n <= n_max:
+def shimura_lift_check(g: QExpansion, f: QExpansion, D: int, n_max: int) -> bool:
+    """Exact correspondence check for all n <= n_max, with g of weight
+    k + 1/2 on Gamma0(4):
 
         sum_{d | n} chi_D(d) d^(k-1) c(D n^2 / d^2)  ==  c(D) a_n(f).
     """
-    from .lfunctions import kronecker_chi
+    from .lfunctions import _kronecker
 
-    k = g.k
+    if g.level != 4 or g.weight.denominator != 2:
+        raise ValueError("half-integral form must have level 4 and weight k + 1/2")
+    k = g.weight.numerator // 2
     if f.weight != 2 * k or f.level != 1:
         raise ValueError("integral form must have level 1 and weight 2k")
     if not is_fundamental_discriminant(D):
@@ -210,7 +189,7 @@ def shimura_lift_check(g: HalfIntegralForm, f: QExpansion, D: int, n_max: int) -
         acc = Fraction(0)
         for d in range(1, n + 1):
             if n % d == 0:
-                acc += kronecker_chi(D, d) * d ** (k - 1) * g.coeff(D * (n // d) ** 2)
+                acc += _kronecker(D, d) * d ** (k - 1) * g.coeff(D * (n // d) ** 2)
         if acc != cD * f.coeff(n):
             return False
     return True

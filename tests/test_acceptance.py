@@ -69,12 +69,11 @@ def test_criterion_3_shimura_pipeline():
     Rebuilds the N = 5000 series inside the timed region (the in-process
     cache is purged first) so the reported runtime covers the real cost.
     """
-    from g2lift.modforms import _cache_lock, _series_cache, delta
+    from g2lift.modforms import _series_cache, delta
     from g2lift.shimura import is_fundamental_discriminant, plus_cusp_basis, shimura_lift_check
 
-    with _cache_lock:
-        for key in [k for k in _series_cache if PREC_FULL in k]:
-            del _series_cache[key]
+    for key in [k for k in _series_cache if PREC_FULL in k]:
+        del _series_cache[key]
     t0 = time.perf_counter()
     f = delta(PREC_FULL)
     basis = plus_cusp_basis(6, PREC_FULL)

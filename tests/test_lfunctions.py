@@ -77,6 +77,13 @@ def test_central_value_agrees_with_mpmath_reference():
     assert abs(got - ref) < 1e-11
 
 
+def test_ext_float_leaves_working_precision_alone():
+    """The 40-digit ext_float path must not change the process-global mp.dps."""
+    with mpmath.workdps(15):
+        central_twisted_value(delta(2500), 5, 1e-10, ext_float=True)
+        assert mpmath.mp.dps == 15
+
+
 def test_central_value_guards():
     d = delta(2500)
     with pytest.raises(ValueError):
@@ -186,9 +193,9 @@ def test_series_instability_detected():
     from g2lift.modforms import QExpansion
 
     d = delta(2500)
-    coeffs = list(d.coeffs)
+    coeffs = [d.coeff(n) for n in range(d.precision)]
     coeffs[10] += 10**30  # spike weighted differently by each cutoff
-    fake = QExpansion(d.weight, 1, tuple(coeffs))
+    fake = QExpansion(d.weight, 1, coeffs)
     with pytest.raises(SeriesInstability):
         central_twisted_value(fake, 1, 1e-10)
 

@@ -144,13 +144,12 @@ def test_nonvanishing_synthetic_zero(lift_ctx):
     """Force c(1) = 0 and exercise the disagreement branch."""
     import copy
 
-    ctx = copy.copy(lift_ctx)
-    coeffs = list(lift_ctx.g.coeffs)
-    coeffs[1] = F(0)
-    from g2lift.shimura import HalfIntegralForm
+    from g2lift.modforms import QExpansion
 
-    object.__setattr__  # no-op; HalfIntegralForm is a frozen dataclass
-    ctx.g = HalfIntegralForm(k=6, coeffs=tuple(coeffs))
+    ctx = copy.copy(lift_ctx)
+    coeffs = [lift_ctx.g.coeff(n) for n in range(lift_ctx.g.precision)]
+    coeffs[1] = F(0)
+    ctx.g = QExpansion(F(13, 2), 4, coeffs)
     with pytest.raises(AssertionError):
         ctx.nonvanishing_split()
 
@@ -181,12 +180,12 @@ def test_nonvanishing_false_branch(lift_ctx, monkeypatch):
 
     import g2lift.lift as lift_mod
     from g2lift.lfunctions import LValue
-    from g2lift.shimura import HalfIntegralForm
+    from g2lift.modforms import QExpansion
 
     ctx = copy.copy(lift_ctx)
-    coeffs = list(lift_ctx.g.coeffs)
+    coeffs = [lift_ctx.g.coeff(n) for n in range(lift_ctx.g.precision)]
     coeffs[1] = F(0)
-    ctx.g = HalfIntegralForm(k=6, coeffs=tuple(coeffs))
+    ctx.g = QExpansion(F(13, 2), 4, coeffs)
     monkeypatch.setattr(
         lift_mod, "central_twisted_value", lambda *a, **k: LValue(0.0, 1e-12, 1)
     )

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -41,7 +42,8 @@ def test_delta_normalization_and_values():
 def test_e4_cubed_minus_e6_squared_divisible():
     e4, e6 = eisenstein(4, 40), eisenstein(6, 40)
     num = e4 * e4 * e4 - e6 * e6
-    for c in num.coeffs:
+    for n in range(num.precision):
+        c = num.coeff(n)
         assert c.denominator == 1 and c.numerator % 1728 == 0
 
 
@@ -53,7 +55,8 @@ def test_hecke_eigenvalues_delta():
 
 def test_hecke_zero_and_precision_guard():
     z = QExpansion(F(12), 1, (0,) * 40)
-    assert all(c == 0 for c in hecke_Tp(z, 3).coeffs)
+    tz = hecke_Tp(z, 3)
+    assert all(tz.coeff(n) == 0 for n in range(tz.precision))
     with pytest.raises(PrecisionError):
         hecke_Tp(QExpansion(F(12), 1, (0, 1, 0)), 5)
 
@@ -64,7 +67,7 @@ def test_hecke_commutativity():
         lhs = hecke_Tp(hecke_Tp(d, p), q)
         rhs = hecke_Tp(hecke_Tp(d, q), p)
         n = min(lhs.precision, rhs.precision)
-        assert lhs.coeffs[:n] == rhs.coeffs[:n]
+        assert all(lhs.coeff(m) == rhs.coeff(m) for m in range(n))
 
 
 def test_eigenform_certification():
@@ -153,16 +156,63 @@ def test_dump_load_roundtrip(tmp_path):
 
 
 def test_packed_convolution_matches_naive(rng):
-    """The bigint-packed product agrees with schoolbook convolution on
-    random signed rational inputs."""
-    from g2lift.modforms import _mul_rational_lists
+    """The bigint-packed series product agrees with schoolbook convolution
+    on signed rational inputs: unequal lengths, empty, all-zero and
+    all-negative lists, trailing zeros, and entries up to 10^40, so that
+    the digit bias, the truncation and every carry pattern are exercised."""
 
-    for _ in range(12):
-        n = rng.randint(1, 24)
-        a = [F(rng.randint(-10**6, 10**6), rng.randint(1, 97)) for _ in range(n)]
-        b = [F(rng.randint(-10**6, 10**6), rng.randint(1, 97)) for _ in range(n)]
-        naive = [sum(a[i] * b[k - i] for i in range(k + 1) if i < n and k - i < n) for k in range(n)]
-        assert _mul_rational_lists(a, b, n) == naive
+    def naive(a, b):
+        n = min(len(a), len(b))
+        return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n)]
+
+    def check(a, b):
+        c = QExpansion(F(4), 1, a) * QExpansion(F(6), 1, b)
+        assert [c.coeff(k) for k in range(c.precision)] == naive(a, b)
+
+    big = 10**40
+    check([], [])
+    check([], [1, 2, 3])
+    check([0] * 9, [5, -7, 3])
+    check([-1] * 12, [-3] * 7)
+    check([-big] * 10, [-big] * 10)
+    check([big, -big, big], [-big, big, -big, big])
+    check([1, 2, 3, 0, 0, 0], [4, 5, 0, 0, 0, 0, 0])
+    check([big - 1, 0, 0], [big - 1, 0, 0])
+    check([F(-1, 3)] * 5, [F(2, 7), F(-5, 11)])
+    # all entries at +-max: one product digit reaches the bound exactly
+    for m in (1, 255, 2**32 - 1, big):
+        for la in range(1, 6):
+            check([m] * la, [m] * 5)
+            check([-m] * la, [m] * 5)
+    for bound in (1, 10**6, 2**64, big):
+        for _ in range(12):
+            la, lb = rng.randint(1, 30), rng.randint(1, 30)
+            a = [F(rng.randint(-bound, bound), rng.randint(1, 97)) for _ in range(la)]
+            b = [F(rng.randint(-bound, bound), rng.randint(1, 97)) for _ in range(lb)]
+            if rng.random() < 0.3:
+                a = [-abs(x) for x in a]
+            if rng.random() < 0.3:
+                cut = rng.randint(0, lb - 1)
+                b[cut:] = [F(0)] * (lb - cut)
+            check(a, b)
+
+
+def _digest(series):
+    h = hashlib.sha256()
+    for n in range(series.precision):
+        c = series.coeff(n)
+        h.update(f"{c.numerator}/{c.denominator}\n".encode())
+    return h.hexdigest()
+
+
+def test_series_digests_pinned():
+    """sha256 of every exact coefficient at N = 600, read through coeff(n)."""
+    from g2lift.shimura import plus_cusp_basis
+
+    assert _digest(delta(600)) == "d02fc42b9e4e30c313043c83f48f073e604aafa4e54513d98618d686b8bea8fe"
+    assert _digest(eigenform(16, 600)) == "cb6a0933cf747d774e3df2b8ea4dcced5fadb79a2802174817e995f7e791dec8"
+    assert _digest(plus_cusp_basis(6, 600)[0]) == "c3ee81158b550d3477c8eefd36aa20c7ecef6696b8f7f37429fb836219878a82"
+    assert _digest(plus_cusp_basis(8, 600)[0]) == "64533232bfc2c3023d0d7424568e5e0b7cbf25d1e607ebcb627dcea03fed56f0"
 
 
 def test_tau_congruence_mod_691():

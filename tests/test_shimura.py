@@ -2,9 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from g2lift.modforms import PrecisionError, delta, eigenform
+from g2lift.modforms import PrecisionError, QExpansion, delta, eigenform
 from g2lift.shimura import (
-    HalfIntegralForm,
     c_coeff,
     is_fundamental_discriminant,
     plus_cusp_basis,
@@ -31,7 +30,7 @@ def test_plus_basis_dimension_one_k6():
     basis = plus_cusp_basis(6, 120)
     assert len(basis) == 1
     g = basis[0]
-    assert g.k == 6 and g.weight == F(13, 2) and g.plus_flag
+    assert g.weight == F(13, 2) and g.level == 4
     assert g.coeff(1) == 1
     assert g.coeff(2) == 0 and g.coeff(3) == 0
 
@@ -79,9 +78,9 @@ def test_lift_check_rejects_bad_inputs(plus6_full):
 
 
 def test_lift_check_detects_corruption(delta_full, plus6_full):
-    coeffs = list(plus6_full.coeffs[:500])
+    coeffs = [plus6_full.coeff(n) for n in range(500)]
     coeffs[5] += 1
-    bad = HalfIntegralForm(k=6, coeffs=tuple(coeffs))
+    bad = QExpansion(F(13, 2), 4, coeffs)
     assert not shimura_lift_check(bad, delta_full, 5, 3)
 
 
