@@ -250,8 +250,10 @@ def cmd_mf(args) -> int:
     if args.mf_action == "dump":
         try:
             series = _series_by_name(args.series, args.prec)
-        except (KeyError, modforms.NonRationalEigenspace):
-            return _usage_error("FORM_UNSUPPORTED", f"unknown series {args.series!r}")
+        except modforms.PrecisionError as exc:
+            return _usage_error("BAD_INPUT", str(exc))
+        except (KeyError, ValueError):  # unknown name, bad or unsupported weight
+            return _usage_error("FORM_UNSUPPORTED", f"unknown or unsupported series {args.series!r}")
         text = series.dump()
         if args.out:
             with open(args.out, "w") as fh:

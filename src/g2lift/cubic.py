@@ -88,19 +88,6 @@ def is_totally_real(w) -> bool:
 # ---------------------------------------------------------------------------
 # Rational root finding for binary cubics
 
-def _int_divisors(n: int):
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
-
-
 def _integral_coeffs(w: CubicVector) -> Tuple[int, int, int, int]:
     """Clear denominators of (a1, 3a2, 3a3, a4); only the root set matters."""
     a1, a2, a3, a4 = w
@@ -125,9 +112,60 @@ def _quad_proj_roots(A: int, B: int, C: int) -> list[Tuple[int, int]]:
     return [(-B + r, 2 * A)] if r == 0 else [(-B + r, 2 * A), (-B - r, 2 * A)]
 
 
+def _monotone_root(g, lo: int, hi: int, sign: int) -> Optional[int]:
+    """The integer root of g in [lo, hi], where sign * g is increasing."""
+    if lo > hi or sign * g(lo) > 0 or sign * g(hi) < 0:
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sign * g(mid) < 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo if g(lo) == 0 else None
+
+
+def _monic_integer_roots(b: int, c: int, d: int) -> list[int]:
+    """Integer roots of y^3 + b y^2 + c y + d, each once.
+
+    g' = 3 y^2 + 2 b y + c vanishes at (-b -+ sqrt(b^2 - 3c))/3, so g is
+    monotone on the integers up to the floor of the smaller critical point,
+    up to the floor of the larger one, and beyond; exact bisection finds
+    the one root each range can hold.  Cauchy bounds every root by
+    1 + max(|b|, |c|, |d|).
+    """
+
+    def g(y: int) -> int:
+        return ((y + b) * y + c) * y + d
+
+    bound = 1 + max(abs(b), abs(c), abs(d))
+    disc = b * b - 3 * c
+    if disc <= 0:  # g' >= 0 everywhere
+        ranges = [(-bound, bound, 1)]
+    else:
+        r = isqrt(disc)
+        lo_crit = (-b - r - (r * r != disc)) // 3  # floor((-b - sqrt(disc))/3)
+        hi_crit = (-b + r) // 3  # floor((-b + sqrt(disc))/3)
+        ranges = [
+            (-bound, min(lo_crit, bound), 1),
+            (max(lo_crit + 1, -bound), min(hi_crit, bound), -1),
+            (max(hi_crit + 1, -bound), bound, 1),
+        ]
+    found = (_monotone_root(g, lo, hi, sign) for lo, hi, sign in ranges)
+    return [y for y in found if y is not None]
+
+
 def rational_projective_roots(w) -> list[Tuple[int, int]]:
     """All rational projective roots of f_w as primitive pairs (u0, v0),
-    sorted; the root at infinity is (1, 0).  Multiplicity not reported."""
+    sorted; the root at infinity is (1, 0).  Multiplicity not reported.
+
+    With a d != 0, the substitution x = y/a turns a x^3 + b x^2 + c x + d
+    into a^-2 g(y) for the monic integer cubic
+    g(y) = y^3 + b y^2 + (a c) y + a^2 d, whose rational roots are
+    integers; they are found by exact bisection on the at most three
+    ranges where g is monotone (exact root isolation, Cohen, GTM 138).
+    A call costs O(bit length) evaluations of g and no factoring.
+    """
     a, b, c, d = _integral_coeffs(_vec(w))
     if a == 0 and b == 0 and c == 0 and d == 0:
         raise NonEtaleInput("zero form has no root divisor")
@@ -136,15 +174,7 @@ def rational_projective_roots(w) -> list[Tuple[int, int]]:
     elif d == 0:
         roots = [(0, 1)] + _quad_proj_roots(a, b, c)
     else:
-        roots = []
-        cands = set()
-        for p in _int_divisors(d):
-            for q in _int_divisors(a):
-                cands.add((p, q))
-                cands.add((-p, q))
-        for (p, q) in cands:
-            if a * p**3 + b * p * p * q + c * p * q * q + d * q**3 == 0:
-                roots.append((p, q))
+        roots = [(y, a) for y in _monic_integer_roots(b, a * c, a * a * d)]
     seen = []
     for (u0, v0) in roots:
         g = gcd(abs(u0), abs(v0)) or 1

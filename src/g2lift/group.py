@@ -193,10 +193,11 @@ _CERTIFIED = False
 def _exp_table():
     """Power tables for all 12 roots, certified once per process.
 
-    Each entry of exp(u X)^T S exp(u X) - S is a polynomial in u of degree
-    at most twice the nilpotency order (< 13), and det(exp(u X)) - 1
-    likewise; vanishing at 13 distinct points therefore proves the
-    polynomial identity, so later constructions can skip validation.
+    X^3 = 0 for every root, so the entries of exp(u X) are polynomials in u
+    of degree at most 2.  Each entry of exp(u X)^T S exp(u X) - S then has
+    degree at most 4 and the 7x7 determinant det(exp(u X)) - 1 degree at
+    most 14; vanishing at the 15 points u = 1..15 therefore proves both
+    polynomial identities, so later constructions can skip validation.
     """
     global _CERTIFIED
     if not _EXP_TABLE:
@@ -204,7 +205,7 @@ def _exp_table():
             _EXP_TABLE[(gamma.name, gamma.positive)] = _exp_powers(gamma)
     if not _CERTIFIED:
         for gamma in ALL_ROOTS:
-            for u in range(1, 14):
+            for u in range(1, 16):
                 mat = _exp_eval(gamma, Fraction(u))
                 if not preserves_form(mat):
                     raise AssertionError(f"generator table corrupt at {gamma}")

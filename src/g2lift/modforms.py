@@ -24,7 +24,7 @@ class NonRationalEigenspace(ValueError):
 
 
 class PrecisionError(ValueError):
-    """Raised when an operation needs more coefficients than are known."""
+    """Raised when a precision is below what an operation needs."""
 
 
 RATIONAL_EIGEN_WEIGHTS = (12, 16, 18, 20, 22, 26)
@@ -145,11 +145,17 @@ class QExpansion:
     @classmethod
     def load(cls, text: str) -> "QExpansion":
         lines = text.strip().splitlines()
-        wtok, level, n = lines[0].split()
-        coeffs = [Fraction(t) for t in lines[1 : 1 + int(n)]]
-        if len(coeffs) != int(n):
+        head = lines[0].split() if lines else []
+        if len(head) != 3:
+            raise ValueError("cache file needs a 'weight level N' header")
+        try:
+            weight, level, n = Fraction(head[0]), int(head[1]), int(head[2])
+            coeffs = [Fraction(t) for t in lines[1 : 1 + n]]
+        except ZeroDivisionError as exc:
+            raise ValueError("zero denominator in cache file") from exc
+        if len(coeffs) != n:
             raise ValueError("truncated cache file")
-        return cls(Fraction(wtok), int(level), coeffs)
+        return cls(weight, level, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +185,7 @@ def eisenstein(weight: int, prec: int) -> QExpansion:
     if weight not in (4, 6):
         raise ValueError("only weights 4 and 6 generate the level-one ring")
     if prec < 2:
-        raise ValueError("precision must be at least 2")
+        raise PrecisionError("precision must be at least 2")
 
     def build():
         mult = 240 if weight == 4 else -504

@@ -20,7 +20,7 @@ from .modforms import PrecisionError, QExpansion, _cached
 def theta_half(prec: int) -> QExpansion:
     """theta = 1 + 2 sum q^(n^2), weight 1/2 on Gamma0(4)."""
     if prec < 2:
-        raise ValueError("precision must be at least 2")
+        raise PrecisionError("precision must be at least 2")
 
     def build():
         coeffs = [0] * prec
@@ -37,7 +37,7 @@ def theta_half(prec: int) -> QExpansion:
 def weight2_F(prec: int) -> QExpansion:
     """F = sum_{n odd} sigma_1(n) q^n, weight 2 on Gamma0(4)."""
     if prec < 2:
-        raise ValueError("precision must be at least 2")
+        raise PrecisionError("precision must be at least 2")
 
     def build():
         sums = [0] * prec

@@ -9,6 +9,7 @@ arithmetic instead of the closed plethysm formula.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from itertools import product
 
 
@@ -91,6 +92,52 @@ def disc_resultant(a, b, c, d):
     ]
     res = det_cofactor([[Fraction(x) for x in r] for r in rows])
     return -res / a
+
+
+# --- rational root oracle for binary cubics ----------------------------------
+
+def _divisors_by_trial(n):
+    n = abs(n)
+    out = []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            out.append(i)
+            if i != n // i:
+                out.append(n // i)
+        i += 1
+    return out
+
+
+def rational_roots_bruteforce(a, b, c, d):
+    """Rational projective roots of a u^3 + b u^2 v + c u v^2 + d v^3 as
+    sorted primitive pairs (u0, v0) with v0 > 0, or (1, 0) for infinity.
+
+    Divisor enumeration: strip the factors u and v, then test every p/q
+    with p dividing the last and q dividing the first coefficient left.
+    Exponential in bit length, so only for small forms.
+    """
+    coeffs = [a, b, c, d]
+    if not any(coeffs):
+        raise ValueError("zero form")
+    roots = set()
+    if coeffs[0] == 0:
+        roots.add((1, 0))
+    if coeffs[-1] == 0:
+        roots.add((0, 1))
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    n = len(coeffs) - 1
+    for p in _divisors_by_trial(coeffs[-1]):
+        for q in _divisors_by_trial(coeffs[0]):
+            for u0 in (p, -p):
+                value = sum(coef * u0 ** (n - i) * q**i for i, coef in enumerate(coeffs))
+                if value == 0:
+                    g = gcd(u0, q)
+                    roots.add((u0 // g, q // g))
+    return sorted(roots)
 
 
 # --- brute-force maximality oracle -------------------------------------------

@@ -124,6 +124,29 @@ def test_mf_load_rejects_garbage(tmp_path, capsys):
     assert json.loads(out)["error"] == "BAD_CACHE_FILE"
 
 
+@pytest.mark.parametrize("text", ["", "\n\n", "12 1\n1/1\n", "1/0 1 1\n1/1\n", "12 1 1\n1/0\n"])
+def test_mf_load_rejects_empty_or_malformed_header(tmp_path, capsys, text):
+    path = tmp_path / "bad.mf"
+    path.write_text(text)
+    code, out = run_cli(capsys, "mf", "load", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "BAD_CACHE_FILE"
+
+
+@pytest.mark.parametrize("series", ["plus7", "plusx", "plus4", "eigenx", "eigen13"])
+def test_mf_dump_unsupported_series(capsys, series):
+    code, out = run_cli(capsys, "mf", "dump", "--series", series, "--prec", "100")
+    assert code == 2
+    assert json.loads(out)["error"] == "FORM_UNSUPPORTED"
+
+
+@pytest.mark.parametrize("series,prec", [("e4", "1"), ("theta", "1"), ("delta", "0"), ("plus6", "40")])
+def test_mf_dump_precision_below_minimum(capsys, series, prec):
+    code, out = run_cli(capsys, "mf", "dump", "--series", series, "--prec", prec)
+    assert code == 2
+    assert json.loads(out)["error"] == "BAD_INPUT"
+
+
 def test_ktypes_table(capsys):
     code, out = run_cli(capsys, "ktypes", "--n", "2", "--k", "6")
     assert code == 0

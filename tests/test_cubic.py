@@ -1,6 +1,11 @@
+import random
+import time
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2lift.cubic import (
     CanonicalReduction,
@@ -24,7 +29,7 @@ from g2lift.exact import mat2
 from g2lift.group import coad_w, rho3
 
 from conftest import rand_mat2, rand_rat
-from oracles import det_cofactor, disc_resultant, maximal_bruteforce
+from oracles import det_cofactor, disc_resultant, maximal_bruteforce, rational_roots_bruteforce
 
 
 def rand_lattice_vec(rng, bound=9):
@@ -119,6 +124,101 @@ def test_projective_roots_infinity_cases():
     assert rational_projective_roots((-1, 0, F(1, 3), 0)) == [(-1, 1), (0, 1), (1, 1)]
 
 
+# --- rational roots against divisor enumeration ------------------------------
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _planted(scale, *factors):
+    """Coefficients (a, b, c, d) of scale * prod(r u^k + s v ...) as a form."""
+    poly = [scale]
+    for f in factors:
+        poly = _poly_mul(poly, list(f))
+    return tuple(poly)
+
+
+def _root_of_linear(r, s):
+    """Primitive root (u0, v0), v0 > 0 or (1, 0), of r u + s v."""
+    g = gcd(r, s)
+    u0, v0 = -s // g, r // g
+    return (-u0, -v0) if v0 < 0 or (v0 == 0 and u0 < 0) else (u0, v0)
+
+
+def _as_vector(a, b, c, d):
+    return (a, F(b, 3), F(c, 3), d)
+
+
+small = st.integers(-30, 30)
+linear_st = st.one_of(st.sampled_from([(1, 0), (0, 1)]), st.tuples(small, small).filter(any))
+
+
+@given(st.tuples(*[st.integers(-10**4, 10**4)] * 4).filter(any))
+@settings(max_examples=300, deadline=None)
+def test_roots_match_oracle_random(coeffs):
+    assert rational_projective_roots(_as_vector(*coeffs)) == rational_roots_bruteforce(*coeffs)
+
+
+@given(
+    scale=st.integers(-12, 12).filter(bool),
+    shape=st.sampled_from(["distinct", "double", "cube", "quadratic"]),
+    l1=linear_st,
+    l2=linear_st,
+    l3=linear_st,
+    quad=st.tuples(small, small, small).filter(any),
+)
+@settings(max_examples=300, deadline=None)
+def test_roots_match_oracle_planted(scale, shape, l1, l2, l3, quad):
+    linears = {"distinct": [l1, l2, l3], "double": [l1, l1, l2], "cube": [l1] * 3, "quadratic": [l1]}[shape]
+    coeffs = _planted(scale, *linears, *([quad] if shape == "quadratic" else []))
+    got = rational_projective_roots(_as_vector(*coeffs))
+    assert got == rational_roots_bruteforce(*coeffs)
+    assert all(_root_of_linear(*l) in got for l in linears)
+
+
+def test_roots_match_oracle_clustered_and_extreme():
+    # Roots a unit apart sit next to the critical points of the monic
+    # transform; a root (u - N v)(u^2 + e v^2) sits at the Cauchy bound.
+    lines = [(q, -p) for q in (1, 2) for p in range(-4, 5)]
+    forms = [
+        _planted(scale, l1, l2, l3)
+        for scale in (1, -3)
+        for i, l1 in enumerate(lines)
+        for j, l2 in enumerate(lines[i:], i)
+        for l3 in lines[j:]
+    ]
+    forms += [
+        _planted(1, (1, -sign * n), (1, 0, e))
+        for n in (1, 2, 7, 10**6)
+        for sign in (1, -1)
+        for e in (1, -2)
+    ]
+    for coeffs in forms:
+        assert rational_projective_roots(_as_vector(*coeffs)) == rational_roots_bruteforce(*coeffs), coeffs
+
+
+def test_roots_planted_256_bits():
+    rng = random.Random(256)
+    three = [(rng.getrandbits(85) | 1, -rng.getrandbits(85)) for _ in range(3)]
+    line = (rng.getrandbits(128) | 1, rng.getrandbits(128))
+    definite = (rng.getrandbits(128) + 1, 0, rng.getrandbits(128) + 1)  # no real root
+    cases = [
+        (_planted(1, *three), sorted(_root_of_linear(*l) for l in three)),
+        (_planted(1, line, definite), [_root_of_linear(*line)]),
+    ]
+    for coeffs, want in cases:
+        assert max(abs(x) for x in coeffs).bit_length() >= 250
+        t0 = time.perf_counter()
+        got = rational_projective_roots(_as_vector(*coeffs))
+        elapsed = time.perf_counter() - t0
+        assert got == want
+        assert elapsed < 0.05, f"256-bit root finding took {elapsed:.3f} s"
+
+
 # --- cubic rings -----------------------------------------------------------------
 
 def test_ring_disc_identity_random(rng):
@@ -210,6 +310,23 @@ def test_reduction_random_orbit(rng):
             assert red.t == -D and red.S == 1
             assert verify_reduction(w, red)
             assert red.m.det() != 0
+
+
+def test_reduction_of_68_bit_translate_is_fast():
+    # A GL2 translate of (-5, 0, 1/3, 0) with 68-bit integral form; divisor
+    # enumeration of its roots needs about 5 * 10^11 trial divisions.
+    w = (
+        F(-57335190652522987060),
+        F(-55031013639692703290),
+        F(-158458309517042563243, 3),
+        F(-50696737862109098683),
+    )
+    t0 = time.perf_counter()
+    red = reduce_to_canonical(w)
+    elapsed = time.perf_counter() - t0
+    assert (red.t, red.S) == (-5, 1)
+    assert verify_reduction(w, red)
+    assert elapsed < 0.5, f"reduction took {elapsed:.3f} s"
 
 
 def test_reduction_verified_against_7x7(rng):
