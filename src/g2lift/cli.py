@@ -125,6 +125,8 @@ def cmd_reduce(args) -> int:
         payload = cubic.reduction_json(w)
     except cubic.CubicFieldOrbitUnsupported:
         return _usage_error("CUBIC_FIELD_ORBIT", "cubic-field orbit unsupported")
+    except cubic.InputTooLarge as exc:
+        return _usage_error("INPUT_TOO_LARGE", str(exc))
     except (ValueError, cubic.NonEtaleInput) as exc:
         return _usage_error("BAD_INPUT", str(exc))
     payload["schema"] = 1
@@ -154,6 +156,8 @@ def cmd_coeff(args) -> int:
         return _usage_error("CUBIC_FIELD_ORBIT", "cubic-field orbit unsupported")
     except UnsupportedLatticeIndex as exc:
         return _usage_error("BAD_INDEX", str(exc))
+    except cubic.InputTooLarge as exc:
+        return _usage_error("INPUT_TOO_LARGE", str(exc))
     except ValueError as exc:
         return _usage_error("BAD_INPUT", str(exc))
     _emit(rec.as_json())
@@ -166,7 +170,10 @@ def cmd_gross(args) -> int:
         return _usage_error("FORM_UNSUPPORTED", f"unknown or unsupported form {args.form!r}")
     from .lift import CentralVanishing
 
-    discs = sorted(int(d) for d in args.discs.split(","))
+    try:
+        discs = sorted(int(d) for d in args.discs.split(","))
+    except ValueError as exc:
+        return _usage_error("BAD_INPUT", str(exc))
     t0 = time.perf_counter()
     rows = []
     ratios = []
@@ -180,6 +187,10 @@ def cmd_gross(args) -> int:
         except lfunctions.SeriesInstability as exc:
             _emit({"schema": 1, "error": "SERIES_INSTABILITY", "message": str(exc)})
             return EXIT_INCONCLUSIVE
+        except cubic.InputTooLarge as exc:
+            return _usage_error("INPUT_TOO_LARGE", str(exc))
+        except ValueError as exc:
+            return _usage_error("BAD_INPUT", str(exc))
         ratios.append(r)
         rows.append({"D": D, "ratio": r, "c": str(ctx.g.coeff(D)), "status": "ok"})
     if len(ratios) < 2:

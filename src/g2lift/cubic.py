@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import NamedTuple, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 from .exact import Matrix2, mat2, rat
 
@@ -23,6 +23,11 @@ class NonEtaleInput(ValueError):
 
 class CubicFieldOrbitUnsupported(ValueError):
     """Raised when a reduction needs a rational root and none exists."""
+
+
+class InputTooLarge(ValueError):
+    """Raised when an input needs more factoring than bounded trial
+    division and primality certification can do."""
 
 
 class CubicVector(NamedTuple):
@@ -186,24 +191,72 @@ def rational_projective_roots(w) -> list[Tuple[int, int]]:
     return sorted(seen)
 
 
+TRIAL_LIMIT = 1 << 20
+# Miller-Rabin on the first 13 prime bases is exact below _MR_EXACT
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3317044064679887385961981
+
+
+def _is_prime_mr(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd 41 < n < _MR_EXACT."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def prime_powers(n: int) -> Iterator[Tuple[int, int]]:
+    """The prime powers (p, e) of n >= 1, p ascending.
+
+    Trial division stops at TRIAL_LIMIT.  A cofactor left with no prime
+    factor up to that point must be a prime or a prime square, certified
+    below TRIAL_LIMIT^2 by size and up to _MR_EXACT by Miller-Rabin;
+    anything else raises InputTooLarge after the smaller primes are out.
+    """
+    p = 2
+    while p <= TRIAL_LIMIT and p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n, e = n // p, e + 1
+            yield p, e
+        p += 1 if p == 2 else 2
+    # every prime factor of n is now at least p
+    if n == 1:
+        return
+    if n < p * p or (n < _MR_EXACT and _is_prime_mr(n)):
+        yield n, 1
+        return
+    r = isqrt(n)
+    if r * r == n and (r < p * p or (r < _MR_EXACT and _is_prime_mr(r))):
+        yield r, 2
+        return
+    raise InputTooLarge(
+        f"a {n.bit_length()}-bit cofactor has no prime factor below {TRIAL_LIMIT} "
+        "and is not a certified prime or prime square"
+    )
+
+
 def _squarefree_part(n: int) -> int:
     """Squarefree representative of the square class of n (sign kept)."""
     if n == 0:
         return 0
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if e % 2:
-                out *= p
-        p += 1 if p == 2 else 2
-    return sign * out * n
+    out = -1 if n < 0 else 1
+    for p, e in prime_powers(abs(n)):
+        if e % 2:
+            out *= p
+    return out
 
 
 def fundamental_discriminant_of_class(r: Fraction) -> Tuple[int, Fraction]:
@@ -359,18 +412,20 @@ def _p_maximal(a, b, c, d, p) -> bool:
 
 
 def is_maximal(ring: CubicRing) -> bool:
-    """Maximality via the local criterion at every p with p^2 | disc."""
+    """Maximality via the local criterion at every p with p^2 | disc.
+
+    The local test enumerates the residues mod p, so a square prime factor
+    of the discriminant above TRIAL_LIMIT raises InputTooLarge."""
     disc = ring.discriminant
     if disc == 0:
         raise NonEtaleInput("non-etale input")
-    n = abs(disc)
-    p = 2
-    while p * p <= n:
-        if n % (p * p) == 0 and not _p_maximal(ring.a, ring.b, ring.c, ring.d, p):
+    for p, e in prime_powers(abs(disc)):
+        if e < 2:
+            continue
+        if p > TRIAL_LIMIT:
+            raise InputTooLarge(f"local maximality at the {p.bit_length()}-bit prime {p}")
+        if not _p_maximal(ring.a, ring.b, ring.c, ring.d, p):
             return False
-        while n % p == 0:
-            n //= p
-        p += 1 if p == 2 else 2
     return True
 
 

@@ -121,19 +121,6 @@ class QExpansion:
         num = _convolve_int(self.num, other.num, n)
         return QExpansion(self.weight + other.weight, self.level, num, self.den * other.den)
 
-    def __pow__(self, k: int) -> "QExpansion":
-        if k < 0:
-            raise ValueError("negative powers unsupported")
-        out = QExpansion(0, self.level, (1,) + (0,) * (self.precision - 1))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            if k > 1:
-                base = base * base
-            k >>= 1
-        return out
-
     def dump(self) -> str:
         """Cache file format: header 'weight level N', then exact rationals."""
         w = self.weight

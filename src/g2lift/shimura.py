@@ -1,12 +1,17 @@
 """The Kohnen plus space of weight k + 1/2 on Gamma0(4) and its lift data.
 
-The space is realized inside the span of the monomials theta^(2k+1-4j) F^j
-by exact linear algebra: impose c(0) = 0 together with the plus-support
-condition c(n) = 0 for n == 2, 3 (mod 4) up to a Sturm-style bound.  The
-plus subspace of the full modular space splits as a one-dimensional
-Eisenstein line with nonvanishing constant term plus the cusp part, so
-killing c(0) inside the plus space is exactly cuspidality; the
-correspondence checker below certifies the outcome independently.
+The space lies in the span of the monomials theta * A^(m-j) * F^j with
+A = theta^4 and m = k/2.  Its c(1)-normalized basis is the kernel of
+exact linear algebra: impose c(0) = 0 together with the plus-support
+condition c(n) = 0 for n == 2, 3 (mod 4) up to a Sturm-style bound.
+Truncation commutes with products, so the kernel is solved on monomials
+built only to that bound; each kernel vector is then evaluated at full
+precision by Horner in A and F, in 2m + 1 full-precision products in all
+for a one-dimensional space.  The plus subspace of the full modular space
+splits as a one-dimensional Eisenstein line with nonvanishing constant
+term plus the cusp part, so killing c(0) inside the plus space is exactly
+cuspidality; the support check through full precision and the
+correspondence checker below certify the outcome independently.
 """
 
 from __future__ import annotations
@@ -49,17 +54,19 @@ def weight2_F(prec: int) -> QExpansion:
     return _cached(("F", prec), build)
 
 
-def _monomial_basis(k: int, prec: int) -> List[QExpansion]:
-    """theta^(2k+1-4j) F^j for 0 <= j <= floor((2k+1)/4)."""
-    th = theta_half(prec)
-    ff = weight2_F(prec)
-    out = []
-    fj = None
-    for j in range(0, (2 * k + 1) // 4 + 1):
-        fj = ff**j if j else None
-        g = th ** (2 * k + 1 - 4 * j)
-        out.append(g * fj if fj is not None else g)
+def _powers(x: QExpansion, m: int) -> List[QExpansion]:
+    """[x, x^2, ..., x^m] in m - 1 products."""
+    out = [x]
+    for _ in range(m - 1):
+        out.append(out[-1] * x)
     return out
+
+
+def _generators(prec: int, m: int):
+    """theta, A = theta^4 and [F, ..., F^m] at precision prec."""
+    th = theta_half(prec)
+    th2 = th * th
+    return th, th2 * th2, _powers(weight2_F(prec), m)
 
 
 def _rational_kernel(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
@@ -107,19 +114,28 @@ def plus_cusp_basis(k: int, prec: int) -> List[QExpansion]:
         raise PrecisionError("precision below the solvability threshold")
 
     def build():
-        mons = _monomial_basis(k, prec)
-        ncols = len(mons)
+        m = k // 2  # monomials theta * A^(m-j) * F^j, A = theta^4, 0 <= j <= m
         bound = max(32, -(-(2 * k + 1) * 6 // 24) * 2)  # Sturm-style, margin x2
+        # truncation commutes with products, so the kernel read from
+        # c(0) .. c(bound) only needs the monomials at precision bound + 1
+        th, a, f_pows = _generators(bound + 1, m)
+        a_pows = _powers(a, m)
+        mons = [th * a_pows[m - 1]]
+        mons += [th * a_pows[m - j - 1] * f_pows[j - 1] for j in range(1, m)]
+        mons.append(th * f_pows[m - 1])
         rows = [[g.coeff(0) for g in mons]]
         for n in range(2, bound + 1):
             if n % 4 in (2, 3):
                 rows.append([g.coeff(n) for g in mons])
-        kernel = _rational_kernel(rows, ncols)
+        kernel = _rational_kernel(rows, m + 1)
+
+        th, a, f_pows = _generators(prec, m)  # m + 1 full-precision products
         out = []
         for v in kernel:
-            g = mons[0].scale(v[0])
-            for j in range(1, ncols):
-                g = g + mons[j].scale(v[j])
+            h = a.scale(v[0]) + f_pows[0].scale(v[1])  # Horner in A
+            for j in range(2, m + 1):
+                h = h * a + f_pows[j - 1].scale(v[j])
+            g = th * h
             # plus condition must then hold through full precision
             bad = next((n for n in range(prec) if n % 4 in (2, 3) and g.num[n] != 0), None)
             if bad is not None:

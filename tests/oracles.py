@@ -109,6 +109,22 @@ def _divisors_by_trial(n):
     return out
 
 
+def prime_powers_by_trial(n):
+    """[(p, e), ...] of n >= 1 by unbounded trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e:
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def rational_roots_bruteforce(a, b, c, d):
     """Rational projective roots of a u^3 + b u^2 v + c u v^2 + d v^3 as
     sorted primitive pairs (u0, v0) with v0 > 0, or (1, 0) for infinity.
@@ -342,3 +358,45 @@ def decompose_su2(character):
 
 def plethysm_oracle(n):
     return decompose_su2(sym_power_character(n))
+
+
+# --- Kohnen plus space from independently powered monomials ------------------
+
+def _series_pow(x, k):
+    """x^k by square-and-multiply from the unit series."""
+    from g2lift.modforms import QExpansion
+
+    out = QExpansion(0, x.level, (1,) + (0,) * (x.precision - 1))
+    base = x
+    while k:
+        if k & 1:
+            out = out * base
+        if k > 1:
+            base = base * base
+        k >>= 1
+    return out
+
+
+def plus_cusp_basis_monomials(k, prec):
+    """The plus cusp basis built from the monomials theta^(2k+1-4j) F^j,
+    each powered independently at full precision, and combined linearly
+    along the kernel of the c(0) and plus-support rows; c(1)-normalized."""
+    from g2lift.shimura import _rational_kernel, theta_half, weight2_F
+
+    th, ff = theta_half(prec), weight2_F(prec)
+    mons = []
+    for j in range(0, (2 * k + 1) // 4 + 1):
+        g = _series_pow(th, 2 * k + 1 - 4 * j)
+        mons.append(g * _series_pow(ff, j) if j else g)
+    bound = max(32, -(-(2 * k + 1) * 6 // 24) * 2)
+    rows = [[g.coeff(0) for g in mons]]
+    rows += [[g.coeff(n) for g in mons] for n in range(2, bound + 1) if n % 4 in (2, 3)]
+    out = []
+    for v in _rational_kernel(rows, len(mons)):
+        g = mons[0].scale(v[0])
+        for j in range(1, len(mons)):
+            g = g + mons[j].scale(v[j])
+        assert all(g.num[n] == 0 for n in range(prec) if n % 4 in (2, 3))
+        lead = g.num[1] if g.num[1] != 0 else next(c for c in g.num if c != 0)
+        out.append(g.scale(Fraction(g.den, lead)))
+    return out

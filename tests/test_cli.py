@@ -162,6 +162,28 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+SEMIPRIME_W = f"--w={-(1000000007 * 2147483647 - 9) // 4},1,1/3,0"  # disc 1000000007 * 2147483647
+
+
+@pytest.mark.parametrize("command", ["reduce", "coeff"])
+def test_unfactorable_input_refused(capsys, command):
+    jsonschema = pytest.importorskip("jsonschema")
+    import pathlib
+
+    code, out = run_cli(capsys, command, SEMIPRIME_W)
+    assert code == 2
+    assert json.loads(out)["error"] == "INPUT_TOO_LARGE"
+    schema = pathlib.Path(__file__).parent.parent / "docs" / "schemas" / "error.schema.json"
+    jsonschema.validate(json.loads(out), json.loads(schema.read_text()))
+
+
+@pytest.mark.parametrize("discs", ["100000,200000", "5,x"])
+def test_gross_bad_disc_is_usage_error(capsys, discs):
+    code, out = run_cli(capsys, "gross", "--form", "delta", "--discs", discs)
+    assert code == 2
+    assert json.loads(out)["error"] == "BAD_INPUT"
+
+
 def test_gross_too_few_points_inconclusive(capsys):
     code, out = run_cli(capsys, "gross", "--form", "delta", "--discs", "5",
                         "--tol", "1e-8", "--prec", "900", "--prec-half", "100")

@@ -1,10 +1,11 @@
 import random
+import signal
 import time
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from g2lift.cubic import (
@@ -12,6 +13,7 @@ from g2lift.cubic import (
     CubicFieldOrbitUnsupported,
     CubicRing,
     CubicVector,
+    InputTooLarge,
     NonEtaleInput,
     cubic_ring,
     etale_type,
@@ -19,6 +21,7 @@ from g2lift.cubic import (
     fundamental_discriminant_of_class,
     is_maximal,
     is_totally_real,
+    prime_powers,
     quartic_q,
     rational_projective_roots,
     reduce_to_canonical,
@@ -29,7 +32,13 @@ from g2lift.exact import mat2
 from g2lift.group import coad_w, rho3
 
 from conftest import rand_mat2, rand_rat
-from oracles import det_cofactor, disc_resultant, maximal_bruteforce, rational_roots_bruteforce
+from oracles import (
+    det_cofactor,
+    disc_resultant,
+    maximal_bruteforce,
+    prime_powers_by_trial,
+    rational_roots_bruteforce,
+)
 
 
 def rand_lattice_vec(rng, bound=9):
@@ -217,6 +226,100 @@ def test_roots_planted_256_bits():
         elapsed = time.perf_counter() - t0
         assert got == want
         assert elapsed < 0.05, f"256-bit root finding took {elapsed:.3f} s"
+
+
+# --- bounded factoring -------------------------------------------------------------
+
+MR_EXACT = 3317044064679887385961981
+SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 97, 997, 65521, 1048573]  # 1048573 < 2^20
+LARGE_PRIMES = [1048583, 1048601, 1000000007, 2147483647, 2**61 - 1, 2**89 - 1]
+# a strong pseudoprime to the first 12 prime bases (2 .. 37); base 41 exposes it
+PSP12 = 399165290221 * 798330580441
+
+
+@given(st.integers(1, 10**6))
+@settings(max_examples=400, deadline=None)
+def test_prime_powers_match_trial_division(n):
+    assert list(prime_powers(n)) == prime_powers_by_trial(n)
+
+
+@given(
+    small=st.lists(st.tuples(st.sampled_from(SMALL_PRIMES), st.integers(1, 4)), max_size=4,
+                   unique_by=lambda t: t[0]),
+    large=st.lists(st.sampled_from(LARGE_PRIMES), max_size=4),
+)
+@example(small=[], large=[1048583, 1048583])  # prime square just past the trial limit
+@example(small=[(2, 3)], large=[2**61 - 1, 2**61 - 1])  # prime square certified by Miller-Rabin
+@example(small=[], large=[1048583, 1048601])  # two primes just past the limit
+@example(small=[(1048573, 2)], large=[2**89 - 1])  # a prime too large to certify
+@example(small=[], large=[1048583, 1048583, 1048601, 1048601])  # square of a semiprime
+@settings(max_examples=60, deadline=None)  # a full trial pass takes ~0.1 s
+def test_prime_powers_planted(small, large):
+    n = 1
+    for p, e in small:
+        n *= p**e
+    for p in large:
+        n *= p
+    large.sort()
+    settled = (
+        not large
+        or (len(large) == 1 and large[0] < MR_EXACT)
+        or (len(large) == 2 and large[0] == large[1] and large[0] < MR_EXACT)
+    )
+    if settled:
+        want = sorted(small) + ([(large[0], len(large))] if large else [])
+        assert list(prime_powers(n)) == want
+    else:
+        with pytest.raises(InputTooLarge):
+            list(prime_powers(n))
+
+
+def test_prime_powers_refuse_strong_pseudoprime():
+    for n in (PSP12, 12 * PSP12, PSP12**2):
+        with pytest.raises(InputTooLarge):
+            list(prime_powers(n))
+
+
+# 4 * 10^18 + 37 is the discriminant and a prime; the semiprime one is not
+BIG_W = (-(10**18 + 7), 1, F(1, 3), 0)
+SEMIPRIME_W = (-(1000000007 * 2147483647 - 9) // 4, 1, F(1, 3), 0)
+BIG_CALLS = {
+    "reduce": reduce_to_canonical,
+    "etale": etale_type,
+    "maximal": lambda w: is_maximal(cubic_ring(w)),
+}
+
+
+def _within(seconds, fn, *args):
+    """fn(*args), or its InputTooLarge, under a SIGALRM timer."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    except InputTooLarge as exc:
+        return exc
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("call", sorted(BIG_CALLS))
+def test_nineteen_digit_vectors_answer_or_refuse_within_half_a_second(call):
+    reduce_to_canonical((-5, 1, F(1, 3), 0))  # warm the group tables
+    got = _within(0.5, BIG_CALLS[call], BIG_W)
+    assert isinstance(_within(0.5, BIG_CALLS[call], SEMIPRIME_W), InputTooLarge)
+    d0 = 4 * 10**18 + 37
+    assert cubic_ring(BIG_W).discriminant == d0
+    if call == "reduce":
+        assert (got.t, got.S) == (-d0, 1)
+    elif call == "etale":
+        assert str(got) == f"Q x Q(sqrt({d0}))"
+    else:
+        assert got is True
 
 
 # --- cubic rings -----------------------------------------------------------------

@@ -215,6 +215,21 @@ def test_series_digests_pinned():
     assert _digest(plus_cusp_basis(8, 600)[0]) == "64533232bfc2c3023d0d7424568e5e0b7cbf25d1e607ebcb627dcea03fed56f0"
 
 
+def test_plus_basis_digests_pinned():
+    """sha256 of every vector of the two- and three-dimensional plus bases."""
+    from g2lift.shimura import plus_cusp_basis
+
+    assert [_digest(g) for g in plus_cusp_basis(12, 400)] == [
+        "735d7b220d4f348d07ac37080ba38b198dc85f4797fa795ed528cd0fd9255fb6",
+        "024390329bac629ecc686e8130d5cd6ef3061bc943b6006ac12a222d97c8fc41",
+    ]
+    assert [_digest(g) for g in plus_cusp_basis(18, 500)] == [
+        "237532d7c5eef058cf14ce064d6ce339589f2f30d2f02fbfb67ee0d99c813957",
+        "463718edb6a1b6363be9e2e73556bfc9d780aa925d4505d7429122562ed20536",
+        "9ff70323e281ea18be281a8199b6864e66f71fb69a66a8c4475ed2b3c7db9e17",
+    ]
+
+
 def test_tau_congruence_mod_691():
     """tau(n) == sigma_11(n) mod 691, an independent corroboration of the
     discriminant expansion."""

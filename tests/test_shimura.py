@@ -12,6 +12,8 @@ from g2lift.shimura import (
     weight2_F,
 )
 
+from oracles import plus_cusp_basis_monomials
+
 
 def test_theta_coefficients():
     th = theta_half(30)
@@ -52,6 +54,19 @@ def test_plus_support_through_precision():
 def test_plus_basis_dimensions_higher_weights():
     for k in (8, 10):
         assert len(plus_cusp_basis(k, 8 * k + 60)) == 1
+
+
+@pytest.mark.parametrize("k", range(6, 21, 2))
+def test_plus_basis_matches_monomial_oracle(k):
+    """Kernel at Sturm precision plus Horner in theta^4 and F gives exactly
+    the basis of the independently powered monomials; k = 6..20 spans
+    kernels of dimension 1, 2 and 3."""
+    prec = 8 * k + 40
+    got = plus_cusp_basis(k, prec)
+    want = plus_cusp_basis_monomials(k, prec)
+    assert len(got) == len(want) == (1 if k < 12 else 2 if k < 18 else 3)
+    for g, h in zip(got, want):
+        assert (g.weight, g.level, g.num, g.den) == (h.weight, h.level, h.num, h.den)
 
 
 def test_plus_basis_guards():
