@@ -13,7 +13,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import cubic, ktypes, lfunctions, modforms, shimura, structure
+from . import arith, cubic, ktypes, lfunctions, modforms, shimura, structure
 from .exact import mat2
 from .group import (
     GroupElement,
@@ -125,7 +125,7 @@ def cmd_reduce(args) -> int:
         payload = cubic.reduction_json(w)
     except cubic.CubicFieldOrbitUnsupported:
         return _usage_error("CUBIC_FIELD_ORBIT", "cubic-field orbit unsupported")
-    except cubic.InputTooLarge as exc:
+    except arith.InputTooLarge as exc:
         return _usage_error("INPUT_TOO_LARGE", str(exc))
     except (ValueError, cubic.NonEtaleInput) as exc:
         return _usage_error("BAD_INPUT", str(exc))
@@ -156,7 +156,7 @@ def cmd_coeff(args) -> int:
         return _usage_error("CUBIC_FIELD_ORBIT", "cubic-field orbit unsupported")
     except UnsupportedLatticeIndex as exc:
         return _usage_error("BAD_INDEX", str(exc))
-    except cubic.InputTooLarge as exc:
+    except arith.InputTooLarge as exc:
         return _usage_error("INPUT_TOO_LARGE", str(exc))
     except ValueError as exc:
         return _usage_error("BAD_INPUT", str(exc))
@@ -187,7 +187,7 @@ def cmd_gross(args) -> int:
         except lfunctions.SeriesInstability as exc:
             _emit({"schema": 1, "error": "SERIES_INSTABILITY", "message": str(exc)})
             return EXIT_INCONCLUSIVE
-        except cubic.InputTooLarge as exc:
+        except arith.InputTooLarge as exc:
             return _usage_error("INPUT_TOO_LARGE", str(exc))
         except ValueError as exc:
             return _usage_error("BAD_INPUT", str(exc))

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterator, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
+from .arith import fundamental_discriminant, prime_powers
 from .exact import Matrix2, mat2, rat
 
 
@@ -23,11 +24,6 @@ class NonEtaleInput(ValueError):
 
 class CubicFieldOrbitUnsupported(ValueError):
     """Raised when a reduction needs a rational root and none exists."""
-
-
-class InputTooLarge(ValueError):
-    """Raised when an input needs more factoring than bounded trial
-    division and primality certification can do."""
 
 
 class CubicVector(NamedTuple):
@@ -191,81 +187,12 @@ def rational_projective_roots(w) -> list[Tuple[int, int]]:
     return sorted(seen)
 
 
-TRIAL_LIMIT = 1 << 20
-# Miller-Rabin on the first 13 prime bases is exact below _MR_EXACT
-# (Sorenson and Webster, Math. Comp. 86, 2017)
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT = 3317044064679887385961981
-
-
-def _is_prime_mr(n: int) -> bool:
-    """Deterministic Miller-Rabin for odd 41 < n < _MR_EXACT."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def prime_powers(n: int) -> Iterator[Tuple[int, int]]:
-    """The prime powers (p, e) of n >= 1, p ascending.
-
-    Trial division stops at TRIAL_LIMIT.  A cofactor left with no prime
-    factor up to that point must be a prime or a prime square, certified
-    below TRIAL_LIMIT^2 by size and up to _MR_EXACT by Miller-Rabin;
-    anything else raises InputTooLarge after the smaller primes are out.
-    """
-    p = 2
-    while p <= TRIAL_LIMIT and p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n, e = n // p, e + 1
-            yield p, e
-        p += 1 if p == 2 else 2
-    # every prime factor of n is now at least p
-    if n == 1:
-        return
-    if n < p * p or (n < _MR_EXACT and _is_prime_mr(n)):
-        yield n, 1
-        return
-    r = isqrt(n)
-    if r * r == n and (r < p * p or (r < _MR_EXACT and _is_prime_mr(r))):
-        yield r, 2
-        return
-    raise InputTooLarge(
-        f"a {n.bit_length()}-bit cofactor has no prime factor below {TRIAL_LIMIT} "
-        "and is not a certified prime or prime square"
-    )
-
-
-def _squarefree_part(n: int) -> int:
-    """Squarefree representative of the square class of n (sign kept)."""
-    if n == 0:
-        return 0
-    out = -1 if n < 0 else 1
-    for p, e in prime_powers(abs(n)):
-        if e % 2:
-            out *= p
-    return out
-
-
 def fundamental_discriminant_of_class(r: Fraction) -> Tuple[int, Fraction]:
     """Minimal positive integer D0 == 0, 1 (mod 4) in the square class of
     the positive rational r, with the scale lam > 0, lam^2 * r = D0."""
     if r <= 0:
         raise ValueError("positive rational expected")
-    u = _squarefree_part(r.numerator * r.denominator)
-    d0 = u if u % 4 == 1 else 4 * u
+    d0 = fundamental_discriminant(r.numerator * r.denominator)
     ratio = Fraction(d0) / r
     lam = Fraction(isqrt(ratio.numerator), isqrt(ratio.denominator))
     assert lam * lam * r == d0, "square-class arithmetic broke"
@@ -310,8 +237,7 @@ def etale_type(w) -> EtaleType:
         else:  # root at infinity: f = v * (b u^2 + c u v + d v^2)
             A, B, C = Fraction(b), Fraction(c), Fraction(d)
         disc2 = B * B - 4 * A * C
-        d0 = _squarefree_part(disc2.numerator * disc2.denominator)
-        field_disc = d0 if d0 % 4 == 1 else 4 * d0
+        field_disc = fundamental_discriminant(disc2.numerator * disc2.denominator)
         return EtaleType("quadratic_split", quad_disc=field_disc, real_quadratic=disc2 > 0)
     if not roots:
         return EtaleType("cubic_field", cubic_poly=(a, b, c, d))
@@ -372,41 +298,32 @@ def cubic_ring(w) -> CubicRing:
     return CubicRing(*w.integral_form())
 
 
-def transformed_form(a, b, c, d, M):
-    """Coefficients of f(p x + r y, q x + s y) for M = ((p, r), (q, s))."""
-    (p, r), (q, s) = M
-    A = a * p**3 + b * p * p * q + c * p * q * q + d * q**3
-    B = (
-        3 * a * p * p * r
-        + b * (p * p * s + 2 * p * q * r)
-        + c * (q * q * r + 2 * p * q * s)
-        + 3 * d * q * q * s
-    )
-    C = (
-        3 * a * p * r * r
-        + b * (r * r * q + 2 * p * r * s)
-        + c * (p * s * s + 2 * q * r * s)
-        + 3 * d * q * s * s
-    )
-    D = a * r**3 + b * r * r * s + c * r * s * s + d * s**3
-    return A, B, C, D
-
-
 def _p_maximal(a, b, c, d, p) -> bool:
     """Local maximality of the ring of (a, b, c, d) at p.
 
-    Non-maximal iff p divides the whole form, or some projective root of
-    f mod p moves to the leading slot with p^2 | a' and p | b'.
+    Dedekind's criterion: non-maximal iff p divides the whole form, or f
+    has a multiple root (u0 : v0) mod p with p^2 | f(u0, v0).  Both
+    partials of f vanish mod p at a multiple root, so the test does not
+    depend on the lift.  For p > 3 the only candidate is the double root
+    of the Hessian H = (b^2 - 3ac) u^2 + (bc - 9ad) u v + (c^2 - 3bd) v^2,
+    or, when H == 0 mod p and f is a cube, (-b : 3a) ((1 : 0) if p | a);
+    for p <= 3 all p + 1 points are tried.  O(1) operations at any p.
     """
     if a % p == 0 and b % p == 0 and c % p == 0 and d % p == 0:
         return False
-    roots = [(r, 1) for r in range(p) if (a * r**3 + b * r * r + c * r + d) % p == 0]
-    if a % p == 0:
-        roots.append((1, 0))
-    for (u0, v0) in roots:
-        M = ((u0, -1), (v0, 0)) if v0 != 0 else ((1, 0), (0, 1))
-        A, B, _, _ = transformed_form(a, b, c, d, M)
-        if A % (p * p) == 0 and B % p == 0:
+    if p <= 3:
+        points = [(r, 1) for r in range(p)] + [(1, 0)]
+    else:
+        h2, h1, h0 = b * b - 3 * a * c, b * c - 9 * a * d, c * c - 3 * b * d
+        if h2 % p == 0 and h1 % p == 0 and h0 % p == 0:
+            points = [(1, 0) if a % p == 0 else (-b, 3 * a)]
+        else:
+            points = [(1, 0) if h2 % p == 0 else (-h1, 2 * h2)]
+    for u, v in points:
+        f_u = 3 * a * u * u + 2 * b * u * v + c * v * v
+        f_v = b * u * u + 2 * c * u * v + 3 * d * v * v
+        value = a * u**3 + b * u * u * v + c * u * v * v + d * v**3
+        if f_u % p == 0 and f_v % p == 0 and value % (p * p) == 0:
             return False
     return True
 
@@ -414,19 +331,16 @@ def _p_maximal(a, b, c, d, p) -> bool:
 def is_maximal(ring: CubicRing) -> bool:
     """Maximality via the local criterion at every p with p^2 | disc.
 
-    The local test enumerates the residues mod p, so a square prime factor
-    of the discriminant above TRIAL_LIMIT raises InputTooLarge."""
+    The local test is closed-form, so the cost is that of factoring the
+    discriminant, which raises InputTooLarge past its bound."""
     disc = ring.discriminant
     if disc == 0:
         raise NonEtaleInput("non-etale input")
-    for p, e in prime_powers(abs(disc)):
-        if e < 2:
-            continue
-        if p > TRIAL_LIMIT:
-            raise InputTooLarge(f"local maximality at the {p.bit_length()}-bit prime {p}")
-        if not _p_maximal(ring.a, ring.b, ring.c, ring.d, p):
-            return False
-    return True
+    return all(
+        _p_maximal(ring.a, ring.b, ring.c, ring.d, p)
+        for p, e in prime_powers(abs(disc))
+        if e >= 2
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,10 @@ class Matrix7(_MatrixBase):
     SIZE = 7
 
 
+class Matrix5(_MatrixBase):
+    SIZE = 5
+
+
 class Matrix2(_MatrixBase):
     SIZE = 2
 
@@ -244,7 +248,3 @@ GRAM_INV = GRAM.inverse()
 def preserves_form(g: Matrix7) -> bool:
     """True iff g^T * GRAM * g == GRAM exactly and det(g) == 1."""
     return g.transpose() * GRAM * g == GRAM and g.det() == 1
-
-
-def mat_mul(a: _MatrixBase, b: _MatrixBase) -> _MatrixBase:
-    return a * b

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 from .exact import Matrix2, Matrix7, mat2, preserves_form, rat
 
@@ -49,13 +49,6 @@ ROOT_COORDS = {
     "3a+b": (3, 1),
     "3a+2b": (3, 2),
 }
-
-
-class HeisenbergCoord(NamedTuple):
-    """Coordinates (a, t) on the Heisenberg unipotent: a is the W-part."""
-
-    a: Tuple[Fraction, Fraction, Fraction, Fraction]
-    t: Fraction
 
 
 @dataclass(frozen=True)
@@ -284,12 +277,6 @@ def n1_coords(g: GroupElement):
     """Inverse of heis_n1: (a1..a4, t) in recentred coordinates."""
     a1, a2, a3, a4, t_raw = n_coords(g)
     return a1, a2, a3, a4, 2 * t_raw + a1 * a4 - 3 * a2 * a3
-
-
-def heisenberg_coord(g: GroupElement) -> HeisenbergCoord:
-    """Recentred coordinates of g as a typed (a, t) pair."""
-    a1, a2, a3, a4, t = n1_coords(g)
-    return HeisenbergCoord(a=(a1, a2, a3, a4), t=t)
 
 
 def levi_m(A: Matrix2) -> GroupElement:

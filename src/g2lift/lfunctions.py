@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
+from .arith import is_fundamental_discriminant, kronecker
 from .modforms import QExpansion
-from .shimura import is_fundamental_discriminant
 
 
 class SeriesInstability(ArithmeticError):
@@ -32,36 +32,7 @@ def kronecker_chi(D: int, n: int) -> int:
     """Kronecker symbol (D/n) for fundamental D (or D = 1)."""
     if not is_fundamental_discriminant(D):
         raise ValueError("non-fundamental discriminant rejected")
-    return _kronecker(D, n)
-
-
-def _kronecker(a: int, n: int) -> int:
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    if a % 2 == 0 and n % 2 == 0:
-        return 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -sign
-    # factor out 2s of n: (a/2) = 0, 1, -1 by a mod 8
-    while n % 2 == 0:
-        n //= 2
-        if a % 8 in (3, 5):
-            sign = -sign
-    # now n odd positive: Jacobi symbol with reciprocity
-    a %= n
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        a %= n
-    return sign if n == 1 else 0
+    return kronecker(D, n)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +63,7 @@ def _smoothed_sum(f: QExpansion, D: int, k: int, x: float, n_max: int, use_mpmat
         with mpmath.workdps(40):
             acc = mpmath.mpf(0)
             for n in range(1, n_max + 1):
-                chi = _kronecker(D, n)
+                chi = kronecker(D, n)
                 if chi == 0:
                     continue
                 c = f.coeff(n)
@@ -101,7 +72,7 @@ def _smoothed_sum(f: QExpansion, D: int, k: int, x: float, n_max: int, use_mpmat
             return float(acc)
     acc = 0.0
     for n in range(1, n_max + 1):
-        chi = _kronecker(D, n)
+        chi = kronecker(D, n)
         if chi == 0:
             continue
         acc += chi * (f.num[n] / f.den) * n ** (-k) * gamma_inc_ratio(k, 2 * math.pi * n * x / D)
@@ -178,7 +149,7 @@ def cesaro_direct_value(f: QExpansion, D: int, n_terms: int, order: int = 2) -> 
     part = []
     acc = 0.0
     for n in range(1, n_terms + 1):
-        chi = _kronecker(D, n)
+        chi = kronecker(D, n)
         if chi:
             acc += chi * (f.num[n] / f.den) * n ** (-k)
         part.append(acc)

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Sequence
 
+from .arith import prime_powers
 from .exact import rat
 
 
@@ -266,29 +267,17 @@ def satake(f: QExpansion, p: int) -> SatakeRecord:
     return SatakeRecord(p=p, a_p=a_p, two_k=two_k, alpha=alpha)
 
 
-def _factor_rational(r: Fraction):
-    """Prime factorization of a nonzero rational as {p: exponent}."""
-    out = {}
-    for val, sign in ((r.numerator, 1), (r.denominator, -1)):
-        n = abs(val)
-        p = 2
-        while p * p <= n:
-            while n % p == 0:
-                out[p] = out.get(p, 0) + sign
-                n //= p
-            p += 1 if p == 2 else 2
-        if n > 1:
-            out[n] = out.get(n, 0) + sign
-    return {p: e for p, e in out.items() if e}
-
-
 def mu_f(f: QExpansion, r) -> complex:
     """The unramified character value prod_p alpha_p^{v_p(r)} at a nonzero
-    rational r; units (including -1) contribute nothing."""
+    rational r; units (including -1) contribute nothing.  The primes of
+    the numerator come first, then those of the denominator, each in
+    ascending order; a part that bounded factoring cannot split raises
+    InputTooLarge."""
     r = rat(r)
     if r == 0:
         raise ValueError("mu_f undefined at 0")
     out = complex(1, 0)
-    for p, e in _factor_rational(r).items():
-        out *= satake(f, p).alpha ** e
+    for n, sign in ((abs(r.numerator), 1), (r.denominator, -1)):
+        for p, e in prime_powers(n):
+            out *= satake(f, p).alpha ** (sign * e)
     return out

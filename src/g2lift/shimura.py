@@ -19,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List
 
+from .arith import is_fundamental_discriminant, kronecker
 from .modforms import PrecisionError, QExpansion, _cached
 
 
@@ -158,39 +159,12 @@ def c_coeff(g: QExpansion, t: int) -> Fraction:
     return g.coeff(n)
 
 
-def is_fundamental_discriminant(D: int) -> bool:
-    """Positive fundamental discriminant, with 1 included as the trivial case."""
-    if D == 1:
-        return True
-    if D <= 0:
-        return False
-    if D % 4 == 1:
-        return _is_squarefree(D)
-    if D % 4 == 0:
-        m = D // 4
-        return m % 4 in (2, 3) and _is_squarefree(m)
-    return False
-
-
-def _is_squarefree(n: int) -> bool:
-    p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        while n % p == 0:
-            n //= p
-        p += 1 if p == 2 else 2
-    return True
-
-
 def shimura_lift_check(g: QExpansion, f: QExpansion, D: int, n_max: int) -> bool:
     """Exact correspondence check for all n <= n_max, with g of weight
     k + 1/2 on Gamma0(4):
 
         sum_{d | n} chi_D(d) d^(k-1) c(D n^2 / d^2)  ==  c(D) a_n(f).
     """
-    from .lfunctions import _kronecker
-
     if g.level != 4 or g.weight.denominator != 2:
         raise ValueError("half-integral form must have level 4 and weight k + 1/2")
     k = g.weight.numerator // 2
@@ -205,7 +179,7 @@ def shimura_lift_check(g: QExpansion, f: QExpansion, D: int, n_max: int) -> bool
         acc = Fraction(0)
         for d in range(1, n + 1):
             if n % d == 0:
-                acc += _kronecker(D, d) * d ** (k - 1) * g.coeff(D * (n // d) ** 2)
+                acc += kronecker(D, d) * d ** (k - 1) * g.coeff(D * (n // d) ** 2)
         if acc != cD * f.coeff(n):
             return False
     return True

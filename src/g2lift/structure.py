@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 from typing import Callable
 
-from .exact import mat2
+from .exact import Matrix5, mat2
 from .group import (
     ALL_ROOTS,
     RootLabel,
@@ -54,24 +54,6 @@ def _rand_mat2(rng: random.Random):
         A = mat2(*( _rand_rat(rng) for _ in range(4)))
         if A.det() != 0:
             return A
-
-
-def _det5(cols) -> Fraction:
-    m = [[cols[j][i] for j in range(5)] for i in range(5)]
-    sign = Fraction(1)
-    for k in range(5):
-        piv = next((i for i in range(k, 5) if m[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, 5):
-            f = m[i][k] / m[k][k]
-            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    for k in range(5):
-        sign *= m[k][k]
-    return sign
 
 
 def _ce(**kw):
@@ -219,9 +201,9 @@ def check_modulus_p(rng, samples):
         A = _rand_mat2(rng)
         m = levi_m(A)
         mi = m.inverse()
-        cols = [n1_coords(m * heis_n1(*e) * mi) for e in basis]
-        if _det5(cols) != A.det() ** 3:
-            return _ce(A=[str(x) for x in A.entries()], det=str(_det5(cols)))
+        det = Matrix5([n1_coords(m * heis_n1(*e) * mi) for e in basis]).det()
+        if det != A.det() ** 3:
+            return _ce(A=[str(x) for x in A.entries()], det=str(det))
     return None
 
 
@@ -236,8 +218,9 @@ def check_modulus_q(rng, samples):
             cols.append((c1, c2, c3 - c1 * c2, c4, cz))
         for e in [(1, 0), (0, 1)]:
             cols.append(u_coords(el * z_coord(*e) * eli))
-        if _det5(cols) != A.det() ** 5:
-            return _ce(A=[str(x) for x in A.entries()], det=str(_det5(cols)))
+        det = Matrix5(cols).det()
+        if det != A.det() ** 5:
+            return _ce(A=[str(x) for x in A.entries()], det=str(det))
     return None
 
 

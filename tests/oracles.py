@@ -125,6 +125,18 @@ def prime_powers_by_trial(n):
     return out
 
 
+def is_fundamental_by_definition(D):
+    """D == 1 (mod 4) squarefree, or D = 4m with m == 2, 3 (mod 4)
+    squarefree, either sign; the trivial D = 1 is included."""
+
+    def squarefree(n):
+        return all(e == 1 for _, e in prime_powers_by_trial(abs(n)))
+
+    if D % 4 == 1:
+        return squarefree(D)
+    return D % 16 in (8, 12) and squarefree(D // 4)
+
+
 def rational_roots_bruteforce(a, b, c, d):
     """Rational projective roots of a u^3 + b u^2 v + c u v^2 + d v^3 as
     sorted primitive pairs (u0, v0) with v0 > 0, or (1, 0) for infinity.
@@ -156,7 +168,23 @@ def rational_roots_bruteforce(a, b, c, d):
     return sorted(roots)
 
 
-# --- brute-force maximality oracle -------------------------------------------
+# --- maximality oracles ---------------------------------------------------------
+
+def p_maximal_by_scan(a, b, c, d, p):
+    """Local maximality at p by scanning every residue for a root of f mod p:
+    non-maximal iff p divides the form, or a root moved to the leading slot
+    by brute substitution gives p^2 | a' and p | b'.  O(p)."""
+    if a % p == 0 and b % p == 0 and c % p == 0 and d % p == 0:
+        return False
+    roots = [(r, 1) for r in range(p) if (a * r**3 + b * r * r + c * r + d) % p == 0]
+    if a % p == 0:
+        roots.append((1, 0))
+    for (u0, v0) in roots:
+        A, B, _, _ = substitute([a, b, c, d], u0, -1, v0, 0) if v0 else (a, b, c, d)
+        if A % (p * p) == 0 and B % p == 0:
+            return False
+    return True
+
 
 def _subspaces(p):
     """All nonzero subspaces of F_p^3 as lists of basis vectors.

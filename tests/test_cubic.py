@@ -8,20 +8,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from g2lift.arith import InputTooLarge, prime_powers
 from g2lift.cubic import (
     CanonicalReduction,
     CubicFieldOrbitUnsupported,
     CubicRing,
     CubicVector,
-    InputTooLarge,
     NonEtaleInput,
+    _p_maximal,
     cubic_ring,
     etale_type,
     form_disc,
     fundamental_discriminant_of_class,
     is_maximal,
     is_totally_real,
-    prime_powers,
     quartic_q,
     rational_projective_roots,
     reduce_to_canonical,
@@ -36,6 +36,7 @@ from oracles import (
     det_cofactor,
     disc_resultant,
     maximal_bruteforce,
+    p_maximal_by_scan,
     prime_powers_by_trial,
     rational_roots_bruteforce,
 )
@@ -375,6 +376,55 @@ def test_maximality_matches_bruteforce_smallbox():
                     if disc == 0 or abs(disc) > 200:
                         continue
                     assert is_maximal(ring) == maximal_bruteforce(ring), (a, b, c, d, disc)
+
+
+PRIMES_TO_10K = [n for n in range(2, 10**4) if prime_powers_by_trial(n) == [(n, 1)]]
+
+
+def _planted_multiple_root(kind, r, alpha, beta):
+    """(a, b, c, d) with a planted double or triple root at (r : 1) or at
+    infinity; the cofactor is alpha u + beta v."""
+    if kind == "double":  # (u - r v)^2 (alpha u + beta v)
+        return (alpha, beta - 2 * r * alpha, r * r * alpha - 2 * r * beta, r * r * beta)
+    if kind == "triple":  # alpha (u - r v)^3
+        return (alpha, -3 * r * alpha, 3 * r * r * alpha, -(r**3) * alpha)
+    if kind == "double_inf":  # v^2 (alpha u + beta v)
+        return (0, 0, alpha, beta)
+    return (0, 0, 0, alpha)  # alpha v^3
+
+
+@given(
+    p=st.one_of(st.sampled_from([2, 3, 5, 7]), st.sampled_from(PRIMES_TO_10K)),
+    kind=st.sampled_from(["double", "triple", "double_inf", "triple_inf"]),
+    r=st.integers(0, 10**4),
+    alpha=st.integers(-50, 50),
+    beta=st.integers(-50, 50),
+    by_p=st.tuples(*[st.integers(-9, 9)] * 4),
+    by_p2=st.tuples(*[st.integers(-9, 9)] * 4),
+)
+@settings(max_examples=300, deadline=None)
+def test_p_maximal_matches_residue_scan(p, kind, r, alpha, beta, by_p, by_p2):
+    planted = _planted_multiple_root(kind, r % p, alpha, beta)
+    form = tuple(x + p * y + p * p * z for x, y, z in zip(planted, by_p, by_p2))
+    if any(form):
+        assert _p_maximal(*form, p) == p_maximal_by_scan(*form, p), (form, p)
+
+
+def test_maximality_at_a_square_prime_below_the_trial_limit_is_fast():
+    p = 1048573  # the largest prime below the trial limit; O(p) work here takes ~0.5 s
+    ring = CubicRing(1, 0, -p * p, p * p)
+    seconds = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        assert is_maximal(ring) is False
+        seconds.append(time.perf_counter() - t0)
+    assert min(seconds) < 0.05
+
+
+def test_maximality_at_a_square_prime_past_the_trial_limit_answers():
+    ring = CubicRing(1, 1, -5242915, -2199052615778)
+    assert ring.discriminant == -397 * 523 * 22907 * 24967 * 1048583**2
+    assert is_maximal(ring) is False
 
 
 # --- canonical reduction ----------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2lift.exact import GRAM, Matrix2, Matrix7, mat2, mat_mul, preserves_form
+from g2lift.exact import GRAM, Matrix2, Matrix7, mat2, preserves_form
 
 from conftest import rand_rat
 from oracles import det_cofactor
@@ -20,7 +20,7 @@ def rand_matrix7(rng):
 
 def test_identity_product():
     i7 = Matrix7.identity()
-    assert mat_mul(i7, i7) == i7
+    assert i7 * i7 == i7
 
 
 def test_inverse_roundtrip(rng):

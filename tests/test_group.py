@@ -316,10 +316,3 @@ def test_z_coord_is_center_slice():
 def test_group_element_dump():
     text = identity().dump()
     assert text.splitlines()[0].split() == ["1", "0", "0", "0", "0", "0", "0"]
-
-
-def test_heisenberg_coord_type():
-    from g2lift.group import HeisenbergCoord, heisenberg_coord
-
-    got = heisenberg_coord(heis_n1(1, F(1, 2), 0, -3, F(7, 5)))
-    assert got == HeisenbergCoord(a=(1, F(1, 2), 0, -3), t=F(7, 5))

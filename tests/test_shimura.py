@@ -1,7 +1,13 @@
+import subprocess
+import sys
 from fractions import Fraction as F
+from math import isqrt
+from pathlib import Path
 
 import pytest
 
+import g2lift
+from g2lift.arith import fundamental_discriminant
 from g2lift.modforms import PrecisionError, QExpansion, delta, eigenform
 from g2lift.shimura import (
     c_coeff,
@@ -12,7 +18,7 @@ from g2lift.shimura import (
     weight2_F,
 )
 
-from oracles import plus_cusp_basis_monomials
+from oracles import is_fundamental_by_definition, plus_cusp_basis_monomials
 
 
 def test_theta_coefficients():
@@ -116,6 +122,29 @@ def test_fundamental_discriminants():
         assert is_fundamental_discriminant(D)
     for D in (0, -4, 2, 3, 4, 9, 16, 20, 25, 27, 36):
         assert not is_fundamental_discriminant(D)
+
+
+def test_fundamental_discriminants_match_definition():
+    for D in range(-100, 10**4 + 1):
+        assert is_fundamental_discriminant(D) == (D > 0 and is_fundamental_by_definition(D)), D
+
+
+def test_fundamental_discriminant_of_a_square_class():
+    for n in range(-2000, 2001):
+        if n:
+            D = fundamental_discriminant(n)
+            assert is_fundamental_by_definition(D) and isqrt(n * D) ** 2 == n * D, n
+
+
+def test_shimura_and_lfunctions_do_not_import_each_other():
+    code = "import sys, g2lift.{0}; print('g2lift.{1}' in sys.modules)"
+    src = str(Path(g2lift.__file__).resolve().parents[1])
+    for mod, other in (("shimura", "lfunctions"), ("lfunctions", "shimura")):
+        out = subprocess.run(
+            [sys.executable, "-c", code.format(mod, other)],
+            capture_output=True, text=True, check=True, env={"PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "False", (mod, other)
 
 
 def test_c1_nonzero_iff_central_value(delta_full, plus6_full):
