@@ -134,19 +134,23 @@ def cmd_reduce(args) -> int:
     return EXIT_PASS
 
 
-def _lift_context(form: str, prec: int, prec_half: int):
+def _lift_context(args):
+    """The LiftContext that args ask for, or the exit code of its refusal."""
     from .lift import LiftContext
 
-    two_k = FORMS.get(form)
+    two_k = FORMS.get(args.form)
     if two_k is None or two_k % 4 != 0:
-        return None
-    return LiftContext(two_k, prec_int=prec, prec_half=prec_half)
+        return _usage_error("FORM_UNSUPPORTED", f"unknown or unsupported form {args.form!r}")
+    try:
+        return LiftContext(two_k, prec_int=args.prec, prec_half=args.prec_half)
+    except modforms.PrecisionError as exc:
+        return _usage_error("BAD_INPUT", str(exc))
 
 
 def cmd_coeff(args) -> int:
-    ctx = _lift_context(args.form, args.prec, args.prec_half)
-    if ctx is None:
-        return _usage_error("FORM_UNSUPPORTED", f"unknown or unsupported form {args.form!r}")
+    ctx = _lift_context(args)
+    if isinstance(ctx, int):
+        return ctx
     from .lift import UnsupportedLatticeIndex
 
     try:
@@ -165,9 +169,9 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_gross(args) -> int:
-    ctx = _lift_context(args.form, args.prec, args.prec_half)
-    if ctx is None:
-        return _usage_error("FORM_UNSUPPORTED", f"unknown or unsupported form {args.form!r}")
+    ctx = _lift_context(args)
+    if isinstance(ctx, int):
+        return ctx
     from .lift import CentralVanishing
 
     try:
@@ -218,12 +222,14 @@ def cmd_lfunc(args) -> int:
     two_k = FORMS.get(args.form)
     if two_k is None:
         return _usage_error("FORM_UNSUPPORTED", f"unknown form {args.form!r}")
-    f = modforms.eigenform(two_k, args.prec)
     try:
+        f = modforms.eigenform(two_k, args.prec)
         val = lfunctions.central_twisted_value(f, args.disc, args.tol, ext_float=args.ext_float)
     except lfunctions.SeriesInstability as exc:
         _emit({"schema": 1, "error": "SERIES_INSTABILITY", "message": str(exc)})
         return EXIT_INCONCLUSIVE
+    except arith.InputTooLarge as exc:
+        return _usage_error("INPUT_TOO_LARGE", str(exc))
     except ValueError as exc:
         return _usage_error("BAD_INPUT", str(exc))
     _emit(

@@ -80,16 +80,29 @@ def _smoothed_sum(f: QExpansion, D: int, k: int, x: float, n_max: int, use_mpmat
 
 
 def _cutoff_terms(D: int, k: int, tol: float) -> int:
-    """Smallest n_max with a safely negligible tail.
+    """Smallest n_max = 16 + 8i with a safely negligible tail.
 
     Tail terms are a_n chi(n) n^-k Gamma(k, 2 pi n/D)/Gamma(k) with
     |a_n| n^-k <= d(n)/sqrt(n) <= sqrt(n); n itself is a lazy upper bound
     for the geometric-tail multiplier, so demand term * n < tol * 1e-3.
-    """
-    n = 16
-    while gamma_inc_ratio(k, 2 * math.pi * n / D) * n * math.sqrt(n) > tol * 1e-3:
-        n += 8
-    return n
+
+    The bound b(n) = Q(k, 2 pi n/D) n^(3/2) is log-concave in n (Q(k, x) is
+    the survival function of the log-concave Gamma(k) law), so it exceeds
+    the threshold on one interval: if it does at n = 16, the predicate holds
+    up to some i* and fails from there on, and doubling i and then
+    bisection find i* in O(log D) evaluations."""
+
+    def above(i):
+        n = 16 + 8 * i
+        return gamma_inc_ratio(k, 2 * math.pi * n / D) * n * math.sqrt(n) > tol * 1e-3
+
+    lo, hi = -1, 0  # above(lo) is true (by convention at -1); doubling ends with above(hi) false
+    while above(hi):
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return 16 + 8 * hi
 
 
 def central_twisted_value(f: QExpansion, D: int = 1, tol: float = 1e-10, ext_float: bool = False) -> LValue:

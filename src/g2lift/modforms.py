@@ -5,8 +5,9 @@ canonicalized so the gcd of all coefficients with the denominator is 1 (the
 form ``exact`` uses for matrices); ``coeff(n)`` returns a reduced Fraction.
 Series multiplication packs the signed integer lists into big integers
 (Kronecker substitution), which turns an O(N^2) schoolbook convolution into
-one CPython bigint multiply; one E4 * E4 product at N = 5000 takes about
-55 ms (median of 21, Python 3.11 on a 2-vCPU Xeon host).
+one CPython bigint multiply, a squaring when both factors are one series:
+at N = 5000, E4 * E4 takes about 45 ms, E4 * E6 90 ms and a cold delta 65 ms
+(medians of 21, Python 3.11 on a 2-vCPU Xeon host).
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ def _convolve_int(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
     where |c| <= M and 2M < X = 2^(8w), so every biased digit is in range
     and no borrow crosses a digit boundary.
     """
+    square = a is b  # x * x: pack once and square, about 1/3 cheaper in CPython
     a = a[:n]
-    b = b[:n]
+    b = a if square else b[:n]
     ma = max(map(abs, a), default=0)
     mb = max(map(abs, b), default=0)
     if ma == 0 or mb == 0:
@@ -55,7 +57,8 @@ def _convolve_int(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
         digits = b"".join((x + bias).to_bytes(w, "little") for x in xs)
         return int.from_bytes(digits, "little") - int.from_bytes(bias.to_bytes(w, "little") * len(xs), "little")
 
-    prod = pack(a, ma) * pack(b, mb)
+    pa = pack(a, ma)
+    prod = pa * pa if square else pa * pack(b, mb)
     biased = (prod + int.from_bytes(bound.to_bytes(w, "little") * n, "little")) & ((1 << (8 * w * n)) - 1)
     data = biased.to_bytes(w * n, "little")
     return [int.from_bytes(data[i : i + w], "little") - bound for i in range(0, w * n, w)]
@@ -184,40 +187,24 @@ def eisenstein(weight: int, prec: int) -> QExpansion:
 
 
 def delta(prec: int) -> QExpansion:
-    """The discriminant cusp form (E4^3 - E6^2)/1728."""
+    """The discriminant q prod (1 - q^n)^24 = q S^8: by Jacobi's identity
+    S = prod (1 - q^n)^3 = sum_{m>=0} (-1)^m (2m + 1) q^(m(m+1)/2), so S^8
+    takes three squarings of small-coefficient series."""
+    if prec < 2:
+        raise PrecisionError("precision must be at least 2")
 
     def build():
-        e4 = eisenstein(4, prec)
-        e6 = eisenstein(6, prec)
-        num = e4 * e4 * e4 - e6 * e6
-        coeffs = []
-        for c in num.num:
-            q, r = divmod(c, 1728 * num.den)
-            if r:
-                raise AssertionError("E4^3 - E6^2 not divisible by 1728")
-            coeffs.append(q)
-        return QExpansion(12, 1, coeffs)
+        s = [0] * (prec - 1)
+        m = 0
+        while m * (m + 1) // 2 < prec - 1:
+            s[m * (m + 1) // 2] = (-1) ** m * (2 * m + 1)
+            m += 1
+        x = QExpansion(Fraction(3, 2), 1, s)
+        for _ in range(3):
+            x = x * x
+        return QExpansion(12, 1, (0,) + x.num)
 
     return _cached(("delta", prec), build)
-
-
-def hecke_Tp(f: QExpansion, p: int) -> QExpansion:
-    """T_p on level-one integral weight 2k:
-    a(n) -> a(pn) + p^(2k-1) a(n/p); output precision floor(prec/p)."""
-    if f.level != 1 or f.weight.denominator != 1:
-        raise ValueError("T_p implemented for integral-weight level-one forms")
-    two_k = int(f.weight)
-    n_out = f.precision // p
-    if n_out < 2:
-        raise PrecisionError("insufficient precision for T_p")
-    pw = p ** (two_k - 1)
-    coeffs = []
-    for n in range(n_out):
-        c = f.num[p * n]
-        if n % p == 0:
-            c += pw * f.num[n // p]
-        coeffs.append(c)
-    return QExpansion(f.weight, 1, coeffs, f.den)
 
 
 def eigenform(two_k: int, prec: int) -> QExpansion:

@@ -64,10 +64,15 @@ def _powers(x: QExpansion, m: int) -> List[QExpansion]:
 
 
 def _generators(prec: int, m: int):
-    """theta, A = theta^4 and [F, ..., F^m] at precision prec."""
+    """theta, A = theta^4 and [F, ..., F^m] at precision prec, cached under
+    keys holding prec so that the bases of all weights at prec share them."""
     th = theta_half(prec)
-    th2 = th * th
-    return th, th2 * th2, _powers(weight2_F(prec), m)
+    th2 = _cached(("theta^2", prec), lambda: th * th)
+    a = _cached(("theta^4", prec), lambda: th2 * th2)
+    f_pows = [weight2_F(prec)]
+    for j in range(2, m + 1):
+        f_pows.append(_cached(("F^j", j, prec), lambda: f_pows[-1] * f_pows[0]))
+    return th, a, f_pows
 
 
 def _rational_kernel(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
@@ -130,7 +135,7 @@ def plus_cusp_basis(k: int, prec: int) -> List[QExpansion]:
                 rows.append([g.coeff(n) for g in mons])
         kernel = _rational_kernel(rows, m + 1)
 
-        th, a, f_pows = _generators(prec, m)  # m + 1 full-precision products
+        th, a, f_pows = _generators(prec, m)  # m + 1 full-precision products, cold
         out = []
         for v in kernel:
             h = a.scale(v[0]) + f_pows[0].scale(v[1])  # Horner in A
@@ -146,17 +151,6 @@ def plus_cusp_basis(k: int, prec: int) -> List[QExpansion]:
         return out
 
     return _cached(("plus_basis", k, prec), build)
-
-
-def c_coeff(g: QExpansion, t: int) -> Fraction:
-    """The coefficient c(-t) for negative integer t; exact zero on the
-    excluded residues -t == 2, 3 (mod 4)."""
-    if t >= 0:
-        raise ValueError("t must be a negative integer")
-    n = -t
-    if n % 4 in (2, 3):
-        return Fraction(0)
-    return g.coeff(n)
 
 
 def shimura_lift_check(g: QExpansion, f: QExpansion, D: int, n_max: int) -> bool:

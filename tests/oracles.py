@@ -428,3 +428,67 @@ def plus_cusp_basis_monomials(k, prec):
         lead = g.num[1] if g.num[1] != 0 else next(c for c in g.num if c != 0)
         out.append(g.scale(Fraction(g.den, lead)))
     return out
+
+
+# --- the discriminant, Hecke operators and plus-form coefficients ------------
+
+def delta_by_eisenstein(prec):
+    """The discriminant as (E4^3 - E6^2)/1728, with the divisibility of
+    every coefficient asserted."""
+    from g2lift.modforms import QExpansion, eisenstein
+
+    e4, e6 = eisenstein(4, prec), eisenstein(6, prec)
+    num = e4 * e4 * e4 - e6 * e6
+    coeffs = []
+    for c in num.num:
+        q, r = divmod(c, 1728 * num.den)
+        assert r == 0, "E4^3 - E6^2 not divisible by 1728"
+        coeffs.append(q)
+    return QExpansion(12, 1, coeffs)
+
+
+def hecke_Tp(f, p):
+    """T_p on level-one integral weight 2k:
+    a(n) -> a(pn) + p^(2k-1) a(n/p); output precision floor(prec/p)."""
+    from g2lift.modforms import PrecisionError, QExpansion
+
+    if f.level != 1 or f.weight.denominator != 1:
+        raise ValueError("T_p implemented for integral-weight level-one forms")
+    two_k = int(f.weight)
+    n_out = f.precision // p
+    if n_out < 2:
+        raise PrecisionError("insufficient precision for T_p")
+    pw = p ** (two_k - 1)
+    coeffs = []
+    for n in range(n_out):
+        c = f.num[p * n]
+        if n % p == 0:
+            c += pw * f.num[n // p]
+        coeffs.append(c)
+    return QExpansion(f.weight, 1, coeffs, f.den)
+
+
+def c_coeff(g, t):
+    """The coefficient c(-t) for negative integer t; exact zero on the
+    excluded residues -t == 2, 3 (mod 4)."""
+    if t >= 0:
+        raise ValueError("t must be a negative integer")
+    n = -t
+    if n % 4 in (2, 3):
+        return Fraction(0)
+    return g.coeff(n)
+
+
+# --- L-series cutoff ---------------------------------------------------------
+
+def cutoff_terms_by_walk(D, k, tol):
+    """Smallest n = 16 + 8i whose tail bound Q(k, 2 pi n/D) n^(3/2) is at
+    most tol * 1e-3, found by walking i = 0, 1, 2, ...; O(D) steps."""
+    import math
+
+    from g2lift.lfunctions import gamma_inc_ratio
+
+    n = 16
+    while gamma_inc_ratio(k, 2 * math.pi * n / D) * n * math.sqrt(n) > tol * 1e-3:
+        n += 8
+    return n

@@ -162,19 +162,70 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-SEMIPRIME_W = f"--w={-(1000000007 * 2147483647 - 9) // 4},1,1/3,0"  # disc 1000000007 * 2147483647
-
-
-@pytest.mark.parametrize("command", ["reduce", "coeff"])
-def test_unfactorable_input_refused(capsys, command):
+def assert_refused(out, error):
+    """The output is one error object with the given code, valid against
+    the shipped error schema."""
     jsonschema = pytest.importorskip("jsonschema")
     import pathlib
 
-    code, out = run_cli(capsys, command, SEMIPRIME_W)
-    assert code == 2
-    assert json.loads(out)["error"] == "INPUT_TOO_LARGE"
+    rec = json.loads(out)
+    assert rec["error"] == error
     schema = pathlib.Path(__file__).parent.parent / "docs" / "schemas" / "error.schema.json"
-    jsonschema.validate(json.loads(out), json.loads(schema.read_text()))
+    jsonschema.validate(rec, json.loads(schema.read_text()))
+
+
+SEMIPRIME_W = f"--w={-(1000000007 * 2147483647 - 9) // 4},1,1/3,0"  # disc 1000000007 * 2147483647
+COFACTOR_121_BIT_DISC = str(10**45 + 57)  # a 121-bit cofactor beyond bounded factoring
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("reduce", SEMIPRIME_W), id="reduce"),
+        pytest.param(("coeff", SEMIPRIME_W), id="coeff"),
+        pytest.param(("lfunc", "value", "--disc", COFACTOR_121_BIT_DISC), id="lfunc"),
+    ],
+)
+def test_unfactorable_input_refused(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert_refused(out, "INPUT_TOO_LARGE")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("coeff", "--form", "delta", "--w=-5,0,1/3,0", "--prec", "1"),
+        ("coeff", "--form", "delta", "--w=-5,0,1/3,0", "--prec", "1", "--prec-half", "10"),
+        ("coeff", "--form", "delta", "--w=-5,0,1/3,0", "--prec-half", "10"),
+        ("gross", "--form", "delta", "--discs", "5,8,13", "--prec", "1"),
+        ("lfunc", "value", "--form", "delta", "--disc", "5", "--prec", "1"),
+    ],
+    ids=["coeff", "coeff-prec-half", "coeff-only-prec-half", "gross", "lfunc"],
+)
+def test_precision_below_minimum_refused(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert_refused(out, "BAD_INPUT")
+
+
+def test_lfunc_huge_disc_refused_quickly(capsys):
+    """A fundamental disc whose series cutoff far exceeds the precision is
+    refused from the cutoff alone, found in O(log D) steps."""
+    import signal
+
+    def deadline(signum, frame):
+        raise TimeoutError("lfunc value did not refuse within 0.5 s")
+
+    old = signal.signal(signal.SIGALRM, deadline)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    try:
+        code, out = run_cli(capsys, "lfunc", "value", "--form", "delta", "--disc", "1000000000001")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert code == 2
+    assert_refused(out, "BAD_INPUT")
 
 
 @pytest.mark.parametrize("discs", ["100000,200000", "5,x"])

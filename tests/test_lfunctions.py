@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
+from g2lift.arith import is_fundamental_discriminant
 from g2lift.lfunctions import (
     LaurentPoly,
     SeriesInstability,
@@ -21,10 +22,10 @@ from g2lift.lfunctions import (
     std7_numeric_check,
     sym2_factor,
 )
-from g2lift.lfunctions import _poly_mul
+from g2lift.lfunctions import _cutoff_terms, _poly_mul
 from g2lift.modforms import delta
 
-from oracles import kronecker_oracle
+from oracles import cutoff_terms_by_walk, kronecker_oracle
 
 
 def test_kronecker_matches_oracle():
@@ -51,6 +52,15 @@ def test_gamma_inc_ratio_matches_mpmath():
         for x in (0.1, 1.0, 7.5, 33.0, 80.0):
             want = float(mpmath.gammainc(k, x, regularized=True))
             assert abs(gamma_inc_ratio(k, x) - want) <= 1e-14 * max(1, want)
+
+
+def test_cutoff_bisection_matches_walk():
+    """Doubling and bisection return the n of the step-8 walk: the tail
+    bound is log-concave in n, so the predicate flips once."""
+    for D in [D for D in list(range(1, 300)) + [1001, 2993] if is_fundamental_discriminant(D)]:
+        for k in (6, 8, 9, 10, 11, 13):
+            for tol in (1e-4, 3e-7, 1e-12):
+                assert _cutoff_terms(D, k, tol) == cutoff_terms_by_walk(D, k, tol), (D, k, tol)
 
 
 def test_central_value_delta():

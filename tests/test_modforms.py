@@ -2,6 +2,8 @@ import hashlib
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2lift.modforms import (
     NonRationalEigenspace,
@@ -10,12 +12,11 @@ from g2lift.modforms import (
     delta,
     eigenform,
     eisenstein,
-    hecke_Tp,
     mu_f,
     satake,
 )
 
-from oracles import sigma
+from oracles import delta_by_eisenstein, hecke_Tp, sigma
 
 
 def test_eisenstein_against_divisor_sums():
@@ -37,6 +38,17 @@ def test_delta_normalization_and_values():
     assert d.coeff(0) == 0 and d.coeff(1) == 1
     assert d.coeff(2) == -24 and d.coeff(3) == 252
     assert d.coeff(6) == d.coeff(2) * d.coeff(3)
+
+
+def test_delta_by_jacobi_matches_eisenstein_oracle():
+    assert delta(2500) == delta_by_eisenstein(2500)
+
+
+def test_delta_precision_guard():
+    for prec in (-1, 0, 1):
+        with pytest.raises(PrecisionError):
+            delta(prec)
+    assert delta(2).num == (0, 1)
 
 
 def test_e4_cubed_minus_e6_squared_divisible():
@@ -195,6 +207,36 @@ def test_packed_convolution_matches_naive(rng):
                 cut = rng.randint(0, lb - 1)
                 b[cut:] = [F(0)] * (lb - cut)
             check(a, b)
+
+
+@st.composite
+def _signed_series(draw):
+    """Series over the coefficient classes the naive-product test covers:
+    empty, all-zero, all-negative, all at +-max, trailing zeros, rational
+    entries, and numerators up to 10^40."""
+    m = draw(st.sampled_from((1, 255, 2**32 - 1, 10**6, 2**64, 10**40)))
+    xs = draw(st.lists(st.builds(F, st.integers(-m, m), st.integers(1, 97)), max_size=30))
+    kind = draw(st.sampled_from(("mixed", "negative", "max", "zero", "trailing")))
+    if kind == "negative":
+        xs = [-abs(x) for x in xs]
+    elif kind == "max":
+        xs = [F(m if x >= 0 else -m) for x in xs]
+    elif kind == "zero":
+        xs = [F(0)] * len(xs)
+    elif kind == "trailing":
+        cut = draw(st.integers(0, len(xs)))
+        xs[cut:] = [F(0)] * (len(xs) - cut)
+    return QExpansion(F(3, 2), 1, xs)
+
+
+@given(_signed_series())
+@settings(max_examples=300, deadline=None)
+def test_square_matches_product_of_distinct_copies(x):
+    """x * x packs once and squares; a copy that is a distinct object takes
+    the general two-factor path, which the naive test pins."""
+    sq = x * x
+    gen = x * QExpansion(x.weight, x.level, list(x.num), x.den)
+    assert (sq.num, sq.den, sq.weight) == (gen.num, gen.den, gen.weight)
 
 
 def _digest(series):

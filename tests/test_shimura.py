@@ -10,7 +10,6 @@ import g2lift
 from g2lift.arith import fundamental_discriminant
 from g2lift.modforms import PrecisionError, QExpansion, delta, eigenform
 from g2lift.shimura import (
-    c_coeff,
     is_fundamental_discriminant,
     plus_cusp_basis,
     shimura_lift_check,
@@ -18,7 +17,7 @@ from g2lift.shimura import (
     weight2_F,
 )
 
-from oracles import is_fundamental_by_definition, plus_cusp_basis_monomials
+from oracles import c_coeff, is_fundamental_by_definition, plus_cusp_basis_monomials
 
 
 def test_theta_coefficients():
@@ -103,6 +102,26 @@ def test_lift_check_detects_corruption(delta_full, plus6_full):
     coeffs[5] += 1
     bad = QExpansion(F(13, 2), 4, coeffs)
     assert not shimura_lift_check(bad, delta_full, 5, 3)
+
+
+def test_plus_basis_shared_generators_match_cold_build():
+    """The k = 8 basis built on the theta^4 and F^j that the k = 6 build
+    cached equals one built from an empty cache."""
+    from g2lift.modforms import _series_cache
+
+    N = 900
+
+    def purge():
+        for key in [k for k in _series_cache if N in k]:
+            del _series_cache[key]
+
+    purge()
+    plus_cusp_basis(6, N)
+    assert ("F^j", 3, N) in _series_cache
+    warm = [(g.num, g.den) for g in plus_cusp_basis(8, N)]
+    purge()
+    cold = [(g.num, g.den) for g in plus_cusp_basis(8, N)]
+    assert warm == cold
 
 
 def test_c_coeff():
