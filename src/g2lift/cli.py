@@ -2,16 +2,20 @@
 
 Subcommands wrap the library operations and emit versioned JSON (schema 1)
 with exact rationals serialized as "num/den" strings.  Exit codes:
-0 pass, 1 check failure, 2 usage error, 3 numeric-inconclusive.
+0 pass, 1 check failure, 2 usage error, 3 numeric-inconclusive; ``main``
+maps every refusal to its error code and exit code through ``REFUSALS``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 
 from . import arith, cubic, ktypes, lfunctions, modforms, shimura, structure
 from .exact import mat2
@@ -30,6 +34,7 @@ from .group import (
     weyl,
     z_coord,
 )
+from .lift import CentralVanishing, LiftContext, UnsupportedLatticeIndex
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -38,22 +43,65 @@ EXIT_INCONCLUSIVE = 3
 
 FORMS = {"delta": 12, "eigen12": 12, "eigen16": 16, "eigen18": 18, "eigen20": 20, "eigen22": 22, "eigen26": 26}
 
+# Work caps, checked in main before any work (INPUT_TOO_LARGE, exit 2): work
+# grows with these values, so exponentially in their bit length.  Slowest
+# cold call at each cap (Python 3.11.7, 2-vCPU Xeon):
+MAX_PREC = 20000  # --prec, --prec-half, mf dump --prec: mf dump --series plus20, 41 s
+MAX_PLUS_K = 20  # k of mf dump --series plusK: the same 41 s
+MAX_SAMPLES = 1000  # verify-structure --samples: 60 s
+MAX_KTYPES_N = 10000  # ktypes --n: 0.2 s
+CAPS = {"prec": MAX_PREC, "prec_half": MAX_PREC, "samples": MAX_SAMPLES, "n": MAX_KTYPES_N}
 
-def _emit(payload, csv_rows=None, csv=False):
-    if csv and csv_rows is not None:
-        for row in csv_rows:
-            print(",".join(str(x) for x in row))
-    else:
-        print(json.dumps(payload, sort_keys=True))
+# mf dump --series name -> builder(prec)
+SERIES = {
+    "e4": partial(modforms.eisenstein, 4),
+    "e6": partial(modforms.eisenstein, 6),
+    "delta": partial(modforms.eigenform, 12),
+    "theta": shimura.theta_half,
+    "f2": shimura.weight2_F,
+    **{f"eigen{k}": partial(modforms.eigenform, k) for k in modforms.RATIONAL_EIGEN_WEIGHTS},
+    **{f"plus{k}": lambda prec, k=k: shimura.plus_cusp_basis(k, prec)[0] for k in range(6, MAX_PLUS_K + 1, 2)},
+}
 
 
-def _usage_error(code: str, message: str) -> int:
-    print(json.dumps({"schema": 1, "error": code, "message": message}, sort_keys=True))
-    return EXIT_USAGE
+class Refusal(Exception):
+    """A bad input, tagged at its parse site with the error code to report."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+# The one map from an exception to (error code, exit code), used by main;
+# the first row that matches wins, so subclasses come before ValueError.
+REFUSALS = (
+    (Refusal, None, EXIT_USAGE),  # the code was tagged at the parse site
+    (lfunctions.SeriesInstability, "SERIES_INSTABILITY", EXIT_INCONCLUSIVE),
+    (cubic.CubicFieldOrbitUnsupported, "CUBIC_FIELD_ORBIT", EXIT_USAGE),
+    (UnsupportedLatticeIndex, "BAD_INDEX", EXIT_USAGE),
+    (arith.InputTooLarge, "INPUT_TOO_LARGE", EXIT_USAGE),
+    (ValueError, "BAD_INPUT", EXIT_USAGE),
+)
+
+
+@contextmanager
+def _refuse_as(code: str, *kinds):
+    """Report an error of one of kinds, raised in the block, as code."""
+    try:
+        yield
+    except kinds as exc:
+        raise Refusal(code, str(exc)) from exc
+
+
+def _emit(payload):
+    print(json.dumps(payload, sort_keys=True))
 
 
 def _parse_w(text: str):
-    parts = [Fraction(p.strip()) for p in text.split(",")]
+    try:
+        parts = [Fraction(p.strip()) for p in text.split(",")]
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in w: {exc}") from exc
     if len(parts) != 4:
         raise ValueError("w needs four comma-separated rationals")
     return tuple(parts)
@@ -108,93 +156,51 @@ def cmd_verify_structure(args) -> int:
 
 
 def cmd_show(args) -> int:
-    try:
+    with _refuse_as("BAD_WORD", ValueError, ZeroDivisionError):
         el = _parse_word(args.word)
-    except (ValueError, ZeroDivisionError) as exc:
-        return _usage_error("BAD_WORD", str(exc))
     print(el.dump())
     return EXIT_PASS
 
 
 def cmd_reduce(args) -> int:
-    try:
+    with _refuse_as("BAD_VECTOR", ValueError):
         w = _parse_w(args.w)
-    except ValueError as exc:
-        return _usage_error("BAD_VECTOR", str(exc))
-    try:
-        payload = cubic.reduction_json(w)
-    except cubic.CubicFieldOrbitUnsupported:
-        return _usage_error("CUBIC_FIELD_ORBIT", "cubic-field orbit unsupported")
-    except arith.InputTooLarge as exc:
-        return _usage_error("INPUT_TOO_LARGE", str(exc))
-    except (ValueError, cubic.NonEtaleInput) as exc:
-        return _usage_error("BAD_INPUT", str(exc))
+    payload = cubic.reduction_json(w)
     payload["schema"] = 1
     _emit(payload)
     return EXIT_PASS
 
 
-def _lift_context(args):
-    """The LiftContext that args ask for, or the exit code of its refusal."""
-    from .lift import LiftContext
-
+def _lift_context(args) -> LiftContext:
     two_k = FORMS.get(args.form)
     if two_k is None or two_k % 4 != 0:
-        return _usage_error("FORM_UNSUPPORTED", f"unknown or unsupported form {args.form!r}")
-    try:
-        return LiftContext(two_k, prec_int=args.prec, prec_half=args.prec_half)
-    except modforms.PrecisionError as exc:
-        return _usage_error("BAD_INPUT", str(exc))
+        raise Refusal("FORM_UNSUPPORTED", f"unknown or unsupported form {args.form!r}")
+    return LiftContext(two_k, prec_int=args.prec, prec_half=args.prec_half)
 
 
 def cmd_coeff(args) -> int:
     ctx = _lift_context(args)
-    if isinstance(ctx, int):
-        return ctx
-    from .lift import UnsupportedLatticeIndex
-
-    try:
-        w = _parse_w(args.w)
-        rec = ctx.fourier_coefficient(w)
-    except cubic.CubicFieldOrbitUnsupported:
-        return _usage_error("CUBIC_FIELD_ORBIT", "cubic-field orbit unsupported")
-    except UnsupportedLatticeIndex as exc:
-        return _usage_error("BAD_INDEX", str(exc))
-    except arith.InputTooLarge as exc:
-        return _usage_error("INPUT_TOO_LARGE", str(exc))
-    except ValueError as exc:
-        return _usage_error("BAD_INPUT", str(exc))
-    _emit(rec.as_json())
+    _emit(ctx.fourier_coefficient(_parse_w(args.w)).as_json())
     return EXIT_PASS
 
 
 def cmd_gross(args) -> int:
+    if not math.isfinite(args.spread_tol):
+        raise ValueError("spread-tol must be finite")
     ctx = _lift_context(args)
-    if isinstance(ctx, int):
-        return ctx
-    from .lift import CentralVanishing
-
-    try:
-        discs = sorted(int(d) for d in args.discs.split(","))
-    except ValueError as exc:
-        return _usage_error("BAD_INPUT", str(exc))
+    discs = sorted(int(d) for d in args.discs.split(","))
     t0 = time.perf_counter()
     rows = []
     ratios = []
     for D in discs:
+        if D % 4 in (2, 3):  # c(D) = 0, so the ratio is 0 and the relative spread undefined
+            raise ValueError(f"D = {D} is 2 or 3 mod 4, not a discriminant")
         w = (Fraction(-D), Fraction(0), Fraction(1, 3), Fraction(0))
         try:
             r = ctx.gross_ratio(w, tol=args.tol)
         except CentralVanishing:
             rows.append({"D": D, "status": "central-vanishing"})
             continue
-        except lfunctions.SeriesInstability as exc:
-            _emit({"schema": 1, "error": "SERIES_INSTABILITY", "message": str(exc)})
-            return EXIT_INCONCLUSIVE
-        except arith.InputTooLarge as exc:
-            return _usage_error("INPUT_TOO_LARGE", str(exc))
-        except ValueError as exc:
-            return _usage_error("BAD_INPUT", str(exc))
         ratios.append(r)
         rows.append({"D": D, "ratio": r, "c": str(ctx.g.coeff(D)), "status": "ok"})
     if len(ratios) < 2:
@@ -211,27 +217,21 @@ def cmd_gross(args) -> int:
         "passed": passed,
         "wall_time": round(time.perf_counter() - t0, 3),
     }
-    csv_rows = [("D", "ratio", "status")] + [
-        (r["D"], r.get("ratio", ""), r["status"]) for r in rows
-    ]
-    _emit(payload, csv_rows=csv_rows, csv=args.csv)
+    if args.csv:
+        print("D,ratio,status")
+        for r in rows:
+            print(f"{r['D']},{r.get('ratio', '')},{r['status']}")
+    else:
+        _emit(payload)
     return EXIT_PASS if passed else EXIT_FAIL
 
 
 def cmd_lfunc(args) -> int:
     two_k = FORMS.get(args.form)
     if two_k is None:
-        return _usage_error("FORM_UNSUPPORTED", f"unknown form {args.form!r}")
-    try:
-        f = modforms.eigenform(two_k, args.prec)
-        val = lfunctions.central_twisted_value(f, args.disc, args.tol, ext_float=args.ext_float)
-    except lfunctions.SeriesInstability as exc:
-        _emit({"schema": 1, "error": "SERIES_INSTABILITY", "message": str(exc)})
-        return EXIT_INCONCLUSIVE
-    except arith.InputTooLarge as exc:
-        return _usage_error("INPUT_TOO_LARGE", str(exc))
-    except ValueError as exc:
-        return _usage_error("BAD_INPUT", str(exc))
+        raise Refusal("FORM_UNSUPPORTED", f"unknown form {args.form!r}")
+    f = modforms.eigenform(two_k, args.prec)
+    val = lfunctions.central_twisted_value(f, args.disc, args.tol, ext_float=args.ext_float)
     _emit(
         {
             "schema": 1,
@@ -245,51 +245,31 @@ def cmd_lfunc(args) -> int:
     return EXIT_PASS
 
 
-def _series_by_name(name: str, prec: int):
-    if name == "e4":
-        return modforms.eisenstein(4, prec)
-    if name == "e6":
-        return modforms.eisenstein(6, prec)
-    if name in ("delta", "eigen12"):
-        return modforms.eigenform(12, prec)
-    if name.startswith("eigen"):
-        return modforms.eigenform(int(name[5:]), prec)
-    if name == "theta":
-        return shimura.theta_half(prec)
-    if name == "f2":
-        return shimura.weight2_F(prec)
-    if name.startswith("plus"):
-        return shimura.plus_cusp_basis(int(name[4:]), prec)[0]
-    raise KeyError(name)
+def cmd_mf_dump(args) -> int:
+    build = SERIES.get(args.series)
+    if build is None:
+        k = args.series.removeprefix("plus")
+        if args.series.startswith("plus") and k.isdecimal() and int(k) > MAX_PLUS_K:
+            raise arith.InputTooLarge(f"plus-space weight {k} exceeds the cap {MAX_PLUS_K}")
+        raise Refusal("FORM_UNSUPPORTED", f"unknown or unsupported series {args.series!r}")
+    series = build(args.prec)
+    text = series.dump()
+    if args.out:
+        with _refuse_as("BAD_INPUT", OSError), open(args.out, "w") as fh:
+            fh.write(text)
+        _emit({"schema": 1, "written": args.out, "precision": series.precision})
+    else:
+        sys.stdout.write(text)
+    return EXIT_PASS
 
 
-def cmd_mf(args) -> int:
-    if args.mf_action == "dump":
-        try:
-            series = _series_by_name(args.series, args.prec)
-        except modforms.PrecisionError as exc:
-            return _usage_error("BAD_INPUT", str(exc))
-        except (KeyError, ValueError):  # unknown name, bad or unsupported weight
-            return _usage_error("FORM_UNSUPPORTED", f"unknown or unsupported series {args.series!r}")
-        text = series.dump()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-            _emit({"schema": 1, "written": args.out, "precision": series.precision})
-        else:
-            sys.stdout.write(text)
-        return EXIT_PASS
-    # load
-    try:
-        with open(args.file) as fh:
-            series = modforms.QExpansion.load(fh.read())
-    except (OSError, ValueError) as exc:
-        return _usage_error("BAD_CACHE_FILE", str(exc))
-    w = series.weight
+def cmd_mf_load(args) -> int:
+    with _refuse_as("BAD_CACHE_FILE", OSError, ValueError), open(args.file) as fh:
+        series = modforms.QExpansion.load(fh.read())
     _emit(
         {
             "schema": 1,
-            "weight": f"{w.numerator}/{w.denominator}" if w.denominator != 1 else str(w.numerator),
+            "weight": str(series.weight),
             "level": series.level,
             "precision": series.precision,
             "first_coeffs": [
@@ -369,10 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--series", default="delta", help="e4 e6 delta eigenNN theta f2 plusK")
     q.add_argument("--prec", type=int, default=100)
     q.add_argument("--out")
-    q.set_defaults(func=cmd_mf)
+    q.set_defaults(func=cmd_mf_dump)
     q = mf.add_parser("load")
     q.add_argument("file")
-    q.set_defaults(func=cmd_mf)
+    q.set_defaults(func=cmd_mf_load)
 
     p = sub.add_parser("ktypes", help="symmetric-power decomposition table")
     p.add_argument("--n", type=int, required=True)
@@ -384,7 +364,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        for name, cap in CAPS.items():
+            value = getattr(args, name, 0)
+            if value > cap:
+                raise arith.InputTooLarge(f"--{name.replace('_', '-')} {value} exceeds the cap {cap}")
+        return args.func(args)
+    except tuple(kind for kind, _, _ in REFUSALS) as exc:
+        code, exit_code = next((code, exit_code) for kind, code, exit_code in REFUSALS if isinstance(exc, kind))
+        _emit({"schema": 1, "error": code or exc.code, "message": str(exc)})
+        return exit_code
 
 
 if __name__ == "__main__":

@@ -281,14 +281,6 @@ class CubicRing:
             x0 * y2 + x2 * y0 + x1 * y1 * ww[2] + x2 * y2 * tt[2],
         )
 
-    def trace_matrix(self):
-        a, b, c, d = self.a, self.b, self.c, self.d
-        return (
-            (3, b, -c),
-            (b, b * b - 2 * a * c, -3 * a * d),
-            (-c, -3 * a * d, c * c - 2 * b * d),
-        )
-
 
 def cubic_ring(w) -> CubicRing:
     """The cubic ring of a lattice vector; discriminant is -27 q(w)."""

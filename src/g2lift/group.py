@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
 
 from .exact import Matrix2, Matrix7, mat2, preserves_form, rat
 
@@ -38,16 +37,6 @@ _ALIASES = {
     "2alpha+beta": "2a+b",
     "3alpha+beta": "3a+b",
     "3alpha+2beta": "3a+2b",
-}
-
-# (m, n) with gamma = m*alpha + n*beta
-ROOT_COORDS = {
-    "a": (1, 0),
-    "b": (0, 1),
-    "a+b": (1, 1),
-    "2a+b": (2, 1),
-    "3a+b": (3, 1),
-    "3a+2b": (3, 2),
 }
 
 
@@ -66,10 +55,6 @@ class RootLabel:
 
     def __neg__(self) -> "RootLabel":
         return RootLabel(self.name, not self.positive)
-
-    def coords(self) -> Tuple[int, int]:
-        m, n = ROOT_COORDS[self.name]
-        return (m, n) if self.positive else (-m, -n)
 
     def __str__(self):
         return self.name if self.positive else "-" + self.name

@@ -26,16 +26,6 @@ class SeriesInstability(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# Kronecker symbol
-
-def kronecker_chi(D: int, n: int) -> int:
-    """Kronecker symbol (D/n) for fundamental D (or D = 1)."""
-    if not is_fundamental_discriminant(D):
-        raise ValueError("non-fundamental discriminant rejected")
-    return kronecker(D, n)
-
-
-# ---------------------------------------------------------------------------
 # central values
 
 def gamma_inc_ratio(k: int, x: float) -> float:
@@ -112,6 +102,8 @@ def central_twisted_value(f: QExpansion, D: int = 1, tol: float = 1e-10, ext_flo
     fundamental discriminant (or 1).  Two runs with the cutoff parameter
     doubled must agree within tol, else SeriesInstability is raised.
     """
+    if not math.isfinite(tol):
+        raise ValueError("tol must be finite")
     if tol < 1e-12:
         raise ValueError("tol below supported floating accuracy")
     if f.level != 1 or f.weight.denominator != 1 or int(f.weight) % 2 != 0:
@@ -135,46 +127,6 @@ def central_twisted_value(f: QExpansion, D: int = 1, tol: float = 1e-10, ext_flo
     if err > tol:
         raise SeriesInstability(f"series instability: {val1} vs {val2}")
     return LValue(value=val1, abs_error_bound=err, terms_used=3 * base)
-
-
-def solve_root_number(f: QExpansion, D: int = 1, tol: float = 1e-8) -> float:
-    """Treat the root number as unknown and solve it from two cutoffs."""
-    two_k = int(f.weight)
-    k = two_k // 2
-    base = _cutoff_terms(D, k, tol)
-    if 2 * base >= f.precision:
-        raise ValueError("insufficient precision")
-    s1a = _smoothed_sum(f, D, k, 1.0, base)
-    s1b = s1a
-    s2a = _smoothed_sum(f, D, k, 2.0, base)
-    s2b = _smoothed_sum(f, D, k, 0.5, 2 * base)
-    # L = S(x) + w S(1/x) for every x; eliminate L between x = 1 and x = 2
-    return (s1a - s2a) / (s2b - s1b)
-
-
-def cesaro_direct_value(f: QExpansion, D: int, n_terms: int, order: int = 2) -> float:
-    """Independent oracle: iterated Cesaro means of the raw partial sums
-    of sum a_n chi_D(n) n^-k.  Slowly convergent; test-tolerance only."""
-    two_k = int(f.weight)
-    k = two_k // 2
-    if n_terms >= f.precision:
-        raise ValueError("insufficient precision")
-    part = []
-    acc = 0.0
-    for n in range(1, n_terms + 1):
-        chi = kronecker(D, n)
-        if chi:
-            acc += chi * (f.num[n] / f.den) * n ** (-k)
-        part.append(acc)
-    seq = part
-    for _ in range(order):
-        run = 0.0
-        means = []
-        for i, x in enumerate(seq, start=1):
-            run += x
-            means.append(run / i)
-        seq = means
-    return seq[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +183,6 @@ class LaurentPoly:
                 key = (i1 + i2, j1 + j2)
                 out[key] = out.get(key, Fraction(0)) + v1 * v2
         return LaurentPoly(out)
-
-    def invert_alpha(self) -> "LaurentPoly":
-        """The involution a -> a^-1."""
-        return LaurentPoly({(-i, j): v for (i, j), v in self.terms.items()})
 
     def substitute(self, alpha: complex, root_p: complex) -> complex:
         return sum(complex(v) * alpha**i * root_p**j for (i, j), v in self.terms.items())
@@ -309,23 +257,6 @@ def factorization_check() -> bool:
     lhs = std7_euler_factor()
     rhs = _poly_mul(_poly_mul(sym2_factor(), shifted_pair_factor(1)), shifted_pair_factor(-1))
     return lhs == rhs
-
-
-def specialize_alpha(tpoly: list, value) -> list:
-    """Substitute a rational value for the unit a in a T-polynomial."""
-    value = Fraction(value)
-    out = []
-    for coef in tpoly:
-        terms: Dict[Tuple[int, int], Fraction] = {}
-        for (i, j), v in coef.terms.items():
-            key = (0, j)
-            terms[key] = terms.get(key, Fraction(0)) + v * value**i
-        out.append(LaurentPoly(terms))
-    return out
-
-
-def invert_alpha_tpoly(tpoly: list) -> list:
-    return [c.invert_alpha() for c in tpoly]
 
 
 def std7_numeric_check(alpha: complex, p: int, T: complex, tol: float = 1e-14) -> bool:

@@ -492,3 +492,113 @@ def cutoff_terms_by_walk(D, k, tol):
     while gamma_inc_ratio(k, 2 * math.pi * n / D) * n * math.sqrt(n) > tol * 1e-3:
         n += 8
     return n
+
+
+# --- test-only L-function helpers ---------------------------------------------
+
+def kronecker_chi(D, n):
+    """Kronecker symbol (D/n) for fundamental D (or D = 1)."""
+    from g2lift.arith import is_fundamental_discriminant, kronecker
+
+    if not is_fundamental_discriminant(D):
+        raise ValueError("non-fundamental discriminant rejected")
+    return kronecker(D, n)
+
+
+def solve_root_number(f, D=1, tol=1e-8):
+    """Treat the root number as unknown and solve it from two cutoffs."""
+    from g2lift.lfunctions import _cutoff_terms, _smoothed_sum
+
+    two_k = int(f.weight)
+    k = two_k // 2
+    base = _cutoff_terms(D, k, tol)
+    if 2 * base >= f.precision:
+        raise ValueError("insufficient precision")
+    s1a = _smoothed_sum(f, D, k, 1.0, base)
+    s1b = s1a
+    s2a = _smoothed_sum(f, D, k, 2.0, base)
+    s2b = _smoothed_sum(f, D, k, 0.5, 2 * base)
+    # L = S(x) + w S(1/x) for every x; eliminate L between x = 1 and x = 2
+    return (s1a - s2a) / (s2b - s1b)
+
+
+def cesaro_direct_value(f, D, n_terms, order=2):
+    """Independent oracle: iterated Cesaro means of the raw partial sums
+    of sum a_n chi_D(n) n^-k.  Slowly convergent; test-tolerance only."""
+    from g2lift.arith import kronecker
+
+    two_k = int(f.weight)
+    k = two_k // 2
+    if n_terms >= f.precision:
+        raise ValueError("insufficient precision")
+    part = []
+    acc = 0.0
+    for n in range(1, n_terms + 1):
+        chi = kronecker(D, n)
+        if chi:
+            acc += chi * (f.num[n] / f.den) * n ** (-k)
+        part.append(acc)
+    seq = part
+    for _ in range(order):
+        run = 0.0
+        means = []
+        for i, x in enumerate(seq, start=1):
+            run += x
+            means.append(run / i)
+        seq = means
+    return seq[-1]
+
+
+def invert_alpha(poly):
+    """The involution a -> a^-1 of a LaurentPoly."""
+    from g2lift.lfunctions import LaurentPoly
+
+    return LaurentPoly({(-i, j): v for (i, j), v in poly.terms.items()})
+
+
+def invert_alpha_tpoly(tpoly):
+    return [invert_alpha(c) for c in tpoly]
+
+
+def specialize_alpha(tpoly, value):
+    """Substitute a rational value for the unit a in a T-polynomial."""
+    from g2lift.lfunctions import LaurentPoly
+
+    value = Fraction(value)
+    out = []
+    for coef in tpoly:
+        terms = {}
+        for (i, j), v in coef.terms.items():
+            key = (0, j)
+            terms[key] = terms.get(key, Fraction(0)) + v * value**i
+        out.append(LaurentPoly(terms))
+    return out
+
+
+# --- test-only ring and root-datum helpers ------------------------------------
+
+def trace_matrix(ring):
+    """The trace form of a CubicRing on the basis (1, omega, theta)."""
+    a, b, c, d = ring.a, ring.b, ring.c, ring.d
+    return (
+        (3, b, -c),
+        (b, b * b - 2 * a * c, -3 * a * d),
+        (-c, -3 * a * d, c * c - 2 * b * d),
+    )
+
+
+# (m, n) with gamma = m*alpha + n*beta
+ROOT_COORDS = {
+    "a": (1, 0),
+    "b": (0, 1),
+    "a+b": (1, 1),
+    "2a+b": (2, 1),
+    "3a+b": (3, 1),
+    "3a+2b": (3, 2),
+}
+
+
+def root_coords(label):
+    """The (m, n) of a RootLabel gamma = m*alpha + n*beta."""
+    m, n = ROOT_COORDS[label.name]
+    return (m, n) if label.positive else (-m, -n)

@@ -1,7 +1,16 @@
+import contextlib
+import io
 import json
+import pathlib
+import re
+import signal
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from g2lift import cli, lfunctions, lift
 from g2lift.cli import main
 
 
@@ -277,3 +286,237 @@ def test_show_iota_token(capsys):
     code, out = run_cli(capsys, "show", "iota")
     assert code == 0
     assert len(out.strip().splitlines()) == 7
+
+
+# --- one refusal table, work caps, non-finite tolerances ----------------------
+
+RECORDED = json.loads((pathlib.Path(__file__).parent / "data" / "cli_outputs.json").read_text())
+
+
+def _raising(exc):
+    def raise_(*args, **kwargs):
+        raise exc
+
+    return raise_
+
+
+@pytest.mark.parametrize("case", RECORDED, ids=[c["id"] for c in RECORDED])
+def test_output_matches_recording(capsys, monkeypatch, tmp_path, case):
+    """stdout and exit code equal those recorded from the per-command
+    handlers that the refusal table replaced, gross's wall_time masked.
+    Real input cannot reach BAD_INDEX, and reaches SERIES_INSTABILITY only
+    through an odd-k form, so two cases patch the library call to raise them."""
+    if case["patch"] == "series_instability":
+        unstable = _raising(lfunctions.SeriesInstability("series instability: 1.0 vs 2.0"))
+        monkeypatch.setattr(lfunctions, "central_twisted_value", unstable)
+        monkeypatch.setattr(lift, "central_twisted_value", unstable)
+    elif case["patch"] == "bad_index":
+        bad_index = lift.UnsupportedLatticeIndex("index outside supported lattice normalization")
+        monkeypatch.setattr(lift.LiftContext, "fourier_coefficient", _raising(bad_index))
+    argv = case["argv"]
+    if case["file_text"] is not None:
+        path = tmp_path / "f.mf"
+        path.write_text(case["file_text"])
+        argv = [a.replace("{file}", str(path)) for a in argv]
+    code, out = run_cli(capsys, *argv)
+    assert code == case["exit"]
+    assert re.sub(r'"wall_time": [0-9.e-]+', '"wall_time": 0', out) == case["stdout"]
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (("mf", "dump", "--series", "e4", "--prec", "5", "--out", "no/such/dir/e4.mf"), "BAD_INPUT"),
+        (("gross", "--discs", "5,2", "--prec", "900", "--prec-half", "100"), "BAD_INPUT"),
+        (("reduce", "--w=1/0,0,0,0"), "BAD_VECTOR"),
+        (("coeff", "--w=1/0,0,0,0"), "BAD_INPUT"),
+        (("verify-structure", "--samples", "0"), "BAD_INPUT"),
+        (("ktypes", "--n", "-1"), "BAD_INPUT"),
+        (("ktypes", "--n", "2", "--k", "1"), "BAD_INPUT"),
+    ],
+    ids=["mf-dump-out", "gross-disc-2-mod-4", "reduce-zero-denominator", "coeff-zero-denominator", "samples-0",
+         "ktypes-n", "ktypes-k"],
+)
+def test_former_tracebacks_refused(capsys, argv, error):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert_refused(out, error)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lfunc", "value", "--disc", "5", "--tol", "nan"),
+        ("lfunc", "value", "--disc", "5", "--tol", "inf"),
+        ("gross", "--discs", "5,8", "--tol", "nan", "--prec", "900", "--prec-half", "100"),
+        ("gross", "--discs", "5,8", "--spread-tol", "nan", "--prec", "900", "--prec-half", "100"),
+        ("gross", "--discs", "5,8", "--spread-tol", "inf", "--prec", "900", "--prec-half", "100"),
+    ],
+    ids=["lfunc-tol-nan", "lfunc-tol-inf", "gross-tol-nan", "gross-spread-tol-nan", "gross-spread-tol-inf"],
+)
+def test_non_finite_tolerance_refused(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert_refused(out, "BAD_INPUT")
+
+
+class Deadline(BaseException):
+    """Raised by the alarm; a BaseException, so no refusal handler takes it."""
+
+
+@contextmanager
+def deadline(seconds):
+    def expire(signum, frame):
+        raise Deadline(f"no answer within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+OVER_PREC = str(cli.MAX_PREC + 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mf", "dump", "--series", "e4", "--prec", "30000000"),
+        ("mf", "dump", "--series", "plus250", "--prec", "2000"),
+        ("mf", "dump", "--series", f"plus{cli.MAX_PLUS_K + 2}", "--prec", "2000"),
+        ("mf", "dump", "--series", "delta", "--prec", OVER_PREC),
+        ("coeff", "--w=-5,0,1/3,0", "--prec", OVER_PREC),
+        ("coeff", "--w=-5,0,1/3,0", "--prec-half", OVER_PREC),
+        ("gross", "--prec-half", OVER_PREC),
+        ("lfunc", "value", "--prec", OVER_PREC),
+        ("verify-structure", "--samples", str(cli.MAX_SAMPLES + 1)),
+        ("ktypes", "--n", str(cli.MAX_KTYPES_N + 1)),
+    ],
+    ids=["e4-hang", "plus250", "plus-over-cap", "mf-prec", "coeff-prec", "coeff-prec-half",
+         "gross-prec-half", "lfunc-prec", "samples", "ktypes-n"],
+)
+def test_work_caps_refuse_before_the_work(capsys, argv):
+    with deadline(0.5):
+        code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert_refused(out, "INPUT_TOO_LARGE")
+
+
+def test_precision_cap_reaches_the_ratio_table_precision():
+    assert cli.MAX_PREC >= 20000
+
+
+def test_refusal_table_is_the_only_exception_map():
+    """No cmd_* function catches an exception itself, except gross, whose
+    CentralVanishing is a result row, not a refusal."""
+    import ast
+    import inspect
+
+    caught = {}
+    for fn in ast.parse(inspect.getsource(cli)).body:
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_"):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ExceptHandler):
+                    caught.setdefault(fn.name, []).append(ast.unparse(node.type))
+    assert caught == {"cmd_gross": ["CentralVanishing"]}
+
+
+# --- fuzz gate ----------------------------------------------------------------
+
+MALFORMED = st.sampled_from(["", " ", "x", "1/0", "-3/0", ",", "1,", ",1", "1,,2", "nan", "inf", "-inf", "1/", "/2"])
+_magnitude = st.integers(1, 256).flatmap(lambda b: st.integers(2 ** (b - 1), 2**b - 1))  # exactly b bits
+_integer = st.one_of(st.integers(-20, 20), st.tuples(st.booleans(), _magnitude).map(lambda t: -t[1] if t[0] else t[1]))
+_rational = st.one_of(_integer.map(str), st.tuples(_integer, _magnitude).map(lambda t: f"{t[0]}/{t[1]}"))
+_token = st.one_of(MALFORMED, _rational)
+_float = st.one_of(st.sampled_from(["1e-10", "1e-8", "nan", "inf", "-inf", "1e-300", "1e300", "x", ""]), st.floats().map(repr))
+_forms = st.sampled_from([*cli.FORMS, "nope", "eigen14", ""])
+_w = st.one_of(
+    st.sampled_from(["-5,0,1/3,0", "542,2437/3,3652/3,1824", "1,0,-1,1", SEMIPRIME_W[4:]]),
+    st.lists(_token, max_size=5).map(",".join),
+)
+_root = st.sampled_from(["a", "b", "a+b", "2a+b", "3a+b", "3a+2b", "alpha", "-a", "q", ""])
+_show_token = st.one_of(
+    st.just("iota"),
+    MALFORMED,
+    st.builds("x:{}:{}".format, _root, _token),
+    st.builds("w:{}".format, _root),
+    st.builds("h:{}:{}".format, _root, _token),
+    st.builds("{}:{}".format, st.sampled_from(["n", "n1", "u", "z", "m", "l", "q"]),
+              st.lists(_token, min_size=1, max_size=6).map(",".join)),
+)
+
+
+def _capped(cap, small=2000):
+    """Above the cap, or at most small; the draw from 0 up reaches answers more often."""
+    return st.one_of(st.integers(cap + 1, 2**256), st.integers(max_value=small), st.integers(0, small))
+
+
+_prec = st.one_of(st.sampled_from([100, 300, 600, 900]), _capped(cli.MAX_PREC))
+_disc = st.one_of(st.sampled_from(["1", "5", "8", "13", "17"]), _token)
+_series = st.one_of(
+    st.sampled_from(["e4", "e6", "delta", "eigen12", "eigen16", "eigen26", "eigen13", "eigenx", "theta", "f2",
+                     "plus6", "plus20", "plusx", "e8", ""]),
+    _capped(cli.MAX_PLUS_K).map("plus{}".format),
+)
+_file_text = st.one_of(
+    st.text(max_size=200),
+    st.builds(lambda head, lines: head + "\n" + "\n".join(lines),
+              st.lists(_token, min_size=2, max_size=4).map(" ".join), st.lists(_token, max_size=12)),
+)
+# each sample runs all 17 structure checks, about 60 ms, so in-cap --samples draws stay at 2 or less
+ARGV = st.one_of(
+    st.tuples(st.just("verify-structure"), _capped(cli.MAX_SAMPLES, small=2).map("--samples={}".format),
+              _integer.map("--seed={}".format)),
+    st.lists(_show_token, min_size=1, max_size=4).map(lambda t: ("show", "*".join(t))),
+    _w.map(lambda w: ("reduce", f"--w={w}")),
+    st.builds(lambda *a: ("coeff", *a), _forms.map("--form={}".format), _w.map("--w={}".format),
+              _prec.map("--prec={}".format), _prec.map("--prec-half={}".format)),
+    st.builds(lambda csv, *a: ("gross", *a) + (("--csv",) if csv else ()), st.booleans(),
+              _forms.map("--form={}".format), st.lists(_disc, min_size=1, max_size=5).map(lambda t: "--discs=" + ",".join(t)),
+              _float.map("--tol={}".format), _float.map("--spread-tol={}".format),
+              _prec.map("--prec={}".format), _prec.map("--prec-half={}".format)),
+    st.builds(lambda ext, *a: ("lfunc", "value", *a) + (("--ext-float",) if ext else ()), st.booleans(),
+              _forms.map("--form={}".format), _disc.map("--disc={}".format), _float.map("--tol={}".format),
+              _prec.map("--prec={}".format)),
+    st.builds(lambda *a: ("mf", "dump", *a), _series.map("--series={}".format), _prec.map("--prec={}".format)),
+    st.just(("mf", "load", "no/such/file.mf")),
+    st.builds(lambda *a: ("ktypes", *a), _capped(cli.MAX_KTYPES_N).map("--n={}".format),
+              _integer.map("--k={}".format)),
+)
+CASES = st.one_of(ARGV.map(lambda argv: (argv, None)), _file_text.map(lambda text: (("mf", "load", "{file}"), text)))
+SCHEMAS = {"verify-structure": "run-report", "coeff": "lift-coefficient", "gross": "gross-report",
+           "lfunc": "lfunc-value", "reduce": "reduce-record"}
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=CASES)
+def test_cli_fuzz(case, tmp_path_factory):
+    """Every argv ends in an answer or a typed refusal: exit 0-3, no
+    traceback, and JSON valid against its shipped schema."""
+    jsonschema = pytest.importorskip("jsonschema")
+    schemas = pathlib.Path(__file__).parent.parent / "docs" / "schemas"
+    argv, file_text = case
+    if file_text is not None:
+        path = tmp_path_factory.mktemp("fuzz") / "f.mf"
+        path.write_text(file_text)
+        argv = [a.replace("{file}", str(path)) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), deadline(10):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+            assert code == 2
+            return
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code in (2, 3):
+        schema = "error"
+    elif argv[0] in SCHEMAS and "--csv" not in argv:
+        schema = SCHEMAS[argv[0]]
+    else:
+        return
+    jsonschema.validate(json.loads(out.getvalue()), json.loads((schemas / f"{schema}.schema.json").read_text()))

@@ -39,6 +39,7 @@ from oracles import (
     p_maximal_by_scan,
     prime_powers_by_trial,
     rational_roots_bruteforce,
+    trace_matrix,
 )
 
 
@@ -336,7 +337,7 @@ def test_ring_trace_form_matches_disc(rng):
     for _ in range(40):
         w = rand_lattice_vec(rng)
         ring = cubic_ring(w)
-        tm = [[F(x) for x in row] for row in ring.trace_matrix()]
+        tm = [[F(x) for x in row] for row in trace_matrix(ring)]
         assert det_cofactor(tm) == ring.discriminant
 
 

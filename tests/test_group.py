@@ -33,7 +33,7 @@ from g2lift.group import (
 )
 
 from conftest import rand_mat2, rand_rat
-from oracles import rho3_oracle
+from oracles import rho3_oracle, root_coords
 
 rat_st = st.fractions(min_value=-30, max_value=30, max_denominator=9)
 vec_st = st.tuples(rat_st, rat_st, rat_st, rat_st)
@@ -267,7 +267,7 @@ def test_ad_weyl_alpha_roundtrip(rng):
 # --- root datum certification -------------------------------------------------
 
 def _pairing(delta: RootLabel, gamma_name: str) -> int:
-    m, n = delta.coords()
+    m, n = root_coords(delta)
     return 2 * m - 3 * n if gamma_name == "a" else -m + 2 * n
 
 

@@ -10,14 +10,9 @@ from g2lift.lfunctions import (
     LaurentPoly,
     SeriesInstability,
     central_twisted_value,
-    cesaro_direct_value,
     factorization_check,
     gamma_inc_ratio,
-    invert_alpha_tpoly,
-    kronecker_chi,
     shifted_pair_factor,
-    solve_root_number,
-    specialize_alpha,
     std7_euler_factor,
     std7_numeric_check,
     sym2_factor,
@@ -25,7 +20,16 @@ from g2lift.lfunctions import (
 from g2lift.lfunctions import _cutoff_terms, _poly_mul
 from g2lift.modforms import delta
 
-from oracles import cutoff_terms_by_walk, kronecker_oracle
+from oracles import (
+    cesaro_direct_value,
+    cutoff_terms_by_walk,
+    invert_alpha,
+    invert_alpha_tpoly,
+    kronecker_chi,
+    kronecker_oracle,
+    solve_root_number,
+    specialize_alpha,
+)
 
 
 def test_kronecker_matches_oracle():
@@ -104,6 +108,14 @@ def test_central_value_guards():
         central_twisted_value(delta(30), 1, 1e-10)  # too few coefficients
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_non_finite_tol_rejected(tol):
+    """NaN and inf pass a `tol < 1e-12` floor; with them the cutoff
+    predicate is always false and the agreement check never fires."""
+    with pytest.raises(ValueError, match="finite"):
+        central_twisted_value(delta(600), 5, tol)
+
+
 def test_root_number_solves_to_one():
     d = delta(2500)
     for D in (1, 5, 17):
@@ -177,7 +189,7 @@ def test_laurent_poly_algebra():
     a = LaurentPoly.unit(1, 0)
     b = LaurentPoly.unit(-1, 0)
     assert a * b == LaurentPoly.const(1)
-    assert (a + b).invert_alpha() == a + b
+    assert invert_alpha(a + b) == a + b
     assert (a - a) == LaurentPoly()
     assert LaurentPoly({(0, 0): F(0)}) == LaurentPoly()
 
