@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import arith, cubic, ktypes, lfunctions, modforms, shimura, structure
-from .exact import mat2
+from .exact import mat2, parse_rational
 from .group import (
     GroupElement,
     RootLabel,
@@ -46,8 +46,8 @@ FORMS = {"delta": 12, "eigen12": 12, "eigen16": 16, "eigen18": 18, "eigen20": 20
 # Work caps, checked in main before any work (INPUT_TOO_LARGE, exit 2): work
 # grows with these values, so exponentially in their bit length.  Slowest
 # cold call at each cap (Python 3.11.7, 2-vCPU Xeon):
-MAX_PREC = 20000  # --prec, --prec-half, mf dump --prec: mf dump --series plus20, 41 s
-MAX_PLUS_K = 20  # k of mf dump --series plusK: the same 41 s
+MAX_PREC = 20000  # --prec, --prec-half, mf dump --prec: mf dump --series plus20, 7.5 s
+MAX_PLUS_K = 20  # k of mf dump --series plusK: the same 7.5 s
 MAX_SAMPLES = 1000  # verify-structure --samples: 60 s
 MAX_KTYPES_N = 10000  # ktypes --n: 0.2 s
 CAPS = {"prec": MAX_PREC, "prec_half": MAX_PREC, "samples": MAX_SAMPLES, "n": MAX_KTYPES_N}
@@ -99,7 +99,7 @@ def _emit(payload):
 
 def _parse_w(text: str):
     try:
-        parts = [Fraction(p.strip()) for p in text.split(",")]
+        parts = [parse_rational(p.strip()) for p in text.split(",")]
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in w: {exc}") from exc
     if len(parts) != 4:
@@ -117,16 +117,16 @@ def _parse_word(text: str) -> GroupElement:
         head, _, rest = token.partition(":")
         if head == "x":
             root, _, u = rest.partition(":")
-            out = out * root_generator(RootLabel(root), Fraction(u))
+            out = out * root_generator(RootLabel(root), parse_rational(u))
             continue
         if head == "w":
             out = out * weyl(RootLabel(rest))
             continue
         if head == "h":
             root, _, t = rest.partition(":")
-            out = out * torus(RootLabel(root), Fraction(t))
+            out = out * torus(RootLabel(root), parse_rational(t))
             continue
-        args = [Fraction(p) for p in rest.split(",")] if rest else []
+        args = [parse_rational(p) for p in rest.split(",")] if rest else []
         if head == "n" and len(args) == 5:
             out = out * heis_n(*args)
         elif head == "n1" and len(args) == 5:
@@ -171,11 +171,16 @@ def cmd_reduce(args) -> int:
     return EXIT_PASS
 
 
-def _lift_context(args) -> LiftContext:
-    two_k = FORMS.get(args.form)
+def _lifted_form(name: str) -> int:
+    """2k of a form the lift and the central values support: k must be even."""
+    two_k = FORMS.get(name)
     if two_k is None or two_k % 4 != 0:
-        raise Refusal("FORM_UNSUPPORTED", f"unknown or unsupported form {args.form!r}")
-    return LiftContext(two_k, prec_int=args.prec, prec_half=args.prec_half)
+        raise Refusal("FORM_UNSUPPORTED", f"unknown or unsupported form {name!r}")
+    return two_k
+
+
+def _lift_context(args) -> LiftContext:
+    return LiftContext(_lifted_form(args.form), prec_int=args.prec, prec_half=args.prec_half)
 
 
 def cmd_coeff(args) -> int:
@@ -227,10 +232,7 @@ def cmd_gross(args) -> int:
 
 
 def cmd_lfunc(args) -> int:
-    two_k = FORMS.get(args.form)
-    if two_k is None:
-        raise Refusal("FORM_UNSUPPORTED", f"unknown form {args.form!r}")
-    f = modforms.eigenform(two_k, args.prec)
+    f = modforms.eigenform(_lifted_form(args.form), args.prec)
     val = lfunctions.central_twisted_value(f, args.disc, args.tol, ext_float=args.ext_float)
     _emit(
         {

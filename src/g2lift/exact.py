@@ -21,6 +21,15 @@ def rat(x) -> Fraction:
     return Fraction(x)
 
 
+def parse_rational(text: str) -> Fraction:
+    """A rational read from outside input, 'p', 'p/q' or a decimal.  The
+    exponent form is refused: Fraction builds 10^e in full before any
+    check, and '1e10000000' alone takes seconds."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent form not accepted: {text!r}")
+    return Fraction(text)
+
+
 class _MatrixBase:
     """Immutable square matrix of rationals (integer grid / denominator)."""
 

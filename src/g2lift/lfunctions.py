@@ -98,16 +98,17 @@ def _cutoff_terms(D: int, k: int, tol: float) -> int:
 def central_twisted_value(f: QExpansion, D: int = 1, tol: float = 1e-10, ext_float: bool = False) -> LValue:
     """Central value L(k, f x chi_D) of the unnormalized twisted L-series.
 
-    f must be a certified level-one eigenform of weight 2k; D a positive
-    fundamental discriminant (or 1).  Two runs with the cutoff parameter
-    doubled must agree within tol, else SeriesInstability is raised.
+    f must be a certified level-one eigenform of weight 2k with k even, so
+    that the root number is +1; D a positive fundamental discriminant (or
+    1).  Two runs with the cutoff parameter doubled must agree within tol,
+    else SeriesInstability is raised.
     """
     if not math.isfinite(tol):
         raise ValueError("tol must be finite")
     if tol < 1e-12:
         raise ValueError("tol below supported floating accuracy")
-    if f.level != 1 or f.weight.denominator != 1 or int(f.weight) % 2 != 0:
-        raise ValueError("level-one even-weight eigenform required")
+    if f.level != 1 or f.weight.denominator != 1 or int(f.weight) % 4 != 0:
+        raise ValueError("level-one eigenform of weight 2k with k even required")
     if not is_fundamental_discriminant(D):
         raise ValueError("D must be a positive fundamental discriminant (or 1)")
     two_k = int(f.weight)

@@ -3,22 +3,30 @@
 A series stores an integer coefficient tuple over one positive denominator,
 canonicalized so the gcd of all coefficients with the denominator is 1 (the
 form ``exact`` uses for matrices); ``coeff(n)`` returns a reduced Fraction.
-Series multiplication packs the signed integer lists into big integers
-(Kronecker substitution), which turns an O(N^2) schoolbook convolution into
-one CPython bigint multiply, a squaring when both factors are one series:
-at N = 5000, E4 * E4 takes about 45 ms, E4 * E6 90 ms and a cold delta 65 ms
-(medians of 21, Python 3.11 on a 2-vCPU Xeon host).
+Series multiplication is one Kronecker substitution: each signed integer
+list is packed as fixed-width decimal digit groups into one ``Decimal``,
+and the standard library's libmpdec multiplies large operands by
+number-theoretic transform where CPython's int multiply is Karatsuba, so
+an O(N^2) schoolbook convolution becomes one transform-sized product, a
+squaring when both factors are one series.  At N = 5000, E4 * E4 takes
+about 29 ms, E4 * E6 43 ms and a cold delta 46 ms; at N = 20000, 128, 193
+and 205 ms (medians of 21 runs, 7 at N = 20000; Python 3.11.7 on a 2-vCPU
+Xeon).  Below a few hundred coefficients CPython's int multiply would be
+faster (F * delta at N = 200: 0.9 ms against 0.4 ms), a cost within the
+run-to-run spread of the lift's set-up, whose largest series has N = 2000.
 """
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Sequence
 
 from .arith import prime_powers
-from .exact import rat
+from .exact import parse_rational, rat
 
 
 class NonRationalEigenspace(ValueError):
@@ -31,19 +39,32 @@ class PrecisionError(ValueError):
 
 RATIONAL_EIGEN_WEIGHTS = (12, 16, 18, 20, 22, 26)
 
+# Exact integer arithmetic on Decimals of any length: a rounded or inexact
+# result raises instead of dropping a digit.  Products use this context, never
+# the thread-local one, so a caller's decimal settings cannot change them.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow, decimal.Inexact, decimal.Rounded],
+)
+
 # ---------------------------------------------------------------------------
 # integer-list convolution via Kronecker substitution
 
 def _convolve_int(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
     """First n coefficients of the product of two signed integer lists.
 
-    Each factor is packed into one integer with w-byte digits, biased so the
-    bytes are nonnegative and the bias subtracted back as a packed constant;
-    the product's digits c are then unpacked from P + M * (1 + X + ...),
-    where |c| <= M and 2M < X = 2^(8w), so every biased digit is in range
-    and no borrow crosses a digit boundary.
+    Each factor A = sum a_i X^i is packed into one Decimal with w-digit
+    decimal groups, X = 10^w: the groups are a_i + bias, nonnegative, and
+    the bias is subtracted back as a packed constant.  The product P is
+    exact in ``_EXACT``.  Its groups c are read from the digit string of
+    P + M * (1 + X + ... + X^(n-1)) + X^m, where |c| <= M and 2M < X, so
+    every biased group is in [0, X) and no borrow crosses a group boundary;
+    X^m > |P| makes the sum positive without touching the low n groups.
+    Groups wider than ``sys.get_int_max_str_digits()`` digits (4300 by
+    default; about 75 at the CLI's caps) raise ValueError.
     """
-    square = a is b  # x * x: pack once and square, about 1/3 cheaper in CPython
+    square = a is b  # x * x: pack once and square, about half a multiply in libmpdec
     a = a[:n]
     b = a if square else b[:n]
     ma = max(map(abs, a), default=0)
@@ -51,17 +72,18 @@ def _convolve_int(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
     if ma == 0 or mb == 0:
         return [0] * n
     bound = ma * mb * min(len(a), len(b))
-    w = ((2 * bound).bit_length() + 7) // 8
+    w = (2 * bound).bit_length() * 30103 // 100000 + 1  # 10^w > 2^bits > 2M
 
     def pack(xs, bias):
-        digits = b"".join((x + bias).to_bytes(w, "little") for x in xs)
-        return int.from_bytes(digits, "little") - int.from_bytes(bias.to_bytes(w, "little") * len(xs), "little")
+        digits = "".join([str(x + bias).zfill(w) for x in reversed(xs)])
+        return _EXACT.subtract(Decimal(digits), Decimal(str(bias).zfill(w) * len(xs)))
 
     pa = pack(a, ma)
-    prod = pa * pa if square else pa * pack(b, mb)
-    biased = (prod + int.from_bytes(bound.to_bytes(w, "little") * n, "little")) & ((1 << (8 * w * n)) - 1)
-    data = biased.to_bytes(w * n, "little")
-    return [int.from_bytes(data[i : i + w], "little") - bound for i in range(0, w * n, w)]
+    prod = _EXACT.multiply(pa, pa if square else pack(b, mb))
+    m = max(n, len(a) + len(b) - 1) + 1
+    offset = "1" + "0" * (w * (m - n)) + str(bound).zfill(w) * n
+    s = str(_EXACT.add(prod, Decimal(offset)))
+    return [int(s[i - w : i]) - bound for i in range(len(s), len(s) - w * n, -w)]
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +162,8 @@ class QExpansion:
         if len(head) != 3:
             raise ValueError("cache file needs a 'weight level N' header")
         try:
-            weight, level, n = Fraction(head[0]), int(head[1]), int(head[2])
-            coeffs = [Fraction(t) for t in lines[1 : 1 + n]]
+            weight, level, n = parse_rational(head[0]), int(head[1]), int(head[2])
+            coeffs = [parse_rational(t) for t in lines[1 : 1 + n]]
         except ZeroDivisionError as exc:
             raise ValueError("zero denominator in cache file") from exc
         if len(coeffs) != n:

@@ -304,8 +304,11 @@ def _raising(exc):
 def test_output_matches_recording(capsys, monkeypatch, tmp_path, case):
     """stdout and exit code equal those recorded from the per-command
     handlers that the refusal table replaced, gross's wall_time masked.
-    Real input cannot reach BAD_INDEX, and reaches SERIES_INSTABILITY only
-    through an odd-k form, so two cases patch the library call to raise them."""
+    lfunc shares the lift's form check, so its two form refusals, eigen14
+    and the odd-k eigen18 (which answered SERIES_INSTABILITY before), were
+    recorded again with the message coeff gives.  Real input reaches
+    neither BAD_INDEX nor SERIES_INSTABILITY, so two cases patch the
+    library call to raise them."""
     if case["patch"] == "series_instability":
         unstable = _raising(lfunctions.SeriesInstability("series instability: 1.0 vs 2.0"))
         monkeypatch.setattr(lfunctions, "central_twisted_value", unstable)
@@ -405,6 +408,26 @@ def test_work_caps_refuse_before_the_work(capsys, argv):
     assert_refused(out, "INPUT_TOO_LARGE")
 
 
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (("reduce", "--w=1e10000000,0,1/3,0"), "BAD_VECTOR"),
+        (("show", "x:a:1E10000000"), "BAD_WORD"),
+        (("show", "n:1,0,1e-10000000,0,3"), "BAD_WORD"),
+        (("mf", "load", "{file}"), "BAD_CACHE_FILE"),
+    ],
+    ids=["reduce", "show-root", "show-heisenberg", "mf-load"],
+)
+def test_exponent_form_refused_before_expansion(capsys, tmp_path, argv, error):
+    """Fraction would build 10^(10^7) in full, about 14 s, before refusing."""
+    path = tmp_path / "f.mf"
+    path.write_text("4 1 2\n1\n1e10000000\n")
+    with deadline(0.5):
+        code, out = run_cli(capsys, *(a.replace("{file}", str(path)) for a in argv))
+    assert code == 2
+    assert_refused(out, error)
+
+
 def test_precision_cap_reaches_the_ratio_table_precision():
     assert cli.MAX_PREC >= 20000
 
@@ -426,7 +449,8 @@ def test_refusal_table_is_the_only_exception_map():
 
 # --- fuzz gate ----------------------------------------------------------------
 
-MALFORMED = st.sampled_from(["", " ", "x", "1/0", "-3/0", ",", "1,", ",1", "1,,2", "nan", "inf", "-inf", "1/", "/2"])
+MALFORMED = st.sampled_from(["", " ", "x", "1/0", "-3/0", ",", "1,", ",1", "1,,2", "nan", "inf", "-inf", "1/", "/2",
+                             "1e5", "-2E-3", "1.5e10000000", "1e10000000"])
 _magnitude = st.integers(1, 256).flatmap(lambda b: st.integers(2 ** (b - 1), 2**b - 1))  # exactly b bits
 _integer = st.one_of(st.integers(-20, 20), st.tuples(st.booleans(), _magnitude).map(lambda t: -t[1] if t[0] else t[1]))
 _rational = st.one_of(_integer.map(str), st.tuples(_integer, _magnitude).map(lambda t: f"{t[0]}/{t[1]}"))

@@ -18,7 +18,7 @@ from g2lift.lfunctions import (
     sym2_factor,
 )
 from g2lift.lfunctions import _cutoff_terms, _poly_mul
-from g2lift.modforms import delta
+from g2lift.modforms import delta, eigenform
 
 from oracles import (
     cesaro_direct_value,
@@ -106,6 +106,9 @@ def test_central_value_guards():
         central_twisted_value(d, 20, 1e-8)  # not fundamental
     with pytest.raises(ValueError):
         central_twisted_value(delta(30), 1, 1e-10)  # too few coefficients
+    for two_k in (18, 22, 26):  # k odd: root number -1, not the +1 assumed
+        with pytest.raises(ValueError, match="k even"):
+            central_twisted_value(eigenform(two_k, 2500), 5, 1e-10)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])

@@ -9,6 +9,7 @@ from g2lift.modforms import (
     NonRationalEigenspace,
     PrecisionError,
     QExpansion,
+    _convolve_int,
     delta,
     eigenform,
     eisenstein,
@@ -168,14 +169,16 @@ def test_dump_load_roundtrip(tmp_path):
 
 
 def test_packed_convolution_matches_naive(rng):
-    """The bigint-packed series product agrees with schoolbook convolution
-    on signed rational inputs: unequal lengths, empty, all-zero and
-    all-negative lists, trailing zeros, and entries up to 10^40, so that
-    the digit bias, the truncation and every carry pattern are exercised."""
+    """The packed series product agrees with schoolbook convolution on
+    signed rational inputs: unequal lengths, empty, all-zero and
+    all-negative lists, trailing zeros, entries up to 10^40, n past the
+    product's length, and lists of a few hundred entries whose groups
+    reach the bound exactly, so that the digit bias, the truncation and
+    every carry pattern are exercised."""
 
-    def naive(a, b):
-        n = min(len(a), len(b))
-        return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n)]
+    def naive(a, b, n=None):
+        n = min(len(a), len(b)) if n is None else n
+        return [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)) for k in range(n)]
 
     def check(a, b):
         c = QExpansion(F(4), 1, a) * QExpansion(F(6), 1, b)
@@ -196,6 +199,24 @@ def test_packed_convolution_matches_naive(rng):
         for la in range(1, 6):
             check([m] * la, [m] * 5)
             check([-m] * la, [m] * 5)
+    # a few hundred entries at +-m: group 299 is +-bound = 300 m^2 exactly,
+    # and m = 1 over 500 entries makes 2 * bound = 1000 a power of ten
+    for m in (1, 10**6 - 1, 2**64, big):
+        alt = [(-1) ** i * m for i in range(300)]
+        check([m] * 300, [m] * 500)
+        check([-m] * 300, [m] * 500)
+        check(alt, alt)
+        assert _convolve_int(alt, alt, 300)[299] == -300 * m * m
+    check([1] * 500, [1] * 500)
+    # n past len(a) + len(b) - 1: the groups past the product read 0
+    for a, b in (([3, -1], [2, 5, -7]), ([big], [-big]), ([-1] * 4, [1] * 3), ([big] * 200, [-big] * 300)):
+        for n in (len(a) + len(b) - 1, len(a) + len(b), 3 * (len(a) + len(b))):
+            assert _convolve_int(a, b, n) == naive(a, b, n)
+            assert _convolve_int(a, a, n) == naive(a, a, n)
+    # 12500 groups of 85 digits: factors past the 10^6 digits that the
+    # default decimal context allows
+    long = [big] * 12500
+    assert _convolve_int(long, long, 12500) == [(k + 1) * big * big for k in range(12500)]
     for bound in (1, 10**6, 2**64, big):
         for _ in range(12):
             la, lb = rng.randint(1, 30), rng.randint(1, 30)
@@ -255,6 +276,17 @@ def test_series_digests_pinned():
     assert _digest(eigenform(16, 600)) == "cb6a0933cf747d774e3df2b8ea4dcced5fadb79a2802174817e995f7e791dec8"
     assert _digest(plus_cusp_basis(6, 600)[0]) == "c3ee81158b550d3477c8eefd36aa20c7ecef6696b8f7f37429fb836219878a82"
     assert _digest(plus_cusp_basis(8, 600)[0]) == "64533232bfc2c3023d0d7424568e5e0b7cbf25d1e607ebcb627dcea03fed56f0"
+
+
+def test_series_digests_pinned_at_5000():
+    """The N = 600 pins pack factors of at most 18,000 digits; these reach
+    195,000 (recorded with CPython's int product)."""
+    from g2lift.shimura import plus_cusp_basis
+
+    assert _digest(delta(5000)) == "5809daa2edc7a79ecd914ddbe4c6f0eb59b7389f9e01032814a0d161e7503aa4"
+    assert _digest(eigenform(16, 5000)) == "21528d26bf347e372d28487b8cfde556bbcac72a2bca6abe545aef8eeffd5dca"
+    assert _digest(plus_cusp_basis(6, 5000)[0]) == "9c605d20bea7e2d07b556a3d2318be2abf883e8b06c5ceba129440aa41ae4b7e"
+    assert _digest(plus_cusp_basis(8, 5000)[0]) == "d974063bf1ec2b8e1a131d4010d3bae8e3531dd03aa350a1cb3c51dd816b61aa"
 
 
 def test_plus_basis_digests_pinned():
