@@ -218,8 +218,12 @@ class EtaleType:
         return f"cubic field [{a},{b},{c},{d}]"
 
 
-def etale_type(w) -> EtaleType:
-    """Exact factorization type of f_w over Q; requires q(w) != 0."""
+def etale_type(w, quad_disc: Optional[int] = None) -> EtaleType:
+    """Exact factorization type of f_w over Q; requires q(w) != 0.
+
+    A caller that already holds the fundamental discriminant of the
+    quadratic factor's square class (the D0 of a reduction) passes it as
+    quad_disc, and it is used instead of factoring that class again."""
     w = _vec(w)
     if quartic_q(w) == 0:
         raise NonEtaleInput("non-etale input")
@@ -237,8 +241,9 @@ def etale_type(w) -> EtaleType:
         else:  # root at infinity: f = v * (b u^2 + c u v + d v^2)
             A, B, C = Fraction(b), Fraction(c), Fraction(d)
         disc2 = B * B - 4 * A * C
-        field_disc = fundamental_discriminant(disc2.numerator * disc2.denominator)
-        return EtaleType("quadratic_split", quad_disc=field_disc, real_quadratic=disc2 > 0)
+        if quad_disc is None:
+            quad_disc = fundamental_discriminant(disc2.numerator * disc2.denominator)
+        return EtaleType("quadratic_split", quad_disc=quad_disc, real_quadratic=disc2 > 0)
     if not roots:
         return EtaleType("cubic_field", cubic_poly=(a, b, c, d))
     raise NonEtaleInput("inconsistent root count for a separable cubic")
@@ -381,6 +386,11 @@ def verify_reduction(w, red: CanonicalReduction) -> bool:
 
 
 def reduce_to_canonical(w, normalize: bool = True) -> CanonicalReduction:
+    """Reduce w (q(w) < 0, some rational projective root) to shape; see _reduce."""
+    return _reduce(w, normalize)[0]
+
+
+def _reduce(w, normalize: bool = True) -> Tuple[CanonicalReduction, Optional[int]]:
     """Reduce w (q(w) < 0, some rational projective root) to shape.
 
     Steps: move a rational root of f_w to kill a4, shear away a2 (the
@@ -390,7 +400,8 @@ def reduce_to_canonical(w, normalize: bool = True) -> CanonicalReduction:
     (t, S) = (-D0, 1), where D0 is the minimal positive integer == 0, 1
     mod 4 in the square class of -t*S; any two vectors of one coadjoint
     orbit then land on literally the same shape vector.  Vectors already
-    in shape return the identity reduction untouched.
+    in shape return the identity reduction untouched.  The second value is
+    D0 when the rescaling computed it, else None.
     """
     from .group import ad_weyl_alpha_inv, coad_w, levi_m, levi_m_coords
 
@@ -401,7 +412,7 @@ def reduce_to_canonical(w, normalize: bool = True) -> CanonicalReduction:
     if w.a2 == 0 and w.a4 == 0 and w.a1 < 0 and w.a3 > 0:
         red = CanonicalReduction(t=w.a1, S=3 * w.a3, m=mat2(1, 0, 0, 1))
         assert verify_reduction(w, red)
-        return red
+        return red, None
 
     steps: list[Matrix2] = []
     cur = tuple(w)
@@ -429,6 +440,7 @@ def reduce_to_canonical(w, normalize: bool = True) -> CanonicalReduction:
         apply(mat2(1, 0, 0, -1))
     assert cur[1] == cur[3] == 0 and cur[0] < 0 < cur[2]
 
+    d0 = None
     if normalize:
         d0, lam = fundamental_discriminant_of_class(-3 * cur[0] * cur[2])
         apply(mat2(lam, 0, 0, lam))
@@ -444,17 +456,19 @@ def reduce_to_canonical(w, normalize: bool = True) -> CanonicalReduction:
     red = CanonicalReduction(t=cur[0], S=3 * cur[2], m=m_mat)
     if not verify_reduction(w, red):
         raise AssertionError("reduction failed its 7x7 verification")
-    return red
+    return red, d0
 
 
 def reduction_json(w) -> dict:
-    """CLI-facing record for a reduced vector."""
+    """CLI-facing record for a reduced vector.  The quadratic factor of f_w
+    has the square class of -t*S, so the D0 the reduction found is its
+    field discriminant and the class is factored once."""
     w = _vec(w)
-    red = reduce_to_canonical(w)
+    red, d0 = _reduce(w)
     return {
         "w": [str(x) for x in w],
         "q": str(quartic_q(w)),
-        "etale": str(etale_type(w)),
+        "etale": str(etale_type(w, quad_disc=d0)),
         "t": str(red.t),
         "S": str(red.S),
         "m": [[str(red.m[0, 0]), str(red.m[0, 1])], [str(red.m[1, 0]), str(red.m[1, 1])]],

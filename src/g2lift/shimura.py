@@ -3,24 +3,33 @@
 The space lies in the span of the monomials theta * A^(m-j) * F^j with
 A = theta^4 and m = k/2.  Its c(1)-normalized basis is the kernel of
 exact linear algebra: impose c(0) = 0 together with the plus-support
-condition c(n) = 0 for n == 2, 3 (mod 4) up to a Sturm-style bound.
-Truncation commutes with products, so the kernel is solved on monomials
-built only to that bound; each kernel vector is then evaluated at full
-precision by Horner in A and F, in 2m + 1 full-precision products in all
-for a one-dimensional space.  The plus subspace of the full modular space
-splits as a one-dimensional Eisenstein line with nonvanishing constant
-term plus the cusp part, so killing c(0) inside the plus space is exactly
-cuspidality; the support check through full precision and the
-correspondence checker below certify the outcome independently.
+condition c(n) = 0 for n == 2, 3 (mod 4) up to a bound that is at least
+the Sturm bound (2k + 1)/4 of weight k + 1/2 on Gamma0(4).  Truncation
+commutes with products, so the kernel is solved on monomials built only
+to that bound.  The plus subspace of the full modular space splits as a
+one-dimensional Eisenstein line with nonvanishing constant term plus the
+cusp part, so killing c(0) inside the plus space is exactly cuspidality.
+
+At full precision each kernel form is a combination of Cohen's brackets
+[E_(k-2nu)(4z), theta]_nu, which are plus-space cusp forms of the same
+weight (Kohnen-Zagier write the k = 6 form as the nu = 1 bracket).  The
+combination is solved on c(0) .. c(bound); its difference from the
+kernel form is a form of weight k + 1/2 on Gamma0(4) vanishing through
+q^bound, past the Sturm bound, so it is zero and the two agree at every
+precision.  A bracket costs nu + 1 products, so a one-dimensional space
+(k = 6, 8, 10) takes two full-precision products.  The support check
+through full precision and the correspondence checker below certify the
+outcome independently.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import List
 
 from .arith import is_fundamental_discriminant, kronecker
-from .modforms import PrecisionError, QExpansion, _cached
+from .modforms import PrecisionError, QExpansion, _cached, _sigma_list
 
 
 def theta_half(prec: int) -> QExpansion:
@@ -65,7 +74,8 @@ def _powers(x: QExpansion, m: int) -> List[QExpansion]:
 
 def _generators(prec: int, m: int):
     """theta, A = theta^4 and [F, ..., F^m] at precision prec, cached under
-    keys holding prec so that the bases of all weights at prec share them."""
+    keys holding prec so that the kernels of all weights read at one bound
+    share them."""
     th = theta_half(prec)
     th2 = _cached(("theta^2", prec), lambda: th * th)
     a = _cached(("theta^4", prec), lambda: th2 * th2)
@@ -107,6 +117,99 @@ def _rational_kernel(rows: List[List[Fraction]], ncols: int) -> List[List[Fracti
     return basis
 
 
+def _combination(series: List[QExpansion], coeffs: List[Fraction]) -> QExpansion:
+    """sum_i coeffs[i] * series[i]."""
+    out = series[0].scale(coeffs[0])
+    for x, c in zip(series[1:], coeffs[1:]):
+        out = out + x.scale(c)
+    return out
+
+
+def _sturm_bound(k: int) -> int:
+    """The last coefficient index the kernel reads: at least 32 and twice the
+    Sturm bound (2k + 1)/4 of weight k + 1/2 on Gamma0(4), rounded up."""
+    return max(32, -(-(2 * k + 1) * 6 // 24) * 2)
+
+
+def _plus_kernel(k: int, bound: int) -> List[QExpansion]:
+    """The kernel forms through q^bound: the monomials theta * A^(m-j) * F^j
+    combined along the kernel of the c(0) and plus-support rows."""
+    m = k // 2  # monomials theta * A^(m-j) * F^j, A = theta^4, 0 <= j <= m
+    # truncation commutes with products, so the kernel read from
+    # c(0) .. c(bound) only needs the monomials at precision bound + 1
+    th, a, f_pows = _generators(bound + 1, m)
+    a_pows = _powers(a, m)
+    mons = [th * a_pows[m - 1]]
+    mons += [th * a_pows[m - j - 1] * f_pows[j - 1] for j in range(1, m)]
+    mons.append(th * f_pows[m - 1])
+    rows = [[g.coeff(0) for g in mons]]
+    for n in range(2, bound + 1):
+        if n % 4 in (2, 3):
+            rows.append([g.coeff(n) for g in mons])
+    return [_combination(mons, v) for v in _rational_kernel(rows, m + 1)]
+
+
+def _bernoulli(n: int) -> Fraction:
+    """B_n from sum_{j <= m} C(m + 1, j) B_j = 0 for m >= 1, B_0 = 1."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b[n]
+
+
+def _eisenstein_4z(w: int, prec: int) -> QExpansion:
+    """E_w(4z) = 1 - (2w / B_w) sum sigma_(w-1)(n) q^(4n), weight w on Gamma0(4)."""
+    c = -2 * w / _bernoulli(w)
+    sig = _sigma_list(w - 1, (prec + 3) // 4)
+    num = [0] * prec
+    num[0] = c.denominator
+    for n in range(1, len(sig)):
+        num[4 * n] = c.numerator * sig[n]
+    return QExpansion(w, 4, num, c.denominator)
+
+
+def _q_derivative(x: QExpansion, r: int) -> QExpansion:
+    """D^r x with D = q d/dq, so c(n) becomes n^r c(n); the weight label rises by 2r."""
+    if r == 0:
+        return x
+    return QExpansion(x.weight + 2 * r, x.level, [n**r * c for n, c in enumerate(x.num)], x.den)
+
+
+def _bracket_coefficients(w: int, nu: int) -> List[Fraction]:
+    """(-1)^r C(nu + w - 1, nu - r) C(nu - 1/2, r) for r = 0 .. nu: Cohen's
+    bracket of a weight-w form with a weight-1/2 form."""
+    out, half = [], Fraction(1)  # half = C(nu - 1/2, r)
+    for r in range(nu + 1):
+        out.append((-1) ** r * comb(nu + w - 1, nu - r) * half)
+        half = half * (Fraction(2 * nu - 1, 2) - r) / (r + 1)
+    return out
+
+
+def _bracket(w: int, nu: int, prec: int) -> QExpansion:
+    """[E_w(4z), theta]_nu = sum_r c_r D^r[E_w(4z)] D^(nu-r)[theta], a cusp form
+    of weight w + 2 nu + 1/2 on Gamma0(4) in the plus space, in nu + 1 products."""
+    e, th = _eisenstein_4z(w, prec), theta_half(prec)
+    terms = [_q_derivative(e, r) * _q_derivative(th, nu - r) for r in range(nu + 1)]
+    return _combination(terms, _bracket_coefficients(w, nu))
+
+
+def _bracket_coordinates(k: int, forms: List[QExpansion]) -> List[List[Fraction]]:
+    """For each of d forms, known through q^bound, the lam with
+    sum_nu lam_nu [E_(k-2nu)(4z), theta]_nu equal to it there, nu = 1 .. d.
+
+    The kernel of [b_1 .. b_d | f_1 .. f_d] has dimension d exactly when the
+    brackets are independent and span the forms; every kernel vector is
+    then free at one f column, v[d + i] = 1, and f_i = -sum v_nu b_nu.
+    Otherwise ArithmeticError: there is no certified basis to return.
+    """
+    d, nrows = len(forms), forms[0].precision
+    cols = [_bracket(k - 2 * nu, nu, nrows) for nu in range(1, d + 1)] + forms
+    sol = _rational_kernel([[x.coeff(n) for x in cols] for n in range(nrows)], 2 * d)
+    if len(sol) != d:
+        raise ArithmeticError(f"the brackets do not span the plus cusp forms of weight {k} + 1/2")
+    return [[-x for x in v[:d]] for v in sol]
+
+
 def plus_cusp_basis(k: int, prec: int) -> List[QExpansion]:
     """Basis of the weight k + 1/2 plus cusp space on Gamma0(4),
     c(1)-normalized.
@@ -120,28 +223,11 @@ def plus_cusp_basis(k: int, prec: int) -> List[QExpansion]:
         raise PrecisionError("precision below the solvability threshold")
 
     def build():
-        m = k // 2  # monomials theta * A^(m-j) * F^j, A = theta^4, 0 <= j <= m
-        bound = max(32, -(-(2 * k + 1) * 6 // 24) * 2)  # Sturm-style, margin x2
-        # truncation commutes with products, so the kernel read from
-        # c(0) .. c(bound) only needs the monomials at precision bound + 1
-        th, a, f_pows = _generators(bound + 1, m)
-        a_pows = _powers(a, m)
-        mons = [th * a_pows[m - 1]]
-        mons += [th * a_pows[m - j - 1] * f_pows[j - 1] for j in range(1, m)]
-        mons.append(th * f_pows[m - 1])
-        rows = [[g.coeff(0) for g in mons]]
-        for n in range(2, bound + 1):
-            if n % 4 in (2, 3):
-                rows.append([g.coeff(n) for g in mons])
-        kernel = _rational_kernel(rows, m + 1)
-
-        th, a, f_pows = _generators(prec, m)  # m + 1 full-precision products, cold
+        lams = _bracket_coordinates(k, _plus_kernel(k, _sturm_bound(k)))
+        brackets = [_bracket(k - 2 * nu, nu, prec) for nu in range(1, len(lams) + 1)]  # sum(nu + 1) products
         out = []
-        for v in kernel:
-            h = a.scale(v[0]) + f_pows[0].scale(v[1])  # Horner in A
-            for j in range(2, m + 1):
-                h = h * a + f_pows[j - 1].scale(v[j])
-            g = th * h
+        for lam in lams:
+            g = _combination(brackets, lam)
             # plus condition must then hold through full precision
             bad = next((n for n in range(prec) if n % 4 in (2, 3) and g.num[n] != 0), None)
             if bad is not None:

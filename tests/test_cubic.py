@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from g2lift.arith import InputTooLarge, prime_powers
@@ -411,6 +411,35 @@ def test_p_maximal_matches_residue_scan(p, kind, r, alpha, beta, by_p, by_p2):
         assert _p_maximal(*form, p) == p_maximal_by_scan(*form, p), (form, p)
 
 
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    kind=st.sampled_from(["double", "triple", "double_inf", "triple_inf"]),
+    r=st.integers(0, 6),
+    alpha=st.integers(-4, 4),
+    beta=st.integers(-4, 4),
+    by_p=st.tuples(*[st.integers(-4, 4)] * 4),
+    by_p2=st.tuples(*[st.integers(-2, 2)] * 4),
+)
+@settings(max_examples=80, deadline=None)
+def test_maximality_matches_bruteforce_on_planted_square_divisors(p, kind, r, alpha, beta, by_p, by_p2):
+    """Past the |a|, ..., |d| <= 2 box: forms with a multiple root planted
+    mod p at a centered residue, so p^2 divides the discriminant (a form
+    congruent mod p^2 to one with a multiple root has that).  The
+    discriminant stays below 10^9 and its square divisors at primes <= 7,
+    which keeps the oracle's trial loop and subspace scan short."""
+    r %= p
+    planted = _planted_multiple_root(kind, r - p if 2 * r > p else r, alpha, beta)
+    form = tuple(x + p * y + p * p * z for x, y, z in zip(planted, by_p, by_p2))
+    if CubicRing(*form).discriminant % (p * p):
+        form = tuple(x + p * p * z for x, z in zip(planted, by_p2))
+    ring = CubicRing(*form)
+    disc = ring.discriminant
+    assume(disc != 0 and abs(disc) <= 10**9)
+    assume(all(q <= 7 for q, e in prime_powers_by_trial(abs(disc)) if e >= 2))
+    assert disc % (p * p) == 0
+    assert is_maximal(ring) == maximal_bruteforce(ring), (form, disc)
+
+
 def test_maximality_at_a_square_prime_below_the_trial_limit_is_fast():
     p = 1048573  # the largest prime below the trial limit; O(p) work here takes ~0.5 s
     ring = CubicRing(1, 0, -p * p, p * p)
@@ -505,6 +534,34 @@ def test_reduction_json_record():
     assert rec["q"] == "-20/27"
     assert rec["t"] == "-5" and rec["S"] == "1"
     assert rec["etale"].startswith("Q x Q(sqrt(5))")
+
+
+def test_reduction_json_factors_the_square_class_once(monkeypatch):
+    """The reduction's D0 is the quadratic field's discriminant, so `reduce`
+    on a 19-digit vector factors its square class once, not twice."""
+    import g2lift.cubic as cubic
+
+    calls = []
+    real = cubic.fundamental_discriminant
+    monkeypatch.setattr(cubic, "fundamental_discriminant", lambda n: calls.append(n) or real(n))
+    rec = reduction_json((-(10**18 + 7), 1, F(1, 3), 0))
+    assert rec["t"] == "-4000000000000000037"
+    assert rec["etale"] == "Q x Q(sqrt(4000000000000000037))"
+    assert len(calls) == 1
+
+
+def test_reduction_d0_is_the_etale_field_discriminant(rng):
+    """On translates of shape vectors, the D0 found by the reduction gives
+    the etale type that factoring the quadratic factor gives."""
+    from g2lift.cubic import _reduce
+
+    for _ in range(40):
+        shape = (-rng.randint(1, 400), 0, F(rng.randint(1, 60), 3 * rng.randint(1, 9)), 0)
+        w = coad_w(rand_mat2(rng), shape)
+        red, d0 = _reduce(w)
+        if d0 is not None:
+            assert etale_type(w, quad_disc=d0) == etale_type(w), (w, d0)
+            assert (d0 == 1) == (etale_type(w).kind == "totally_split"), (w, d0)
 
 
 def test_verify_reduction_rejects_wrong_m():

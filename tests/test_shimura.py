@@ -10,6 +10,10 @@ import g2lift
 from g2lift.arith import fundamental_discriminant
 from g2lift.modforms import PrecisionError, QExpansion, delta, eigenform
 from g2lift.shimura import (
+    _bracket,
+    _bracket_coordinates,
+    _plus_kernel,
+    _sturm_bound,
     is_fundamental_discriminant,
     plus_cusp_basis,
     shimura_lift_check,
@@ -63,15 +67,63 @@ def test_plus_basis_dimensions_higher_weights():
 
 @pytest.mark.parametrize("k", range(6, 21, 2))
 def test_plus_basis_matches_monomial_oracle(k):
-    """Kernel at Sturm precision plus Horner in theta^4 and F gives exactly
-    the basis of the independently powered monomials; k = 6..20 spans
-    kernels of dimension 1, 2 and 3."""
+    """Kernel at Sturm precision plus Rankin-Cohen brackets at full precision
+    gives exactly the basis of the independently powered monomials;
+    k = 6..20 spans kernels of dimension 1, 2 and 3."""
     prec = 8 * k + 40
     got = plus_cusp_basis(k, prec)
     want = plus_cusp_basis_monomials(k, prec)
     assert len(got) == len(want) == (1 if k < 12 else 2 if k < 18 else 3)
     for g, h in zip(got, want):
         assert (g.weight, g.level, g.num, g.den) == (h.weight, h.level, h.num, h.den)
+
+
+KZ_DELTA = [0, 1, 0, 0, -56, 120, 0, 0, -240, 9, 0, 0, 1440, -1320]
+
+
+def test_plus6_is_the_kohnen_zagier_bracket():
+    """Kohnen-Zagier's delta = (60/2 pi i)(2 G4(4z) theta' - G4'(4z) theta)
+    starts q - 56q^4 + 120q^5 - 240q^8 + 9q^9 + 1440q^12 - 1320q^13, and so
+    do the bracket [E4(4z), theta]_1 and the plus6 basis form."""
+    b = _bracket(4, 1, len(KZ_DELTA))
+    assert [b.coeff(n) / b.coeff(1) for n in range(len(KZ_DELTA))] == KZ_DELTA
+    g = plus_cusp_basis(6, 200)[0]
+    assert [g.coeff(n) for n in range(len(KZ_DELTA))] == KZ_DELTA
+
+
+def _dim_cusp_level_one(weight):
+    return weight // 12 - (1 if weight % 12 == 2 else 0)
+
+
+def test_brackets_reach_the_kernel_dimension():
+    """At precision bound + 1 the brackets [E_(k-2nu)(4z), theta]_nu span the
+    plus cusp kernel, of dimension dim S_2k(SL2(Z)), for every even k to 40."""
+    for k in range(6, 41, 2):
+        forms = _plus_kernel(k, _sturm_bound(k))
+        assert len(forms) == _dim_cusp_level_one(2 * k), k
+        assert len(_bracket_coordinates(k, forms)) == len(forms), k
+
+
+@pytest.mark.parametrize("k", [6, 12])
+def test_corrupted_bracket_is_refused(k, monkeypatch):
+    """A bracket that is not modular (one binomial coefficient off by one)
+    cannot match the kernel forms through the Sturm bound, so the build
+    raises instead of returning a basis."""
+    from g2lift import shimura
+
+    good = shimura._bracket_coefficients
+
+    def corrupted(w, nu):
+        out = good(w, nu)
+        out[1] += 1
+        return out
+
+    monkeypatch.setattr(shimura, "_bracket_coefficients", corrupted)
+    prec = 8 * k + 13  # a precision no other test caches
+    with pytest.raises(ArithmeticError):
+        plus_cusp_basis(k, prec)
+    monkeypatch.undo()
+    assert len(plus_cusp_basis(k, prec)) == _dim_cusp_level_one(2 * k)
 
 
 def test_plus_basis_guards():
@@ -105,8 +157,8 @@ def test_lift_check_detects_corruption(delta_full, plus6_full):
 
 
 def test_plus_basis_shared_generators_match_cold_build():
-    """The k = 8 basis built on the theta^4 and F^j that the k = 6 build
-    cached equals one built from an empty cache."""
+    """The k = 8 basis built on the theta that the k = 6 build cached
+    equals one built from an empty cache."""
     from g2lift.modforms import _series_cache
 
     N = 900
@@ -117,7 +169,7 @@ def test_plus_basis_shared_generators_match_cold_build():
 
     purge()
     plus_cusp_basis(6, N)
-    assert ("F^j", 3, N) in _series_cache
+    assert ("theta", N) in _series_cache
     warm = [(g.num, g.den) for g in plus_cusp_basis(8, N)]
     purge()
     cold = [(g.num, g.den) for g in plus_cusp_basis(8, N)]
