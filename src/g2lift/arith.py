@@ -14,6 +14,16 @@ class InputTooLarge(ValueError):
     division and primality certification can do."""
 
 
+class SquarefreeCofactor(InputTooLarge):
+    """The refusal of prime_powers for a cofactor it cannot split but knows
+    to be a product of two distinct primes.  Callers that need only square
+    classes read the cofactor, with exponent 1, and answer."""
+
+    def __init__(self, message: str, cofactor: int):
+        super().__init__(message)
+        self.cofactor = cofactor
+
+
 TRIAL_LIMIT = 1 << 20
 # Miller-Rabin on the first 13 prime bases is exact below _MR_EXACT
 # (Sorenson and Webster, Math. Comp. 86, 2017)
@@ -48,7 +58,9 @@ def prime_powers(n: int) -> Iterator[Tuple[int, int]]:
     left with no prime factor up to that bound must be a prime or a prime
     square, certified below TRIAL_LIMIT^2 by size and up to _MR_EXACT by
     Miller-Rabin; anything else raises InputTooLarge after the smaller
-    primes are out.
+    primes are out.  A cofactor below (TRIAL_LIMIT + 1)^3 has at most two
+    prime factors, so one that is neither prime nor square is a product of
+    two distinct primes; its refusal is a SquarefreeCofactor.
     """
     bound = min(TRIAL_LIMIT, isqrt(n))
     for k in range(0, bound + 1, 30):
@@ -83,10 +95,13 @@ def prime_powers(n: int) -> Iterator[Tuple[int, int]]:
     if r * r == n and (r < p * p or (r < _MR_EXACT and _is_prime_mr(r))):
         yield r, 2
         return
-    raise InputTooLarge(
+    message = (
         f"a {n.bit_length()}-bit cofactor has no prime factor below {TRIAL_LIMIT} "
         "and is not a certified prime or prime square"
     )
+    if n < p**3:
+        raise SquarefreeCofactor(message, n)
+    raise InputTooLarge(message)
 
 
 def fundamental_discriminant(n: int) -> int:
@@ -95,9 +110,12 @@ def fundamental_discriminant(n: int) -> int:
     if n == 0:
         raise ValueError("zero has no square class")
     u = -1 if n < 0 else 1
-    for p, e in prime_powers(abs(n)):
-        if e % 2:
-            u *= p
+    try:
+        for p, e in prime_powers(abs(n)):
+            if e % 2:
+                u *= p
+    except SquarefreeCofactor as exc:
+        u *= exc.cofactor
     return u if u % 4 == 1 else 4 * u
 
 

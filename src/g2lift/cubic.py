@@ -14,8 +14,9 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import NamedTuple, Optional, Tuple
 
-from .arith import fundamental_discriminant, prime_powers
+from .arith import SquarefreeCofactor, fundamental_discriminant, prime_powers
 from .exact import Matrix2, mat2, rat
+from .group import ad_weyl_alpha, ad_weyl_alpha_inv, coad_w, heis_n1, levi_m, levi_m_coords, n1_coords
 
 
 class NonEtaleInput(ValueError):
@@ -329,15 +330,18 @@ def is_maximal(ring: CubicRing) -> bool:
     """Maximality via the local criterion at every p with p^2 | disc.
 
     The local test is closed-form, so the cost is that of factoring the
-    discriminant, which raises InputTooLarge past its bound."""
+    discriminant, which raises InputTooLarge past its bound; a squarefree
+    cofactor left unsplit holds no such p."""
     disc = ring.discriminant
     if disc == 0:
         raise NonEtaleInput("non-etale input")
-    return all(
-        _p_maximal(ring.a, ring.b, ring.c, ring.d, p)
-        for p, e in prime_powers(abs(disc))
-        if e >= 2
-    )
+    try:
+        for p, e in prime_powers(abs(disc)):
+            if e >= 2 and not _p_maximal(ring.a, ring.b, ring.c, ring.d, p):
+                return False
+    except SquarefreeCofactor:
+        pass
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +368,6 @@ class CanonicalReduction:
 
     def m_prime(self) -> Matrix2:
         """GL2 coordinate of Ad(w_alpha)(m), computed in the 7x7 model."""
-        from .group import ad_weyl_alpha, levi_m, levi_m_coords
-
         return levi_m_coords(ad_weyl_alpha(levi_m(self.m)))
 
 
@@ -374,8 +376,6 @@ def verify_reduction(w, red: CanonicalReduction) -> bool:
 
     Conjugation inside the matrix group gives the adjoint W-action; the
     remaining det(m') scalar follows from coad = det * Ad(inverse)."""
-    from .group import heis_n1, levi_m, n1_coords
-
     w = _vec(w)
     b = red.m_prime()
     mp = levi_m(b)
@@ -385,26 +385,24 @@ def verify_reduction(w, red: CanonicalReduction) -> bool:
     return z == 0 and (dt * b1, dt * b2, dt * b3, dt * b4) == tuple(w)
 
 
-def reduce_to_canonical(w, normalize: bool = True) -> CanonicalReduction:
+def reduce_to_canonical(w) -> CanonicalReduction:
     """Reduce w (q(w) < 0, some rational projective root) to shape; see _reduce."""
-    return _reduce(w, normalize)[0]
+    return _reduce(w)[0]
 
 
-def _reduce(w, normalize: bool = True) -> Tuple[CanonicalReduction, Optional[int]]:
+def _reduce(w) -> Tuple[CanonicalReduction, Optional[int]]:
     """Reduce w (q(w) < 0, some rational projective root) to shape.
 
     Steps: move a rational root of f_w to kill a4, shear away a2 (the
     cofactor quadratic has nonzero v^2-coefficient whenever q != 0), flip
-    u -> -u if needed so that t < 0 < S.  With ``normalize`` (default) a
-    vector that was not already in shape is rescaled inside its orbit to
-    (t, S) = (-D0, 1), where D0 is the minimal positive integer == 0, 1
-    mod 4 in the square class of -t*S; any two vectors of one coadjoint
-    orbit then land on literally the same shape vector.  Vectors already
-    in shape return the identity reduction untouched.  The second value is
-    D0 when the rescaling computed it, else None.
+    u -> -u if needed so that t < 0 < S.  A vector that was not already in
+    shape is then rescaled inside its orbit to (t, S) = (-D0, 1), where D0
+    is the minimal positive integer == 0, 1 mod 4 in the square class of
+    -t*S; any two vectors of one coadjoint orbit then land on literally the
+    same shape vector.  Vectors already in shape return the identity
+    reduction untouched.  The second value is D0, or None for a vector
+    already in shape.
     """
-    from .group import ad_weyl_alpha_inv, coad_w, levi_m, levi_m_coords
-
     w = _vec(w)
     if quartic_q(w) >= 0:
         raise ValueError("precondition violation: q(w) >= 0")
@@ -440,13 +438,11 @@ def _reduce(w, normalize: bool = True) -> Tuple[CanonicalReduction, Optional[int
         apply(mat2(1, 0, 0, -1))
     assert cur[1] == cur[3] == 0 and cur[0] < 0 < cur[2]
 
-    d0 = None
-    if normalize:
-        d0, lam = fundamental_discriminant_of_class(-3 * cur[0] * cur[2])
-        apply(mat2(lam, 0, 0, lam))
-        s_now = 3 * cur[2]
-        apply(mat2(1, 0, 0, 1 / s_now))
-        assert -cur[0] == d0 and 3 * cur[2] == 1
+    d0, lam = fundamental_discriminant_of_class(-3 * cur[0] * cur[2])
+    apply(mat2(lam, 0, 0, lam))
+    s_now = 3 * cur[2]
+    apply(mat2(1, 0, 0, 1 / s_now))
+    assert -cur[0] == d0 and 3 * cur[2] == 1
 
     total = mat2(1, 0, 0, 1)
     for A in steps:

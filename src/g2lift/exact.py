@@ -179,27 +179,6 @@ class _MatrixBase:
             prev = m[k][k]
         return Fraction(sign * m[n - 1][n - 1], self.den**n)
 
-    def inverse(self):
-        """Exact inverse by Gauss-Jordan elimination."""
-        n = self.SIZE
-        a = [[Fraction(x, self.den) for x in r] for r in self.num]
-        b = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-            if piv is None:
-                raise ZeroDivisionError("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-            inv = 1 / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            b[col] = [x * inv for x in b[col]]
-            for i in range(n):
-                if i != col and a[i][col] != 0:
-                    f = a[i][col]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-                    b[i] = [x - f * y for x, y in zip(b[i], b[col])]
-        return type(self)(b)
-
     def __repr__(self):
         body = "\n".join("[" + "  ".join(str(x) for x in r) + "]" for r in self.rows)
         return f"{type(self).__name__}(\n{body}\n)"
@@ -238,20 +217,10 @@ def mat2(a, b, c, d) -> Matrix2:
 
 
 # Gram matrix of the ambient orthogonal group: antidiagonal identity blocks
-# around the 3x3 core antidiag(1, -2, 1).
-GRAM = Matrix7(
-    [
-        [0, 0, 0, 0, 0, 1, 0],
-        [0, 0, 0, 0, 0, 0, 1],
-        [0, 0, 0, 0, 1, 0, 0],
-        [0, 0, 0, -2, 0, 0, 0],
-        [0, 0, 1, 0, 0, 0, 0],
-        [1, 0, 0, 0, 0, 0, 0],
-        [0, 1, 0, 0, 0, 0, 0],
-    ]
-)
-
-GRAM_INV = GRAM.inverse()
+# around the 3x3 core antidiag(1, -2, 1); the inverse has core antidiag(1, -1/2, 1).
+_GRAM_ONES = {(0, 5): 1, (5, 0): 1, (1, 6): 1, (6, 1): 1, (2, 4): 1, (4, 2): 1}
+GRAM = Matrix7.from_entries({**_GRAM_ONES, (3, 3): -2})
+GRAM_INV = Matrix7.from_entries({**_GRAM_ONES, (3, 3): Fraction(-1, 2)})
 
 
 def preserves_form(g: Matrix7) -> bool:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Matrix2, Matrix7, mat2, preserves_form, rat
+from .exact import GRAM, GRAM_INV, Matrix2, Matrix7, mat2, preserves_form, rat
 
 # ---------------------------------------------------------------------------
 # Root system bookkeeping
@@ -127,8 +127,6 @@ class GroupElement:
 
     def inverse(self) -> "GroupElement":
         # g^T S g = S gives g^-1 = S^-1 g^T S, much cheaper than elimination.
-        from .exact import GRAM, GRAM_INV
-
         return GroupElement._trusted(GRAM_INV * self.matrix.transpose() * GRAM)
 
     def __eq__(self, other):

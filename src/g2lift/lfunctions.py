@@ -214,43 +214,38 @@ def _poly_mul(f: list, g: list) -> list:
     return out
 
 
-def _linear_factor(root: LaurentPoly) -> list:
-    """1 - root * T as a T-polynomial with LaurentPoly coefficients."""
-    return [ONE, -root]
+def _euler_factor(roots) -> list:
+    """prod (1 - root * T) as a T-polynomial with LaurentPoly coefficients."""
+    out = [ONE]
+    for root in roots:
+        out = _poly_mul(out, [ONE, -root])
+    return out
 
 
 def std7_euler_factor() -> list:
     """The degree-7 polynomial in T with roots
     1, a^2, a^-2, a r, a^-1 r, a r^-1, a^-1 r^-1  (r = formal p^(1/2))."""
-    roots = [
-        ONE,
-        LaurentPoly.unit(2, 0),
-        LaurentPoly.unit(-2, 0),
-        LaurentPoly.unit(1, 1),
-        LaurentPoly.unit(-1, 1),
-        LaurentPoly.unit(1, -1),
-        LaurentPoly.unit(-1, -1),
-    ]
-    out = [ONE]
-    for root in roots:
-        out = _poly_mul(out, _linear_factor(root))
-    return out
+    return _euler_factor(
+        [
+            ONE,
+            LaurentPoly.unit(2, 0),
+            LaurentPoly.unit(-2, 0),
+            LaurentPoly.unit(1, 1),
+            LaurentPoly.unit(-1, 1),
+            LaurentPoly.unit(1, -1),
+            LaurentPoly.unit(-1, -1),
+        ]
+    )
 
 
 def sym2_factor() -> list:
     """(1 - T)(1 - a^2 T)(1 - a^-2 T)."""
-    out = [ONE]
-    for root in (ONE, LaurentPoly.unit(2, 0), LaurentPoly.unit(-2, 0)):
-        out = _poly_mul(out, _linear_factor(root))
-    return out
+    return _euler_factor((ONE, LaurentPoly.unit(2, 0), LaurentPoly.unit(-2, 0)))
 
 
 def shifted_pair_factor(shift: int) -> list:
     """(1 - a r^shift T)(1 - a^-1 r^shift T) for shift in {1, -1}."""
-    out = [ONE]
-    for root in (LaurentPoly.unit(1, shift), LaurentPoly.unit(-1, shift)):
-        out = _poly_mul(out, _linear_factor(root))
-    return out
+    return _euler_factor((LaurentPoly.unit(1, shift), LaurentPoly.unit(-1, shift)))
 
 
 def factorization_check() -> bool:

@@ -32,6 +32,7 @@ from .cubic import (
     verify_reduction,
 )
 from .exact import Matrix2
+from .group import ad_weyl_alpha, coad_w, levi_m, levi_m_coords
 from .lfunctions import central_twisted_value
 from .modforms import QExpansion, eigenform, mu_f
 from .shimura import plus_cusp_basis
@@ -122,8 +123,6 @@ class LiftContext:
         """Move a record along m: the index vector becomes
         det(m')^2 rho3(m'^-1) w and the phase picks up
         mu_f(det m')^-1 sgn(det m')^k (trivial sign, k even)."""
-        from .group import ad_weyl_alpha, coad_w, levi_m, levi_m_coords
-
         if m.det() == 0:
             raise ValueError("m must be invertible")
         m_prime = levi_m_coords(ad_weyl_alpha(levi_m(m)))

@@ -1,31 +1,34 @@
 """The Kohnen plus space of weight k + 1/2 on Gamma0(4) and its lift data.
 
-The space lies in the span of the monomials theta * A^(m-j) * F^j with
-A = theta^4 and m = k/2.  Its c(1)-normalized basis is the kernel of
-exact linear algebra: impose c(0) = 0 together with the plus-support
-condition c(n) = 0 for n == 2, 3 (mod 4) up to a bound that is at least
-the Sturm bound (2k + 1)/4 of weight k + 1/2 on Gamma0(4).  Truncation
-commutes with products, so the kernel is solved on monomials built only
-to that bound.  The plus subspace of the full modular space splits as a
-one-dimensional Eisenstein line with nonvanishing constant term plus the
-cusp part, so killing c(0) inside the plus space is exactly cuspidality.
+By Kohnen's isomorphism S+_(k+1/2) = S_2k(SL2(Z)) (W. Kohnen, "Modular
+forms of half-integral weight on Gamma0(4)", Math. Ann. 248, 1980) the
+plus cusp space has dimension d = k // 6 for every even k.  Cohen's
+brackets b_nu = [E_(k-2nu)(4z), theta]_nu, nu = 1 .. d, are plus-space
+cusp forms of weight k + 1/2 (Kohnen-Zagier write the k = 6 form as the
+nu = 1 bracket), and the monomials theta * A^(m-j) * F^j, A = theta^4,
+m = k/2, are a basis of the whole weight k + 1/2 space on Gamma0(4).
 
-At full precision each kernel form is a combination of Cohen's brackets
-[E_(k-2nu)(4z), theta]_nu, which are plus-space cusp forms of the same
-weight (Kohnen-Zagier write the k = 6 form as the nu = 1 bracket).  The
-combination is solved on c(0) .. c(bound); its difference from the
-kernel form is a form of weight k + 1/2 on Gamma0(4) vanishing through
-q^bound, past the Sturm bound, so it is zero and the two agree at every
-precision.  A bracket costs nu + 1 products, so a one-dimensional space
-(k = 6, 8, 10) takes two full-precision products.  The support check
-through full precision and the correspondence checker below certify the
-outcome independently.
+The basis is one exact kernel over the columns [b_1 .. b_d | monomials],
+read on c(0) .. c(bound) with bound at least the Sturm bound (2k + 1)/4.
+A kernel vector v equates -sum v_nu b_nu with a monomial combination
+through q^bound; both are forms of weight k + 1/2 on Gamma0(4), so they
+are equal.  The monomials are independent, so the kernel has dimension
+d; its vectors are all nonzero on the monomials exactly when the
+brackets are independent, and then the brackets span the plus cusp
+space.  Reduced-echelon form frees one monomial column per vector, as a
+kernel of the c(0) and plus-support rows on the monomials alone would,
+so both give the same basis.  Truncation commutes with products, so the
+kernel is solved on series built only to that bound; at full precision a
+bracket costs nu + 1 products, so a one-dimensional space (k = 6, 8, 10)
+takes two full-precision products.  The support check through full
+precision and the correspondence checker below certify the outcome
+independently.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 from typing import List
 
 from .arith import is_fundamental_discriminant, kronecker
@@ -38,12 +41,9 @@ def theta_half(prec: int) -> QExpansion:
         raise PrecisionError("precision must be at least 2")
 
     def build():
-        coeffs = [0] * prec
-        coeffs[0] = 1
-        n = 1
-        while n * n < prec:
+        coeffs = [1] + [0] * (prec - 1)
+        for n in range(1, isqrt(prec - 1) + 1):
             coeffs[n * n] = 2
-            n += 1
         return QExpansion(Fraction(1, 2), 4, coeffs)
 
     return _cached(("theta", prec), build)
@@ -72,19 +72,6 @@ def _powers(x: QExpansion, m: int) -> List[QExpansion]:
     return out
 
 
-def _generators(prec: int, m: int):
-    """theta, A = theta^4 and [F, ..., F^m] at precision prec, cached under
-    keys holding prec so that the kernels of all weights read at one bound
-    share them."""
-    th = theta_half(prec)
-    th2 = _cached(("theta^2", prec), lambda: th * th)
-    a = _cached(("theta^4", prec), lambda: th2 * th2)
-    f_pows = [weight2_F(prec)]
-    for j in range(2, m + 1):
-        f_pows.append(_cached(("F^j", j, prec), lambda: f_pows[-1] * f_pows[0]))
-    return th, a, f_pows
-
-
 def _rational_kernel(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
     """Kernel basis, reduced-echelon convention, exact arithmetic."""
     m = [row[:] for row in rows]
@@ -106,9 +93,8 @@ def _rational_kernel(rows: List[List[Fraction]], ncols: int) -> List[List[Fracti
         r += 1
         if r == nrows:
             break
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
@@ -129,24 +115,6 @@ def _sturm_bound(k: int) -> int:
     """The last coefficient index the kernel reads: at least 32 and twice the
     Sturm bound (2k + 1)/4 of weight k + 1/2 on Gamma0(4), rounded up."""
     return max(32, -(-(2 * k + 1) * 6 // 24) * 2)
-
-
-def _plus_kernel(k: int, bound: int) -> List[QExpansion]:
-    """The kernel forms through q^bound: the monomials theta * A^(m-j) * F^j
-    combined along the kernel of the c(0) and plus-support rows."""
-    m = k // 2  # monomials theta * A^(m-j) * F^j, A = theta^4, 0 <= j <= m
-    # truncation commutes with products, so the kernel read from
-    # c(0) .. c(bound) only needs the monomials at precision bound + 1
-    th, a, f_pows = _generators(bound + 1, m)
-    a_pows = _powers(a, m)
-    mons = [th * a_pows[m - 1]]
-    mons += [th * a_pows[m - j - 1] * f_pows[j - 1] for j in range(1, m)]
-    mons.append(th * f_pows[m - 1])
-    rows = [[g.coeff(0) for g in mons]]
-    for n in range(2, bound + 1):
-        if n % 4 in (2, 3):
-            rows.append([g.coeff(n) for g in mons])
-    return [_combination(mons, v) for v in _rational_kernel(rows, m + 1)]
 
 
 def _bernoulli(n: int) -> Fraction:
@@ -193,23 +161,6 @@ def _bracket(w: int, nu: int, prec: int) -> QExpansion:
     return _combination(terms, _bracket_coefficients(w, nu))
 
 
-def _bracket_coordinates(k: int, forms: List[QExpansion]) -> List[List[Fraction]]:
-    """For each of d forms, known through q^bound, the lam with
-    sum_nu lam_nu [E_(k-2nu)(4z), theta]_nu equal to it there, nu = 1 .. d.
-
-    The kernel of [b_1 .. b_d | f_1 .. f_d] has dimension d exactly when the
-    brackets are independent and span the forms; every kernel vector is
-    then free at one f column, v[d + i] = 1, and f_i = -sum v_nu b_nu.
-    Otherwise ArithmeticError: there is no certified basis to return.
-    """
-    d, nrows = len(forms), forms[0].precision
-    cols = [_bracket(k - 2 * nu, nu, nrows) for nu in range(1, d + 1)] + forms
-    sol = _rational_kernel([[x.coeff(n) for x in cols] for n in range(nrows)], 2 * d)
-    if len(sol) != d:
-        raise ArithmeticError(f"the brackets do not span the plus cusp forms of weight {k} + 1/2")
-    return [[-x for x in v[:d]] for v in sol]
-
-
 def plus_cusp_basis(k: int, prec: int) -> List[QExpansion]:
     """Basis of the weight k + 1/2 plus cusp space on Gamma0(4),
     c(1)-normalized.
@@ -223,11 +174,21 @@ def plus_cusp_basis(k: int, prec: int) -> List[QExpansion]:
         raise PrecisionError("precision below the solvability threshold")
 
     def build():
-        lams = _bracket_coordinates(k, _plus_kernel(k, _sturm_bound(k)))
-        brackets = [_bracket(k - 2 * nu, nu, prec) for nu in range(1, len(lams) + 1)]  # sum(nu + 1) products
+        d, m, nrows = k // 6, k // 2, _sturm_bound(k) + 1  # d = dim S_2k(SL2(Z))
+        # truncation commutes with products, so the kernel read from
+        # c(0) .. c(bound) only needs every column at precision bound + 1
+        th = theta_half(nrows)
+        th2 = th * th
+        tha = [th] + [th * x for x in _powers(th2 * th2, m)]  # theta A^i, i = 0 .. m
+        mons = [tha[m]] + [tha[m - j] * fj for j, fj in enumerate(_powers(weight2_F(nrows), m), 1)]
+        cols = [_bracket(k - 2 * nu, nu, nrows) for nu in range(1, d + 1)] + mons
+        sol = _rational_kernel([[x.coeff(n) for x in cols] for n in range(nrows)], d + m + 1)
+        if len(sol) != d or not all(any(v[d:]) for v in sol):
+            raise ArithmeticError(f"the brackets do not span the plus cusp forms of weight {k} + 1/2")
+        brackets = [_bracket(k - 2 * nu, nu, prec) for nu in range(1, d + 1)]  # sum(nu + 1) products
         out = []
-        for lam in lams:
-            g = _combination(brackets, lam)
+        for v in sol:
+            g = _combination(brackets, [-x for x in v[:d]])
             # plus condition must then hold through full precision
             bad = next((n for n in range(prec) if n % 4 in (2, 3) and g.num[n] != 0), None)
             if bad is not None:

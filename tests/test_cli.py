@@ -33,6 +33,19 @@ def test_verify_structure_deterministic(capsys):
     assert out1 == out2  # bytewise-identical JSON
 
 
+def test_verify_structure_timings(capsys):
+    """--timings adds seconds to every check and a wall_time; the default
+    report has neither."""
+    _, out = run_cli(capsys, "verify-structure", "--samples", "2", "--seed", "5", "--timings")
+    report = json.loads(out)
+    assert report["passed"] and report["wall_time"] >= 0
+    assert all(c["seconds"] >= 0 for c in report["checks"])
+    _, out = run_cli(capsys, "verify-structure", "--samples", "2", "--seed", "5")
+    report = json.loads(out)
+    assert "wall_time" not in report
+    assert not any("seconds" in c for c in report["checks"])
+
+
 def test_verify_structure_injected_failure(capsys):
     code, out = run_cli(capsys, "verify-structure", "--samples", "2", "--seed", "0", "--inject-bad-weyl")
     assert code == 1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from g2lift.arith import InputTooLarge, prime_powers
+from g2lift.arith import InputTooLarge, SquarefreeCofactor, fundamental_discriminant, prime_powers
 from g2lift.cubic import (
     CanonicalReduction,
     CubicFieldOrbitUnsupported,
@@ -322,6 +322,27 @@ def test_nineteen_digit_vectors_answer_or_refuse_within_half_a_second(call):
         assert str(got) == f"Q x Q(sqrt({d0}))"
     else:
         assert got is True
+
+
+def test_squarefree_cofactor_answers_square_class_callers():
+    """A 41-bit cofactor with no prime factor below the trial limit that is
+    neither prime nor a square is two distinct primes: is_maximal and
+    fundamental_discriminant answer, mu_f (which needs the primes) refuses,
+    and a 61-bit semiprime past (TRIAL_LIMIT + 1)^3 is refused as before."""
+    q1, q2 = 1291313, 1504519
+    assert prime_powers_by_trial(q1 * q2) == [(q1, 1), (q2, 1)]
+    ring = CubicRing(883, -739, 372, -3407)
+    assert ring.discriminant == -(11**2) * q1 * q2
+    assert is_maximal(ring) is True and maximal_bruteforce(ring) is True
+    assert fundamental_discriminant(5 * q1 * q2) == 4 * 5 * q1 * q2
+    assert fundamental_discriminant(-(7**2) * q1 * q2) == -q1 * q2
+    from g2lift.modforms import delta, mu_f
+
+    with pytest.raises(InputTooLarge):
+        mu_f(delta(8), F(q1 * q2, 7))
+    with pytest.raises(InputTooLarge) as exc:
+        list(prime_powers(1000000007 * 2147483647))
+    assert not isinstance(exc.value, SquarefreeCofactor)
 
 
 # --- cubic rings -----------------------------------------------------------------

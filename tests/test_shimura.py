@@ -11,9 +11,6 @@ from g2lift.arith import fundamental_discriminant
 from g2lift.modforms import PrecisionError, QExpansion, delta, eigenform
 from g2lift.shimura import (
     _bracket,
-    _bracket_coordinates,
-    _plus_kernel,
-    _sturm_bound,
     is_fundamental_discriminant,
     plus_cusp_basis,
     shimura_lift_check,
@@ -65,15 +62,15 @@ def test_plus_basis_dimensions_higher_weights():
         assert len(plus_cusp_basis(k, 8 * k + 60)) == 1
 
 
-@pytest.mark.parametrize("k", range(6, 21, 2))
+@pytest.mark.parametrize("k", range(6, 31, 2))
 def test_plus_basis_matches_monomial_oracle(k):
-    """Kernel at Sturm precision plus Rankin-Cohen brackets at full precision
-    gives exactly the basis of the independently powered monomials;
-    k = 6..20 spans kernels of dimension 1, 2 and 3."""
+    """One kernel over the Rankin-Cohen brackets and the monomials at Sturm
+    precision, then the brackets at full precision, gives exactly the basis
+    of the independently powered monomials; k = 6..30 spans dimensions 1 to 5."""
     prec = 8 * k + 40
     got = plus_cusp_basis(k, prec)
     want = plus_cusp_basis_monomials(k, prec)
-    assert len(got) == len(want) == (1 if k < 12 else 2 if k < 18 else 3)
+    assert len(got) == len(want) == _dim_cusp_level_one(2 * k)
     for g, h in zip(got, want):
         assert (g.weight, g.level, g.num, g.den) == (h.weight, h.level, h.num, h.den)
 
@@ -96,19 +93,17 @@ def _dim_cusp_level_one(weight):
 
 
 def test_brackets_reach_the_kernel_dimension():
-    """At precision bound + 1 the brackets [E_(k-2nu)(4z), theta]_nu span the
-    plus cusp kernel, of dimension dim S_2k(SL2(Z)), for every even k to 40."""
+    """For every even k to 40 the bracket build returns as many forms as the
+    monomial oracle's kernel holds, a dimension found without Kohnen's k // 6."""
     for k in range(6, 41, 2):
-        forms = _plus_kernel(k, _sturm_bound(k))
-        assert len(forms) == _dim_cusp_level_one(2 * k), k
-        assert len(_bracket_coordinates(k, forms)) == len(forms), k
+        assert len(plus_cusp_basis(k, 8 * k)) == len(plus_cusp_basis_monomials(k, 8 * k)), k
 
 
 @pytest.mark.parametrize("k", [6, 12])
 def test_corrupted_bracket_is_refused(k, monkeypatch):
     """A bracket that is not modular (one binomial coefficient off by one)
-    cannot match the kernel forms through the Sturm bound, so the build
-    raises instead of returning a basis."""
+    cannot match a monomial combination through the Sturm bound, so the
+    build raises instead of returning a basis."""
     from g2lift import shimura
 
     good = shimura._bracket_coefficients
