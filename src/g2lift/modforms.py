@@ -19,13 +19,14 @@ run-to-run spread of the lift's set-up, whose largest series has N = 2000.
 from __future__ import annotations
 
 import decimal
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Sequence
 
-from .arith import prime_powers
+from .arith import InputTooLarge, prime_powers
 from .exact import parse_rational, rat
 
 
@@ -61,8 +62,12 @@ def _convolve_int(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
     P + M * (1 + X + ... + X^(n-1)) + X^m, where |c| <= M and 2M < X, so
     every biased group is in [0, X) and no borrow crosses a group boundary;
     X^m > |P| makes the sum positive without touching the low n groups.
-    Groups wider than ``sys.get_int_max_str_digits()`` digits (4300 by
-    default; about 75 at the CLI's caps) raise ValueError.
+    M = max|a_i| * max|b_j| * min(nonzero count of a, nonzero count of b):
+    each product coefficient sums at most that many nonzero pairs, so a
+    sparse factor such as theta (about sqrt(n) nonzero terms) keeps the
+    groups narrow.  Groups go through ``str``/``int``, so groups wider than
+    ``sys.get_int_max_str_digits()`` digits (4300 by default, 0 for no
+    limit; about 75 at the CLI's caps) raise InputTooLarge before packing.
     """
     square = a is b  # x * x: pack once and square, about half a multiply in libmpdec
     a = a[:n]
@@ -71,8 +76,11 @@ def _convolve_int(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
     mb = max(map(abs, b), default=0)
     if ma == 0 or mb == 0:
         return [0] * n
-    bound = ma * mb * min(len(a), len(b))
+    bound = ma * mb * min(len(a) - a.count(0), len(b) - b.count(0))
     w = (2 * bound).bit_length() * 30103 // 100000 + 1  # 10^w > 2^bits > 2M
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7, with no limit
+    if limit and w > limit:
+        raise InputTooLarge(f"{w}-digit product groups exceed the {limit}-digit int/str conversion limit")
 
     def pack(xs, bias):
         digits = "".join([str(x + bias).zfill(w) for x in reversed(xs)])
@@ -106,12 +114,27 @@ class QExpansion:
             fr = [rat(x) for x in num]
             l = lcm(*(x.denominator for x in fr))
             num, den = [x.numerator * (l // x.denominator) for x in fr], den * l
+        self._canonicalize(self.weight, num, den)
+
+    @classmethod
+    def _raw(cls, weight, level: int, num: Sequence[int], den: int) -> "QExpansion":
+        """Constructor for an int sequence over den != 0, as the arithmetic
+        below produces: it skips the element type check but keeps the
+        canonical form, because a truncated product can share a factor with
+        its denominator (truncation breaks Gauss's lemma)."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "level", level)
+        out._canonicalize(weight, num, den)
+        return out
+
+    def _canonicalize(self, weight, num, den) -> None:
+        """Set weight, num and den with den > 0 and gcd(den, *num) = 1."""
         if den < 0:
             num, den = [-x for x in num], -den
         g = gcd(den, *num)
         if g > 1:
             num, den = [x // g for x in num], den // g
-        object.__setattr__(self, "weight", rat(self.weight))
+        object.__setattr__(self, "weight", rat(weight))
         object.__setattr__(self, "num", tuple(num))
         object.__setattr__(self, "den", den)
 
@@ -130,7 +153,7 @@ class QExpansion:
         l = lcm(self.den, other.den)
         sa, sb = l // self.den, l // other.den
         num = [x * sa + y * sb for x, y in zip(self.num, other.num)]
-        return QExpansion(self.weight, self.level, num, l)
+        return QExpansion._raw(self.weight, self.level, num, l)
 
     def __sub__(self, other: "QExpansion") -> "QExpansion":
         return self + other.scale(-1)
@@ -138,14 +161,14 @@ class QExpansion:
     def scale(self, c) -> "QExpansion":
         c = rat(c)
         num = [c.numerator * x for x in self.num]
-        return QExpansion(self.weight, self.level, num, c.denominator * self.den)
+        return QExpansion._raw(self.weight, self.level, num, c.denominator * self.den)
 
     def __mul__(self, other: "QExpansion") -> "QExpansion":
         if self.level != other.level:
             raise ValueError("level mismatch in multiplication")
         n = min(self.precision, other.precision)
         num = _convolve_int(self.num, other.num, n)
-        return QExpansion(self.weight + other.weight, self.level, num, self.den * other.den)
+        return QExpansion._raw(self.weight + other.weight, self.level, num, self.den * other.den)
 
     def dump(self) -> str:
         """Cache file format: header 'weight level N', then exact rationals."""

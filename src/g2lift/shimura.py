@@ -18,21 +18,22 @@ brackets are independent, and then the brackets span the plus cusp
 space.  Reduced-echelon form frees one monomial column per vector, as a
 kernel of the c(0) and plus-support rows on the monomials alone would,
 so both give the same basis.  Truncation commutes with products, so the
-kernel is solved on series built only to that bound; at full precision a
-bracket costs nu + 1 products, so a one-dimensional space (k = 6, 8, 10)
-takes two full-precision products.  The support check through full
-precision and the correspondence checker below certify the outcome
-independently.
+kernel is solved on series built only to that bound.  At full precision
+N a bracket b_nu costs 2(nu + 1) products of length N/4, one per term and
+residue 0 or 1 mod 4 (E_(k-2nu)(4z) lives on q^(4i), theta on squares),
+so a one-dimensional space (k = 6, 8, 10) takes four.  The support check
+through full precision and the correspondence checker below certify the
+outcome independently.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 from typing import List
 
 from .arith import is_fundamental_discriminant, kronecker
-from .modforms import PrecisionError, QExpansion, _cached, _sigma_list
+from .modforms import PrecisionError, QExpansion, _cached, _convolve_int, _sigma_list
 
 
 def theta_half(prec: int) -> QExpansion:
@@ -136,13 +137,6 @@ def _eisenstein_4z(w: int, prec: int) -> QExpansion:
     return QExpansion(w, 4, num, c.denominator)
 
 
-def _q_derivative(x: QExpansion, r: int) -> QExpansion:
-    """D^r x with D = q d/dq, so c(n) becomes n^r c(n); the weight label rises by 2r."""
-    if r == 0:
-        return x
-    return QExpansion(x.weight + 2 * r, x.level, [n**r * c for n, c in enumerate(x.num)], x.den)
-
-
 def _bracket_coefficients(w: int, nu: int) -> List[Fraction]:
     """(-1)^r C(nu + w - 1, nu - r) C(nu - 1/2, r) for r = 0 .. nu: Cohen's
     bracket of a weight-w form with a weight-1/2 form."""
@@ -154,11 +148,28 @@ def _bracket_coefficients(w: int, nu: int) -> List[Fraction]:
 
 
 def _bracket(w: int, nu: int, prec: int) -> QExpansion:
-    """[E_w(4z), theta]_nu = sum_r c_r D^r[E_w(4z)] D^(nu-r)[theta], a cusp form
-    of weight w + 2 nu + 1/2 on Gamma0(4) in the plus space, in nu + 1 products."""
+    """[E_w(4z), theta]_nu = sum_r c_r D^r[E_w(4z)] D^(nu-r)[theta], D = q d/dq,
+    a cusp form of weight w + 2 nu + 1/2 on Gamma0(4) in the plus space.
+
+    E_w(4z) lives on q^(4i) and theta on q^(j^2), j^2 = 0 or 1 mod 4, so the
+    coefficients at n = eps mod 4 (eps = 0, 1) of a term are the product of
+    (D^r E)[0::4] with (D^(nu-r) theta)[eps::4], and those at 2, 3 mod 4 are
+    zero: 2(nu + 1) products of length about prec/4, over a factor with
+    about sqrt(prec)/2 nonzero terms."""
     e, th = _eisenstein_4z(w, prec), theta_half(prec)
-    terms = [_q_derivative(e, r) * _q_derivative(th, nu - r) for r in range(nu + 1)]
-    return _combination(terms, _bracket_coefficients(w, nu))
+    cs = _bracket_coefficients(w, nu)
+    l = lcm(*(c.denominator for c in cs))
+    pos = (range(0, prec, 4), range(1, prec, 4))
+    acc = [[0] * len(p) for p in pos]
+    for r, c in enumerate(cs):
+        a = c.numerator * (l // c.denominator)
+        de = [(4 * i) ** r * x for i, x in enumerate(e.num[0::4])]
+        for eps, p in enumerate(pos):
+            dth = [a * n ** (nu - r) * x if x else 0 for n, x in zip(p, th.num[eps::4])]
+            acc[eps] = [s + t for s, t in zip(acc[eps], _convolve_int(de, dth, len(p)))]
+    num = [0] * prec
+    num[0::4], num[1::4] = acc
+    return QExpansion._raw(Fraction(2 * (w + 2 * nu) + 1, 2), 4, num, l * e.den * th.den)
 
 
 def plus_cusp_basis(k: int, prec: int) -> List[QExpansion]:
@@ -185,7 +196,7 @@ def plus_cusp_basis(k: int, prec: int) -> List[QExpansion]:
         sol = _rational_kernel([[x.coeff(n) for x in cols] for n in range(nrows)], d + m + 1)
         if len(sol) != d or not all(any(v[d:]) for v in sol):
             raise ArithmeticError(f"the brackets do not span the plus cusp forms of weight {k} + 1/2")
-        brackets = [_bracket(k - 2 * nu, nu, prec) for nu in range(1, d + 1)]  # sum(nu + 1) products
+        brackets = [_bracket(k - 2 * nu, nu, prec) for nu in range(1, d + 1)]  # sum 2(nu + 1) products
         out = []
         for v in sol:
             g = _combination(brackets, [-x for x in v[:d]])

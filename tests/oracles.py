@@ -430,6 +430,25 @@ def plus_cusp_basis_monomials(k, prec):
     return out
 
 
+# --- Rankin-Cohen brackets from whole-series products --------------------------
+
+def bracket_by_products(w, nu, prec):
+    """[E_w(4z), theta]_nu = sum_r c_r D^r[E_w(4z)] D^(nu-r)[theta], D = q d/dq,
+    with every term one product of whole series of length prec."""
+    from g2lift.modforms import QExpansion
+    from g2lift.shimura import _bracket_coefficients, _eisenstein_4z, theta_half
+
+    def q_derivative(x, r):
+        return QExpansion(x.weight + 2 * r, x.level, [n**r * c for n, c in enumerate(x.num)], x.den)
+
+    e, th = _eisenstein_4z(w, prec), theta_half(prec)
+    out = None
+    for r, c in enumerate(_bracket_coefficients(w, nu)):
+        term = (q_derivative(e, r) * q_derivative(th, nu - r)).scale(c)
+        out = term if out is None else out + term
+    return out
+
+
 # --- the discriminant, Hecke operators and plus-form coefficients ------------
 
 def delta_by_eisenstein(prec):

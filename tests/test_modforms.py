@@ -1,10 +1,13 @@
 import hashlib
+import sys
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2lift.arith import InputTooLarge
 from g2lift.modforms import (
     NonRationalEigenspace,
     PrecisionError,
@@ -208,6 +211,20 @@ def test_packed_convolution_matches_naive(rng):
         check(alt, alt)
         assert _convolve_int(alt, alt, 300)[299] == -300 * m * m
     check([1] * 500, [1] * 500)
+    # sparse factors: the bound counts nonzero terms, and a coefficient that
+    # meets all of the sparser factor's terms reaches +-bound exactly
+    for m in (1, 9, 10**6 - 1, 2**64, big):
+        for support in ((0,), (0, 3), (1, 4, 9, 16, 25), tuple(j * j for j in range(12))):
+            sparse = [0] * (support[-1] + 1)
+            for i in support:
+                sparse[i] = m
+            for lb in (support[-1] + 1, 3 * support[-1] + 7):
+                check(sparse, [-m] * lb)
+                check([-m] * lb, sparse)
+                check(sparse + [0] * 40, [m] * lb)
+                n = support[-1] + 1
+                assert _convolve_int(sparse, [-m] * lb, n)[-1] == -len(support) * m * m
+                assert _convolve_int([m] * lb, sparse, n)[-1] == len(support) * m * m
     # n past len(a) + len(b) - 1: the groups past the product read 0
     for a, b in (([3, -1], [2, 5, -7]), ([big], [-big]), ([-1] * 4, [1] * 3), ([big] * 200, [-big] * 300)):
         for n in (len(a) + len(b) - 1, len(a) + len(b), 3 * (len(a) + len(b))):
@@ -228,6 +245,23 @@ def test_packed_convolution_matches_naive(rng):
                 cut = rng.randint(0, lb - 1)
                 b[cut:] = [F(0)] * (lb - cut)
             check(a, b)
+
+
+def test_too_wide_groups_are_refused_or_answered():
+    """Groups wider than the int/str conversion limit are refused with a typed
+    error; with the limit lifted the same product answers."""
+    a = [10**2200, 3]
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)  # the default
+        with pytest.raises(InputTooLarge):
+            _convolve_int(a, a, 2)
+        with pytest.raises(InputTooLarge):
+            _convolve_int(a, list(a), 2)
+        sys.set_int_max_str_digits(0)
+        assert _convolve_int(a, a, 2) == _convolve_int(a, list(a), 2) == [10**4400, 6 * 10**2200]
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 @st.composite
@@ -260,6 +294,32 @@ def test_square_matches_product_of_distinct_copies(x):
     assert (sq.num, sq.den, sq.weight) == (gen.num, gen.den, gen.weight)
 
 
+def _assert_canonical(got, want_coeffs):
+    """got equals what the checking constructor builds from want_coeffs and
+    from got's own coeff(n) reads, with den > 0 and gcd 1."""
+    want = QExpansion(got.weight, got.level, want_coeffs)
+    again = QExpansion(got.weight, got.level, [got.coeff(n) for n in range(got.precision)])
+    assert (got.num, got.den) == (want.num, want.den) == (again.num, again.den)
+    assert got.den > 0 and gcd(got.den, *got.num) == 1
+
+
+@given(
+    _signed_series(),
+    _signed_series(),
+    st.one_of(st.integers(-10**6, 0), st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**6))),
+)
+@settings(max_examples=300, deadline=None)
+def test_trusted_results_match_the_checking_constructor(a, b, c):
+    """Products, sums and scalings skip the element type check; each equals
+    the series the checking constructor builds from coeff(n) reads, with
+    den > 0 and gcd 1 (a truncated product can share a factor with den)."""
+    n = min(a.precision, b.precision)
+    xa, xb = [a.coeff(i) for i in range(a.precision)], [b.coeff(i) for i in range(b.precision)]
+    _assert_canonical(a * b, [sum(xa[i] * xb[k - i] for i in range(k + 1)) for k in range(n)])
+    _assert_canonical(a + b, [xa[i] + xb[i] for i in range(n)])
+    _assert_canonical(a.scale(c), [c * x for x in xa])
+
+
 def _digest(series):
     h = hashlib.sha256()
     for n in range(series.precision):
@@ -287,6 +347,35 @@ def test_series_digests_pinned_at_5000():
     assert _digest(eigenform(16, 5000)) == "21528d26bf347e372d28487b8cfde556bbcac72a2bca6abe545aef8eeffd5dca"
     assert _digest(plus_cusp_basis(6, 5000)[0]) == "9c605d20bea7e2d07b556a3d2318be2abf883e8b06c5ceba129440aa41ae4b7e"
     assert _digest(plus_cusp_basis(8, 5000)[0]) == "d974063bf1ec2b8e1a131d4010d3bae8e3531dd03aa350a1cb3c51dd816b61aa"
+
+
+def test_series_digests_pinned_off_multiples_of_four():
+    """Precisions 1, 2 and 3 mod 4 give the residue classes 0 and 1 mod 4
+    products of different lengths (recorded with whole-series bracket products)."""
+    from g2lift.shimura import plus_cusp_basis
+
+    pins = {
+        (6, 5001): ["1e6a93c00cfdca61ba594b657f29b61f2f5ab883c0859af04ddf4a4cf906f175"],
+        (6, 5002): ["71042729b7a51a1f81ed2d7372ed4e79ba83459accd82fa9b70bb82f113722f6"],
+        (6, 5003): ["43e1c198e90d7e307b55f84403782379916b4c57bebb216fe1ec56b68e2cc34e"],
+        (8, 5001): ["1c81b8c5d105ad4fb55cc45705176f7db4cb8a4ffd96d9789cd7c312cdf13299"],
+        (8, 5002): ["d40d773cae02268f299387d46b47e37b787af4508cbf386bc716e506fc75c627"],
+        (8, 5003): ["c71cf7884e1c13e4ad924515881cf5bd3574833fd6662ab5628262981ad37b15"],
+        (12, 601): [
+            "9cedc50e42963bbd820d522a718813a650672a97208caf39f2fb500855c2284a",
+            "51dff493f7a9dbf444c7684d75e4b2f865571307df66cfb9a0914a1c4f2b572f",
+        ],
+        (12, 602): [
+            "0fedc4f771327ed54d194b3c08b77c3a3e441a944211d15c385c2a0df900ba18",
+            "492dd0b574e35e8de094458b02e4cd0cb0790a3bc4f65e699fcc7d445caf8189",
+        ],
+        (12, 603): [
+            "d97f75866a3f90351dc4e2b7bf887a61bfccdcbe9677030a7762428cba7f870c",
+            "b6a769af7f9075c6b03640beff77085faf4e7f2b8eec64de958f76e40ad7e498",
+        ],
+    }
+    for (k, prec), want in pins.items():
+        assert [_digest(g) for g in plus_cusp_basis(k, prec)] == want, (k, prec)
 
 
 def test_plus_basis_digests_pinned():

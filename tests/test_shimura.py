@@ -18,7 +18,7 @@ from g2lift.shimura import (
     weight2_F,
 )
 
-from oracles import c_coeff, is_fundamental_by_definition, plus_cusp_basis_monomials
+from oracles import bracket_by_products, c_coeff, is_fundamental_by_definition, plus_cusp_basis_monomials
 
 
 def test_theta_coefficients():
@@ -86,6 +86,17 @@ def test_plus6_is_the_kohnen_zagier_bracket():
     assert [b.coeff(n) / b.coeff(1) for n in range(len(KZ_DELTA))] == KZ_DELTA
     g = plus_cusp_basis(6, 200)[0]
     assert [g.coeff(n) for n in range(len(KZ_DELTA))] == KZ_DELTA
+
+
+@pytest.mark.parametrize("k", range(6, 41, 2))
+def test_split_bracket_matches_whole_series_products(k):
+    """The bracket from products of length prec/4 on the residues 0 and 1
+    mod 4 equals the sum of whole-series products, for every nu <= k // 6;
+    precisions 2 .. 9 and 8k .. 8k + 3 give every length of range(eps, prec, 4)."""
+    for nu in range(1, k // 6 + 1):
+        for prec in [*range(2, 10), *range(8 * k, 8 * k + 4)]:
+            got, want = _bracket(k - 2 * nu, nu, prec), bracket_by_products(k - 2 * nu, nu, prec)
+            assert (got.weight, got.level, got.num, got.den) == (want.weight, want.level, want.num, want.den), (nu, prec)
 
 
 def _dim_cusp_level_one(weight):
