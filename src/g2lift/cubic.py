@@ -409,7 +409,8 @@ def _reduce(w) -> Tuple[CanonicalReduction, Optional[int]]:
 
     if w.a2 == 0 and w.a4 == 0 and w.a1 < 0 and w.a3 > 0:
         red = CanonicalReduction(t=w.a1, S=3 * w.a3, m=mat2(1, 0, 0, 1))
-        assert verify_reduction(w, red)
+        if not verify_reduction(w, red):
+            raise AssertionError("reduction failed its 7x7 verification")
         return red, None
 
     steps: list[Matrix2] = []

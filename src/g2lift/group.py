@@ -163,45 +163,70 @@ def _exp_powers(gamma: RootLabel):
 
 
 _EXP_TABLE = {}
+_EXP_TERMS = {}
 _CERTIFIED = False
 
 
 def _exp_table():
     """Power tables for all 12 roots, certified once per process.
 
-    X^3 = 0 for every root, so the entries of exp(u X) are polynomials in u
-    of degree at most 2.  Each entry of exp(u X)^T S exp(u X) - S then has
-    degree at most 4 and the 7x7 determinant det(exp(u X)) - 1 degree at
-    most 14; vanishing at the 15 points u = 1..15 therefore proves both
-    polynomial identities, so later constructions can skip validation.
+    For each root the table must be [X, X^2/2], or [X] when X^2 = 0, with
+    X the root's nilpotent matrix, X^T S + S X = 0 (X lies in the Lie
+    algebra of the form S = GRAM) and X^3 = 0, X integral.  These prove
+    that E(u) = I + u X + u^2 X^2/2 preserves the form with det 1 for
+    every u: E(u) = exp(u X), and (X^T)^k S = S (-X)^k turns
+    E(u)^T S E(u) into S exp(-u X) exp(u X) = S, each power of u
+    cancelling separately; E(u) - I is nilpotent, so det E(u) = 1.
+    Later constructions therefore skip validation.
     """
     global _CERTIFIED
     if not _EXP_TABLE:
         for gamma in ALL_ROOTS:
             _EXP_TABLE[(gamma.name, gamma.positive)] = _exp_powers(gamma)
     if not _CERTIFIED:
+        terms = {}
         for gamma in ALL_ROOTS:
-            for u in range(1, 16):
-                mat = _exp_eval(gamma, Fraction(u))
-                if not preserves_form(mat):
-                    raise AssertionError(f"generator table corrupt at {gamma}")
+            key = (gamma.name, gamma.positive)
+            x = nilpotent_matrix(gamma)
+            x2 = x * x
+            expected = [x] if x2.is_zero() else [x, x2.scale(Fraction(1, 2))]
+            if (
+                _EXP_TABLE[key] != expected
+                or x.den != 1
+                or not (x.transpose() * GRAM + GRAM * x).is_zero()
+                or not (x2 * x).is_zero()
+            ):
+                raise AssertionError(f"generator table corrupt at {gamma}")
+            # entry (i, j) of 2 q^2 E(p/q) is 2 q^2 [i == j] + 2 p q X_ij + p^2 (X^2)_ij
+            terms[key] = [
+                [(j, x.num[i][j], x2.num[i][j]) for j in range(7) if x.num[i][j] or x2.num[i][j]]
+                for i in range(7)
+            ]
+        _EXP_TERMS.update(terms)
         _CERTIFIED = True
     return _EXP_TABLE
 
 
 def _exp_eval(gamma: RootLabel, u: Fraction) -> Matrix7:
-    out = Matrix7.identity()
-    uk = Fraction(1)
-    for power in _EXP_TABLE[(gamma.name, gamma.positive)]:
-        uk *= u
-        out = out + power.scale(uk)
-    return out
+    """I + u X + u^2 X^2/2 for u = p/q, as one integer grid over 2 q^2."""
+    p, q = u.numerator, u.denominator
+    d = 2 * q * q
+    a, b = 2 * p * q, p * p
+    grid = []
+    for i, row_terms in enumerate(_EXP_TERMS[(gamma.name, gamma.positive)]):
+        row = [0] * 7
+        row[i] = d
+        for j, x, x2 in row_terms:
+            row[j] += a * x + b * x2
+        grid.append(row)
+    return Matrix7._raw(grid, d)
 
 
 def root_generator(gamma: RootLabel, u) -> GroupElement:
     """x_gamma(u) = exp(u X_gamma); the series cuts off by nilpotency."""
     u = rat(u)
-    _exp_table()
+    if not _CERTIFIED:
+        _exp_table()
     return GroupElement._trusted(_exp_eval(gamma, u))
 
 

@@ -621,3 +621,34 @@ def root_coords(label):
     """The (m, n) of a RootLabel gamma = m*alpha + n*beta."""
     m, n = ROOT_COORDS[label.name]
     return (m, n) if label.positive else (-m, -n)
+
+
+# --- root generators as a sum over the power table ----------------------------
+
+def exp_by_table_sum(powers, u):
+    """I + sum_k u^k (X^k / k!) over a power table [X, X^2/2, ...], one
+    Matrix7 addition per term: the construction the closed-form integer
+    grid of ``group._exp_eval`` replaced."""
+    from g2lift.exact import Matrix7
+
+    out = Matrix7.identity()
+    uk = Fraction(1)
+    for power in powers:
+        uk *= u
+        out = out + power.scale(uk)
+    return out
+
+
+def certify_by_sampling(table):
+    """The sampled certificate the Lie-algebra identities replaced: the
+    entries of exp(uX) are polynomials of degree at most 2 in u, so each
+    entry of exp(uX)^T S exp(uX) - S has degree at most 4 and
+    det exp(uX) - 1 degree at most 14; vanishing at u = 1..15 proves both.
+    Returns the keys whose table fails."""
+    from g2lift.exact import preserves_form
+
+    return [
+        key
+        for key, powers in table.items()
+        if not all(preserves_form(exp_by_table_sum(powers, Fraction(u))) for u in range(1, 16))
+    ]

@@ -590,3 +590,36 @@ def test_verify_reduction_rejects_wrong_m():
     red = reduce_to_canonical(w)
     wrong = CanonicalReduction(t=red.t, S=red.S, m=red.m * mat2(1, 1, 0, 1))
     assert not verify_reduction(w, wrong)
+
+
+def test_failed_verification_is_refused_under_optimize():
+    """`python -O` strips assert statements; a reduction whose 7x7 check
+    fails must still be refused, on the in-shape path and the general one."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import g2lift
+
+    code = (
+        "from fractions import Fraction as F\n"
+        "import g2lift.cubic as cubic\n"
+        "cubic.verify_reduction = lambda w, red: False\n"
+        "for w in ((-5, 0, F(1, 3), 0), (-5, 10, F(-59, 3), 38)):\n"
+        "    try:\n"
+        "        cubic.reduce_to_canonical(w)\n"
+        "        print('returned')\n"
+        "    except AssertionError as e:\n"
+        "        print('refused:', e)\n"
+        "print(__debug__)\n"
+    )
+    src = str(Path(g2lift.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, check=True, env={"PYTHONPATH": src},
+    )
+    assert out.stdout.splitlines() == [
+        "refused: reduction failed its 7x7 verification",
+        "refused: reduction failed its 7x7 verification",
+        "False",
+    ]

@@ -33,7 +33,7 @@ from g2lift.group import (
 )
 
 from conftest import rand_mat2, rand_rat
-from oracles import rho3_oracle, root_coords
+from oracles import certify_by_sampling, exp_by_table_sum, rho3_oracle, root_coords
 
 rat_st = st.fractions(min_value=-30, max_value=30, max_denominator=9)
 vec_st = st.tuples(rat_st, rat_st, rat_st, rat_st)
@@ -316,3 +316,87 @@ def test_z_coord_is_center_slice():
 def test_group_element_dump():
     text = identity().dump()
     assert text.splitlines()[0].split() == ["1", "0", "0", "0", "0", "0", "0"]
+
+
+# --- the closed-form generator grid and its certificate -------------------------
+
+def _key(gamma):
+    return (gamma.name, gamma.positive)
+
+
+def test_root_generator_matches_table_sum():
+    """The one-grid construction equals identity + sum of table terms, entry
+    for entry (so also in its canonical num/den), at the edge values and at
+    random p/q with |p|, q up to 10^6."""
+    import random
+
+    from g2lift.group import _exp_table
+
+    table = _exp_table()
+    r = random.Random(20261018)
+    us = [F(0), F(1), F(-1), F(15)]
+    us += [F(r.randint(-10**6, 10**6), r.randint(1, 10**6)) for _ in range(50)]
+    for gamma in ALL_ROOTS:
+        for u in us:
+            got = root_generator(gamma, u).matrix
+            want = exp_by_table_sum(table[_key(gamma)], u)
+            assert (got.num, got.den) == (want.num, want.den), (gamma, u)
+
+
+def test_sampled_certificate_holds_on_shipped_table():
+    from g2lift.group import _exp_table
+
+    assert certify_by_sampling(_exp_table()) == []
+
+
+def _corrupted_copies(table):
+    """(gamma, copy) pairs: one nonzero entry of X, and of X^2/2 where the
+    table has it, moved by 1."""
+    for gamma in ALL_ROOTS:
+        powers = table[_key(gamma)]
+        for k, power in enumerate(powers):
+            i, j = next((i, j) for i in range(7) for j in range(7) if power[i, j] != 0)
+            rows = [list(r) for r in power.rows]
+            rows[i][j] += 1
+            bad = dict(table)
+            bad[_key(gamma)] = powers[:k] + [Matrix7(rows)] + powers[k + 1:]
+            yield gamma, bad
+
+
+def test_corrupted_table_is_refused():
+    import g2lift.group as group
+
+    group._exp_table()
+    saved_table, saved_flag = group._EXP_TABLE, group._CERTIFIED
+    copies = list(_corrupted_copies(saved_table))
+    assert len(copies) == 12 + 6  # six roots have X^2 != 0
+    try:
+        for gamma, bad in copies:
+            group._EXP_TABLE, group._CERTIFIED = bad, False
+            with pytest.raises(AssertionError, match="generator table corrupt"):
+                group._exp_table()
+            # the sampled certificate also sees every one of these copies
+            key = _key(gamma)
+            assert certify_by_sampling({key: bad[key]}) == [key]
+    finally:
+        group._EXP_TABLE, group._CERTIFIED = saved_table, saved_flag
+    assert root_generator(RootLabel("a"), 3) == root_generator(RootLabel("a"), 1) ** 3
+
+
+def test_root_outside_the_lie_algebra_is_refused(monkeypatch):
+    """A wrong root matrix builds a self-consistent table; the Lie-algebra
+    identity X^T S + S X = 0 is what refuses it."""
+    import g2lift.group as group
+
+    group._exp_table()
+    saved_table, saved_flag = group._EXP_TABLE, group._CERTIFIED
+    key = ("a+b", True)
+    bad = dict(group._NILPOTENT[key])
+    bad[(0, 3)] += 1
+    monkeypatch.setitem(group._NILPOTENT, key, bad)
+    try:
+        group._EXP_TABLE, group._CERTIFIED = {}, False
+        with pytest.raises(AssertionError, match="generator table corrupt at a\\+b"):
+            group._exp_table()
+    finally:
+        group._EXP_TABLE, group._CERTIFIED = saved_table, saved_flag
