@@ -194,6 +194,8 @@ def cmd_gross(args) -> int:
         raise ValueError("spread-tol must be finite")
     ctx = _lift_context(args)
     discs = sorted(int(d) for d in args.discs.split(","))
+    if len(set(discs)) < len(discs):  # a repeat is one point counted twice
+        raise ValueError("repeated discriminant in --discs")
     t0 = time.perf_counter()
     rows = []
     ratios = []

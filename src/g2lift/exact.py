@@ -1,11 +1,11 @@
-"""Exact rational matrix kernel: dense 7x7 and 2x2 matrices over Q.
+"""Exact rational matrix kernel: dense 7x7, 5x5 and 2x2 matrices over Q.
 
 Matrices store an integer entry grid over a single positive denominator,
 canonicalized so the gcd of all entries with the denominator is 1; exact
 equality is then tuple equality and products need one gcd pass instead of
 one per entry.  Scalars in and out are ``fractions.Fraction`` (always
-reduced, positive denominator).  Determinants use fraction-free Bareiss
-elimination directly on the integer grid.
+reduced, positive denominator).  The one elimination is a fraction-free
+(Bareiss) echelon of integer rows, behind ``det`` and ``kernel``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,49 @@ def parse_rational(text: str) -> Fraction:
     if "e" in text or "E" in text:
         raise ValueError(f"exponent form not accepted: {text!r}")
     return Fraction(text)
+
+
+def echelon(m: list, ncols: int) -> tuple:
+    """Fraction-free forward elimination (Bareiss, Math. Comp. 22, 1968) of
+    the integer rows m in place, skipping columns with no pivot.  Returns the
+    pivot columns and the sign of the row permutation P; row i then starts at
+    pivots[i] with the minor of P m on rows 0 .. i and pivots[:i + 1]."""
+    pivots, sign, prev = [], 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        if m[r][c] == 0:
+            for i in range(r + 1, len(m)):
+                if m[i][c]:
+                    m[r], m[i] = m[i], m[r]
+                    sign = -sign
+                    break
+            else:
+                continue
+        pr = m[r]
+        p = pr[c]
+        for row in m[r + 1:]:
+            a = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = (row[j] * p - a * pr[j]) // prev
+            row[c] = 0
+        pivots.append(c)
+        prev = p
+    return pivots, sign
+
+
+def kernel(m: list, ncols: int) -> list:
+    """Integer kernel basis of the rows m (eliminated in place): per column
+    f with no pivot, the vector zero on the others and equal at f to the
+    last pivot, which makes back substitution exact (Cramer's rule)."""
+    pivots, _ = echelon(m, ncols)
+    d = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+    out = [[d if c == f else 0 for c in range(ncols)] for f in range(ncols) if f not in pivots]
+    for w in out:
+        for row, c in zip(m[len(pivots) - 1::-1], reversed(pivots)):
+            w[c] = -sum(x * y for x, y in zip(row[c + 1:], w[c + 1:])) // row[c]
+    return out
 
 
 class _MatrixBase:
@@ -158,26 +201,10 @@ class _MatrixBase:
         return cls(rows)
 
     def det(self) -> Fraction:
-        """Determinant by Bareiss elimination on the integer grid."""
-        n = self.SIZE
+        """Determinant: the echelon's last pivot (its last row is zero if singular)."""
         m = [list(r) for r in self.num]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return Fraction(0)
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return Fraction(sign * m[n - 1][n - 1], self.den**n)
+        sign = echelon(m, self.SIZE)[1]
+        return Fraction(sign * m[-1][-1], self.den**self.SIZE)
 
     def __repr__(self):
         body = "\n".join("[" + "  ".join(str(x) for x in r) + "]" for r in self.rows)

@@ -15,15 +15,15 @@ through q^bound; both are forms of weight k + 1/2 on Gamma0(4), so they
 are equal.  The monomials are independent, so the kernel has dimension
 d; its vectors are all nonzero on the monomials exactly when the
 brackets are independent, and then the brackets span the plus cusp
-space.  Reduced-echelon form frees one monomial column per vector, as a
-kernel of the c(0) and plus-support rows on the monomials alone would,
-so both give the same basis.  Truncation commutes with products, so the
-kernel is solved on series built only to that bound.  At full precision
-N a bracket b_nu costs 2(nu + 1) products of length N/4, one per term and
-residue 0 or 1 mod 4 (E_(k-2nu)(4z) lives on q^(4i), theta on squares),
-so a one-dimensional space (k = 6, 8, 10) takes four.  The support check
-through full precision and the correspondence checker below certify the
-outcome independently.
+space.  Each kernel vector frees one monomial column, as a kernel of the
+c(0) and plus-support rows on the monomials alone would, so both give the
+same basis.  The kernel is solved on the columns' integer numerators, on
+series built only to that bound, as truncation commutes with products.
+At full precision N a bracket b_nu costs 2(nu + 1) products of length
+N/4, one per term and residue 0 or 1 mod 4 (E_(k-2nu)(4z) lives on
+q^(4i), theta on squares), so a one-dimensional space (k = 6, 8, 10)
+takes four.  The support check through full precision and the
+correspondence checker below certify the outcome independently.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from math import comb, isqrt, lcm
 from typing import List
 
 from .arith import is_fundamental_discriminant, kronecker
+from .exact import kernel
 from .modforms import PrecisionError, QExpansion, _cached, _convolve_int, _sigma_list
 
 
@@ -71,37 +72,6 @@ def _powers(x: QExpansion, m: int) -> List[QExpansion]:
     for _ in range(m - 1):
         out.append(out[-1] * x)
     return out
-
-
-def _rational_kernel(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
-    """Kernel basis, reduced-echelon convention, exact arithmetic."""
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(v)
-    return basis
 
 
 def _combination(series: List[QExpansion], coeffs: List[Fraction]) -> QExpansion:
@@ -193,13 +163,13 @@ def plus_cusp_basis(k: int, prec: int) -> List[QExpansion]:
         tha = [th] + [th * x for x in _powers(th2 * th2, m)]  # theta A^i, i = 0 .. m
         mons = [tha[m]] + [tha[m - j] * fj for j, fj in enumerate(_powers(weight2_F(nrows), m), 1)]
         cols = [_bracket(k - 2 * nu, nu, nrows) for nu in range(1, d + 1)] + mons
-        sol = _rational_kernel([[x.coeff(n) for x in cols] for n in range(nrows)], d + m + 1)
-        if len(sol) != d or not all(any(v[d:]) for v in sol):
+        sol = kernel([[x.num[n] for x in cols] for n in range(nrows)], d + m + 1)
+        if len(sol) != d or not all(any(w[d:]) for w in sol):
             raise ArithmeticError(f"the brackets do not span the plus cusp forms of weight {k} + 1/2")
         brackets = [_bracket(k - 2 * nu, nu, prec) for nu in range(1, d + 1)]  # sum 2(nu + 1) products
         out = []
-        for v in sol:
-            g = _combination(brackets, [-x for x in v[:d]])
+        for w in sol:
+            g = _combination(brackets, [-c * x.den for c, x in zip(w, cols[:d])])  # v_c = w_c den_c
             # plus condition must then hold through full precision
             bad = next((n for n in range(prec) if n % 4 in (2, 3) and g.num[n] != 0), None)
             if bad is not None:

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths it checks: symbolic
 substitution instead of coefficient formulas, cofactor expansion instead
 of Bareiss, superring enumeration instead of local criteria, character
-arithmetic instead of the closed plethysm formula.
+arithmetic instead of the closed plethysm formula.  The plus-space kernel
+is checked against a Gauss-Jordan elimination in Fraction arithmetic
+(``rational_kernel``) instead of the integer Bareiss echelon.
 """
 
 from __future__ import annotations
@@ -405,11 +407,45 @@ def _series_pow(x, k):
     return out
 
 
+def rational_kernel(rows, ncols):
+    """Kernel basis of the rows by Gauss-Jordan elimination in Fraction
+    arithmetic: per column with no pivot, the reduced-echelon vector that
+    is 1 there and 0 on the other such columns."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -m[i][fc]
+        basis.append(v)
+    return basis
+
+
 def plus_cusp_basis_monomials(k, prec):
     """The plus cusp basis built from the monomials theta^(2k+1-4j) F^j,
     each powered independently at full precision, and combined linearly
-    along the kernel of the c(0) and plus-support rows; c(1)-normalized."""
-    from g2lift.shimura import _rational_kernel, theta_half, weight2_F
+    along the Gauss-Jordan kernel of the c(0) and plus-support rows;
+    c(1)-normalized."""
+    from g2lift.shimura import theta_half, weight2_F
 
     th, ff = theta_half(prec), weight2_F(prec)
     mons = []
@@ -420,7 +456,7 @@ def plus_cusp_basis_monomials(k, prec):
     rows = [[g.coeff(0) for g in mons]]
     rows += [[g.coeff(n) for g in mons] for n in range(2, bound + 1) if n % 4 in (2, 3)]
     out = []
-    for v in _rational_kernel(rows, len(mons)):
+    for v in rational_kernel(rows, len(mons)):
         g = mons[0].scale(v[0])
         for j in range(1, len(mons)):
             g = g + mons[j].scale(v[j])

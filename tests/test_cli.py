@@ -257,6 +257,14 @@ def test_gross_bad_disc_is_usage_error(capsys, discs):
     assert json.loads(out)["error"] == "BAD_INPUT"
 
 
+def test_gross_repeated_disc_is_usage_error(capsys):
+    """One discriminant given twice is one point, not a spread of 0 from two."""
+    code, out = run_cli(capsys, "gross", "--form", "delta", "--discs", "5,5",
+                        "--tol", "1e-8", "--prec", "900", "--prec-half", "100")
+    assert code == 2
+    assert_refused(out, "BAD_INPUT")
+
+
 def test_gross_too_few_points_inconclusive(capsys):
     code, out = run_cli(capsys, "gross", "--form", "delta", "--discs", "5",
                         "--tol", "1e-8", "--prec", "900", "--prec-half", "100")

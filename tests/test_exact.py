@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2lift.exact import GRAM, GRAM_INV, Matrix2, Matrix7, mat2, preserves_form
+from g2lift.exact import GRAM, GRAM_INV, Matrix2, Matrix5, Matrix7, echelon, kernel, mat2, preserves_form
 
 from conftest import rand_rat
-from oracles import det_cofactor
+from oracles import det_cofactor, rational_kernel
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12
@@ -42,10 +42,71 @@ def test_mat_mul_associative(rng):
         assert (a * b) * c == a * (b * c)
 
 
+def _inversions(perm):
+    return sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+
+
 def test_det_matches_cofactor_oracle(rng):
-    for _ in range(8):
-        m = rand_matrix7(rng)
+    grids = [rand_matrix7(rng) for _ in range(8)]
+    grids += [Matrix5([[rand_rat(rng, 40) for _ in range(5)] for _ in range(5)]) for _ in range(8)]
+    # row permutations of triangular grids: zero leading entries force swaps
+    for cls in (Matrix5, Matrix7):
+        n = cls.SIZE
+        for _ in range(4):
+            upper = [[rand_rat(rng, 40) if j >= i else 0 for j in range(n)] for i in range(n)]
+            perm = rng.sample(range(n), n)
+            for p in (perm, [perm[1], perm[0]] + perm[2:]):  # one odd, one even
+                m = cls([upper[i] for i in p])
+                assert m.det() == (-1) ** _inversions(p) * cls(upper).det()
+                grids.append(m)
+    # singular with its zero column in the middle, so later columns still have pivots
+    grids.append(Matrix7([[0 if j == 3 else rand_rat(rng, 40) for j in range(7)] for _ in range(7)]))
+    for m in grids:
         assert m.det() == det_cofactor([list(r) for r in m.rows])
+    assert grids[-1].det() == 0
+
+
+@st.composite
+def integer_rows(draw):
+    """1 to 12 rows and columns, square about half the time, some rows and
+    columns replaced by a combination a x + b y of two others: repeated
+    (a, b = 1, 0), combined or zero (a = b = 0)."""
+    nrows = draw(st.integers(1, 12))
+    ncols = draw(st.one_of(st.just(nrows), st.integers(1, 12)))
+    small = st.integers(-3, 3)
+    row = st.lists(st.integers(-5, 5), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j, t = (draw(st.integers(0, nrows - 1)) for _ in range(3))
+        a, b = draw(small), draw(small)
+        rows[t] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j, t = (draw(st.integers(0, ncols - 1)) for _ in range(3))
+        a, b = draw(small), draw(small)
+        for r in rows:
+            r[t] = a * r[i] + b * r[j]
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_rows())
+def test_echelon_and_kernel_match_gauss_jordan(case):
+    rows, ncols = case
+    want = rational_kernel(rows, ncols)
+    m = [list(r) for r in rows]
+    pivots, sign = echelon(m, ncols)
+    assert len(pivots) == ncols - len(want)  # the same rank
+    # a Gauss-Jordan kernel vector's last nonzero entry is its free column
+    free = [max(i for i, x in enumerate(v) if x) for v in want]
+    assert pivots == [c for c in range(ncols) if c not in free]
+    for i, r in enumerate(m):
+        assert next((j for j, x in enumerate(r) if x), None) == (pivots[i] if i < len(pivots) else None)
+    if len(rows) == ncols <= 6:
+        assert sign * m[-1][-1] == det_cofactor(rows)
+    got = kernel([list(r) for r in rows], ncols)
+    assert len(got) == len(want)
+    for w, v, f in zip(got, want, free):  # v[f] = 1, so w = w[f] v
+        assert w[f] != 0 and w == [w[f] * x for x in v]
 
 
 def test_det_singular():

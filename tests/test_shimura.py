@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -108,6 +109,17 @@ def test_brackets_reach_the_kernel_dimension():
     monomial oracle's kernel holds, a dimension found without Kohnen's k // 6."""
     for k in range(6, 41, 2):
         assert len(plus_cusp_basis(k, 8 * k)) == len(plus_cusp_basis_monomials(k, 8 * k)), k
+
+
+def test_plus_basis_digest_pinned_k6_to_40():
+    """One sha256 over every basis vector (weight, level, num, den) for even
+    k = 6 .. 40 at precision 8k, recorded from the Fraction Gauss-Jordan
+    kernel that the integer Bareiss kernel replaced."""
+    h = hashlib.sha256()
+    for k in range(6, 41, 2):
+        for g in plus_cusp_basis(k, 8 * k):
+            h.update(repr((g.weight, g.level, g.num, g.den)).encode())
+    assert h.hexdigest() == "1b7c09569e9478df06abfd8a54569032ee4d21ff3ec213ca9c8f05e0d6ec2c56"
 
 
 @pytest.mark.parametrize("k", [6, 12])
