@@ -688,3 +688,18 @@ def certify_by_sampling(table):
         for key, powers in table.items()
         if not all(preserves_form(exp_by_table_sum(powers, Fraction(u))) for u in range(1, 16))
     ]
+
+
+# --- the second parabolic's unipotent radical as a product of generators -------
+
+def u_coord_by_products(a1, a2, a3, a4, z):
+    """u(a1, a2, a3, a4, z) = x_a(a1) x_{a+b}(a2) x_{2a+b}(a3) x_{3a+b}(a4)
+    x_{3a+2b}(z), four 7x7 products of root generators: the construction the
+    expanded monomial table of ``group.u_coord`` replaced."""
+    from g2lift.group import RootLabel, root_generator
+
+    out = None
+    for name, x in zip(("a", "a+b", "2a+b", "3a+b", "3a+2b"), (a1, a2, a3, a4, z)):
+        g = root_generator(RootLabel(name), x)
+        out = g if out is None else out * g
+    return out

@@ -303,6 +303,12 @@ def test_outputs_validate_against_shipped_schemas(capsys, tmp_path):
     jsonschema.validate(json.loads(out), load("error.schema.json"))
 
 
+def test_show_singular_levi_is_a_bad_word(capsys):
+    code, out = run_cli(capsys, "show", "l:1,2,2,4")
+    assert code == 2
+    assert json.loads(out)["error"] == "BAD_WORD"
+
+
 def test_show_iota_token(capsys):
     code, out = run_cli(capsys, "show", "iota")
     assert code == 0

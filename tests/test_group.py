@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2lift.exact import Matrix7, mat2
+from g2lift.exact import Matrix7, mat2, preserves_form
 from g2lift.group import (
     ALL_ROOTS,
     RootLabel,
@@ -33,7 +33,13 @@ from g2lift.group import (
 )
 
 from conftest import rand_mat2, rand_rat
-from oracles import certify_by_sampling, exp_by_table_sum, rho3_oracle, root_coords
+from oracles import (
+    certify_by_sampling,
+    exp_by_table_sum,
+    rho3_oracle,
+    root_coords,
+    u_coord_by_products,
+)
 
 rat_st = st.fractions(min_value=-30, max_value=30, max_denominator=9)
 vec_st = st.tuples(rat_st, rat_st, rat_st, rat_st)
@@ -156,6 +162,8 @@ def test_levi_maps_reject_singular():
         levi_m(mat2(1, 2, 2, 4))
     with pytest.raises(ValueError):
         levi_l(mat2(0, 0, 0, 1))
+    with pytest.raises(ValueError):
+        levi_l(mat2(1, 2, 2, 4))
 
 
 def test_levi_m_identity_and_coords(rng):
@@ -400,3 +408,84 @@ def test_root_outside_the_lie_algebra_is_refused(monkeypatch):
             group._exp_table()
     finally:
         group._EXP_TABLE, group._CERTIFIED = saved_table, saved_flag
+
+
+# --- the second parabolic Q = L U ----------------------------------------------
+
+def _q_side_inputs(n=200):
+    """Seeded (u coordinates, Levi parameter) pairs: zero coordinates, both
+    signs, small values and |p|, q up to 10^6; A invertible."""
+    import random
+
+    r = random.Random(20261019)
+
+    def coord():
+        kind = r.randrange(5)
+        if kind == 0:
+            return F(0)
+        if kind == 1:
+            return F(r.randint(-9, 9), r.randint(1, 9))
+        return F(r.randint(-10**6, 10**6), r.randint(1, 10**6))
+
+    out = []
+    while len(out) < n:
+        v = [coord() for _ in range(5)]
+        A = mat2(*(coord() for _ in range(4)))
+        if A.det() != 0:
+            out.append((v, A))
+    return out
+
+
+def test_q_side_values_are_pinned():
+    """One sha256 over (num, den) of u, z, u~1, l and iota on seeded inputs,
+    recorded from the product-of-generators construction."""
+    import hashlib
+
+    h = hashlib.sha256()
+
+    def feed(g):
+        h.update(repr((g.matrix.num, g.matrix.den)).encode())
+
+    for v, A in _q_side_inputs():
+        feed(u_coord(*v))
+        feed(z_coord(v[3], v[4]))
+        feed(u_tilde1(*v[:3]))
+        feed(levi_l(A))
+    feed(iota())
+    assert h.hexdigest() == "557d4a4c705043fc1c8fca3ae23e3575113b0cc4da023b25e259ec7540941a9f"
+
+
+def test_u_coord_table_matches_generator_products():
+    """The expanded table equals the product of root generators in its
+    canonical (num, den), on the pinned inputs and the edge values."""
+    cases = [v for v, _ in _q_side_inputs()]
+    cases += [[F(0)] * 5, [F(1)] * 5, [F(-1), F(0), F(1), F(0), F(-1)]]
+    for v in cases:
+        got, want = u_coord(*v).matrix, u_coord_by_products(*v).matrix
+        assert (got.num, got.den) == (want.num, want.den), v
+
+
+big_rat_st = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+mat2_st = st.tuples(big_rat_st, big_rat_st, big_rat_st, big_rat_st).map(lambda t: mat2(*t)).filter(
+    lambda A: A.det() != 0
+)
+
+
+@given(A=mat2_st)
+@settings(max_examples=60, deadline=None)
+def test_levi_l_preserves_the_form(A):
+    assert preserves_form(levi_l(A).matrix)
+
+
+@given(A=mat2_st, B=mat2_st)
+@settings(max_examples=60, deadline=None)
+def test_levi_l_is_a_homomorphism(A, B):
+    assert levi_l(A) * levi_l(B) == levi_l(A * B)
+    assert levi_l(A).inverse() == levi_l(A.inverse())
+
+
+def test_levi_l_negative_determinant_and_large_denominators():
+    for A in (mat2(0, 1, 1, 0), mat2(F(-999999, 1000000), F(3, 7), F(5, 999983), F(1, 999999))):
+        assert A.det() < 0
+        assert preserves_form(levi_l(A).matrix)
+        assert levi_l(A) * levi_l(A.inverse()) == identity()
