@@ -48,7 +48,7 @@ FORMS = {"delta": 12, "eigen12": 12, "eigen16": 16, "eigen18": 18, "eigen20": 20
 # cold call at each cap (Python 3.11.7, 2-vCPU Xeon):
 MAX_PREC = 20000  # --prec, --prec-half, mf dump --prec: mf dump --series plus20, 1.2 s
 MAX_PLUS_K = 20  # k of mf dump --series plusK: the same 3.0 s (nine bracket products)
-MAX_SAMPLES = 1000  # verify-structure --samples: 28 s cold
+MAX_SAMPLES = 1000  # verify-structure --samples: 20 s cold
 MAX_KTYPES_N = 10000  # ktypes --n: 0.2 s
 CAPS = {"prec": MAX_PREC, "prec_half": MAX_PREC, "samples": MAX_SAMPLES, "n": MAX_KTYPES_N}
 

@@ -8,11 +8,12 @@ second parabolic's coordinates u(a, z), and the two GL2 Levi embeddings
 m(A) and l(A).
 
 Closed forms certified once.  ``_exp_table`` certifies the 12 generator
-tables [X, X^2/2] by Lie-algebra identities, and x_gamma(u) is then one
-integer grid.  ``_u_table`` expands the product x_a x_{a+b} x_{2a+b} x_{3a+b}
-x_{3a+2b} of those certified rows exactly, once per process, into a sparse
-table of integer monomials in the (q^2, p q, p^2) of each coordinate p/q,
-so u(a, z) equals the generator product for every argument and is one grid.
+tables [X, X^2/2] by Lie-algebra identities.  ``_word_table`` expands a
+fixed word in root generators over those certified rows exactly, once per
+process, into a sparse table of integer monomials in the (q^2, p q, p^2) of
+each argument p/q, so the word equals the generator product for every
+argument.  x_gamma(u), w_gamma(t), n(a, t) and u(a, z) are words of one,
+three and five letters, each evaluated as one integer grid.
 
 Coordinate conventions on the 4-dimensional quotient W:
 
@@ -29,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
+from operator import getitem
 
 from .exact import GRAM, GRAM_INV, Matrix2, Matrix7, mat2, preserves_form, rat
 
@@ -214,27 +217,81 @@ def _exp_table():
     return _EXP_TABLE
 
 
-def _exp_eval(gamma: RootLabel, u: Fraction) -> Matrix7:
-    """I + u X + u^2 X^2/2 for u = p/q, as one integer grid over 2 q^2."""
-    p, q = u.numerator, u.denominator
-    d = 2 * q * q
-    a, b = 2 * p * q, p * p
+_WORD_TABLES = {}
+
+
+def _word_table(word):
+    """The entries of a word x_{g_1}(a_1) ... x_{g_n}(a_n) in root generators
+    as sparse integer polynomials, expanded once per process from the
+    certified generator rows.
+
+    A word is a tuple of (root name, sign) keys of ``_EXP_TERMS``.  With
+    a_k = p_k/q_k, each factor x_{g_k}(a_k) is 2 q_k^2 E_k(p_k/q_k) / (2 q_k^2)
+    and 2 q^2 E(p/q) = q^2 (2 I) + p q (2 X) + p^2 X^2.  The exact product of
+    these n coefficient-matrix sums is 2^n prod q_k^2 times the word; its
+    entry (i, j) is a sum over exponent vectors c in {0, 1, 2}^n of an integer
+    times the monomial prod_k (q_k^2, p_k q_k, p_k^2)[c_k].  Expanding it is
+    exact polynomial arithmetic over the certified rows, so the table is the
+    product of root generators for every argument: no sampling and no
+    separate certificate.  The table is (monomials, terms): the distinct
+    exponent vectors, and per row the (column, [(integer, monomial index)])
+    of each nonzero entry.  Only the fixed words of this module are keys.
+    """
+    if not _CERTIFIED:
+        _exp_table()
+    # poly[i][j] maps an exponent vector c to its coefficient in entry (i, j)
+    poly = [[{(): 1} if j == i else {} for j in range(7)] for i in range(7)]
+    for key in word:
+        rows = _EXP_TERMS[key]
+        # row j of the factor as (column, c_k, integer): 2 I, 2 X and X^2
+        factor = [
+            [(j, 0, 2)] + [(l, k, v) for l, x, x2 in rows[j] for k, v in ((1, 2 * x), (2, x2)) if v]
+            for j in range(7)
+        ]
+        for i, entries in enumerate(poly):
+            out = [{} for _ in range(7)]
+            for j, monos in enumerate(entries):
+                for c, coef in monos.items():
+                    for l, k, v in factor[j]:
+                        out[l][c + (k,)] = out[l].get(c + (k,), 0) + v * coef
+            poly[i] = out
+    index = {}
+    terms = [
+        [
+            (j, [(coef, index.setdefault(c, len(index))) for c, coef in monos.items() if coef])
+            for j, monos in enumerate(entries)
+            if any(monos.values())
+        ]
+        for entries in poly
+    ]
+    table = _WORD_TABLES[word] = (tuple(index), terms)
+    return table
+
+
+def _word_eval(word, args) -> GroupElement:
+    """The word at rational arguments, evaluated from its expanded table as
+    one integer grid over 2^n prod q_k^2."""
+    monomials, terms = _WORD_TABLES.get(word) or _word_table(word)
+    den = 1 << len(word)
+    powers = []
+    for x in args:
+        x = rat(x)
+        p, q = x.numerator, x.denominator
+        den *= q * q
+        powers.append((q * q, p * q, p * p))
+    values = [prod(map(getitem, powers, c)) for c in monomials]
     grid = []
-    for i, row_terms in enumerate(_EXP_TERMS[(gamma.name, gamma.positive)]):
+    for row_terms in terms:
         row = [0] * 7
-        row[i] = d
-        for j, x, x2 in row_terms:
-            row[j] += a * x + b * x2
+        for j, monos in row_terms:
+            row[j] = sum(coef * values[m] for coef, m in monos)
         grid.append(row)
-    return Matrix7._raw(grid, d)
+    return GroupElement._trusted(Matrix7._raw(grid, den))
 
 
 def root_generator(gamma: RootLabel, u) -> GroupElement:
     """x_gamma(u) = exp(u X_gamma); the series cuts off by nilpotency."""
-    u = rat(u)
-    if not _CERTIFIED:
-        _exp_table()
-    return GroupElement._trusted(_exp_eval(gamma, u))
+    return _word_eval(((gamma.name, gamma.positive),), (u,))
 
 
 def weyl_t(gamma: RootLabel, t) -> GroupElement:
@@ -242,7 +299,8 @@ def weyl_t(gamma: RootLabel, t) -> GroupElement:
     t = rat(t)
     if t == 0:
         raise ValueError("t must be nonzero")
-    return root_generator(gamma, t) * root_generator(-gamma, -1 / t) * root_generator(gamma, t)
+    key = (gamma.name, gamma.positive)
+    return _word_eval((key, (gamma.name, not gamma.positive), key), (t, -1 / t, t))
 
 
 def weyl(gamma: RootLabel) -> GroupElement:
@@ -261,15 +319,13 @@ def torus(gamma: RootLabel, t) -> GroupElement:
 # ---------------------------------------------------------------------------
 # Heisenberg parabolic P = MN
 
+_N_WORD = tuple((name, True) for name in ("b", "a+b", "2a+b", "3a+b", "3a+2b"))
+
+
 def heis_n(a1, a2, a3, a4, t) -> GroupElement:
-    """n(a1, a2, a3, a4, t) as the ordered product of root generators."""
-    return (
-        root_generator(RootLabel("b"), a1)
-        * root_generator(RootLabel("a+b"), a2)
-        * root_generator(RootLabel("2a+b"), a3)
-        * root_generator(RootLabel("3a+b"), a4)
-        * root_generator(RootLabel("3a+2b"), t)
-    )
+    """n(a1, a2, a3, a4, t) = x_b(a1) x_{a+b}(a2) x_{2a+b}(a3) x_{3a+b}(a4)
+    x_{3a+2b}(t), one word evaluation."""
+    return _word_eval(_N_WORD, (a1, a2, a3, a4, t))
 
 
 def heis_n1(a1, a2, a3, a4, t) -> GroupElement:
@@ -339,77 +395,13 @@ def levi_l(A: Matrix2) -> GroupElement:
     return GroupElement(Matrix7(rows))
 
 
-_U_ROOTS = ("a", "a+b", "2a+b", "3a+b", "3a+2b")
-_U_MONOMIALS = []
-_U_TERMS = []
-
-
-def _u_table():
-    """The entries of u(a1, a2, a3, a4, z) as sparse integer polynomials,
-    expanded once per process from the certified generator rows.
-
-    With a_k = p_k/q_k, each factor x_k(a_k) of u is 2 q^2 E(p/q) / (2 q^2)
-    and 2 q^2 E(p/q) = q^2 (2 I) + p q (2 X) + p^2 X^2.  The exact product of
-    these five coefficient-matrix sums is 32 prod q_k^2 times u; its entry
-    (i, j) is a sum over exponent vectors c in {0, 1, 2}^5 of an integer
-    times the monomial prod_k (q_k^2, p_k q_k, p_k^2)[c_k].  Expanding it is
-    exact polynomial arithmetic over the certified rows, so the table is the
-    product of root generators for every argument: no sampling and no
-    separate certificate.  It has 17 distinct monomials in 38 entry terms.
-    """
-    if not _CERTIFIED:
-        _exp_table()
-    # poly[i][j] maps an exponent vector c to its coefficient in entry (i, j)
-    poly = [[{(): 1} if j == i else {} for j in range(7)] for i in range(7)]
-    for name in _U_ROOTS:
-        rows = _EXP_TERMS[(name, True)]
-        # row j of the factor as (column, c_k, integer): 2 I, 2 X and X^2
-        factor = [
-            [(j, 0, 2)] + [(l, k, v) for l, x, x2 in rows[j] for k, v in ((1, 2 * x), (2, x2)) if v]
-            for j in range(7)
-        ]
-        for i, entries in enumerate(poly):
-            out = [{} for _ in range(7)]
-            for j, monos in enumerate(entries):
-                for c, coef in monos.items():
-                    for l, k, v in factor[j]:
-                        out[l][c + (k,)] = out[l].get(c + (k,), 0) + v * coef
-            poly[i] = out
-    index = {}
-    terms = [
-        [
-            (j, [(coef, index.setdefault(c, len(index))) for c, coef in monos.items() if coef])
-            for j, monos in enumerate(entries)
-            if any(monos.values())
-        ]
-        for entries in poly
-    ]
-    _U_MONOMIALS[:] = list(index)
-    _U_TERMS[:] = terms
+_U_WORD = tuple((name, True) for name in ("a", "a+b", "2a+b", "3a+b", "3a+2b"))
 
 
 def u_coord(a1, a2, a3, a4, z) -> GroupElement:
     """u(a1, a2, a3, a4, z) = x_a(a1) x_{a+b}(a2) x_{2a+b}(a3) x_{3a+b}(a4)
-    x_{3a+2b}(z), evaluated from the expanded table as one integer grid
-    over 32 prod q_k^2."""
-    if not _U_TERMS:
-        _u_table()
-    den = 32
-    powers = []
-    for x in (a1, a2, a3, a4, z):
-        x = rat(x)
-        p, q = x.numerator, x.denominator
-        den *= q * q
-        powers.append((q * q, p * q, p * p))
-    v1, v2, v3, v4, v5 = powers
-    values = [v1[c1] * v2[c2] * v3[c3] * v4[c4] * v5[c5] for c1, c2, c3, c4, c5 in _U_MONOMIALS]
-    grid = []
-    for row_terms in _U_TERMS:
-        row = [0] * 7
-        for j, monos in row_terms:
-            row[j] = sum(coef * values[m] for coef, m in monos)
-        grid.append(row)
-    return GroupElement._trusted(Matrix7._raw(grid, den))
+    x_{3a+2b}(z), one word evaluation."""
+    return _word_eval(_U_WORD, (a1, a2, a3, a4, z))
 
 
 def z_coord(x, y) -> GroupElement:

@@ -663,8 +663,8 @@ def root_coords(label):
 
 def exp_by_table_sum(powers, u):
     """I + sum_k u^k (X^k / k!) over a power table [X, X^2/2, ...], one
-    Matrix7 addition per term: the construction the closed-form integer
-    grid of ``group._exp_eval`` replaced."""
+    Matrix7 addition per term: the construction the one-letter word grid of
+    ``group.root_generator`` replaced."""
     from g2lift.exact import Matrix7
 
     out = Matrix7.identity()
@@ -690,16 +690,38 @@ def certify_by_sampling(table):
     ]
 
 
-# --- the second parabolic's unipotent radical as a product of generators -------
+# --- generator words as products of root generators ---------------------------
 
-def u_coord_by_products(a1, a2, a3, a4, z):
-    """u(a1, a2, a3, a4, z) = x_a(a1) x_{a+b}(a2) x_{2a+b}(a3) x_{3a+b}(a4)
-    x_{3a+2b}(z), four 7x7 products of root generators: the construction the
-    expanded monomial table of ``group.u_coord`` replaced."""
+def _word_by_products(names, args):
+    """x_{g_1}(a_1) ... x_{g_n}(a_n) over positive roots as n - 1 products of
+    7x7 root generators, each a one-letter word of ``group``."""
     from g2lift.group import RootLabel, root_generator
 
     out = None
-    for name, x in zip(("a", "a+b", "2a+b", "3a+b", "3a+2b"), (a1, a2, a3, a4, z)):
+    for name, x in zip(names, args):
         g = root_generator(RootLabel(name), x)
         out = g if out is None else out * g
     return out
+
+
+def heis_n_by_products(a1, a2, a3, a4, t):
+    """n(a1, a2, a3, a4, t) = x_b(a1) x_{a+b}(a2) x_{2a+b}(a3) x_{3a+b}(a4)
+    x_{3a+2b}(t), four 7x7 products: the construction the expanded word
+    table of ``group.heis_n`` replaced."""
+    return _word_by_products(("b", "a+b", "2a+b", "3a+b", "3a+2b"), (a1, a2, a3, a4, t))
+
+
+def u_coord_by_products(a1, a2, a3, a4, z):
+    """u(a1, a2, a3, a4, z) = x_a(a1) x_{a+b}(a2) x_{2a+b}(a3) x_{3a+b}(a4)
+    x_{3a+2b}(z), four 7x7 products: the construction the expanded word
+    table of ``group.u_coord`` replaced."""
+    return _word_by_products(("a", "a+b", "2a+b", "3a+b", "3a+2b"), (a1, a2, a3, a4, z))
+
+
+def weyl_t_by_products(gamma, t):
+    """w_gamma(t) = x_gamma(t) x_{-gamma}(-1/t) x_gamma(t), two 7x7 products:
+    the construction the expanded word table of ``group.weyl_t`` replaced."""
+    from g2lift.group import root_generator
+
+    t = Fraction(t)
+    return root_generator(gamma, t) * root_generator(-gamma, -1 / t) * root_generator(gamma, t)

@@ -29,6 +29,7 @@ from g2lift.group import (
     u_coords,
     u_tilde1,
     weyl,
+    weyl_t,
     z_coord,
 )
 
@@ -36,9 +37,11 @@ from conftest import rand_mat2, rand_rat
 from oracles import (
     certify_by_sampling,
     exp_by_table_sum,
+    heis_n_by_products,
     rho3_oracle,
     root_coords,
     u_coord_by_products,
+    weyl_t_by_products,
 )
 
 rat_st = st.fractions(min_value=-30, max_value=30, max_denominator=9)
@@ -408,6 +411,82 @@ def test_root_outside_the_lie_algebra_is_refused(monkeypatch):
             group._exp_table()
     finally:
         group._EXP_TABLE, group._CERTIFIED = saved_table, saved_flag
+
+
+# --- generator words on the P side: x, w, h, n and n1 ---------------------------
+
+def _p_side_inputs(n=200):
+    """Seeded (root, u, t, n coordinates): zeros, both signs, small values
+    and |p|, q up to 10^6; t nonzero; every root in turn."""
+    import random
+
+    r = random.Random(20261020)
+
+    def coord():
+        kind = r.randrange(5)
+        if kind == 0:
+            return F(0)
+        if kind == 1:
+            return F(r.randint(-9, 9), r.randint(1, 9))
+        return F(r.randint(-10**6, 10**6), r.randint(1, 10**6))
+
+    out = []
+    while len(out) < n:
+        t = coord()
+        if t != 0:
+            out.append((ALL_ROOTS[len(out) % 12], coord(), t, [coord() for _ in range(5)]))
+    return out
+
+
+def test_p_side_values_are_pinned():
+    """One sha256 over (num, den) of x_gamma(u), w_gamma(t), w_gamma,
+    h_gamma(t), n, n1 and the n1 coordinates read back, on seeded inputs;
+    recorded from the product-of-generators construction."""
+    import hashlib
+
+    h = hashlib.sha256()
+
+    def feed(g):
+        h.update(repr((g.matrix.num, g.matrix.den)).encode())
+
+    for gamma in ALL_ROOTS:
+        feed(weyl(gamma))
+    for gamma, u, t, v in _p_side_inputs():
+        feed(root_generator(gamma, u))
+        feed(weyl_t(gamma, t))
+        feed(torus(gamma, t))
+        feed(heis_n(*v))
+        feed(heis_n1(*v))
+        coords = n1_coords(heis_n(*v))
+        h.update(repr([(c.numerator, c.denominator) for c in coords]).encode())
+    assert h.hexdigest() == "6d6f5759cc651fae26453227dbdf7c718f6c4d02bcaae5e4e06d03bc20e44f5e"
+
+
+def _canonical(g):
+    return (g.num, g.den)
+
+
+def test_heis_n_table_matches_generator_products():
+    """The expanded n word equals the product of root generators and the
+    displayed matrix in canonical (num, den), on the pinned inputs (|p|, q up
+    to 10^6) and the edge values."""
+    cases = [v for _, _, _, v in _p_side_inputs()]
+    cases += [[F(0)] * 5, [F(1)] * 5, [F(-1), F(0), F(1), F(0), F(-1)]]
+    for v in cases:
+        got = _canonical(heis_n(*v).matrix)
+        assert got == _canonical(heis_n_by_products(*v).matrix), v
+        assert got == _canonical(n_closed(*v)), v
+
+
+def test_weyl_t_table_matches_generator_products():
+    """The expanded w word of every root equals x_g(t) x_{-g}(-1/t) x_g(t) as
+    a product of root generators, in canonical (num, den)."""
+    ts = [F(1), F(-1), F(2), F(-1, 2), F(10**6), F(-1, 10**6)]
+    ts += [t for _, _, t, _ in _p_side_inputs(24)]
+    for gamma in ALL_ROOTS:
+        for t in ts:
+            got, want = weyl_t(gamma, t).matrix, weyl_t_by_products(gamma, t).matrix
+            assert _canonical(got) == _canonical(want), (gamma, t)
 
 
 # --- the second parabolic Q = L U ----------------------------------------------
