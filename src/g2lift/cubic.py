@@ -347,7 +347,7 @@ def is_maximal(ring: CubicRing) -> bool:
 # ---------------------------------------------------------------------------
 # Reduction to the shape (t, 0, S/3, 0)
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalReduction:
     """Data (t, S, m) with t < 0 < S and, writing m' = Ad(w_alpha)(m),
 

@@ -159,17 +159,6 @@ class _MatrixBase:
         )
         return type(self)._raw(num, l)
 
-    def __sub__(self, other):
-        if type(self) is not type(other):
-            return NotImplemented
-        l = lcm(self.den, other.den)
-        sa, sb = l // self.den, l // other.den
-        num = tuple(
-            tuple(x * sa - y * sb for x, y in zip(r, s))
-            for r, s in zip(self.num, other.num)
-        )
-        return type(self)._raw(num, l)
-
     def scale(self, c):
         c = rat(c)
         num = tuple(tuple(x * c.numerator for x in r) for r in self.num)
@@ -180,11 +169,6 @@ class _MatrixBase:
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.num for x in r)
-
-    @classmethod
-    def zero(cls):
-        n = cls.SIZE
-        return cls._raw(tuple((0,) * n for _ in range(n)), 1)
 
     @classmethod
     def identity(cls):

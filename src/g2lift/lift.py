@@ -50,7 +50,7 @@ class NotMaximal(ValueError):
     """Strict mode rejected a vector whose cubic ring is not maximal."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiftCoefficient:
     w: CubicVector
     t: Fraction

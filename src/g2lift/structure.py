@@ -173,11 +173,12 @@ def check_ml(rng, samples):
 
 def check_imi(rng, samples, iota_element=None):
     io = iota_element if iota_element is not None else iota()
+    io_inv = io.inverse()
     for _ in range(samples):
         A = _rand_mat2(rng)
         a, b, c, d = A.entries()
         dt = A.det()
-        lhs = io * levi_m(A) * io.inverse()
+        lhs = io * levi_m(A) * io_inv
         if lhs != levi_m(mat2(a / dt, -b / dt, -c / dt, d / dt)):
             return _ce(
                 A=[str(x) for x in A.entries()],

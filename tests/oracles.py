@@ -352,11 +352,15 @@ def _lmul(a, b):
     return {k: v for k, v in out.items() if v}
 
 
+_SYM_POWERS = [{0: Fraction(1)}]
+
+
 def sym_power_character(n):
     """h_n of the eigenvalue multiset {x^3, x, x^-1, x^-3} by Newton's
-    identities: n h_n = sum_{i<=n} h_{n-i} p_i, exact Laurent arithmetic."""
-    hs = [{0: Fraction(1)}]
-    for m in range(1, n + 1):
+    identities: n h_n = sum_{i<=n} h_{n-i} p_i, exact Laurent arithmetic.
+    h_0 .. h_n are built once and shared by every later call."""
+    hs = _SYM_POWERS
+    for m in range(len(hs), n + 1):
         acc = {}
         for i in range(1, m + 1):
             p_i = {3 * i: Fraction(1), i: Fraction(1), -i: Fraction(1), -3 * i: Fraction(1)}
@@ -725,3 +729,33 @@ def weyl_t_by_products(gamma, t):
 
     t = Fraction(t)
     return root_generator(gamma, t) * root_generator(-gamma, -1 / t) * root_generator(gamma, t)
+
+
+def torus_by_products(gamma, t):
+    """h_gamma(t) = w_gamma(t) w_gamma(1)^-1 over the generator products,
+    three 7x7 products and an inverse: the construction the diagonal of
+    ``group.torus`` replaced."""
+    return weyl_t_by_products(gamma, t) * weyl_t_by_products(gamma, 1).inverse()
+
+
+def levi_l_by_rows(A):
+    """l(A) from Fraction rows, validated by ``preserves_form`` on every call
+    (the validating ``GroupElement`` constructor): the construction the
+    certified integer grid of ``group.levi_l`` replaced."""
+    from g2lift.exact import Matrix7
+    from g2lift.group import GroupElement
+
+    a, b, c, d = A.entries()
+    dt = a * d - b * c
+    if dt == 0:
+        raise ValueError("singular Levi parameter")
+    rows = [
+        [a, 0, 0, 0, b, 0, 0],
+        [0, dt, 0, 0, 0, 0, 0],
+        [0, 0, a / dt, 0, 0, -b / dt, 0],
+        [0, 0, 0, 1, 0, 0, 0],
+        [c, 0, 0, 0, d, 0, 0],
+        [0, 0, -c / dt, 0, 0, d / dt, 0],
+        [0, 0, 0, 0, 0, 0, 1 / dt],
+    ]
+    return GroupElement(Matrix7(rows))

@@ -38,8 +38,10 @@ from oracles import (
     certify_by_sampling,
     exp_by_table_sum,
     heis_n_by_products,
+    levi_l_by_rows,
     rho3_oracle,
     root_coords,
+    torus_by_products,
     u_coord_by_products,
     weyl_t_by_products,
 )
@@ -479,8 +481,9 @@ def test_heis_n_table_matches_generator_products():
 
 
 def test_weyl_t_table_matches_generator_products():
-    """The expanded w word of every root equals x_g(t) x_{-g}(-1/t) x_g(t) as
-    a product of root generators, in canonical (num, den)."""
+    """The signed monomial w_gamma(t) of every root equals
+    x_g(t) x_{-g}(-1/t) x_g(t) as a product of root generators, in canonical
+    (num, den)."""
     ts = [F(1), F(-1), F(2), F(-1, 2), F(10**6), F(-1, 10**6)]
     ts += [t for _, _, t, _ in _p_side_inputs(24)]
     for gamma in ALL_ROOTS:
@@ -568,3 +571,85 @@ def test_levi_l_negative_determinant_and_large_denominators():
         assert A.det() < 0
         assert preserves_form(levi_l(A).matrix)
         assert levi_l(A) * levi_l(A.inverse()) == identity()
+
+
+# --- the Weyl side and l(A) as closed forms ------------------------------------
+
+_EDGE_TS = [F(1), F(-1), F(10**6), F(-1, 10**6)]
+
+
+def test_weyl_t_and_torus_match_their_oracles():
+    """w_gamma(t) as a signed monomial matrix and h_gamma(t) as a diagonal
+    equal the generator products (and w_gamma(t) w_gamma(1)^-1) for all 12
+    roots, in canonical (num, den), at the edge values and seeded t."""
+    ts = _EDGE_TS + [t for _, _, t, _ in _p_side_inputs(36)]
+    for gamma in ALL_ROOTS:
+        assert _canonical(weyl(gamma).matrix) == _canonical(weyl_t_by_products(gamma, 1).matrix)
+        for t in ts:
+            w, h = weyl_t(gamma, t).matrix, torus(gamma, t).matrix
+            assert _canonical(w) == _canonical(weyl_t_by_products(gamma, t).matrix), (gamma, t)
+            assert _canonical(h) == _canonical(torus_by_products(gamma, t).matrix), (gamma, t)
+            assert sum(1 for row in w.num for x in row if x) == 7
+            assert all(h.num[i][j] == 0 for i in range(7) for j in range(7) if i != j)
+
+
+def test_levi_l_grid_matches_validated_rows():
+    """The certified l(A) grid equals the Fraction rows that pass
+    preserves_form, in canonical (num, den), on the pinned Q-side Levi
+    parameters and on edge values: negative determinants, a swap, a scalar,
+    and |p|, q up to 10^6."""
+    cases = [A for _, A in _q_side_inputs()]
+    cases += [
+        mat2(1, 0, 0, 1), mat2(0, 1, 1, 0), mat2(0, -1, 1, 0), mat2(-1, 0, 0, -1),
+        mat2(F(10**6), 0, 0, F(-1, 10**6)), mat2(F(1, 3), F(1, 3), F(1, 3), F(2, 3)),
+        mat2(F(-999999, 1000000), F(3, 7), F(5, 999983), F(1, 999999)),
+    ]
+    for A in cases:
+        assert _canonical(levi_l(A).matrix) == _canonical(levi_l_by_rows(A).matrix), A
+
+
+def test_corrupted_l_grid_is_refused(monkeypatch):
+    """The l(A) grid with any one of its 49 entries moved by 1 breaks the
+    polynomial identities that the once-per-process check proves, and
+    levi_l refuses to run."""
+    import g2lift.group as group
+
+    group._certify_l_grid()
+    grid = group._l_grid
+    monkeypatch.setattr(group, "_L_CERTIFIED", False)
+    for i in range(7):
+        for j in range(7):
+            def moved(*args, i=i, j=j):
+                out = grid(*args)
+                out[i][j] = out[i][j] + 1
+                return out
+
+            monkeypatch.setattr(group, "_l_grid", moved)
+            with pytest.raises(AssertionError, match="l grid corrupt"):
+                levi_l(mat2(2, 3, 5, 7))
+            assert group._L_CERTIFIED is False
+    monkeypatch.setattr(group, "_l_grid", grid)
+    group._certify_l_grid()
+    assert group._L_CERTIFIED is True
+
+
+def test_corrupted_weyl_word_is_refused(monkeypatch):
+    """A three-letter word table with one coefficient moved by 1 no longer
+    collapses to a signed monomial matrix, and its rows are refused."""
+    import g2lift.group as group
+
+    for gamma in ALL_ROOTS:
+        key = _key(gamma)
+        word = (key, (gamma.name, not gamma.positive), key)
+        group._weyl_rows(gamma)
+        monomials, terms = group._WORD_TABLES[word]
+        for i, row_terms in enumerate(terms):
+            j, monos = row_terms[0]
+            bad_row = [(j, [(monos[0][0] + 1, monos[0][1])] + monos[1:])] + row_terms[1:]
+            bad = (monomials, terms[:i] + [bad_row] + terms[i + 1:])
+            monkeypatch.setitem(group._WORD_TABLES, word, bad)
+            monkeypatch.delitem(group._WEYL_ROWS, key, raising=False)
+            with pytest.raises(AssertionError, match="not a signed monomial matrix"):
+                group._weyl_rows(gamma)
+        monkeypatch.undo()
+    assert weyl_t(RootLabel("a"), 2) == weyl_t_by_products(RootLabel("a"), 2)

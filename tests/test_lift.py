@@ -34,6 +34,23 @@ def test_identity_reduction_record(lift_ctx):
     assert rec.index == 1
 
 
+def test_records_hold_no_instance_dict(lift_ctx):
+    """Lift records and the reductions behind them are slotted: no per-record
+    __dict__, still frozen, and dataclasses.replace still builds a copy."""
+    import dataclasses
+
+    from g2lift.cubic import reduce_to_canonical
+
+    rec = lift_ctx.fourier_coefficient((-5, 0, F(1, 3), 0))
+    red = reduce_to_canonical((-5, 0, F(1, 3), 0))
+    for obj in (rec, red):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.t = F(0)
+    moved = dataclasses.replace(rec, c_value=rec.c_value + 1)
+    assert (moved.c_value, moved.w) == (rec.c_value + 1, rec.w)
+
+
 def test_record_at_five(lift_ctx):
     rec = lift_ctx.fourier_coefficient((-5, 0, F(1, 3), 0))
     assert rec.c_value == lift_ctx.g.coeff(5) == 120
