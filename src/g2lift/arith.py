@@ -125,16 +125,14 @@ def is_fundamental_discriminant(D: int) -> bool:
 
 
 def kronecker(a: int, n: int) -> int:
-    """The Kronecker symbol (a/n)."""
+    """The Kronecker symbol (a/n) for n >= 0; a negative modulus is refused."""
+    if n < 0:
+        raise ValueError("negative modulus")
     if n == 0:
         return 1 if a in (1, -1) else 0
     if a % 2 == 0 and n % 2 == 0:
         return 0
     sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -sign
     # factor out 2s of n: (a/2) = 0, 1, -1 by a mod 8
     while n % 2 == 0:
         n //= 2

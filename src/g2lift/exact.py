@@ -6,6 +6,11 @@ equality is then tuple equality and products need one gcd pass instead of
 one per entry.  Scalars in and out are ``fractions.Fraction`` (always
 reduced, positive denominator).  The one elimination is a fraction-free
 (Bareiss) echelon of integer rows, behind ``det`` and ``kernel``.
+
+The Gram form GRAM of the 7x7 orthogonal group is a symmetric signed
+permutation, so its adjoint S^-1 g^T S (the inverse of a form-preserving g)
+is a rescaled, permuted transpose: ``form_adjoint`` builds it as one grid,
+and ``preserves_form`` needs one product.
 """
 
 from __future__ import annotations
@@ -228,12 +233,54 @@ def mat2(a, b, c, d) -> Matrix2:
 
 
 # Gram matrix of the ambient orthogonal group: antidiagonal identity blocks
-# around the 3x3 core antidiag(1, -2, 1); the inverse has core antidiag(1, -1/2, 1).
-_GRAM_ONES = {(0, 5): 1, (5, 0): 1, (1, 6): 1, (6, 1): 1, (2, 4): 1, (4, 2): 1}
-GRAM = Matrix7.from_entries({**_GRAM_ONES, (3, 3): -2})
-GRAM_INV = Matrix7.from_entries({**_GRAM_ONES, (3, 3): Fraction(-1, 2)})
+# around the 3x3 core antidiag(1, -2, 1).
+GRAM = Matrix7.from_entries(
+    {(0, 5): 1, (5, 0): 1, (1, 6): 1, (6, 1): 1, (2, 4): 1, (4, 2): 1, (3, 3): -2}
+)
+
+
+def _adjoint_table(gram: Matrix7):
+    """(L, rows) with S^-1 g^T S = grid / (L den) for S = gram and g = num /
+    den: row i of the grid is (sigma(i), ((sigma(j), L s_j / s_i) per column
+    j)), entry (i, j) being L s_j / s_i times g's num at (sigma(j), sigma(i)).
+
+    An integral symmetric signed permutation S has s_i at (i, sigma(i)) and
+    zeros elsewhere, sigma an involution and s_sigma(i) = s_i.  So
+    (S^-1)_(i, sigma(i)) = 1 / s_i, (S^-1 g^T S)_ij = (s_j / s_i)
+    g_(sigma(j), sigma(i)), and L = lcm |s_i| clears every factor.  Raises on
+    any other grid, so sigma and s have no second source.
+    """
+    cols = [[j for j, x in enumerate(row) if x] for row in gram.num]
+    if gram.den != 1 or any(len(c) != 1 for c in cols):
+        raise AssertionError("GRAM is not a signed permutation")
+    sigma = [c[0] for c in cols]
+    s = [row[j] for row, j in zip(gram.num, sigma)]
+    if any(sigma[j] != i or s[j] != s[i] for i, j in enumerate(sigma)):
+        raise AssertionError("GRAM is not symmetric")
+    scale = lcm(*s)
+    return scale, tuple(
+        (sigma[i], tuple((sigma[j], scale // s[i] * s[j]) for j in range(len(s))))
+        for i in range(len(s))
+    )
+
+
+_ADJOINT_SCALE, _ADJOINT = _adjoint_table(GRAM)
+_IDENTITY7 = Matrix7.identity()
+
+
+def form_adjoint(g: Matrix7) -> Matrix7:
+    """S^-1 g^T S for S = GRAM, with no 7x7 product: the grid
+    (L s_j / s_i) g_(sigma(j), sigma(i)) over L den of ``_adjoint_table``.
+    It is g^-1 whenever g preserves the form."""
+    cols = tuple(zip(*g.num))
+    num = []
+    for c, row in _ADJOINT:
+        col = cols[c]
+        num.append([w * col[k] for k, w in row])
+    return Matrix7._raw(num, _ADJOINT_SCALE * g.den)
 
 
 def preserves_form(g: Matrix7) -> bool:
-    """True iff g^T * GRAM * g == GRAM exactly and det(g) == 1."""
-    return g.transpose() * GRAM * g == GRAM and g.det() == 1
+    """True iff g^T * GRAM * g == GRAM exactly and det(g) == 1.  GRAM is
+    invertible, so the form condition is S^-1 g^T S g == I: one product."""
+    return form_adjoint(g) * g == _IDENTITY7 and g.det() == 1

@@ -25,6 +25,8 @@ argument.  Each constructor is then one integer grid and one canonicalizing
   and each call still validates its result.
 * w_gamma, w_alpha^-1 and iota are values formed once.
 * m(A) is still built from Fraction rows and validated on every call.
+* The inverse of any element is its form adjoint GRAM^-1 g^T GRAM, a signed
+  permuted transpose (``exact.form_adjoint``), with no 7x7 product.
 
 Coordinate conventions on the 4-dimensional quotient W:
 
@@ -45,7 +47,7 @@ from functools import cache
 from math import prod
 from operator import add, getitem
 
-from .exact import GRAM, GRAM_INV, Matrix2, Matrix7, mat2, preserves_form, rat
+from .exact import GRAM, Matrix2, Matrix7, form_adjoint, mat2, preserves_form, rat
 
 # ---------------------------------------------------------------------------
 # Root system bookkeeping
@@ -113,7 +115,9 @@ class GroupElement:
     Raw matrices are validated on construction.  Products, powers and
     inverses of validated elements skip revalidation: closure of the
     orthogonal-group condition under those operations is a proved identity,
-    not a trust assumption, so the type invariant survives.
+    not a trust assumption, so the type invariant survives.  The inverse is
+    the form adjoint GRAM^-1 g^T GRAM, a signed permuted transpose built
+    without a 7x7 product (``exact.form_adjoint``).
     """
 
     __slots__ = ("matrix",)
@@ -148,8 +152,9 @@ class GroupElement:
         return out
 
     def inverse(self) -> "GroupElement":
-        # g^T S g = S gives g^-1 = S^-1 g^T S, much cheaper than elimination.
-        return GroupElement._trusted(GRAM_INV * self.matrix.transpose() * GRAM)
+        # g^T S g = S gives g^-1 = S^-1 g^T S; S is a signed permutation, so
+        # that is one rescaled, permuted transpose and no product.
+        return GroupElement._trusted(form_adjoint(self.matrix))
 
     def __eq__(self, other):
         return isinstance(other, GroupElement) and self.matrix == other.matrix

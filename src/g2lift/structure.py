@@ -92,7 +92,8 @@ def check_action1(rng, samples):
         A = _rand_mat2(rng)
         a = [_rand_rat(rng) for _ in range(4)]
         z = _rand_rat(rng)
-        lhs = levi_m(A) * heis_n1(*a, z) * levi_m(A).inverse()
+        m = levi_m(A)
+        lhs = m * heis_n1(*a, z) * m.inverse()
         if lhs != heis_n1(*ad_w(A, a), A.det() * z):
             return _ce(A=[str(x) for x in A.entries()], a=[str(x) for x in a], z=z)
     return None
@@ -138,7 +139,8 @@ def check_action_tilde_u(rng, samples):
         a, b, c, d = A.entries()
         dt = A.det()
         v = [_rand_rat(rng) for _ in range(3)]
-        got = u_tilde1_coords_mod_center(levi_l(A).inverse() * u_tilde1(*v) * levi_l(A))
+        el = levi_l(A)
+        got = u_tilde1_coords_mod_center(el.inverse() * u_tilde1(*v) * el)
         want = ((a * v[0] + c * v[1]) / dt, (b * v[0] + d * v[1]) / dt, v[2] / dt)
         if got != want:
             return _ce(A=[str(x) for x in A.entries()], v=[str(x) for x in v])
@@ -151,7 +153,8 @@ def check_action_z(rng, samples):
         a, b, c, d = A.entries()
         dt2 = A.det() ** 2
         x, y = _rand_rat(rng), _rand_rat(rng)
-        lhs = levi_l(A).inverse() * z_coord(x, y) * levi_l(A)
+        el = levi_l(A)
+        lhs = el.inverse() * z_coord(x, y) * el
         if lhs != z_coord((x * a + y * c) / dt2, (x * b + y * d) / dt2):
             return _ce(A=[str(t) for t in A.entries()], x=x, y=y)
     return None

@@ -759,3 +759,34 @@ def levi_l_by_rows(A):
         [0, 0, 0, 0, 0, 0, 1 / dt],
     ]
     return GroupElement(Matrix7(rows))
+
+
+# --- the Gram-form inverse and form check as 7x7 products ---------------------
+
+def _gram_inv():
+    """GRAM^-1 written out: the antidiagonal identity blocks around the core
+    antidiag(1, -1/2, 1)."""
+    from g2lift.exact import Matrix7
+
+    ones = {(0, 5): 1, (5, 0): 1, (1, 6): 1, (6, 1): 1, (2, 4): 1, (4, 2): 1}
+    return Matrix7.from_entries({**ones, (3, 3): Fraction(-1, 2)})
+
+
+GRAM_INV = _gram_inv()
+
+
+def inverse_by_gram(m):
+    """GRAM^-1 m^T GRAM as two 7x7 products: the construction the signed
+    permuted transpose of ``exact.form_adjoint`` (behind
+    ``GroupElement.inverse``) replaced."""
+    from g2lift.exact import GRAM
+
+    return GRAM_INV * m.transpose() * GRAM
+
+
+def preserves_form_by_products(m):
+    """m^T GRAM m == GRAM and det m == 1, two 7x7 products: the check the
+    one-product ``exact.preserves_form`` replaced."""
+    from g2lift.exact import GRAM
+
+    return m.transpose() * GRAM * m == GRAM and m.det() == 1

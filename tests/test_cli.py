@@ -5,6 +5,7 @@ import pathlib
 import re
 import signal
 from contextlib import contextmanager
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,6 +13,10 @@ from hypothesis import strategies as st
 
 from g2lift import cli, lfunctions, lift
 from g2lift.cli import main
+from g2lift.exact import mat2
+from g2lift.group import (
+    RootLabel, heis_n, heis_n1, iota, levi_l, levi_m, root_generator, torus, u_coord, weyl, z_coord,
+)
 
 
 def run_cli(capsys, *argv):
@@ -313,6 +318,30 @@ def test_show_iota_token(capsys):
     code, out = run_cli(capsys, "show", "iota")
     assert code == 0
     assert len(out.strip().splitlines()) == 7
+
+
+_A = (F(1, 2), -3, F(2, 7), 5, -1)
+SHOW_TOKENS = {
+    "n1": ("n1:1/2,-3,2/7,5,-1", lambda: heis_n1(*_A)),
+    "u": ("u:1/2,-3,2/7,5,-1", lambda: u_coord(*_A)),
+    "z": ("z:2,3", lambda: z_coord(2, 3)),
+    "m": ("m:1/2,-3,5,7", lambda: levi_m(mat2(F(1, 2), -3, 5, 7))),
+    "l": ("l:1,2,3,5", lambda: levi_l(mat2(1, 2, 3, 5))),
+    "h": ("h:2a+b:2", lambda: torus(RootLabel("2a+b"), 2)),
+    "x": ("x:3a+b:3/4", lambda: root_generator(RootLabel("3a+b"), F(3, 4))),
+    "w": ("w:a", lambda: weyl(RootLabel("a"))),
+    "n": ("n:1/2,-3,2/7,5,-1", lambda: heis_n(*_A)),
+    "iota": ("iota", iota),
+}
+
+
+@pytest.mark.parametrize("token", list(SHOW_TOKENS))
+def test_show_token_matches_its_constructor(capsys, token):
+    """Every show token prints its constructor's dump() at the same arguments."""
+    word, build = SHOW_TOKENS[token]
+    code, out = run_cli(capsys, "show", word)
+    assert code == 0
+    assert out == build().dump() + "\n"
 
 
 # --- one refusal table, work caps, non-finite tolerances ----------------------

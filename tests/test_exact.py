@@ -4,10 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2lift.exact import GRAM, GRAM_INV, Matrix2, Matrix5, Matrix7, echelon, kernel, mat2, preserves_form
+from g2lift.exact import (
+    GRAM,
+    Matrix2,
+    Matrix5,
+    Matrix7,
+    _adjoint_table,
+    echelon,
+    form_adjoint,
+    kernel,
+    mat2,
+    preserves_form,
+)
 
 from conftest import rand_rat
-from oracles import det_cofactor, rational_kernel
+from oracles import GRAM_INV, det_cofactor, preserves_form_by_products, rational_kernel
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12
@@ -118,6 +129,34 @@ def test_preserves_form_identity_and_diag():
     assert preserves_form(Matrix7.identity())
     bad = Matrix7.from_entries({(i, i): 1 for i in range(7)} | {(0, 0): 2})
     assert not preserves_form(bad)
+
+
+def test_det_minus_one_isometry_is_refused():
+    """diag(1, 1, 1, -1, 1, 1, 1) preserves the form but has det -1: the det
+    check refuses it, in the one-product check and in its oracle."""
+    from g2lift.group import GroupElement
+
+    flip = Matrix7.from_entries({(i, i): -1 if i == 3 else 1 for i in range(7)})
+    assert flip.transpose() * GRAM * flip == GRAM and flip.det() == -1
+    assert not preserves_form(flip)
+    assert not preserves_form_by_products(flip)
+    with pytest.raises(ValueError):
+        GroupElement(flip)
+
+
+def test_adjoint_table_refuses_other_forms():
+    ones = {(0, 5): 1, (5, 0): 1, (1, 6): 1, (6, 1): 1, (2, 4): 1, (4, 2): 1}
+    cycle = {(0, 1): 1, (1, 2): 1, (2, 0): 1} | {(i, i): 1 for i in range(3, 7)}
+    for bad in (
+        GRAM + Matrix7.identity(),  # two nonzeros in a row
+        Matrix7.from_entries(ones | {(3, 3): F(-1, 2)}),  # not integral
+        Matrix7.from_entries(ones | {(3, 3): 1, (5, 0): 2}),  # s_0 != s_5
+        Matrix7.from_entries(cycle),  # sigma is not an involution
+    ):
+        with pytest.raises(AssertionError):
+            _adjoint_table(bad)
+    assert _adjoint_table(GRAM)[0] == 2
+    assert form_adjoint(Matrix7.identity()) == Matrix7.identity()
 
 
 def test_preserves_form_all_generators():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2lift.exact import Matrix7, mat2, preserves_form
+from g2lift.exact import Matrix7, form_adjoint, mat2, preserves_form
 from g2lift.group import (
     ALL_ROOTS,
     RootLabel,
@@ -38,7 +38,9 @@ from oracles import (
     certify_by_sampling,
     exp_by_table_sum,
     heis_n_by_products,
+    inverse_by_gram,
     levi_l_by_rows,
+    preserves_form_by_products,
     rho3_oracle,
     root_coords,
     torus_by_products,
@@ -653,3 +655,50 @@ def test_corrupted_weyl_word_is_refused(monkeypatch):
                 group._weyl_rows(gamma)
         monkeypatch.undo()
     assert weyl_t(RootLabel("a"), 2) == weyl_t_by_products(RootLabel("a"), 2)
+
+
+# --- the inverse and the form check without GRAM products ----------------------
+
+_nonzero_st = rat_st.filter(bool)
+_root_st = st.sampled_from(ALL_ROOTS)
+_levi_st = st.tuples(rat_st, rat_st, rat_st, rat_st).map(lambda t: mat2(*t)).filter(lambda A: A.det() != 0)
+# one strategy per constructor; m(A), n(a, t), u(a, z) and the short-root
+# generators have entries in row and column 3, where GRAM has its -2
+_letter_st = st.one_of(
+    st.builds(root_generator, _root_st, rat_st),
+    st.builds(weyl_t, _root_st, _nonzero_st),
+    st.builds(weyl, _root_st),
+    st.builds(torus, _root_st, _nonzero_st),
+    st.builds(heis_n, rat_st, rat_st, rat_st, rat_st, rat_st),
+    st.builds(heis_n1, rat_st, rat_st, rat_st, rat_st, rat_st),
+    st.builds(u_coord, rat_st, rat_st, rat_st, rat_st, rat_st),
+    st.builds(z_coord, rat_st, rat_st),
+    st.builds(levi_m, _levi_st),
+    st.builds(levi_l, _levi_st),
+    st.builds(iota),
+)
+
+
+@given(letters=st.lists(_letter_st, min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_inverse_and_form_check_match_the_gram_products(letters):
+    """On random words over every constructor, GroupElement.inverse equals
+    GRAM^-1 g^T GRAM in canonical (num, den), and preserves_form agrees with
+    the two-product check.  Each word is then checked again with each of its
+    49 entries moved by 1 (rows and columns through e3 included): the adjoint
+    still equals the GRAM product, and both checks refuse the matrix."""
+    g = letters[0]
+    for h in letters[1:]:
+        g = g * h
+    m = g.matrix
+    assert _canonical(g.inverse().matrix) == _canonical(inverse_by_gram(m))
+    assert g * g.inverse() == identity()
+    assert preserves_form(m) and preserves_form_by_products(m)
+    for i in range(7):
+        for j in range(7):
+            num = [list(row) for row in m.num]
+            num[i][j] += m.den
+            moved = Matrix7._raw(num, m.den)
+            assert _canonical(form_adjoint(moved)) == _canonical(inverse_by_gram(moved)), (i, j)
+            assert not preserves_form(moved), (i, j)
+            assert not preserves_form_by_products(moved), (i, j)

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from g2lift.arith import is_fundamental_discriminant
+from g2lift.arith import is_fundamental_discriminant, kronecker
 from g2lift.lfunctions import (
     LaurentPoly,
     SeriesInstability,
@@ -49,6 +49,13 @@ def test_kronecker_rejects_nonfundamental():
         kronecker_chi(20, 3)
     with pytest.raises(ValueError):
         kronecker_chi(-3, 2)
+
+
+def test_kronecker_refuses_a_negative_modulus():
+    for a in (-3, 0, 5, 8):
+        for n in (-1, -2, -15):
+            with pytest.raises(ValueError):
+                kronecker(a, n)
 
 
 def test_gamma_inc_ratio_matches_mpmath():
