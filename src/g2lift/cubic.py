@@ -78,15 +78,6 @@ def form_disc(a: int, b: int, c: int, d: int) -> int:
     return 18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d
 
 
-def is_totally_real(w) -> bool:
-    """All projective roots of f_w over R are real.
-
-    Projectively a vanishing leading coefficient contributes the real root
-    at infinity, so the test reduces to disc(f_w) = -27 q(w) >= 0.
-    """
-    return quartic_q(w) <= 0
-
-
 # ---------------------------------------------------------------------------
 # Rational root finding for binary cubics
 

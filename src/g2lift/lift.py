@@ -26,7 +26,6 @@ from .cubic import (
     cubic_ring,
     etale_type,
     is_maximal,
-    is_totally_real,
     quartic_q,
     reduce_to_canonical,
     verify_reduction,
@@ -108,8 +107,6 @@ class LiftContext:
             raise ValueError("w must lie in the integral lattice")
         if quartic_q(w) >= 0:
             raise ValueError("q(w) < 0 required")
-        if not is_totally_real(w):
-            raise ValueError("w must be totally real")
         red = reduce_to_canonical(w)  # raises on cubic-field orbits
         idx = red.index
         if idx.denominator != 1 or idx <= 0:

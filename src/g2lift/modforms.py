@@ -3,6 +3,8 @@
 A series stores an integer coefficient tuple over one positive denominator,
 canonicalized so the gcd of all coefficients with the denominator is 1 (the
 form ``exact`` uses for matrices); ``coeff(n)`` returns a reduced Fraction.
+One store holds each built series by name, the longest one built, and serves
+a shorter request as its truncation (truncation commutes with products).
 Series multiplication is one Kronecker substitution: each signed integer
 list is packed as fixed-width decimal digit groups into one ``Decimal``,
 and the standard library's libmpdec multiplies large operands by
@@ -170,6 +172,10 @@ class QExpansion:
         num = _convolve_int(self.num, other.num, n)
         return QExpansion._raw(self.weight + other.weight, self.level, num, self.den * other.den)
 
+    def truncate(self, n: int) -> "QExpansion":
+        """The first n coefficients, canonical as a cold build of them."""
+        return self if n >= self.precision else QExpansion._raw(self.weight, self.level, self.num[:n], self.den)
+
     def dump(self) -> str:
         """Cache file format: header 'weight level N', then exact rationals."""
         w = self.weight
@@ -200,10 +206,15 @@ class QExpansion:
 _series_cache: dict = {}
 
 
-def _cached(key, builder):
-    if key not in _series_cache:
-        _series_cache[key] = builder()
-    return _series_cache[key]
+def _cached(name, prec: int, build):
+    """Series (or list) ``name`` at ``prec`` >= 2, the one floor, truncated from
+    the longest held; ``build()`` at exactly ``prec`` replaces one shorter or absent."""
+    if prec < 2:
+        raise PrecisionError("precision must be at least 2")
+    held = _series_cache.get(name)
+    if held is None or (held[0] if isinstance(held, list) else held).precision < prec:
+        held = _series_cache[name] = build()
+    return [x.truncate(prec) for x in held] if isinstance(held, list) else held.truncate(prec)
 
 
 def _sigma_list(k: int, n: int) -> List[int]:
@@ -220,23 +231,19 @@ def eisenstein(weight: int, prec: int) -> QExpansion:
     """E4 or E6, normalized to constant term 1."""
     if weight not in (4, 6):
         raise ValueError("only weights 4 and 6 generate the level-one ring")
-    if prec < 2:
-        raise PrecisionError("precision must be at least 2")
 
     def build():
         mult = 240 if weight == 4 else -504
         sig = _sigma_list(weight - 1, prec)
         return QExpansion(weight, 1, [1] + [mult * sig[n] for n in range(1, prec)])
 
-    return _cached(("eis", weight, prec), build)
+    return _cached(("eis", weight), prec, build)
 
 
 def delta(prec: int) -> QExpansion:
     """The discriminant q prod (1 - q^n)^24 = q S^8: by Jacobi's identity
     S = prod (1 - q^n)^3 = sum_{m>=0} (-1)^m (2m + 1) q^(m(m+1)/2), so S^8
     takes three squarings of small-coefficient series."""
-    if prec < 2:
-        raise PrecisionError("precision must be at least 2")
 
     def build():
         s = [0] * (prec - 1)
@@ -249,7 +256,7 @@ def delta(prec: int) -> QExpansion:
             x = x * x
         return QExpansion(12, 1, (0,) + x.num)
 
-    return _cached(("delta", prec), build)
+    return _cached("delta", prec, build)
 
 
 def eigenform(two_k: int, prec: int) -> QExpansion:
@@ -267,7 +274,7 @@ def eigenform(two_k: int, prec: int) -> QExpansion:
             f = f * eisenstein(6, prec)
         return f
 
-    return _cached(("eigen", two_k, prec), build)
+    return _cached(("eigen", two_k), prec, build)
 
 
 # ---------------------------------------------------------------------------

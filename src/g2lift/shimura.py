@@ -17,12 +17,12 @@ d; its vectors are all nonzero on the monomials exactly when the
 brackets are independent, and then the brackets span the plus cusp
 space.  Each kernel vector frees one monomial column, as a kernel of the
 c(0) and plus-support rows on the monomials alone would, so both give the
-same basis.  The kernel is solved on the columns' integer numerators, on
-series built only to that bound, as truncation commutes with products.
-At full precision N a bracket b_nu costs 2(nu + 1) products of length
-N/4, one per term and residue 0 or 1 mod 4 (E_(k-2nu)(4z) lives on
-q^(4i), theta on squares), so a one-dimensional space (k = 6, 8, 10)
-takes four.  The support check through full precision and the
+same basis.  The kernel is solved on the columns' integer numerators, the
+brackets' one full-precision build and monomials built only to that bound,
+as truncation commutes with products.  At full precision N a bracket b_nu
+costs 2(nu + 1) products of length N/4, one per term and residue 0 or 1
+mod 4 (E_(k-2nu)(4z) lives on q^(4i), theta on squares), so k = 6, 8, 10
+take four.  The support check through full precision and the
 correspondence checker below certify the outcome independently.
 """
 
@@ -39,8 +39,6 @@ from .modforms import PrecisionError, QExpansion, _cached, _convolve_int, _sigma
 
 def theta_half(prec: int) -> QExpansion:
     """theta = 1 + 2 sum q^(n^2), weight 1/2 on Gamma0(4)."""
-    if prec < 2:
-        raise PrecisionError("precision must be at least 2")
 
     def build():
         coeffs = [1] + [0] * (prec - 1)
@@ -48,13 +46,11 @@ def theta_half(prec: int) -> QExpansion:
             coeffs[n * n] = 2
         return QExpansion(Fraction(1, 2), 4, coeffs)
 
-    return _cached(("theta", prec), build)
+    return _cached("theta", prec, build)
 
 
 def weight2_F(prec: int) -> QExpansion:
     """F = sum_{n odd} sigma_1(n) q^n, weight 2 on Gamma0(4)."""
-    if prec < 2:
-        raise PrecisionError("precision must be at least 2")
 
     def build():
         sums = [0] * prec
@@ -63,7 +59,7 @@ def weight2_F(prec: int) -> QExpansion:
                 sums[m] += d
         return QExpansion(2, 4, sums)
 
-    return _cached(("F", prec), build)
+    return _cached("F", prec, build)
 
 
 def _powers(x: QExpansion, m: int) -> List[QExpansion]:
@@ -156,20 +152,19 @@ def plus_cusp_basis(k: int, prec: int) -> List[QExpansion]:
 
     def build():
         d, m, nrows = k // 6, k // 2, _sturm_bound(k) + 1  # d = dim S_2k(SL2(Z))
+        brackets = [_bracket(k - 2 * nu, nu, prec) for nu in range(1, d + 1)]  # sum 2(nu + 1) products
         # truncation commutes with products, so the kernel read from
-        # c(0) .. c(bound) only needs every column at precision bound + 1
+        # c(0) .. c(bound) only needs the monomials at precision bound + 1
         th = theta_half(nrows)
         th2 = th * th
         tha = [th] + [th * x for x in _powers(th2 * th2, m)]  # theta A^i, i = 0 .. m
         mons = [tha[m]] + [tha[m - j] * fj for j, fj in enumerate(_powers(weight2_F(nrows), m), 1)]
-        cols = [_bracket(k - 2 * nu, nu, nrows) for nu in range(1, d + 1)] + mons
-        sol = kernel([[x.num[n] for x in cols] for n in range(nrows)], d + m + 1)
+        sol = kernel([[x.num[n] for x in brackets + mons] for n in range(nrows)], d + m + 1)
         if len(sol) != d or not all(any(w[d:]) for w in sol):
             raise ArithmeticError(f"the brackets do not span the plus cusp forms of weight {k} + 1/2")
-        brackets = [_bracket(k - 2 * nu, nu, prec) for nu in range(1, d + 1)]  # sum 2(nu + 1) products
         out = []
         for w in sol:
-            g = _combination(brackets, [-c * x.den for c, x in zip(w, cols[:d])])  # v_c = w_c den_c
+            g = _combination(brackets, [-c * x.den for c, x in zip(w, brackets)])  # v_c = w_c den_c
             # plus condition must then hold through full precision
             bad = next((n for n in range(prec) if n % 4 in (2, 3) and g.num[n] != 0), None)
             if bad is not None:
@@ -178,7 +173,7 @@ def plus_cusp_basis(k: int, prec: int) -> List[QExpansion]:
             out.append(g.scale(Fraction(g.den, lead)))
         return out
 
-    return _cached(("plus_basis", k, prec), build)
+    return _cached(("plus_basis", k), prec, build)
 
 
 def shimura_lift_check(g: QExpansion, f: QExpansion, D: int, n_max: int) -> bool:

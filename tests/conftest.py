@@ -7,10 +7,19 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
-# Shared precisions: reusing the same numbers across modules lets the
-# in-process series cache absorb the cost once.
+# Shared precisions: the in-process series store holds the longest series
+# built per name and serves every shorter request as a truncation, so each
+# series is built once at the largest of these that a test asks for.
 PREC_FULL = 5000     # acceptance-scale half-integral precision
 PREC_INT = 1300      # integral eigenform precision for lift contexts
+
+
+def forget(*names):
+    """Drop the series held under each name, so the next request builds it."""
+    from g2lift.modforms import _series_cache
+
+    for name in names:
+        _series_cache.pop(name, None)
 
 
 @pytest.fixture(scope="session")

@@ -636,6 +636,17 @@ def specialize_alpha(tpoly, value):
 
 # --- test-only ring and root-datum helpers ------------------------------------
 
+def is_totally_real(w) -> bool:
+    """All projective roots of f_w over R are real.
+
+    Projectively a vanishing leading coefficient contributes the real root
+    at infinity, so the test reduces to disc(f_w) = -27 q(w) >= 0.
+    """
+    from g2lift.cubic import quartic_q
+
+    return quartic_q(w) <= 0
+
+
 def trace_matrix(ring):
     """The trace form of a CubicRing on the basis (1, omega, theta)."""
     a, b, c, d = ring.a, ring.b, ring.c, ring.d

@@ -11,7 +11,7 @@ from math import lcm
 
 import pytest
 
-from conftest import PREC_FULL, rand_mat2
+from conftest import PREC_FULL, forget, rand_mat2
 
 BUDGETS = {1: 30, 2: 1, 3: 120, 4: 60, 5: 10, 6: 60, 7: 5, 8: 60}
 
@@ -66,14 +66,14 @@ def test_criterion_2_degree7_factorization():
 def test_criterion_3_shimura_pipeline():
     """dim = 1 at k = 6; exact lift identity for fundamental D <= 40, n <= 10.
 
-    Rebuilds the N = 5000 series inside the timed region (the in-process
-    cache is purged first) so the reported runtime covers the real cost.
+    Rebuilds the N = 5000 series inside the timed region (every name it
+    reads is dropped from the series store first) so the reported runtime
+    covers the real cost.
     """
-    from g2lift.modforms import _series_cache, delta
+    from g2lift.modforms import delta
     from g2lift.shimura import is_fundamental_discriminant, plus_cusp_basis, shimura_lift_check
 
-    for key in [k for k in _series_cache if PREC_FULL in k]:
-        del _series_cache[key]
+    forget("delta", "theta", "F", ("plus_basis", 6))
     t0 = time.perf_counter()
     f = delta(PREC_FULL)
     basis = plus_cusp_basis(6, PREC_FULL)

@@ -21,7 +21,6 @@ from g2lift.cubic import (
     form_disc,
     fundamental_discriminant_of_class,
     is_maximal,
-    is_totally_real,
     quartic_q,
     rational_projective_roots,
     reduce_to_canonical,
@@ -35,6 +34,7 @@ from conftest import rand_mat2, rand_rat
 from oracles import (
     det_cofactor,
     disc_resultant,
+    is_totally_real,
     maximal_bruteforce,
     p_maximal_by_scan,
     prime_powers_by_trial,

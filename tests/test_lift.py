@@ -148,6 +148,13 @@ def test_gross_ratio_totally_split_uses_square(lift_ctx):
     assert r > 0
 
 
+def test_l_split_refuses_an_imaginary_quadratic(lift_ctx):
+    """q = 4/27 > 0 and f_w = u(u^2 + v^2): one rational root beside an
+    imaginary quadratic factor, which has no real twist to split by."""
+    with pytest.raises(ValueError, match="imaginary quadratic"):
+        lift_ctx.l_split((1, 0, F(1, 3), 0))
+
+
 def test_gross_ratio_strict_maximality(lift_ctx):
     with pytest.raises(NotMaximal):
         lift_ctx.gross_ratio((-5, 0, F(1, 3), 0), require_maximal=True)

@@ -20,6 +20,7 @@ from g2lift.modforms import (
     satake,
 )
 
+from conftest import forget
 from oracles import delta_by_eisenstein, hecke_Tp, sigma
 
 
@@ -328,10 +329,16 @@ def _digest(series):
     return h.hexdigest()
 
 
+PINNED_NAMES = ("delta", ("eigen", 16), ("plus_basis", 6), ("plus_basis", 8))
+
+
 def test_series_digests_pinned():
-    """sha256 of every exact coefficient at N = 600, read through coeff(n)."""
+    """sha256 of every exact coefficient at N = 600, read through coeff(n);
+    each pinned name is dropped from the series store first, so the pins
+    read builds, not truncations of longer series held by earlier tests."""
     from g2lift.shimura import plus_cusp_basis
 
+    forget(*PINNED_NAMES)
     assert _digest(delta(600)) == "d02fc42b9e4e30c313043c83f48f073e604aafa4e54513d98618d686b8bea8fe"
     assert _digest(eigenform(16, 600)) == "cb6a0933cf747d774e3df2b8ea4dcced5fadb79a2802174817e995f7e791dec8"
     assert _digest(plus_cusp_basis(6, 600)[0]) == "c3ee81158b550d3477c8eefd36aa20c7ecef6696b8f7f37429fb836219878a82"
@@ -343,6 +350,7 @@ def test_series_digests_pinned_at_5000():
     195,000 (recorded with CPython's int product)."""
     from g2lift.shimura import plus_cusp_basis
 
+    forget(*PINNED_NAMES)
     assert _digest(delta(5000)) == "5809daa2edc7a79ecd914ddbe4c6f0eb59b7389f9e01032814a0d161e7503aa4"
     assert _digest(eigenform(16, 5000)) == "21528d26bf347e372d28487b8cfde556bbcac72a2bca6abe545aef8eeffd5dca"
     assert _digest(plus_cusp_basis(6, 5000)[0]) == "9c605d20bea7e2d07b556a3d2318be2abf883e8b06c5ceba129440aa41ae4b7e"
@@ -375,6 +383,7 @@ def test_series_digests_pinned_off_multiples_of_four():
         ],
     }
     for (k, prec), want in pins.items():
+        forget(("plus_basis", k))
         assert [_digest(g) for g in plus_cusp_basis(k, prec)] == want, (k, prec)
 
 
@@ -382,6 +391,7 @@ def test_plus_basis_digests_pinned():
     """sha256 of every vector of the two- and three-dimensional plus bases."""
     from g2lift.shimura import plus_cusp_basis
 
+    forget(("plus_basis", 12), ("plus_basis", 18))
     assert [_digest(g) for g in plus_cusp_basis(12, 400)] == [
         "735d7b220d4f348d07ac37080ba38b198dc85f4797fa795ed528cd0fd9255fb6",
         "024390329bac629ecc686e8130d5cd6ef3061bc943b6006ac12a222d97c8fc41",
@@ -391,6 +401,44 @@ def test_plus_basis_digests_pinned():
         "463718edb6a1b6363be9e2e73556bfc9d780aa925d4505d7429122562ed20536",
         "9ff70323e281ea18be281a8199b6864e66f71fb69a66a8c4475ed2b3c7db9e17",
     ]
+
+
+def test_store_serves_shorter_requests_without_products(monkeypatch):
+    """The store holds one series per name, the longest built: after builds
+    at 5000, every request at 600 is a truncation that makes no product and
+    equals a cold build at 600, and the precision floors still refuse."""
+    from g2lift import modforms, shimura
+
+    def requests(prec):
+        return [
+            delta(prec),
+            eigenform(12, prec),
+            eigenform(16, prec),
+            eisenstein(4, prec),
+            eisenstein(6, prec),
+            shimura.theta_half(prec),
+            shimura.weight2_F(prec),
+            *shimura.plus_cusp_basis(6, prec),
+            *shimura.plus_cusp_basis(8, prec),
+        ]
+
+    monkeypatch.setattr(modforms, "_series_cache", {})
+    cold = [(x.num, x.den) for x in requests(600)]
+    monkeypatch.setattr(modforms, "_series_cache", {})
+    requests(5000)
+
+    def no_product(*args):
+        raise AssertionError("a held series was rebuilt")
+
+    monkeypatch.setattr(modforms, "_convolve_int", no_product)
+    monkeypatch.setattr(shimura, "_convolve_int", no_product)
+    assert [(x.num, x.den) for x in requests(600)] == cold
+    held = modforms._series_cache
+    assert len(held) == 9
+    assert all(x.precision == 5000 for v in held.values() for x in (v if isinstance(v, list) else [v]))
+    for refused in (lambda: eigenform(12, 1), lambda: delta(0), lambda: shimura.plus_cusp_basis(6, 47)):
+        with pytest.raises(PrecisionError):
+            refused()
 
 
 def test_tau_congruence_mod_691():

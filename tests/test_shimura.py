@@ -19,6 +19,7 @@ from g2lift.shimura import (
     weight2_F,
 )
 
+from conftest import forget
 from oracles import bracket_by_products, c_coeff, is_fundamental_by_definition, plus_cusp_basis_monomials
 
 
@@ -114,9 +115,11 @@ def test_brackets_reach_the_kernel_dimension():
 def test_plus_basis_digest_pinned_k6_to_40():
     """One sha256 over every basis vector (weight, level, num, den) for even
     k = 6 .. 40 at precision 8k, recorded from the Fraction Gauss-Jordan
-    kernel that the integer Bareiss kernel replaced."""
+    kernel that the integer Bareiss kernel replaced.  Each basis is built,
+    not truncated from one an earlier test left in the series store."""
     h = hashlib.sha256()
     for k in range(6, 41, 2):
+        forget(("plus_basis", k))
         for g in plus_cusp_basis(k, 8 * k):
             h.update(repr((g.weight, g.level, g.num, g.den)).encode())
     assert h.hexdigest() == "1b7c09569e9478df06abfd8a54569032ee4d21ff3ec213ca9c8f05e0d6ec2c56"
@@ -127,7 +130,7 @@ def test_corrupted_bracket_is_refused(k, monkeypatch):
     """A bracket that is not modular (one binomial coefficient off by one)
     cannot match a monomial combination through the Sturm bound, so the
     build raises instead of returning a basis."""
-    from g2lift import shimura
+    from g2lift import modforms, shimura
 
     good = shimura._bracket_coefficients
 
@@ -137,7 +140,8 @@ def test_corrupted_bracket_is_refused(k, monkeypatch):
         return out
 
     monkeypatch.setattr(shimura, "_bracket_coefficients", corrupted)
-    prec = 8 * k + 13  # a precision no other test caches
+    monkeypatch.delitem(modforms._series_cache, ("plus_basis", k), raising=False)  # build, not truncate
+    prec = 8 * k + 13
     with pytest.raises(ArithmeticError):
         plus_cusp_basis(k, prec)
     monkeypatch.undo()
@@ -175,19 +179,18 @@ def test_lift_check_detects_corruption(delta_full, plus6_full):
 
 
 def test_plus_basis_shared_generators_match_cold_build():
-    """The k = 8 basis built on the theta that the k = 6 build cached
-    equals one built from an empty cache."""
+    """The k = 8 basis built on the theta that the k = 6 build left in the
+    series store equals one built with none of its names held."""
     from g2lift.modforms import _series_cache
 
     N = 900
 
     def purge():
-        for key in [k for k in _series_cache if N in k]:
-            del _series_cache[key]
+        forget("theta", "F", ("plus_basis", 6), ("plus_basis", 8))
 
     purge()
     plus_cusp_basis(6, N)
-    assert ("theta", N) in _series_cache
+    assert _series_cache["theta"].precision == N
     warm = [(g.num, g.den) for g in plus_cusp_basis(8, N)]
     purge()
     cold = [(g.num, g.den) for g in plus_cusp_basis(8, N)]
