@@ -34,7 +34,7 @@ from .group import (
     weyl,
     z_coord,
 )
-from .lift import CentralVanishing, LiftContext, UnsupportedLatticeIndex
+from .lift import CentralVanishing, LiftContext
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -78,7 +78,6 @@ REFUSALS = (
     (Refusal, None, EXIT_USAGE),  # the code was tagged at the parse site
     (lfunctions.SeriesInstability, "SERIES_INSTABILITY", EXIT_INCONCLUSIVE),
     (cubic.CubicFieldOrbitUnsupported, "CUBIC_FIELD_ORBIT", EXIT_USAGE),
-    (UnsupportedLatticeIndex, "BAD_INDEX", EXIT_USAGE),
     (arith.InputTooLarge, "INPUT_TOO_LARGE", EXIT_USAGE),
     (ValueError, "BAD_INPUT", EXIT_USAGE),
 )

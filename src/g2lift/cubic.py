@@ -221,24 +221,23 @@ def etale_type(w, quad_disc: Optional[int] = None) -> EtaleType:
         raise NonEtaleInput("non-etale input")
     roots = rational_projective_roots(w)
     a, b, c, d = _integral_coeffs(w)
-    if len(roots) == 3:
-        return EtaleType("totally_split")
-    if len(roots) == 1:
-        u0, v0 = roots[0]
-        # f = (v0 u - u0 v) * (A u^2 + B u v + C v^2) up to a rational scalar
-        if v0 != 0:
-            A = Fraction(a, v0)
-            B = (Fraction(b) + A * u0) / v0
-            C = (Fraction(c) + B * u0) / v0
-        else:  # root at infinity: f = v * (b u^2 + c u v + d v^2)
-            A, B, C = Fraction(b), Fraction(c), Fraction(d)
-        disc2 = B * B - 4 * A * C
-        if quad_disc is None:
-            quad_disc = fundamental_discriminant(disc2.numerator * disc2.denominator)
-        return EtaleType("quadratic_split", quad_disc=quad_disc, real_quadratic=disc2 > 0)
     if not roots:
         return EtaleType("cubic_field", cubic_poly=(a, b, c, d))
-    raise NonEtaleInput("inconsistent root count for a separable cubic")
+    if len(roots) == 3:
+        return EtaleType("totally_split")
+    # a separable cubic with two rational roots has a rational third: one root
+    u0, v0 = roots[0]
+    # f = (v0 u - u0 v) * (A u^2 + B u v + C v^2) up to a rational scalar
+    if v0 != 0:
+        A = Fraction(a, v0)
+        B = (Fraction(b) + A * u0) / v0
+        C = (Fraction(c) + B * u0) / v0
+    else:  # root at infinity: f = v * (b u^2 + c u v + d v^2)
+        A, B, C = Fraction(b), Fraction(c), Fraction(d)
+    disc2 = B * B - 4 * A * C
+    if quad_disc is None:
+        quad_disc = fundamental_discriminant(disc2.numerator * disc2.denominator)
+    return EtaleType("quadratic_split", quad_disc=quad_disc, real_quadratic=disc2 > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +353,12 @@ class CanonicalReduction:
 
     @property
     def index(self) -> Fraction:
-        """-t*S, the index of the half-integral coefficient it selects."""
+        """-t*S, the index of the half-integral coefficient it selects.
+
+        For a reduction of a lattice vector it is a positive integer: in
+        shape, t = a1 and S = 3 a3 are integers with t < 0 < S; otherwise
+        the last two steps of ``_reduce`` land on (-D0, 0, 1/3, 0) exactly,
+        so -t*S = D0."""
         return -self.t * self.S
 
     def m_prime(self) -> Matrix2:
@@ -421,9 +425,7 @@ def _reduce(w) -> Tuple[CanonicalReduction, Optional[int]]:
         # the root into the v^3 slot
         a_inv = mat2(v0, u0, 1, 0) if u0 != 0 else mat2(v0, u0, 0, 1)
         apply(a_inv.inverse())
-    if cur[1] != 0:
-        if cur[2] == 0:
-            raise NonEtaleInput("degenerate cofactor quadratic")
+    if cur[1] != 0:  # a4 = 0 makes q = a3^2 (4 a1 a3 - 3 a2^2) < 0, so a3 != 0
         shear_inv = mat2(1, 0, -cur[1] / (2 * cur[2]), 1)
         apply(shear_inv.inverse())
     if cur[0] > 0:

@@ -7,13 +7,13 @@ h_gamma(t), the Heisenberg-parabolic coordinates n(a, t) / n1(a, t), the
 second parabolic's coordinates u(a, z), and the two GL2 Levi embeddings
 m(A) and l(A).
 
-Closed forms certified once.  ``_exp_table`` certifies the 12 generator
-tables [X, X^2/2] by Lie-algebra identities.  ``_word_table`` expands a
-fixed word in root generators over those certified rows exactly, once per
-process, into a sparse table of integer monomials in the (q^2, p q, p^2) of
-each argument p/q, so the word equals the generator product for every
-argument.  Each constructor is then one integer grid and one canonicalizing
-``Matrix7._raw`` call:
+Closed forms certified once.  ``_exp_table`` certifies the 12 root
+matrices X by Lie-algebra identities and keeps the rows of X and X^2.
+``_word_table`` expands a fixed word in root generators over those
+certified rows exactly, once per process, into a sparse table of integer
+monomials in the (q^2, p q, p^2) of each argument p/q, so the word equals
+the generator product for every argument.  Each constructor is then one
+integer grid and one canonicalizing ``Matrix7._raw`` call:
 
 * x_gamma(u), n(a, t) and u(a, z) are words of one and five letters,
   evaluated from their tables.
@@ -176,62 +176,33 @@ def identity() -> GroupElement:
     return GroupElement._trusted(Matrix7.identity())
 
 
-def _exp_powers(gamma: RootLabel):
-    """[X^k / k!] for k >= 1 until the power vanishes (nilpotency)."""
-    x = nilpotent_matrix(gamma)
-    out = []
-    term = x
-    k = 1
-    while not term.is_zero():
-        out.append(term.scale(Fraction(1, 1)))
-        k += 1
-        term = (term * x).scale(Fraction(1, k))
-    return out
-
-
-_EXP_TABLE = {}
 _EXP_TERMS = {}
-_CERTIFIED = False
 
 
 def _exp_table():
-    """Power tables for all 12 roots, certified once per process.
+    """The generator rows of all 12 roots, certified once per process.
 
-    For each root the table must be [X, X^2/2], or [X] when X^2 = 0, with
-    X the root's nilpotent matrix, X^T S + S X = 0 (X lies in the Lie
-    algebra of the form S = GRAM) and X^3 = 0, X integral.  These prove
-    that E(u) = I + u X + u^2 X^2/2 preserves the form with det 1 for
-    every u: E(u) = exp(u X), and (X^T)^k S = S (-X)^k turns
-    E(u)^T S E(u) into S exp(-u X) exp(u X) = S, each power of u
-    cancelling separately; E(u) - I is nilpotent, so det E(u) = 1.
-    Later constructions therefore skip validation.
+    Each root matrix X = ``_NILPOTENT[root]`` must be integral, with
+    X^T S + S X = 0 (X lies in the Lie algebra of the form S = GRAM) and
+    X^3 = 0.  These prove that E(u) = I + u X + u^2 X^2/2 preserves the
+    form with det 1 for every u: E(u) = exp(u X), and (X^T)^k S = S (-X)^k
+    turns E(u)^T S E(u) into S exp(-u X) exp(u X) = S, each power of u
+    cancelling separately; E(u) - I is nilpotent, so det E(u) = 1.  The
+    rows of X and X^2 then fill ``_EXP_TERMS``, and later constructions
+    skip validation.
     """
-    global _CERTIFIED
-    if not _EXP_TABLE:
-        for gamma in ALL_ROOTS:
-            _EXP_TABLE[(gamma.name, gamma.positive)] = _exp_powers(gamma)
-    if not _CERTIFIED:
-        terms = {}
-        for gamma in ALL_ROOTS:
-            key = (gamma.name, gamma.positive)
-            x = nilpotent_matrix(gamma)
-            x2 = x * x
-            expected = [x] if x2.is_zero() else [x, x2.scale(Fraction(1, 2))]
-            if (
-                _EXP_TABLE[key] != expected
-                or x.den != 1
-                or not (x.transpose() * GRAM + GRAM * x).is_zero()
-                or not (x2 * x).is_zero()
-            ):
-                raise AssertionError(f"generator table corrupt at {gamma}")
-            # entry (i, j) of 2 q^2 E(p/q) is 2 q^2 [i == j] + 2 p q X_ij + p^2 (X^2)_ij
-            terms[key] = [
-                [(j, x.num[i][j], x2.num[i][j]) for j in range(7) if x.num[i][j] or x2.num[i][j]]
-                for i in range(7)
-            ]
-        _EXP_TERMS.update(terms)
-        _CERTIFIED = True
-    return _EXP_TABLE
+    terms = {}
+    for gamma in ALL_ROOTS:
+        x = nilpotent_matrix(gamma)
+        x2 = x * x
+        if x.den != 1 or not (x.transpose() * GRAM + GRAM * x).is_zero() or not (x2 * x).is_zero():
+            raise AssertionError(f"generator table corrupt at {gamma}")
+        # entry (i, j) of 2 q^2 E(p/q) is 2 q^2 [i == j] + 2 p q X_ij + p^2 (X^2)_ij
+        terms[(gamma.name, gamma.positive)] = [
+            [(j, x.num[i][j], x2.num[i][j]) for j in range(7) if x.num[i][j] or x2.num[i][j]]
+            for i in range(7)
+        ]
+    _EXP_TERMS.update(terms)
 
 
 _WORD_TABLES = {}
@@ -254,7 +225,7 @@ def _word_table(word):
     exponent vectors, and per row the (column, [(integer, monomial index)])
     of each nonzero entry.  Only the fixed words of this module are keys.
     """
-    if not _CERTIFIED:
+    if not _EXP_TERMS:
         _exp_table()
     # poly[i][j] maps an exponent vector c to its coefficient in entry (i, j)
     poly = [[{(): 1} if j == i else {} for j in range(7)] for i in range(7)]

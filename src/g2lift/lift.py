@@ -37,10 +37,6 @@ from .modforms import QExpansion, eigenform, mu_f
 from .shimura import plus_cusp_basis
 
 
-class UnsupportedLatticeIndex(ValueError):
-    """Reduction produced a coefficient index outside the integer lattice."""
-
-
 class CentralVanishing(ArithmeticError):
     """A ratio was requested against a vanishing central L-value."""
 
@@ -108,10 +104,7 @@ class LiftContext:
         if quartic_q(w) >= 0:
             raise ValueError("q(w) < 0 required")
         red = reduce_to_canonical(w)  # raises on cubic-field orbits
-        idx = red.index
-        if idx.denominator != 1 or idx <= 0:
-            raise UnsupportedLatticeIndex("index outside supported lattice normalization")
-        n = int(idx)
+        n = int(red.index)  # a positive integer: see CanonicalReduction.index
         c_val = Fraction(0) if n % 4 in (2, 3) else self.g.coeff(n)
         phase = (1 / mu_f(self.f, red.m.det())) * (1 / mu_f(self.f, red.S))
         return LiftCoefficient(w=w, t=red.t, S=red.S, m=red.m, phase=phase, c_value=c_val)
@@ -146,7 +139,7 @@ class LiftContext:
             return L1.value * L1.value, L1.abs_error_bound * 3
         if et.kind == "quadratic_split":
             if not et.real_quadratic:
-                raise ValueError("totally real w cannot meet an imaginary quadratic")
+                raise ValueError("w with an imaginary quadratic factor has no real twist to split by")
             LD = central_twisted_value(self.f, et.quad_disc, tol)
             return L1.value * LD.value, (L1.abs_error_bound + LD.abs_error_bound) * 3
         raise ValueError("cubic-field orbit unsupported")

@@ -676,6 +676,28 @@ def root_coords(label):
 
 # --- root generators as a sum over the power table ----------------------------
 
+def exp_powers(x):
+    """[X^k / k!] for k >= 1 until the power vanishes: the power-series table
+    of a root matrix X that the generator certificate of ``group`` once
+    compared its X and X^2/2 with.  A nilpotent 7x7 X has X^7 = 0, so a
+    table that reaches seven terms belongs to an X that is not nilpotent,
+    and stops there."""
+    powers, term = [], x
+    for k in range(2, 9):
+        if term.is_zero():
+            break
+        powers.append(term)
+        term = (term * x).scale(Fraction(1, k))
+    return powers
+
+
+def exp_power_table():
+    """The power table of each of the 12 root matrices of ``group``."""
+    from g2lift.group import ALL_ROOTS, nilpotent_matrix
+
+    return {(gamma.name, gamma.positive): exp_powers(nilpotent_matrix(gamma)) for gamma in ALL_ROOTS}
+
+
 def exp_by_table_sum(powers, u):
     """I + sum_k u^k (X^k / k!) over a power table [X, X^2/2, ...], one
     Matrix7 addition per term: the construction the one-letter word grid of

@@ -262,6 +262,26 @@ def test_gross_bad_disc_is_usage_error(capsys, discs):
     assert json.loads(out)["error"] == "BAD_INPUT"
 
 
+def test_gross_central_vanishing_is_a_row(capsys, monkeypatch):
+    """A vanishing central value is a result row, not a refusal: patched for
+    D = 8, the way the recorded-output cases patch, it leaves two ratios."""
+    real = lift.LiftContext.gross_ratio
+
+    def gross_ratio(self, w, *args, **kwargs):
+        if w[0] == -8:
+            raise lift.CentralVanishing("central vanishing; ratio undefined")
+        return real(self, w, *args, **kwargs)
+
+    monkeypatch.setattr(lift.LiftContext, "gross_ratio", gross_ratio)
+    code, out = run_cli(capsys, "gross", "--form", "delta", "--discs", "5,8,13",
+                        "--tol", "1e-9", "--prec", "900", "--prec-half", "100")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["rows"][1] == {"D": 8, "status": "central-vanishing"}
+    assert [r["status"] for r in rec["rows"]] == ["ok", "central-vanishing", "ok"]
+    assert rec["passed"]
+
+
 def test_gross_repeated_disc_is_usage_error(capsys):
     """One discriminant given twice is one point, not a spread of 0 from two."""
     code, out = run_cli(capsys, "gross", "--form", "delta", "--discs", "5,5",
@@ -362,16 +382,13 @@ def test_output_matches_recording(capsys, monkeypatch, tmp_path, case):
     handlers that the refusal table replaced, gross's wall_time masked.
     lfunc shares the lift's form check, so its two form refusals, eigen14
     and the odd-k eigen18 (which answered SERIES_INSTABILITY before), were
-    recorded again with the message coeff gives.  Real input reaches
-    neither BAD_INDEX nor SERIES_INSTABILITY, so two cases patch the
-    library call to raise them."""
+    recorded again with the message coeff gives.  Real input does not
+    reach SERIES_INSTABILITY, so its cases patch the library call to
+    raise it."""
     if case["patch"] == "series_instability":
         unstable = _raising(lfunctions.SeriesInstability("series instability: 1.0 vs 2.0"))
         monkeypatch.setattr(lfunctions, "central_twisted_value", unstable)
         monkeypatch.setattr(lift, "central_twisted_value", unstable)
-    elif case["patch"] == "bad_index":
-        bad_index = lift.UnsupportedLatticeIndex("index outside supported lattice normalization")
-        monkeypatch.setattr(lift.LiftContext, "fourier_coefficient", _raising(bad_index))
     argv = case["argv"]
     if case["file_text"] is not None:
         path = tmp_path / "f.mf"

@@ -101,10 +101,12 @@ def test_totally_real_orbit_invariant(rng):
 
 def test_etale_examples():
     assert etale_type((-1, 0, F(1, 3), 0)).kind == "totally_split"
+    assert str(etale_type((-1, 0, F(1, 3), 0))) == "Q^3"
     et = etale_type((-1, 0, F(2, 3), 0))
     assert et.kind == "quadratic_split" and et.quad_disc == 8 and et.real_quadratic
     et = etale_type((1, 0, -1, 1))
     assert et.kind == "cubic_field" and et.cubic_poly == (1, 0, -3, 1)
+    assert str(et) == "cubic field [1,0,-3,1]"
     et = etale_type((1, 0, 0, 1))
     assert et.kind == "quadratic_split" and et.quad_disc == -3 and not et.real_quadratic
 
@@ -112,6 +114,8 @@ def test_etale_examples():
 def test_etale_rejects_degenerate():
     with pytest.raises(NonEtaleInput):
         etale_type((0, 1, 0, 0))
+    with pytest.raises(NonEtaleInput, match="zero form"):
+        rational_projective_roots((0, 0, 0, 0))
 
 
 def test_etale_orbit_invariant(rng):
@@ -376,6 +380,8 @@ def test_ring_multiplication_associative(rng):
 def test_ring_rejects_nonlattice():
     with pytest.raises(ValueError):
         cubic_ring((F(1, 2), 0, 0, 1))
+    with pytest.raises(ValueError, match="not in the integral lattice"):
+        CubicVector.of(F(1, 2), 0, 0, 1).integral_form()
 
 
 def test_maximality_examples():
@@ -386,6 +392,8 @@ def test_maximality_examples():
     assert not is_maximal(ring)
     assert cubic_ring((1, 0, -1, 1)).discriminant == 81
     assert is_maximal(cubic_ring((1, 0, -1, 1)))
+    with pytest.raises(NonEtaleInput):
+        is_maximal(cubic_ring((0, F(1, 3), 0, 0)))  # u^2 v: discriminant 0
 
 
 def test_maximality_matches_bruteforce_smallbox():
@@ -548,6 +556,9 @@ def test_fundamental_class_normalization():
     assert fundamental_discriminant_of_class(F(9, 4)) == (1, F(2, 3))
     d0, lam = fundamental_discriminant_of_class(F(75))
     assert d0 == 12 and lam * lam * 75 == 12
+    for r in (F(0), F(-5)):
+        with pytest.raises(ValueError, match="positive rational"):
+            fundamental_discriminant_of_class(r)
 
 
 def test_reduction_json_record():

@@ -1,10 +1,11 @@
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2lift.exact import Matrix7, form_adjoint, mat2, preserves_form
+from g2lift.exact import GRAM, Matrix7, form_adjoint, mat2, preserves_form
 from g2lift.group import (
     ALL_ROOTS,
     RootLabel,
@@ -37,6 +38,8 @@ from conftest import rand_mat2, rand_rat
 from oracles import (
     certify_by_sampling,
     exp_by_table_sum,
+    exp_power_table,
+    exp_powers,
     heis_n_by_products,
     inverse_by_gram,
     levi_l_by_rows,
@@ -106,6 +109,7 @@ def test_root_generator_trivial_and_beta_line():
 def test_one_parameter_power():
     x = root_generator(RootLabel("alpha"), 1)
     assert x**5 == root_generator(RootLabel("alpha"), 5)
+    assert x**-3 == root_generator(RootLabel("alpha"), -3)
 
 
 def test_weyl_representatives():
@@ -162,6 +166,8 @@ def test_u_coords_roundtrip(rng):
     for _ in range(10):
         v = [rand_rat(rng, 9) for _ in range(5)]
         assert u_coords(u_coord(*v)) == tuple(v)
+    with pytest.raises(ValueError, match="not in the unipotent group U"):
+        u_coords(levi_m(mat2(2, 0, 0, 1)))
 
 
 def test_levi_maps_reject_singular():
@@ -178,6 +184,8 @@ def test_levi_m_identity_and_coords(rng):
     for _ in range(10):
         A = rand_mat2(rng)
         assert levi_m_coords(levi_m(A)) == A
+    with pytest.raises(ValueError, match="not in the Levi M"):
+        levi_m_coords(heis_n(1, 0, 0, 0, 0))
 
 
 def test_ml_identities(rng):
@@ -345,9 +353,7 @@ def test_root_generator_matches_table_sum():
     random p/q with |p|, q up to 10^6."""
     import random
 
-    from g2lift.group import _exp_table
-
-    table = _exp_table()
+    table = exp_power_table()
     r = random.Random(20261018)
     us = [F(0), F(1), F(-1), F(15)]
     us += [F(r.randint(-10**6, 10**6), r.randint(1, 10**6)) for _ in range(50)]
@@ -359,62 +365,53 @@ def test_root_generator_matches_table_sum():
 
 
 def test_sampled_certificate_holds_on_shipped_table():
-    from g2lift.group import _exp_table
-
-    assert certify_by_sampling(_exp_table()) == []
+    assert certify_by_sampling(exp_power_table()) == []
 
 
-def _corrupted_copies(table):
-    """(gamma, copy) pairs: one nonzero entry of X, and of X^2/2 where the
-    table has it, moved by 1."""
-    for gamma in ALL_ROOTS:
-        powers = table[_key(gamma)]
-        for k, power in enumerate(powers):
-            i, j = next((i, j) for i in range(7) for j in range(7) if power[i, j] != 0)
-            rows = [list(r) for r in power.rows]
-            rows[i][j] += 1
-            bad = dict(table)
-            bad[_key(gamma)] = powers[:k] + [Matrix7(rows)] + powers[k + 1:]
-            yield gamma, bad
-
-
-def test_corrupted_table_is_refused():
+def _corrupted_copies():
+    """(gamma, copy) pairs: the root matrices with the first nonzero entry
+    of gamma's moved by 1."""
     import g2lift.group as group
 
-    group._exp_table()
-    saved_table, saved_flag = group._EXP_TABLE, group._CERTIFIED
-    copies = list(_corrupted_copies(saved_table))
-    assert len(copies) == 12 + 6  # six roots have X^2 != 0
-    try:
-        for gamma, bad in copies:
-            group._EXP_TABLE, group._CERTIFIED = bad, False
-            with pytest.raises(AssertionError, match="generator table corrupt"):
-                group._exp_table()
-            # the sampled certificate also sees every one of these copies
-            key = _key(gamma)
-            assert certify_by_sampling({key: bad[key]}) == [key]
-    finally:
-        group._EXP_TABLE, group._CERTIFIED = saved_table, saved_flag
+    for gamma in ALL_ROOTS:
+        entries = dict(group._NILPOTENT[_key(gamma)])
+        entries[next(iter(entries))] += 1
+        yield gamma, {**group._NILPOTENT, _key(gamma): entries}
+
+
+def test_corrupted_table_is_refused(monkeypatch):
+    """Each corrupted root matrix breaks X^T S + S X = 0, and the
+    certificate refuses it at that root."""
+    import g2lift.group as group
+
+    copies = list(_corrupted_copies())
+    assert len(copies) == 12
+    for gamma, bad in copies:
+        monkeypatch.setattr(group, "_NILPOTENT", bad)
+        monkeypatch.setattr(group, "_EXP_TERMS", {})
+        x = group.nilpotent_matrix(gamma)
+        assert not (x.transpose() * GRAM + GRAM * x).is_zero()
+        with pytest.raises(AssertionError, match=f"generator table corrupt at {re.escape(str(gamma))}$"):
+            group._exp_table()
+        # the sampled certificate also sees every one of these copies
+        key = _key(gamma)
+        assert certify_by_sampling({key: exp_powers(x)}) == [key]
+    monkeypatch.undo()
     assert root_generator(RootLabel("a"), 3) == root_generator(RootLabel("a"), 1) ** 3
 
 
 def test_root_outside_the_lie_algebra_is_refused(monkeypatch):
-    """A wrong root matrix builds a self-consistent table; the Lie-algebra
-    identity X^T S + S X = 0 is what refuses it."""
+    """A wrong root matrix is refused by the Lie-algebra identity
+    X^T S + S X = 0."""
     import g2lift.group as group
 
-    group._exp_table()
-    saved_table, saved_flag = group._EXP_TABLE, group._CERTIFIED
     key = ("a+b", True)
     bad = dict(group._NILPOTENT[key])
     bad[(0, 3)] += 1
     monkeypatch.setitem(group._NILPOTENT, key, bad)
-    try:
-        group._EXP_TABLE, group._CERTIFIED = {}, False
-        with pytest.raises(AssertionError, match="generator table corrupt at a\\+b"):
-            group._exp_table()
-    finally:
-        group._EXP_TABLE, group._CERTIFIED = saved_table, saved_flag
+    monkeypatch.setattr(group, "_EXP_TERMS", {})
+    with pytest.raises(AssertionError, match="generator table corrupt at a\\+b"):
+        group._exp_table()
 
 
 # --- generator words on the P side: x, w, h, n and n1 ---------------------------

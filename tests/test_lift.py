@@ -77,6 +77,11 @@ def test_preconditions(lift_ctx):
         lift_ctx.fourier_coefficient((1, 0, 0, 1))  # q > 0
     with pytest.raises(CubicFieldOrbitUnsupported):
         lift_ctx.fourier_coefficient((1, 0, -1, 1))
+    with pytest.raises(ValueError, match="cubic-field orbit"):
+        lift_ctx.l_split((1, 0, -1, 1))
+    rec = lift_ctx.fourier_coefficient((-5, 0, F(1, 3), 0))
+    with pytest.raises(ValueError, match="invertible"):
+        lift_ctx.transform_coefficient(rec, mat2(1, 2, 2, 4))
 
 
 def test_transform_identity_and_roundtrip(lift_ctx):

@@ -165,6 +165,10 @@ def test_lift_check_rejects_bad_inputs(plus6_full):
     f16 = eigenform(16, 100)
     with pytest.raises(ValueError):
         shimura_lift_check(plus6_full, f16, 5, 3)
+    with pytest.raises(ValueError, match="level 4"):
+        shimura_lift_check(delta(100), delta(100), 5, 2)  # level 1
+    with pytest.raises(ValueError, match="weight k \\+ 1/2"):
+        shimura_lift_check(weight2_F(100), delta(100), 5, 2)  # integral weight
     with pytest.raises(ValueError):
         shimura_lift_check(plus6_full, delta(100), 20, 2)  # 20 not fundamental
     with pytest.raises(PrecisionError):
@@ -226,6 +230,8 @@ def test_fundamental_discriminant_of_a_square_class():
         if n:
             D = fundamental_discriminant(n)
             assert is_fundamental_by_definition(D) and isqrt(n * D) ** 2 == n * D, n
+    with pytest.raises(ValueError, match="no square class"):
+        fundamental_discriminant(0)
 
 
 def test_shimura_and_lfunctions_do_not_import_each_other():
