@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-import time
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
@@ -195,7 +194,6 @@ def cmd_gross(args) -> int:
     discs = sorted(int(d) for d in args.discs.split(","))
     if len(set(discs)) < len(discs):  # a repeat is one point counted twice
         raise ValueError("repeated discriminant in --discs")
-    t0 = time.perf_counter()
     rows = []
     ratios = []
     for D in discs:
@@ -221,7 +219,6 @@ def cmd_gross(args) -> int:
         "relative_spread": spread,
         "spread_tol": args.spread_tol,
         "passed": passed,
-        "wall_time": round(time.perf_counter() - t0, 3),
     }
     if args.csv:
         print("D,ratio,status")

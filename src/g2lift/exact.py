@@ -11,12 +11,17 @@ The Gram form GRAM of the 7x7 orthogonal group is a symmetric signed
 permutation, so its adjoint S^-1 g^T S (the inverse of a form-preserving g)
 is a rescaled, permuted transpose: ``form_adjoint`` builds it as one grid,
 and ``preserves_form`` needs one product.
+
+``Poly`` is the one sparse polynomial type, with exact coefficients and
+exponents of either sign: the indeterminates of the l(A) certificate and
+the coefficients of the degree-7 Euler factor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Sequence
 
 def rat(x) -> Fraction:
@@ -284,3 +289,60 @@ def preserves_form(g: Matrix7) -> bool:
     """True iff g^T * GRAM * g == GRAM exactly and det(g) == 1.  GRAM is
     invertible, so the form condition is S^-1 g^T S g == I: one product."""
     return form_adjoint(g) * g == _IDENTITY7 and g.det() == 1
+
+
+class Poly(dict):
+    """A sparse polynomial in ``nvars`` indeterminates with exact
+    coefficients: {exponent tuple: nonzero coefficient}, exponents of either
+    sign.  ``+``, ``-`` and ``*`` take another Poly in the same
+    indeterminates or a scalar, which stands for its constant term."""
+
+    __slots__ = ("nvars",)
+
+    def __init__(self, nvars: int, terms=()):
+        super().__init__((m, c) for m, c in dict(terms).items() if c)
+        self.nvars = nvars
+
+    @classmethod
+    def monomial(cls, *exponents) -> "Poly":
+        return cls(len(exponents), {exponents: 1})
+
+    def _of(self, x) -> "Poly":
+        return x if isinstance(x, Poly) else Poly(self.nvars, {(0,) * self.nvars: x})
+
+    def __add__(self, other):
+        out = dict(self)
+        for m, c in self._of(other).items():
+            out[m] = out.get(m, 0) + c
+        return Poly(self.nvars, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly(self.nvars, {m: -c for m, c in self.items()})
+
+    def __sub__(self, other):
+        return self + -self._of(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        out = {}
+        for m1, c1 in self.items():
+            for m2, c2 in self._of(other).items():
+                m = tuple(map(add, m1, m2))
+                out[m] = out.get(m, 0) + c1 * c2
+        return Poly(self.nvars, out)
+
+    __rmul__ = __mul__
+
+    def at(self, *values):
+        """The value at the point ``values``, nonzero where an exponent is
+        negative; exact for exact values."""
+        total = 0
+        for m, c in self.items():
+            for x, e in zip(values, m):
+                c *= x**e
+            total += c
+        return total

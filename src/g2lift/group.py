@@ -45,9 +45,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import prod
-from operator import add, getitem
+from operator import getitem
 
-from .exact import GRAM, Matrix2, Matrix7, form_adjoint, mat2, preserves_form, rat
+from .exact import GRAM, Matrix2, Matrix7, Poly, form_adjoint, mat2, preserves_form, rat
 
 # ---------------------------------------------------------------------------
 # Root system bookkeeping
@@ -434,37 +434,6 @@ def levi_m_coords(g: GroupElement) -> Matrix2:
     return A
 
 
-class _Poly(dict):
-    """An integer polynomial in (a, b, c, d, e), {exponent vector: coefficient}
-    with no zero coefficient: the indeterminates of ``_certify_l_grid``."""
-
-    def __add__(self, other):
-        out = _Poly(self)
-        for m, c in _poly(other).items():
-            out[m] = out.get(m, 0) + c
-        return _Poly({m: c for m, c in out.items() if c})
-
-    def __neg__(self):
-        return _Poly({m: -c for m, c in self.items()})
-
-    def __sub__(self, other):
-        return self + -_poly(other)
-
-    def __mul__(self, other):
-        out = {}
-        for m1, c1 in self.items():
-            for m2, c2 in _poly(other).items():
-                m = tuple(map(add, m1, m2))
-                out[m] = out.get(m, 0) + c1 * c2
-        return _Poly({m: c for m, c in out.items() if c})
-
-    __rmul__ = __mul__
-
-
-def _poly(x):
-    return x if isinstance(x, _Poly) else _Poly({(0,) * 5: x} if x else {})
-
-
 def _l_grid(a, b, c, d, e, D):
     """e^2 D l(A) for A = [[a, b], [c, d]] / e and D = a d - b c: integers in
     ``levi_l``, polynomials in ``_certify_l_grid``."""
@@ -484,9 +453,10 @@ _L_CERTIFIED = False
 
 
 def _certify_l_grid():
-    """Check once per process that the grid G of ``_l_grid`` at indeterminates
-    (a, b, c, d, e) satisfies G^T S G = s^2 S, with S = GRAM and s = e^2 D, as
-    a polynomial identity, and that G is the identity at A = I.
+    """Check once per process that the grid G of ``_l_grid`` at the
+    indeterminates (a, b, c, d, e), five ``exact.Poly`` monomials, satisfies
+    G^T S G = s^2 S, with S = GRAM and s = e^2 D, as a polynomial identity,
+    and that G is the identity at A = I.
 
     Then det(G)^2 = s^14 in the integral domain Z[a, b, c, d, e], so
     det G = +-s^7, and the value at A = I fixes the sign.  Hence for every
@@ -494,12 +464,12 @@ def _certify_l_grid():
     has det 1.  Raises on any other grid.
     """
     global _L_CERTIFIED
-    a, b, c, d, e = (_Poly({tuple(int(i == v) for i in range(5)): 1}) for v in range(5))
+    a, b, c, d, e = (Poly.monomial(*(int(i == v) for i in range(5))) for v in range(5))
     G = _l_grid(a, b, c, d, e, a * d - b * c)
     s = e * e * (a * d - b * c)
     S = GRAM.num
     form_ok = all(
-        sum((G[k][i] * S[k][l] * G[l][j] for k in range(7) for l in range(7) if S[k][l]), _Poly())
+        sum((G[k][i] * S[k][l] * G[l][j] for k in range(7) for l in range(7) if S[k][l]), Poly(5))
         == s * s * S[i][j]
         for i in range(7)
         for j in range(7)

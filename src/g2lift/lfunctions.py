@@ -8,16 +8,18 @@ Twisted central values use the smoothed series
 with root number w = +1 (level one, k even, D > 0), self-validated by
 recomputing with the free cutoff parameter doubled; the incomplete gamma
 of integer order is the finite sum e^-x sum_{j<k} x^j / j!.
+
+An Euler factor is the list of its coefficients in T, each an
+``exact.Poly`` in the Satake unit a and a formal square root r of p.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, Tuple
 
 from .arith import is_fundamental_discriminant, kronecker
+from .exact import Poly
 from .modforms import QExpansion
 
 
@@ -133,81 +135,11 @@ def central_twisted_value(f: QExpansion, D: int = 1, tol: float = 1e-10, ext_flo
 # ---------------------------------------------------------------------------
 # formal Euler-factor algebra
 
-class LaurentPoly:
-    """Laurent polynomial in two commuting formal units: a (the Satake
-    unit) and r (a formal square root of p).  Keys are (i, j) exponent
-    pairs, values exact rationals."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Dict[Tuple[int, int], Fraction] | None = None):
-        clean = {}
-        for key, val in (terms or {}).items():
-            val = Fraction(val)
-            if val:
-                clean[key] = val
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    @classmethod
-    def const(cls, c) -> "LaurentPoly":
-        return cls({(0, 0): Fraction(c)})
-
-    @classmethod
-    def unit(cls, i: int = 1, j: int = 0) -> "LaurentPoly":
-        return cls({(i, j): Fraction(1)})
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + val
-        return LaurentPoly(out)
-
-    def __neg__(self):
-        return LaurentPoly({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out: Dict[Tuple[int, int], Fraction] = {}
-        for (i1, j1), v1 in self.terms.items():
-            for (i2, j2), v2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + v1 * v2
-        return LaurentPoly(out)
-
-    def substitute(self, alpha: complex, root_p: complex) -> complex:
-        return sum(complex(v) * alpha**i * root_p**j for (i, j), v in self.terms.items())
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (i, j), v in sorted(self.terms.items()):
-            s = str(v)
-            if i:
-                s += f"*a^{i}"
-            if j:
-                s += f"*r^{j}"
-            bits.append(s)
-        return " + ".join(bits)
-
-
-ZERO = LaurentPoly()
-ONE = LaurentPoly.const(1)
+ONE = Poly.monomial(0, 0)
 
 
 def _poly_mul(f: list, g: list) -> list:
-    out = [ZERO] * (len(f) + len(g) - 1)
+    out = [Poly(2)] * (len(f) + len(g) - 1)
     for i, fi in enumerate(f):
         for j, gj in enumerate(g):
             out[i + j] = out[i + j] + fi * gj
@@ -215,7 +147,8 @@ def _poly_mul(f: list, g: list) -> list:
 
 
 def _euler_factor(roots) -> list:
-    """prod (1 - root * T) as a T-polynomial with LaurentPoly coefficients."""
+    """prod (1 - root * T) as a list of coefficients in T, each a ``Poly``
+    in (a, r)."""
     out = [ONE]
     for root in roots:
         out = _poly_mul(out, [ONE, -root])
@@ -228,24 +161,24 @@ def std7_euler_factor() -> list:
     return _euler_factor(
         [
             ONE,
-            LaurentPoly.unit(2, 0),
-            LaurentPoly.unit(-2, 0),
-            LaurentPoly.unit(1, 1),
-            LaurentPoly.unit(-1, 1),
-            LaurentPoly.unit(1, -1),
-            LaurentPoly.unit(-1, -1),
+            Poly.monomial(2, 0),
+            Poly.monomial(-2, 0),
+            Poly.monomial(1, 1),
+            Poly.monomial(-1, 1),
+            Poly.monomial(1, -1),
+            Poly.monomial(-1, -1),
         ]
     )
 
 
 def sym2_factor() -> list:
     """(1 - T)(1 - a^2 T)(1 - a^-2 T)."""
-    return _euler_factor((ONE, LaurentPoly.unit(2, 0), LaurentPoly.unit(-2, 0)))
+    return _euler_factor((ONE, Poly.monomial(2, 0), Poly.monomial(-2, 0)))
 
 
 def shifted_pair_factor(shift: int) -> list:
     """(1 - a r^shift T)(1 - a^-1 r^shift T) for shift in {1, -1}."""
-    return _euler_factor((LaurentPoly.unit(1, shift), LaurentPoly.unit(-1, shift)))
+    return _euler_factor((Poly.monomial(1, shift), Poly.monomial(-1, shift)))
 
 
 def factorization_check() -> bool:
@@ -258,7 +191,7 @@ def factorization_check() -> bool:
 def std7_numeric_check(alpha: complex, p: int, T: complex, tol: float = 1e-14) -> bool:
     """Spot-check the factorization as complex numbers."""
     rp = math.sqrt(p)
-    lhs = sum(c.substitute(alpha, rp) * T**i for i, c in enumerate(std7_euler_factor()))
+    lhs = sum(c.at(alpha, rp) * T**i for i, c in enumerate(std7_euler_factor()))
     prod = 1.0 + 0j
     for root in (
         1,

@@ -23,9 +23,7 @@ from fractions import Fraction
 from .cubic import (
     CanonicalReduction,
     CubicVector,
-    cubic_ring,
     etale_type,
-    is_maximal,
     quartic_q,
     reduce_to_canonical,
     verify_reduction,
@@ -39,10 +37,6 @@ from .shimura import plus_cusp_basis
 
 class CentralVanishing(ArithmeticError):
     """A ratio was requested against a vanishing central L-value."""
-
-
-class NotMaximal(ValueError):
-    """Strict mode rejected a vector whose cubic ring is not maximal."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,19 +138,15 @@ class LiftContext:
             return L1.value * LD.value, (L1.abs_error_bound + LD.abs_error_bound) * 3
         raise ValueError("cubic-field orbit unsupported")
 
-    def gross_ratio(self, w, tol: float = 1e-10, require_maximal: bool = False) -> float:
+    def gross_ratio(self, w, tol: float = 1e-10) -> float:
         """R(w) = c_{tS}^2 pi^(2k) / (Gamma(k)^2 |q(w)|^(k-1/2) L_split(w));
         predicted constant in w at fixed S.
 
-        Maximality of the cubic ring is reported softly by default: the
-        stand-in experiment deliberately runs on shape vectors whose rings
-        have index 2 at the rational place, where constancy still follows
-        from the half-integral coefficient formula.  ``require_maximal``
-        restores the strict precondition.
+        The cubic ring need not be maximal: the stand-in experiment runs on
+        shape vectors whose rings have index 2 at the rational place, where
+        constancy still follows from the half-integral coefficient formula.
         """
         w = CubicVector.of(*w)
-        if require_maximal and not is_maximal(cubic_ring(w)):
-            raise NotMaximal("cubic ring attached to w is not maximal")
         rec = self.fourier_coefficient(w)
         lsplit, lerr = self.l_split(w, tol)
         if abs(lsplit) <= 10 * lerr:

@@ -280,30 +280,15 @@ def eigenform(two_k: int, prec: int) -> QExpansion:
 # ---------------------------------------------------------------------------
 # Satake parameters
 
-@dataclass(frozen=True)
-class SatakeRecord:
-    p: int
-    a_p: Fraction
-    two_k: int
-    alpha: complex
-
-    def check(self, tol=1e-10) -> bool:
-        unit = abs(abs(self.alpha) - 1.0) < 1e-12
-        trace = abs((self.alpha + 1 / self.alpha).real - float(self.a_p) / self.p ** ((self.two_k - 1) / 2)) < tol
-        return unit and trace and abs((self.alpha + 1 / self.alpha).imag) < tol
-
-
-def satake(f: QExpansion, p: int) -> SatakeRecord:
-    """Unitary Satake parameter at p: the root of
+def satake(f: QExpansion, p: int) -> complex:
+    """The unitary Satake parameter alpha at p: the root of
     X^2 - (a_p / p^((2k-1)/2)) X + 1 with nonnegative imaginary part."""
     two_k = int(f.weight)
     a_p = f.coeff(p)
     b = float(a_p) / p ** ((two_k - 1) / 2)
     if abs(b) > 2:
         raise ValueError("Deligne bound violated; upstream eigenform is wrong")
-    disc = 4 - b * b
-    alpha = complex(b / 2, disc**0.5 / 2)
-    return SatakeRecord(p=p, a_p=a_p, two_k=two_k, alpha=alpha)
+    return complex(b / 2, (4 - b * b) ** 0.5 / 2)
 
 
 def mu_f(f: QExpansion, r) -> complex:
@@ -318,5 +303,5 @@ def mu_f(f: QExpansion, r) -> complex:
     out = complex(1, 0)
     for n, sign in ((abs(r.numerator), 1), (r.denominator, -1)):
         for p, e in prime_powers(n):
-            out *= satake(f, p).alpha ** (sign * e)
+            out *= satake(f, p) ** (sign * e)
     return out

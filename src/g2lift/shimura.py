@@ -54,11 +54,7 @@ def weight2_F(prec: int) -> QExpansion:
     """F = sum_{n odd} sigma_1(n) q^n, weight 2 on Gamma0(4)."""
 
     def build():
-        sums = [0] * prec
-        for d in range(1, prec, 2):
-            for m in range(d, prec, 2 * d):  # odd multiples of odd d
-                sums[m] += d
-        return QExpansion(2, 4, sums)
+        return QExpansion(2, 4, [s if n % 2 else 0 for n, s in enumerate(_sigma_list(1, prec))])
 
     return _cached("F", prec, build)
 

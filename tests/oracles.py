@@ -538,6 +538,18 @@ def c_coeff(g, t):
     return g.coeff(n)
 
 
+# --- Satake parameters ---------------------------------------------------------
+
+def satake_holds(f, p, alpha, tol=1e-10) -> bool:
+    """alpha is a unitary Satake parameter of f at p: |alpha| = 1, and
+    alpha + 1/alpha is real and equals a_p / p^((2k-1)/2)."""
+    two_k = int(f.weight)
+    trace = alpha + 1 / alpha
+    unit = abs(abs(alpha) - 1.0) < 1e-12
+    real = abs(trace.real - float(f.coeff(p)) / p ** ((two_k - 1) / 2)) < tol
+    return unit and real and abs(trace.imag) < tol
+
+
 # --- L-series cutoff ---------------------------------------------------------
 
 def cutoff_terms_by_walk(D, k, tol):
@@ -609,10 +621,10 @@ def cesaro_direct_value(f, D, n_terms, order=2):
 
 
 def invert_alpha(poly):
-    """The involution a -> a^-1 of a LaurentPoly."""
-    from g2lift.lfunctions import LaurentPoly
+    """The involution a -> a^-1 of a Poly in (a, r)."""
+    from g2lift.exact import Poly
 
-    return LaurentPoly({(-i, j): v for (i, j), v in poly.terms.items()})
+    return Poly(2, {(-i, j): v for (i, j), v in poly.items()})
 
 
 def invert_alpha_tpoly(tpoly):
@@ -621,16 +633,16 @@ def invert_alpha_tpoly(tpoly):
 
 def specialize_alpha(tpoly, value):
     """Substitute a rational value for the unit a in a T-polynomial."""
-    from g2lift.lfunctions import LaurentPoly
+    from g2lift.exact import Poly
 
     value = Fraction(value)
     out = []
     for coef in tpoly:
         terms = {}
-        for (i, j), v in coef.terms.items():
+        for (i, j), v in coef.items():
             key = (0, j)
             terms[key] = terms.get(key, Fraction(0)) + v * value**i
-        out.append(LaurentPoly(terms))
+        out.append(Poly(2, terms))
     return out
 
 

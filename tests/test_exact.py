@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from g2lift.exact import (
     Matrix2,
     Matrix5,
     Matrix7,
+    Poly,
     _adjoint_table,
     echelon,
     form_adjoint,
@@ -18,7 +20,7 @@ from g2lift.exact import (
 )
 
 from conftest import rand_rat
-from oracles import GRAM_INV, det_cofactor, preserves_form_by_products, rational_kernel
+from oracles import GRAM_INV, det_cofactor, invert_alpha, preserves_form_by_products, rational_kernel
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12
@@ -208,3 +210,48 @@ def test_gram_blocks():
     assert GRAM[3, 3] == -2
     assert GRAM[0, 5] == GRAM[5, 0] == 1
     assert GRAM == GRAM.transpose()
+
+
+small_rationals = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=6))
+
+
+@st.composite
+def sparse_polys(draw, nvars):
+    """(Poly, its terms as drawn): up to six terms with exponents in -3..3
+    and small rational coefficients, zero among them."""
+    exponents = st.tuples(*[st.integers(-3, 3)] * nvars)
+    terms = draw(st.dictionaries(exponents, small_rationals, max_size=6))
+    return Poly(nvars, terms), terms
+
+
+def _value(terms, point):
+    return sum(c * prod(x**e for x, e in zip(point, m)) for m, c in terms.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([2, 5]))
+def test_poly_agrees_with_evaluation(data, nvars):
+    """Every operation, with a scalar on either side, agrees exactly with
+    the values at a point of nonzero Fractions, and no zero is stored."""
+    (f, f_terms), (g, g_terms) = data.draw(sparse_polys(nvars)), data.draw(sparse_polys(nvars))
+    c = data.draw(small_rationals)
+    point = data.draw(st.tuples(*[st.fractions(-4, 4, max_denominator=5).filter(bool)] * nvars))
+    x, y = _value(f_terms, point), _value(g_terms, point)
+    assert f.at(*point) == x and g.at(*point) == y
+    cases = [
+        (f, x), (f + g, x + y), (f - g, x - y), (f * g, x * y), (-f, -x),
+        (f + c, x + c), (c + f, c + x), (f - c, x - c), (c - f, c - x), (f * c, x * c), (c * f, c * x),
+    ]
+    for h, want in cases:
+        assert type(h) is Poly and h.nvars == nvars
+        assert h.at(*point) == want
+        assert all(h.values())
+
+
+def test_poly_laurent_algebra():
+    a = Poly.monomial(1, 0)
+    b = Poly.monomial(-1, 0)
+    assert a * b == Poly.monomial(0, 0)
+    assert invert_alpha(a + b) == a + b
+    assert (a - a) == Poly(2)
+    assert Poly(2, {(0, 0): F(0)}) == Poly(2)

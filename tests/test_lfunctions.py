@@ -1,13 +1,12 @@
 import cmath
 import math
-from fractions import Fraction as F
 
 import mpmath
 import pytest
 
 from g2lift.arith import is_fundamental_discriminant, kronecker
+from g2lift.exact import Poly
 from g2lift.lfunctions import (
-    LaurentPoly,
     SeriesInstability,
     central_twisted_value,
     factorization_check,
@@ -23,7 +22,6 @@ from g2lift.modforms import delta, eigenform
 from oracles import (
     cesaro_direct_value,
     cutoff_terms_by_walk,
-    invert_alpha,
     invert_alpha_tpoly,
     kronecker_chi,
     kronecker_oracle,
@@ -151,7 +149,7 @@ def test_factorization_formal_identity():
 def test_std7_shape():
     p7 = std7_euler_factor()
     assert len(p7) == 8
-    assert p7[0] == LaurentPoly.const(1)
+    assert p7[0] == Poly.monomial(0, 0)
     # alpha -> 1/alpha leaves the polynomial unchanged
     assert invert_alpha_tpoly(p7) == p7
 
@@ -159,20 +157,20 @@ def test_std7_shape():
 def test_std7_t1_coefficient():
     t1 = std7_euler_factor()[1]
     want = -(
-        LaurentPoly.const(1)
-        + LaurentPoly.unit(2, 0)
-        + LaurentPoly.unit(-2, 0)
-        + (LaurentPoly.unit(1, 0) + LaurentPoly.unit(-1, 0))
-        * (LaurentPoly.unit(0, 1) + LaurentPoly.unit(0, -1))
+        Poly.monomial(0, 0)
+        + Poly.monomial(2, 0)
+        + Poly.monomial(-2, 0)
+        + (Poly.monomial(1, 0) + Poly.monomial(-1, 0))
+        * (Poly.monomial(0, 1) + Poly.monomial(0, -1))
     )
     assert t1 == want
 
 
 def test_std7_alpha_one_specialization():
-    one = LaurentPoly.const(1)
+    one = Poly.monomial(0, 0)
     expect = [one]
-    for root in (one, one, one, LaurentPoly.unit(0, 1), LaurentPoly.unit(0, 1),
-                 LaurentPoly.unit(0, -1), LaurentPoly.unit(0, -1)):
+    for root in (one, one, one, Poly.monomial(0, 1), Poly.monomial(0, 1),
+                 Poly.monomial(0, -1), Poly.monomial(0, -1)):
         expect = _poly_mul(expect, [one, -root])
     assert specialize_alpha(std7_euler_factor(), 1) == expect
 
@@ -190,18 +188,9 @@ def test_sym2_times_shifts_is_std7_numerically():
     rp = math.sqrt(7)
     T = 0.21 - 0.05j
     full = _poly_mul(_poly_mul(sym2_factor(), shifted_pair_factor(1)), shifted_pair_factor(-1))
-    lhs = sum(c.substitute(alpha, rp) * T**i for i, c in enumerate(full))
-    rhs = sum(c.substitute(alpha, rp) * T**i for i, c in enumerate(std7_euler_factor()))
+    lhs = sum(c.at(alpha, rp) * T**i for i, c in enumerate(full))
+    rhs = sum(c.at(alpha, rp) * T**i for i, c in enumerate(std7_euler_factor()))
     assert abs(lhs - rhs) < 1e-14
-
-
-def test_laurent_poly_algebra():
-    a = LaurentPoly.unit(1, 0)
-    b = LaurentPoly.unit(-1, 0)
-    assert a * b == LaurentPoly.const(1)
-    assert invert_alpha(a + b) == a + b
-    assert (a - a) == LaurentPoly()
-    assert LaurentPoly({(0, 0): F(0)}) == LaurentPoly()
 
 
 # --- Kohnen-Zagier proportionality ---------------------------------------------

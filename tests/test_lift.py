@@ -3,10 +3,10 @@ from math import lcm
 
 import pytest
 
-from g2lift.cubic import CubicFieldOrbitUnsupported, CubicVector
+from g2lift.cubic import CubicFieldOrbitUnsupported, CubicVector, cubic_ring, is_maximal
 from g2lift.exact import mat2
 from g2lift.group import ad_weyl_alpha, coad_w, levi_m, levi_m_coords
-from g2lift.lift import LiftContext, NotMaximal
+from g2lift.lift import LiftContext
 from g2lift.modforms import satake
 
 from conftest import rand_mat2
@@ -65,7 +65,7 @@ def test_plus_condition_zero_coefficient(lift_ctx):
 def test_mu_f_power_phase(lift_ctx):
     # S = 4: the phase is the inverse square of the Satake unit at 2
     rec = lift_ctx.fourier_coefficient((-1, 0, F(4, 3), 0))
-    a2 = satake(lift_ctx.f, 2).alpha
+    a2 = satake(lift_ctx.f, 2)
     assert abs(rec.phase - a2**-2) < 1e-12
     assert rec.c_value == lift_ctx.g.coeff(4) == -56
 
@@ -149,8 +149,8 @@ def test_gross_ratio_constant(lift_ctx):
 def test_gross_ratio_totally_split_uses_square(lift_ctx):
     """The trivial-class shape vector runs against L(k, f)^2."""
     w = (0, F(1, 3), F(1, 3), 0)  # disc 1, maximal ring, totally split
-    r = lift_ctx.gross_ratio(w, require_maximal=True)
-    assert r > 0
+    assert is_maximal(cubic_ring(w))
+    assert lift_ctx.gross_ratio(w) > 0
 
 
 def test_l_split_refuses_an_imaginary_quadratic(lift_ctx):
@@ -158,11 +158,6 @@ def test_l_split_refuses_an_imaginary_quadratic(lift_ctx):
     imaginary quadratic factor, which has no real twist to split by."""
     with pytest.raises(ValueError, match="imaginary quadratic"):
         lift_ctx.l_split((1, 0, F(1, 3), 0))
-
-
-def test_gross_ratio_strict_maximality(lift_ctx):
-    with pytest.raises(NotMaximal):
-        lift_ctx.gross_ratio((-5, 0, F(1, 3), 0), require_maximal=True)
 
 
 def test_nonvanishing_split(lift_ctx):

@@ -20,7 +20,7 @@ from g2lift.shimura import (
 )
 
 from conftest import forget
-from oracles import bracket_by_products, c_coeff, is_fundamental_by_definition, plus_cusp_basis_monomials
+from oracles import bracket_by_products, c_coeff, is_fundamental_by_definition, plus_cusp_basis_monomials, sigma
 
 
 def test_theta_coefficients():
@@ -34,6 +34,8 @@ def test_weight2_F_coefficients():
     ff = weight2_F(30)
     assert ff.coeff(1) == 1 and ff.coeff(3) == 4 and ff.coeff(5) == 6 and ff.coeff(9) == 13
     assert all(ff.coeff(n) == 0 for n in range(0, 30, 2))
+    ff = weight2_F(2000)
+    assert all(ff.coeff(n) == (sigma(1, n) if n % 2 else 0) for n in range(2000))
 
 
 def test_plus_basis_dimension_one_k6():
