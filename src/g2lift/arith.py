@@ -10,8 +10,9 @@ from typing import Iterator, Tuple
 
 
 class InputTooLarge(ValueError):
-    """Raised when an input needs more factoring than bounded trial
-    division and primality certification can do."""
+    """Raised when an input needs more work than a cap allows: more factoring
+    than bounded trial division and primality certification can do, or
+    digits past the int/str conversion limit."""
 
 
 class SquarefreeCofactor(InputTooLarge):

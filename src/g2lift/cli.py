@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import arith, cubic, ktypes, lfunctions, modforms, shimura, structure
-from .exact import mat2, parse_rational
+from .exact import check_digit_runs, mat2, parse_rational
 from .group import (
     GroupElement,
     RootLabel,
@@ -45,8 +45,8 @@ FORMS = {"delta": 12, "eigen12": 12, "eigen16": 16, "eigen18": 18, "eigen20": 20
 # Work caps, checked in main before any work (INPUT_TOO_LARGE, exit 2): work
 # grows with these values, so exponentially in their bit length.  Slowest
 # cold call at each cap (Python 3.11.7, 2-vCPU Xeon):
-MAX_PREC = 20000  # --prec, --prec-half, mf dump --prec: mf dump --series plus20, 1.2 s
-MAX_PLUS_K = 20  # k of mf dump --series plusK: the same 3.0 s (nine bracket products)
+MAX_PREC = 20000  # --prec, --prec-half, mf dump --prec: mf dump --series plus20, 1.5 s
+MAX_PLUS_K = 20  # k of mf dump --series plusK: the same 1.5 s (nine bracket products)
 MAX_SAMPLES = 1000  # verify-structure --samples: 13 s cold
 MAX_KTYPES_N = 10000  # ktypes --n: 0.2 s
 CAPS = {"prec": MAX_PREC, "prec_half": MAX_PREC, "samples": MAX_SAMPLES, "n": MAX_KTYPES_N}
@@ -191,7 +191,7 @@ def cmd_gross(args) -> int:
     if not math.isfinite(args.spread_tol):
         raise ValueError("spread-tol must be finite")
     ctx = _lift_context(args)
-    discs = sorted(int(d) for d in args.discs.split(","))
+    discs = sorted(int(check_digit_runs(d)) for d in args.discs.split(","))
     if len(set(discs)) < len(discs):  # a repeat is one point counted twice
         raise ValueError("repeated discriminant in --discs")
     rows = []
@@ -249,7 +249,7 @@ def cmd_mf_dump(args) -> int:
     build = SERIES.get(args.series)
     if build is None:
         k = args.series.removeprefix("plus")
-        if args.series.startswith("plus") and k.isdecimal() and int(k) > MAX_PLUS_K:
+        if args.series.startswith("plus") and k.isdecimal() and int(check_digit_runs(k)) > MAX_PLUS_K:
             raise arith.InputTooLarge(f"plus-space weight {k} exceeds the cap {MAX_PLUS_K}")
         raise Refusal("FORM_UNSUPPORTED", f"unknown or unsupported series {args.series!r}")
     series = build(args.prec)

@@ -19,10 +19,15 @@ the coefficients of the degree-7 Euler factor.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 from typing import Iterable, Sequence
+
+from .arith import InputTooLarge
+
 
 def rat(x) -> Fraction:
     """Coerce ints, strings like '2/3' and Fractions to Fraction."""
@@ -37,7 +42,18 @@ def parse_rational(text: str) -> Fraction:
     check, and '1e10000000' alone takes seconds."""
     if "e" in text or "E" in text:
         raise ValueError(f"exponent form not accepted: {text!r}")
-    return Fraction(text)
+    return Fraction(check_digit_runs(text))
+
+
+def check_digit_runs(text: str) -> str:
+    """text, or InputTooLarge if a run of digits in it is longer than the
+    int/str conversion limit; Python's own refusal advises a call that a
+    command-line user cannot make.  Underscores do not end a run, as in int."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7, with no limit
+    run = re.search(rf"\d{{{limit + 1},}}", text.replace("_", "")) if limit else None
+    if run:
+        raise InputTooLarge(f"a {len(run.group())}-digit number exceeds the {limit}-digit limit")
+    return text
 
 
 def echelon(m: list, ncols: int) -> tuple:

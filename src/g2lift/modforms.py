@@ -29,7 +29,7 @@ from math import gcd, lcm
 from typing import List, Sequence
 
 from .arith import InputTooLarge, prime_powers
-from .exact import parse_rational, rat
+from .exact import check_digit_runs, parse_rational, rat
 
 
 class NonRationalEigenspace(ValueError):
@@ -191,7 +191,7 @@ class QExpansion:
         if len(head) != 3:
             raise ValueError("cache file needs a 'weight level N' header")
         try:
-            weight, level, n = parse_rational(head[0]), int(head[1]), int(head[2])
+            weight, level, n = parse_rational(head[0]), int(check_digit_runs(head[1])), int(check_digit_runs(head[2]))
             coeffs = [parse_rational(t) for t in lines[1 : 1 + n]]
         except ZeroDivisionError as exc:
             raise ValueError("zero denominator in cache file") from exc

@@ -3,6 +3,7 @@ import io
 import json
 import pathlib
 import signal
+import sys
 from contextlib import contextmanager
 from fractions import Fraction as F
 
@@ -500,6 +501,36 @@ def test_exponent_form_refused_before_expansion(capsys, tmp_path, argv, error):
     assert_refused(out, error)
 
 
+INT_STR_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+OVERSIZED = "7" * (INT_STR_LIMIT + 700)
+
+
+@pytest.mark.skipif(not INT_STR_LIMIT, reason="no int/str conversion limit")
+@pytest.mark.parametrize(
+    "argv,file_text,error",
+    [
+        (("reduce", f"--w={OVERSIZED},0,1/3,0"), None, "BAD_VECTOR"),
+        (("show", f"m:{OVERSIZED},0,0,1"), None, "BAD_WORD"),
+        (("mf", "load", "{file}"), f"4 1 2\n1\n1/{OVERSIZED}\n", "BAD_CACHE_FILE"),
+        (("mf", "load", "{file}"), f"4 {OVERSIZED} 2\n1\n1\n", "BAD_CACHE_FILE"),
+        (("coeff", f"--w={OVERSIZED},0,1/3,0"), None, "INPUT_TOO_LARGE"),
+        (("gross", f"--discs=5,{OVERSIZED}"), None, "INPUT_TOO_LARGE"),
+        (("mf", "dump", "--series", f"plus{OVERSIZED}"), None, "INPUT_TOO_LARGE"),
+    ],
+    ids=["reduce", "show", "mf-load-coefficient", "mf-load-header", "coeff", "gross", "mf-dump-plus"],
+)
+def test_oversized_literal_refused_in_the_programs_words(capsys, tmp_path, argv, file_text, error):
+    """A digit run past Python's int/str limit is refused with the limit in
+    digits, not with Python's advice to raise it, which a CLI user cannot."""
+    path = tmp_path / "f.mf"
+    path.write_text(file_text or "")
+    code, out = run_cli(capsys, *(a.replace("{file}", str(path)) for a in argv))
+    assert code == 2
+    assert_refused(out, error)
+    message = json.loads(out)["message"]
+    assert message == f"a {len(OVERSIZED)}-digit number exceeds the {INT_STR_LIMIT}-digit limit"
+
+
 def test_precision_cap_reaches_the_ratio_table_precision():
     assert cli.MAX_PREC >= 20000
 
@@ -562,9 +593,9 @@ _file_text = st.one_of(
     st.builds(lambda head, lines: head + "\n" + "\n".join(lines),
               st.lists(_token, min_size=2, max_size=4).map(" ".join), st.lists(_token, max_size=12)),
 )
-# each sample runs all 17 structure checks, about 60 ms, so in-cap --samples draws stay at 2 or less
+# each sample runs all 17 structure checks, about 12-15 ms in-process; 8 samples take at most 115 ms
 ARGV = st.one_of(
-    st.tuples(st.just("verify-structure"), _capped(cli.MAX_SAMPLES, small=2).map("--samples={}".format),
+    st.tuples(st.just("verify-structure"), _capped(cli.MAX_SAMPLES, small=8).map("--samples={}".format),
               _integer.map("--seed={}".format)),
     st.lists(_show_token, min_size=1, max_size=4).map(lambda t: ("show", "*".join(t))),
     _w.map(lambda w: ("reduce", f"--w={w}")),

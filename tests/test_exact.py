@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 from math import prod
 
@@ -16,8 +17,10 @@ from g2lift.exact import (
     form_adjoint,
     kernel,
     mat2,
+    parse_rational,
     preserves_form,
 )
+from g2lift.arith import InputTooLarge
 
 from conftest import rand_rat
 from oracles import GRAM_INV, det_cofactor, invert_alpha, preserves_form_by_products, rational_kernel
@@ -255,3 +258,19 @@ def test_poly_laurent_algebra():
     assert invert_alpha(a + b) == a + b
     assert (a - a) == Poly(2)
     assert Poly(2, {(0, 0): F(0)}) == Poly(2)
+
+
+INT_STR_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_STR_LIMIT, reason="no int/str conversion limit")
+def test_digit_runs_refused_past_the_conversion_limit():
+    """A run of digits up to the limit (4300 by default) parses, in every
+    rational form; one digit more is refused in digits, underscores aside."""
+    n = INT_STR_LIMIT
+    assert parse_rational("7" * n) == int("7" * n)
+    assert parse_rational(f"-{'7' * n}/{'3' * n}") == F(-int("7" * n), int("3" * n))
+    assert parse_rational(f"{'7' * n}.{'3' * n}") == int("7" * n) + F(int("3" * n), 10**n)
+    for text in ("7" * (n + 1), f"1/{'3' * (n + 1)}", "0." + "3" * (n + 1), "1_" * n + "1"):
+        with pytest.raises(InputTooLarge, match=f"a {n + 1}-digit number exceeds the {n}-digit limit"):
+            parse_rational(text)

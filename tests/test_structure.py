@@ -1,6 +1,16 @@
+import hashlib
 import json
+import pathlib
+import random
+from fractions import Fraction
 
-from g2lift.structure import CHECKS, run_structure_suite
+import pytest
+
+from g2lift.structure import CHECKS, IDENTITIES, _check, run_structure_suite
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
 def test_all_checks_pass_quick():
@@ -33,7 +43,60 @@ def test_injected_bad_weyl_fails_with_counterexample():
 
 
 def test_rejects_bad_sample_count():
-    import pytest
-
     with pytest.raises(ValueError):
         run_structure_suite(samples=0)
+
+
+def test_injected_report_and_draws_are_pinned():
+    """The bad-Weyl report and every check's draws, as recorded from the
+    hand-written checks the declarations replaced: the structure workload
+    times one op per draw, so its ops depend on them."""
+    assert _digest(run_structure_suite(5, 0, inject_bad_weyl=True)) == (
+        "40c2137b92cf07a7992caaa5049ec31197e25c34c341158f4053fee6aa91293c"
+    )
+    assert _digest(run_structure_suite(2, 0, inject_bad_weyl=True)) == (
+        "c00cd86f0fb63484d0fd08ba4204204831a86832a51adfbe399f4276b288f15a"
+    )
+    after = {}
+    for name in sorted(CHECKS):
+        rng = random.Random((0, name).__repr__())
+        CHECKS[name](rng, 7)
+        after[name] = rng.getrandbits(32)
+    assert _digest(after) == "f7d9dd41012f266231396e4b1660e84760692a88fa3fc817ef8c9c6b57ad6f7c"
+
+
+def _leaves(value):
+    if isinstance(value, list):
+        for x in value:
+            yield from _leaves(x)
+    else:
+        yield value
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITIES))
+def test_every_identity_reports_its_counterexample(name):
+    """Each declaration, with a left side made to differ, fails on its
+    first draw and names every drawn argument in exact strings, the failing
+    left side under "got", and its kind when it has several sides."""
+    jsonschema = pytest.importorskip("jsonschema")
+    sampler, sides = IDENTITIES[name]
+
+    def wrong(**args):
+        return [(kind, ("not", lhs), rhs) for kind, lhs, rhs in sides(**args)]
+
+    ce = _check(sampler, wrong)(random.Random(name), 3)
+    drawn = sampler(random.Random(name)) if sampler else {}
+    first = sides(**drawn)
+    assert set(ce) == set(drawn) | {"got"} | ({"kind"} if len(first) > 1 else set())
+    assert ce.get("kind") == first[0][0]
+    assert ce["got"][0] == "not" and len(ce["got"]) == 2
+    for arg, value in drawn.items():
+        assert all(isinstance(x, str) for x in _leaves(ce[arg]))
+        if isinstance(value, Fraction):
+            assert Fraction(ce[arg]) == value
+    report = {
+        "schema": 1, "command": "verify-structure", "samples": 3, "seed": 0, "passed": False,
+        "checks": [{"name": name, "status": "fail", "samples": 3, "counterexample": ce}],
+    }
+    schema = pathlib.Path(__file__).parent.parent / "docs" / "schemas" / "run-report.schema.json"
+    jsonschema.validate(json.loads(json.dumps(report)), json.loads(schema.read_text()))
