@@ -37,6 +37,16 @@ Coordinate conventions on the 4-dimensional quotient W:
   m(A), i.e. m n1(w, z) m^-1 = n1(ad_w(A, w), det(A) z).
 * ``coad_w(A, w) = det(A)^2 rho3(A^-1, w)`` is the induced action on
   Fourier-character indices: <coad_w(A, w), x> = <w, ad_w(A, x)>.
+
+All three share one integer substitution, ``_sym3``.  With A = [[a, b],
+[c, d]] / e (its ``Matrix2`` grid), D = a d - b c and w = (n1, n2, n3, n4) / L
+(L the lcm of w's denominators), each output entry is one Fraction of an
+integer cubic over:
+
+* e^3 L for ``rho3``;
+* e L D for ``ad_w``, since det A = D / e^2;
+* e L D for ``coad_w``, from the same cubics at (d, -b, -c, a), the grid
+  of A^-1 = [[d, -b], [-c, a]] e / D.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import prod
+from math import lcm, prod
 from operator import getitem
 
 from .exact import GRAM, Matrix2, Matrix7, Poly, form_adjoint, mat2, preserves_form, rat
@@ -566,34 +576,59 @@ def symplectic(a, b) -> Fraction:
     return a[0] * b[3] - 3 * a[1] * b[2] + 3 * a[2] * b[1] - a[3] * b[0]
 
 
+def _sym3(x1, x2, y1, y2, w):
+    """(T(x, x, x), T(x, x, y), T(x, y, y), T(y, y, y), L), where w = n / L
+    with L the lcm of w's denominators and T is the symmetric trilinear form
+    of f_n, f_n(u, v) = T(p, p, p) for p = (u, v): the integer coefficients
+    of f_n(u x + v y) on the (1, 3, 3, 1)-weighted basis, for integer x, y."""
+    w1, w2, w3, w4 = map(rat, w)
+    L = lcm(w1.denominator, w2.denominator, w3.denominator, w4.denominator)
+    n1, n2, n3, n4 = (x.numerator * (L // x.denominator) for x in (w1, w2, w3, w4))
+    # T(x, ., .) and T(y, ., .) as symmetric 2x2 grids, then one more contraction
+    m11, m12, m22 = n1 * x1 + n2 * x2, n2 * x1 + n3 * x2, n3 * x1 + n4 * x2
+    k11, k12, k22 = n1 * y1 + n2 * y2, n2 * y1 + n3 * y2, n3 * y1 + n4 * y2
+    xx1, xx2 = m11 * x1 + m12 * x2, m12 * x1 + m22 * x2
+    yy1, yy2 = k11 * y1 + k12 * y2, k12 * y1 + k22 * y2
+    return xx1 * x1 + xx2 * x2, xx1 * y1 + xx2 * y2, yy1 * x1 + yy2 * x2, yy1 * y1 + yy2 * y2, L
+
+
 def rho3(A: Matrix2, w):
-    """Symmetric-cube action: coefficients of f_w(d u + b v, c u + a v).
+    """Symmetric-cube action: coefficients of f_w(d u + b v, c u + a v), each
+    the ``_sym3`` integer at x = (d, c), y = (b, a) over e^3 L.
 
     Satisfies rho3(A*B, w) = rho3(A, rho3(B, w)) and
     q(rho3(A, w)) = det(A)^6 q(w).
     """
-    a, b, c, d = A.entries()
+    (a, b), (c, d) = A.num
     if a * d - b * c == 0:
         raise ValueError("singular matrix")
-    a1, a2, a3, a4 = map(rat, w)
-    # f(d u + b v, c u + a v) expanded on the (1, 3, 3, 1)-weighted basis
-    b1 = a1 * d**3 + 3 * a2 * d * d * c + 3 * a3 * d * c * c + a4 * c**3
-    b2 = a1 * d * d * b + a2 * (d * d * a + 2 * d * c * b) + a3 * (c * c * b + 2 * d * c * a) + a4 * c * c * a
-    b3 = a1 * d * b * b + a2 * (b * b * c + 2 * d * b * a) + a3 * (d * a * a + 2 * c * b * a) + a4 * c * a * a
-    b4 = a1 * b**3 + 3 * a2 * b * b * a + 3 * a3 * b * a * a + a4 * a**3
-    return (b1, b2, b3, b4)
+    *cubic, L = _sym3(d, c, b, a, w)
+    den = A.den**3 * L
+    return tuple(Fraction(x, den) for x in cubic)
 
 
 def ad_w(A: Matrix2, w):
-    """W-part of conjugation by m(A): det(A)^-1 rho3(A, w)."""
-    dt = A.det()
-    return tuple(x / dt for x in rho3(A, w))
+    """W-part of conjugation by m(A): det(A)^-1 rho3(A, w), the integers of
+    ``rho3`` over e L D."""
+    (a, b), (c, d) = A.num
+    D = a * d - b * c
+    if D == 0:
+        raise ValueError("singular matrix")
+    *cubic, L = _sym3(d, c, b, a, w)
+    den = A.den * L * D
+    return tuple(Fraction(x, den) for x in cubic)
 
 
 def coad_w(A: Matrix2, w):
-    """Dual action on character indices: det(A)^2 rho3(A^-1, w)."""
-    dt = A.det()
-    return tuple(dt * dt * x for x in rho3(A.inverse(), w))
+    """Dual action on character indices: det(A)^2 rho3(A^-1, w), the
+    ``_sym3`` integers at the grid (d, -b, -c, a) of A^-1 over e L D."""
+    (a, b), (c, d) = A.num
+    D = a * d - b * c
+    if D == 0:
+        raise ZeroDivisionError("matrix is singular")
+    *cubic, L = _sym3(a, -c, -b, d, w)
+    den = A.den * L * D
+    return tuple(Fraction(x, den) for x in cubic)
 
 
 def ad_weyl_alpha(g: GroupElement) -> GroupElement:

@@ -282,12 +282,14 @@ def eigenform(two_k: int, prec: int) -> QExpansion:
 
 def satake(f: QExpansion, p: int) -> complex:
     """The unitary Satake parameter alpha at p: the root of
-    X^2 - (a_p / p^((2k-1)/2)) X + 1 with nonnegative imaginary part."""
+    X^2 - (a_p / p^((2k-1)/2)) X + 1 with nonnegative imaginary part.
+    Deligne's bound |a_p| <= 2 p^((2k-1)/2) is tested exactly, as
+    num^2 <= 4 p^(2k-1) den^2 for a_p = num / den."""
     two_k = int(f.weight)
     a_p = f.coeff(p)
-    b = float(a_p) / p ** ((two_k - 1) / 2)
-    if abs(b) > 2:
+    if a_p.numerator**2 > 4 * p ** (two_k - 1) * a_p.denominator**2:
         raise ValueError("Deligne bound violated; upstream eigenform is wrong")
+    b = float(a_p) / p ** ((two_k - 1) / 2)
     return complex(b / 2, (4 - b * b) ** 0.5 / 2)
 
 

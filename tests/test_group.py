@@ -218,15 +218,34 @@ def test_rho3_identity_and_examples(rng):
 
 
 def test_rho3_rejects_singular():
-    with pytest.raises(ValueError):
-        rho3(mat2(1, 1, 1, 1), (1, 0, 0, 0))
+    """rho3 and ad_w refuse a singular A with ValueError, coad_w (whose
+    formula inverts A) with ZeroDivisionError, before reading w."""
+    for A in (mat2(1, 1, 1, 1), mat2(0, 0, 0, 0), mat2(F(1, 2), F(1, 3), F(3, 2), 1)):
+        for action, refusal in ((rho3, ValueError), (ad_w, ValueError), (coad_w, ZeroDivisionError)):
+            for w in ((1, 0, 0, 0), ("x", 1, 2, 3)):
+                with pytest.raises(refusal) as err:
+                    action(A, w)
+                assert err.type is refusal
 
 
-@given(vec_st)
-@settings(max_examples=30, deadline=None)
-def test_rho3_matches_substitution_oracle(w):
-    A = mat2(2, F(1, 3), -1, F(5, 2))
+mat_st = st.tuples(rat_st, rat_st, rat_st, rat_st).filter(lambda e: e[0] * e[3] != e[1] * e[2])
+
+
+@given(mat_st, st.booleans(), vec_st)
+@settings(max_examples=60, deadline=None)
+def test_rho3_matches_substitution_oracle(entries, negative, w):
+    """All three W actions against the polynomial substitution, for rational
+    A of either sign of det: rho3 directly, ad_w = det(A)^-1 rho3(A, w) and
+    coad_w = det(A)^2 rho3(A^-1, w)."""
+    a, b, c, d = entries
+    if (a * d - b * c < 0) != negative:
+        a, b, c, d = b, a, d, c  # swapping the columns flips the sign of det
+    A = mat2(a, b, c, d)
+    dt = A.det()
+    assert (dt < 0) == negative
     assert rho3(A, w) == tuple(rho3_oracle(A, w))
+    assert ad_w(A, w) == tuple(x / dt for x in rho3_oracle(A, w))
+    assert coad_w(A, w) == tuple(dt * dt * x for x in rho3_oracle(A.inverse(), w))
 
 
 def test_rho3_cocycle(rng):

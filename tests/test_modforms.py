@@ -121,6 +121,20 @@ def test_satake_delta_p2():
     assert satake_holds(d, 2, alpha)
 
 
+def test_satake_refuses_a_p_past_deligne_bound():
+    """|a_p| <= 2 p^((2k-1)/2) is tested exactly: at p = 2 and weight 12 the
+    bound is a_p^2 <= 4 * 2^11 = 8192, so a_p = 90 and 181/2 pass
+    (181^2 = 32761 <= 8192 * 2^2) and 91, -91 and 363/4 do not."""
+    num = list(delta(12).num)
+    for a_p, den in ((90, 1), (181, 2)):
+        num[2] = a_p
+        assert abs(abs(satake(QExpansion(F(12), 1, tuple(num), den), 2)) - 1) < 1e-12
+    for a_p, den in ((91, 1), (-91, 1), (363, 4)):
+        num[2] = a_p
+        with pytest.raises(ValueError, match="Deligne bound violated"):
+            satake(QExpansion(F(12), 1, tuple(num), den), 2)
+
+
 def test_satake_records_up_to_97():
     d = delta(120)
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97):
