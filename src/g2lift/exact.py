@@ -4,7 +4,9 @@ Matrices store an integer entry grid over a single positive denominator,
 canonicalized so the gcd of all entries with the denominator is 1; exact
 equality is then tuple equality and products need one gcd pass instead of
 one per entry.  Scalars in and out are ``fractions.Fraction`` (always
-reduced, positive denominator).  The one elimination is a fraction-free
+reduced, positive denominator), coerced by ``rat``, which refuses floats;
+a matrix built from them scales each numerator to the lcm of the
+denominators in integers.  The one elimination is a fraction-free
 (Bareiss) echelon of integer rows, behind ``det`` and ``kernel``.
 
 The Gram form GRAM of the 7x7 orthogonal group is a symmetric signed
@@ -30,9 +32,13 @@ from .arith import InputTooLarge
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, strings like '2/3' and Fractions to Fraction."""
+    """Coerce ints, strings like '2/3' and Fractions to Fraction.  A float
+    is refused: it is the binary value nearest a decimal, and Fraction(0.1)
+    is 3602879701896397/36028797018963968, not 1/10."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, float):
+        raise TypeError(f"float {x!r} is not an exact rational")
     return Fraction(x)
 
 
@@ -107,15 +113,20 @@ class _MatrixBase:
     SIZE: int = 0
 
     def __init__(self, rows: Iterable[Sequence]):
+        """The grid of ``rows`` (anything ``rat`` takes) over den = lcm of
+        the entries' denominators, each entry p/q becoming p (den / q): no
+        Fraction arithmetic.
+
+        That grid is already canonical.  A prime dividing den divides some
+        entry's q to its full power in den; that entry's p is prime to q
+        (Fractions are reduced) and den / q is prime to it, so the prime
+        misses that numerator.  So gcd(den, *num) = 1 with no gcd pass."""
         fr = tuple(tuple(rat(x) for x in r) for r in rows)
         n = self.SIZE
         if len(fr) != n or any(len(r) != n for r in fr):
             raise ValueError(f"expected {n}x{n} matrix")
-        den = 1
-        for r in fr:
-            for x in r:
-                den = lcm(den, x.denominator)
-        num = tuple(tuple(int(x * den) for x in r) for r in fr)
+        den = lcm(*(x.denominator for r in fr for x in r))
+        num = tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in fr)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

@@ -21,8 +21,8 @@ integer grid and one canonicalizing ``Matrix7._raw`` call:
   t^k_i: ``_weyl_rows`` reads the signs and exponents once per root off
   the three-letter word table of w_gamma(t).
 * l(A) is the grid ``_l_grid`` over A's common denominator and det A; its
-  polynomial identities are checked once per process (``_certify_l_grid``),
-  and each call still validates its result.
+  form and det identities are proved once per process as polynomial
+  identities (``_certify_l_grid``), and no call validates its result.
 * w_gamma, w_alpha^-1 and iota are values formed once.
 * m(A) is still built from Fraction rows and validated on every call.
 * The inverse of any element is its form adjoint GRAM^-1 g^T GRAM, a signed
@@ -499,10 +499,8 @@ def levi_l(A: Matrix2) -> GroupElement:
     4 <-> 2, so that block of l^T GRAM l is A^T adj(A)^T / det A = I; the pair
     1 <-> 6 meets det A against 1 / det A, and e3 keeps its -2.  So l(A)
     preserves the form, and det l(A) = det A (det A)^-1 det A (det A)^-1 = 1.
-    ``_certify_l_grid`` proves both once per process.  Each call still
-    validates its result (the ``GroupElement`` constructor): the benchmark's
-    ``peak_rss_mb`` grows with its pass count, so dropping this check waits
-    on ROADMAP item 1.
+    ``_certify_l_grid`` proves both once per process for every A with
+    D != 0, so the result is trusted with no per-call check.
     """
     if not _L_CERTIFIED:
         _certify_l_grid()
@@ -511,7 +509,7 @@ def levi_l(A: Matrix2) -> GroupElement:
     D = a * d - b * c
     if D == 0:
         raise ValueError("singular Levi parameter")
-    return GroupElement(Matrix7._raw(_l_grid(a, b, c, d, e, D), e * e * D))
+    return GroupElement._trusted(Matrix7._raw(_l_grid(a, b, c, d, e, D), e * e * D))
 
 
 _U_WORD = tuple((name, True) for name in ("a", "a+b", "2a+b", "3a+b", "3a+2b"))

@@ -11,8 +11,25 @@ is checked against a Gauss-Jordan elimination in Fraction arithmetic
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from itertools import product
+
+
+# --- matrix construction by one Fraction product per entry ------------------
+
+def grid_by_fraction_products(rows, size):
+    """(num, den) of the size x size matrix ``rows``: den the lcm of the
+    entries' denominators and each numerator int(x * den), one Fraction
+    product per entry.  The construction that the integer scaling of
+    ``exact._MatrixBase.__init__`` replaced."""
+    fr = [[Fraction(x) for x in r] for r in rows]
+    if len(fr) != size or any(len(r) != size for r in fr):
+        raise ValueError(f"expected {size}x{size} matrix")
+    den = 1
+    for r in fr:
+        for x in r:
+            den = lcm(den, x.denominator)
+    return tuple(tuple(int(x * den) for x in r) for r in fr), den
 
 
 # --- polynomial substitution oracle for the symmetric-cube action ----------

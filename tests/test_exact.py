@@ -1,6 +1,6 @@
 import sys
 from fractions import Fraction as F
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -19,11 +19,19 @@ from g2lift.exact import (
     mat2,
     parse_rational,
     preserves_form,
+    rat,
 )
 from g2lift.arith import InputTooLarge
 
 from conftest import rand_rat
-from oracles import GRAM_INV, det_cofactor, invert_alpha, preserves_form_by_products, rational_kernel
+from oracles import (
+    GRAM_INV,
+    det_cofactor,
+    grid_by_fraction_products,
+    invert_alpha,
+    preserves_form_by_products,
+    rational_kernel,
+)
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12
@@ -207,6 +215,56 @@ def test_entries_always_reduced():
     assert (a.numerator, a.denominator) == (1, 2)
     assert (b.numerator, b.denominator) == (2, 3)
     assert all(x.denominator > 0 for x in m.entries())
+
+
+_entry_st = st.one_of(
+    st.integers(-10**15, 10**15),
+    st.fractions(max_denominator=10**12),
+    st.builds("{}/{}".format, st.integers(-10**15, 10**15), st.integers(1, 10**12)),
+    st.just(0),
+)
+
+
+@st.composite
+def _grids(draw):
+    n = draw(st.sampled_from((2, 5, 7)))
+    row_st = st.one_of(st.lists(_entry_st, min_size=n, max_size=n), st.just([0] * n))
+    return n, draw(st.lists(row_st, min_size=n, max_size=n))
+
+
+@given(case=_grids())
+@settings(max_examples=300, deadline=None)
+def test_construction_matches_fraction_products(case):
+    """Rows of ints, Fractions with denominators up to 10^12 and 'p/q'
+    strings, zeros and all-zero rows among them, give the grid of one
+    Fraction product per entry, already canonical, and read back as drawn."""
+    n, rows = case
+    m = {2: Matrix2, 5: Matrix5, 7: Matrix7}[n](rows)
+    assert (m.num, m.den) == grid_by_fraction_products(rows, n)
+    assert all(type(x) is int for r in m.num for x in r)
+    assert m.den > 0 and gcd(m.den, *(x for r in m.num for x in r)) == 1
+    assert m.rows == tuple(tuple(F(x) for x in r) for r in rows)
+
+
+def test_wrong_shapes_are_refused():
+    for cls in (Matrix2, Matrix5, Matrix7):
+        n = cls.SIZE
+        for rows in ([[1] * n] * (n - 1), [[1] * n] * (n + 1), [[1] * n] * (n - 1) + [[1] * (n - 1)]):
+            with pytest.raises(ValueError, match=f"expected {n}x{n} matrix"):
+                cls(rows)
+
+
+def test_floats_are_refused():
+    """rat, the one way into the exact kernel, names a float and refuses it
+    instead of taking its binary value; so do the constructors through it."""
+    assert rat(F(1, 10)) == rat("1/10") == rat("0.1") == F(1, 10)
+    for bad in (0.1, 2.0, float("nan")):
+        with pytest.raises(TypeError, match=f"float {bad!r} is not an exact rational"):
+            rat(bad)
+    with pytest.raises(TypeError, match="float 0.5"):
+        mat2(1, 0.5, 0, 1)
+    with pytest.raises(TypeError, match="float 0.25"):
+        Matrix7.from_entries({(0, 0): 0.25})
 
 
 def test_gram_blocks():

@@ -626,6 +626,26 @@ def test_levi_l_grid_matches_validated_rows():
         assert _canonical(levi_l(A).matrix) == _canonical(levi_l_by_rows(A).matrix), A
 
 
+def test_levi_l_trusts_its_certified_grid(monkeypatch):
+    """Once ``_certify_l_grid`` has run, levi_l makes no per-call form
+    check: with preserves_form made to raise, it still returns the canonical
+    (num, den) of the validated Fraction rows."""
+    import g2lift.group as group
+
+    group._certify_l_grid()
+    cases = [A for _, A in _q_side_inputs()]
+    cases += [mat2(1, 0, 0, 1), mat2(0, 1, 1, 0), mat2(F(-999999, 1000000), F(3, 7), F(5, 999983), F(1, 999999))]
+    want = [levi_l_by_rows(A).matrix for A in cases]
+
+    def refuse(m):
+        raise AssertionError("per-call form check")
+
+    monkeypatch.setattr(group, "preserves_form", refuse)
+    for A, w in zip(cases, want):
+        got = levi_l(A).matrix
+        assert (got.num, got.den) == (w.num, w.den), A
+
+
 def test_corrupted_l_grid_is_refused(monkeypatch):
     """The l(A) grid with any one of its 49 entries moved by 1 breaks the
     polynomial identities that the once-per-process check proves, and
