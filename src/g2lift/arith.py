@@ -1,18 +1,51 @@
 """Elementary arithmetic shared by the cubic, modular-form and L-function
 layers: bounded factoring, fundamental discriminants and the Kronecker
-symbol.
+symbol; and the refusal classes that every layer raises.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from math import isqrt
 from typing import Iterator, Tuple
 
 
-class InputTooLarge(ValueError):
+class Refusal(Exception):
+    """An input the program declines, with the CLI's error code and exit code
+    for it; any other exception is a fault of the program."""
+
+    code, exit_code = "BAD_INPUT", 2
+
+
+class BadInput(Refusal, ValueError):
+    """An argument outside the domain of the function it is passed to."""
+
+
+class ParseError(BadInput):
+    """Outside text that its format does not read, or a file that does not
+    open; each format declares a subclass with its own code."""
+
+    @classmethod
+    @contextmanager
+    def reading(cls, zero_message: str = "{}"):
+        """Raise Python's own errors in the block as cls, with the text of a
+        ZeroDivisionError put in zero_message; a refusal passes unchanged."""
+        try:
+            yield
+        except Refusal:
+            raise
+        except ZeroDivisionError as exc:
+            raise cls(zero_message.format(exc)) from exc
+        except (ValueError, OSError) as exc:
+            raise cls(str(exc)) from exc
+
+
+class InputTooLarge(BadInput):
     """Raised when an input needs more work than a cap allows: more factoring
     than bounded trial division and primality certification can do, or
     digits past the int/str conversion limit."""
+
+    code = "INPUT_TOO_LARGE"
 
 
 class SquarefreeCofactor(InputTooLarge):
@@ -109,7 +142,7 @@ def fundamental_discriminant(n: int) -> int:
     """The discriminant of Q(sqrt(n)) for nonzero n, sign kept: the
     squarefree part u of n if u == 1 (mod 4), else 4u (1 for squares)."""
     if n == 0:
-        raise ValueError("zero has no square class")
+        raise BadInput("zero has no square class")
     u = -1 if n < 0 else 1
     try:
         for p, e in prime_powers(abs(n)):
@@ -128,7 +161,7 @@ def is_fundamental_discriminant(D: int) -> bool:
 def kronecker(a: int, n: int) -> int:
     """The Kronecker symbol (a/n) for n >= 0; a negative modulus is refused."""
     if n < 0:
-        raise ValueError("negative modulus")
+        raise BadInput("negative modulus")
     if n == 0:
         return 1 if a in (1, -1) else 0
     if a % 2 == 0 and n % 2 == 0:

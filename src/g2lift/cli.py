@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands wrap the library operations and emit versioned JSON (schema 1)
-with exact rationals serialized as "num/den" strings.  Exit codes:
-0 pass, 1 check failure, 2 usage error, 3 numeric-inconclusive; ``main``
-maps every refusal to its error code and exit code through ``REFUSALS``.
+with exact rationals serialized as "num/den" strings.  Exit codes: 0 pass,
+1 check failure or internal error, 2 usage error, 3 numeric-inconclusive.
+``main`` prints a refusal with the error code and exit code its class
+declares (``arith.Refusal``), and any other exception as INTERNAL_ERROR.
 """
 
 from __future__ import annotations
@@ -12,32 +13,20 @@ import argparse
 import json
 import math
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
 
-from . import arith, cubic, ktypes, lfunctions, modforms, shimura, structure
+from . import cubic, ktypes, lfunctions, modforms, shimura, structure
+from .arith import BadInput, InputTooLarge, ParseError, Refusal
 from .exact import check_digit_runs, mat2, parse_rational
 from .group import (
-    GroupElement,
-    RootLabel,
-    heis_n,
-    heis_n1,
-    identity,
-    iota,
-    levi_l,
-    levi_m,
-    root_generator,
-    torus,
-    u_coord,
-    weyl,
-    z_coord,
+    GroupElement, RootLabel, heis_n, heis_n1, identity, iota, levi_l, levi_m, root_generator, torus, u_coord,
+    weyl, z_coord,
 )
 from .lift import CentralVanishing, LiftContext
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
-EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 FORMS = {"delta": 12, "eigen12": 12, "eigen16": 16, "eigen18": 18, "eigen20": 20, "eigen22": 22, "eigen26": 26}
@@ -63,32 +52,25 @@ SERIES = {
 }
 
 
-class Refusal(Exception):
-    """A bad input, tagged at its parse site with the error code to report."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
+class FormUnsupported(BadInput):
+    code = "FORM_UNSUPPORTED"
 
 
-# The one map from an exception to (error code, exit code), used by main;
-# the first row that matches wins, so subclasses come before ValueError.
-REFUSALS = (
-    (Refusal, None, EXIT_USAGE),  # the code was tagged at the parse site
-    (lfunctions.SeriesInstability, "SERIES_INSTABILITY", EXIT_INCONCLUSIVE),
-    (cubic.CubicFieldOrbitUnsupported, "CUBIC_FIELD_ORBIT", EXIT_USAGE),
-    (arith.InputTooLarge, "INPUT_TOO_LARGE", EXIT_USAGE),
-    (ValueError, "BAD_INPUT", EXIT_USAGE),
-)
+class BadWord(ParseError):
+    code = "BAD_WORD"
 
 
-@contextmanager
-def _refuse_as(code: str, *kinds):
-    """Report an error of one of kinds, raised in the block, as code."""
-    try:
-        yield
-    except kinds as exc:
-        raise Refusal(code, str(exc)) from exc
+class BadVector(ParseError):
+    code = "BAD_VECTOR"
+
+
+# show tokens: head -> (count of rationals, constructor); the heads x, w and h
+# take a root label first, as in x:3a+b:3/4, w:a and h:2a+b:2
+WORD_TOKENS = {
+    "x": (1, root_generator), "w": (0, weyl), "h": (1, torus),
+    "n": (5, heis_n), "n1": (5, heis_n1), "u": (5, u_coord), "z": (2, z_coord),
+    "m": (4, lambda *a: levi_m(mat2(*a))), "l": (4, lambda *a: levi_l(mat2(*a))),
+}
 
 
 def _emit(payload):
@@ -96,12 +78,10 @@ def _emit(payload):
 
 
 def _parse_w(text: str):
-    try:
+    with BadVector.reading("zero denominator in w: {}"):
         parts = [parse_rational(p.strip()) for p in text.split(",")]
-    except ZeroDivisionError as exc:
-        raise ValueError(f"zero denominator in w: {exc}") from exc
     if len(parts) != 4:
-        raise ValueError("w needs four comma-separated rationals")
+        raise BadVector("w needs four comma-separated rationals")
     return tuple(parts)
 
 
@@ -113,32 +93,16 @@ def _parse_word(text: str) -> GroupElement:
             out = out * iota()
             continue
         head, _, rest = token.partition(":")
-        if head == "x":
-            root, _, u = rest.partition(":")
-            out = out * root_generator(RootLabel(root), parse_rational(u))
-            continue
-        if head == "w":
-            out = out * weyl(RootLabel(rest))
-            continue
-        if head == "h":
-            root, _, t = rest.partition(":")
-            out = out * torus(RootLabel(root), parse_rational(t))
-            continue
-        args = [parse_rational(p) for p in rest.split(",")] if rest else []
-        if head == "n" and len(args) == 5:
-            out = out * heis_n(*args)
-        elif head == "n1" and len(args) == 5:
-            out = out * heis_n1(*args)
-        elif head == "u" and len(args) == 5:
-            out = out * u_coord(*args)
-        elif head == "z" and len(args) == 2:
-            out = out * z_coord(*args)
-        elif head == "m" and len(args) == 4:
-            out = out * levi_m(mat2(*args))
-        elif head == "l" and len(args) == 4:
-            out = out * levi_l(mat2(*args))
-        else:
-            raise ValueError(f"unrecognized token {token!r}")
+        labels = []
+        if head in ("x", "w", "h"):
+            root, _, rest = rest.partition(":")
+            labels = [RootLabel(root)]
+        with BadWord.reading():
+            args = [parse_rational(p) for p in rest.split(",")] if rest else []
+        arity, build = WORD_TOKENS.get(head, (None, None))
+        if len(args) != arity:
+            raise BadWord(f"unrecognized token {token!r}")
+        out = out * build(*labels, *args)
     return out
 
 
@@ -154,18 +118,12 @@ def cmd_verify_structure(args) -> int:
 
 
 def cmd_show(args) -> int:
-    with _refuse_as("BAD_WORD", ValueError, ZeroDivisionError):
-        el = _parse_word(args.word)
-    print(el.dump())
+    print(_parse_word(args.word).dump())
     return EXIT_PASS
 
 
 def cmd_reduce(args) -> int:
-    with _refuse_as("BAD_VECTOR", ValueError):
-        w = _parse_w(args.w)
-    payload = cubic.reduction_json(w)
-    payload["schema"] = 1
-    _emit(payload)
+    _emit({**cubic.reduction_json(_parse_w(args.w)), "schema": 1})
     return EXIT_PASS
 
 
@@ -173,7 +131,7 @@ def _lifted_form(name: str) -> int:
     """2k of a form the lift and the central values support: k must be even."""
     two_k = FORMS.get(name)
     if two_k is None or two_k % 4 != 0:
-        raise Refusal("FORM_UNSUPPORTED", f"unknown or unsupported form {name!r}")
+        raise FormUnsupported(f"unknown or unsupported form {name!r}")
     return two_k
 
 
@@ -189,16 +147,17 @@ def cmd_coeff(args) -> int:
 
 def cmd_gross(args) -> int:
     if not math.isfinite(args.spread_tol):
-        raise ValueError("spread-tol must be finite")
+        raise BadInput("spread-tol must be finite")
     ctx = _lift_context(args)
-    discs = sorted(int(check_digit_runs(d)) for d in args.discs.split(","))
+    with ParseError.reading():
+        discs = sorted(int(check_digit_runs(d)) for d in args.discs.split(","))
     if len(set(discs)) < len(discs):  # a repeat is one point counted twice
-        raise ValueError("repeated discriminant in --discs")
+        raise BadInput("repeated discriminant in --discs")
     rows = []
     ratios = []
     for D in discs:
         if D % 4 in (2, 3):  # c(D) = 0, so the ratio is 0 and the relative spread undefined
-            raise ValueError(f"D = {D} is 2 or 3 mod 4, not a discriminant")
+            raise BadInput(f"D = {D} is 2 or 3 mod 4, not a discriminant")
         w = (Fraction(-D), Fraction(0), Fraction(1, 3), Fraction(0))
         try:
             r = ctx.gross_ratio(w, tol=args.tol)
@@ -250,12 +209,12 @@ def cmd_mf_dump(args) -> int:
     if build is None:
         k = args.series.removeprefix("plus")
         if args.series.startswith("plus") and k.isdecimal() and int(check_digit_runs(k)) > MAX_PLUS_K:
-            raise arith.InputTooLarge(f"plus-space weight {k} exceeds the cap {MAX_PLUS_K}")
-        raise Refusal("FORM_UNSUPPORTED", f"unknown or unsupported series {args.series!r}")
+            raise InputTooLarge(f"plus-space weight {k} exceeds the cap {MAX_PLUS_K}")
+        raise FormUnsupported(f"unknown or unsupported series {args.series!r}")
     series = build(args.prec)
     text = series.dump()
     if args.out:
-        with _refuse_as("BAD_INPUT", OSError), open(args.out, "w") as fh:
+        with ParseError.reading(), open(args.out, "w") as fh:
             fh.write(text)
         _emit({"schema": 1, "written": args.out, "precision": series.precision})
     else:
@@ -264,19 +223,12 @@ def cmd_mf_dump(args) -> int:
 
 
 def cmd_mf_load(args) -> int:
-    with _refuse_as("BAD_CACHE_FILE", OSError, ValueError), open(args.file) as fh:
-        series = modforms.QExpansion.load(fh.read())
-    _emit(
-        {
-            "schema": 1,
-            "weight": str(series.weight),
-            "level": series.level,
-            "precision": series.precision,
-            "first_coeffs": [
-                f"{c.numerator}/{c.denominator}" for c in map(series.coeff, range(min(8, series.precision)))
-            ],
-        }
-    )
+    with modforms.BadCacheFile.reading(), open(args.file) as fh:
+        text = fh.read()
+    series = modforms.QExpansion.load(text)
+    first = [f"{c.numerator}/{c.denominator}" for c in map(series.coeff, range(min(8, series.precision)))]
+    _emit({"schema": 1, "weight": str(series.weight), "level": series.level, "precision": series.precision,
+           "first_coeffs": first})
     return EXIT_PASS
 
 
@@ -368,12 +320,14 @@ def main(argv=None) -> int:
         for name, cap in CAPS.items():
             value = getattr(args, name, 0)
             if value > cap:
-                raise arith.InputTooLarge(f"--{name.replace('_', '-')} {value} exceeds the cap {cap}")
+                raise InputTooLarge(f"--{name.replace('_', '-')} {value} exceeds the cap {cap}")
         return args.func(args)
-    except tuple(kind for kind, _, _ in REFUSALS) as exc:
-        code, exit_code = next((code, exit_code) for kind, code, exit_code in REFUSALS if isinstance(exc, kind))
-        _emit({"schema": 1, "error": code or exc.code, "message": str(exc)})
-        return exit_code
+    except Refusal as exc:
+        _emit({"schema": 1, "error": exc.code, "message": str(exc)})
+        return exc.exit_code
+    except Exception as exc:  # a fault of the program, never the input's
+        _emit({"schema": 1, "error": "INTERNAL_ERROR", "message": f"{type(exc).__name__}: {exc}"})
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

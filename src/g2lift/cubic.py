@@ -14,17 +14,19 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import NamedTuple, Optional, Tuple
 
-from .arith import SquarefreeCofactor, fundamental_discriminant, prime_powers
+from .arith import BadInput, SquarefreeCofactor, fundamental_discriminant, prime_powers
 from .exact import Matrix2, mat2, rat
 from .group import ad_weyl_alpha, ad_weyl_alpha_inv, coad_w, heis_n1, levi_m, levi_m_coords, n1_coords
 
 
-class NonEtaleInput(ValueError):
+class NonEtaleInput(BadInput):
     """Raised when an operation needs q(w) != 0 and gets a degenerate w."""
 
 
-class CubicFieldOrbitUnsupported(ValueError):
+class CubicFieldOrbitUnsupported(BadInput):
     """Raised when a reduction needs a rational root and none exists."""
+
+    code = "CUBIC_FIELD_ORBIT"
 
 
 class CubicVector(NamedTuple):
@@ -49,7 +51,7 @@ class CubicVector(NamedTuple):
     def integral_form(self) -> Tuple[int, int, int, int]:
         """(a, b, c, d) = (a1, 3 a2, 3 a3, a4); requires the lattice flag."""
         if not self.is_lattice():
-            raise ValueError("vector is not in the integral lattice")
+            raise BadInput("vector is not in the integral lattice")
         return (int(self.a1), int(3 * self.a2), int(3 * self.a3), int(self.a4))
 
 
@@ -183,7 +185,7 @@ def fundamental_discriminant_of_class(r: Fraction) -> Tuple[int, Fraction]:
     """Minimal positive integer D0 == 0, 1 (mod 4) in the square class of
     the positive rational r, with the scale lam > 0, lam^2 * r = D0."""
     if r <= 0:
-        raise ValueError("positive rational expected")
+        raise BadInput("positive rational expected")
     d0 = fundamental_discriminant(r.numerator * r.denominator)
     ratio = Fraction(d0) / r
     lam = Fraction(isqrt(ratio.numerator), isqrt(ratio.denominator))
@@ -282,7 +284,7 @@ def cubic_ring(w) -> CubicRing:
     """The cubic ring of a lattice vector; discriminant is -27 q(w)."""
     w = _vec(w)
     if not w.is_lattice():
-        raise ValueError("vector is not in the integral lattice")
+        raise BadInput("vector is not in the integral lattice")
     return CubicRing(*w.integral_form())
 
 
@@ -400,7 +402,7 @@ def _reduce(w) -> Tuple[CanonicalReduction, Optional[int]]:
     """
     w = _vec(w)
     if quartic_q(w) >= 0:
-        raise ValueError("precondition violation: q(w) >= 0")
+        raise BadInput("precondition violation: q(w) >= 0")
 
     if w.a2 == 0 and w.a4 == 0 and w.a1 < 0 and w.a3 > 0:
         red = CanonicalReduction(t=w.a1, S=3 * w.a3, m=mat2(1, 0, 0, 1))

@@ -57,6 +57,7 @@ from functools import cache
 from math import lcm, prod
 from operator import getitem
 
+from .arith import BadInput
 from .exact import GRAM, Matrix2, Matrix7, Poly, form_adjoint, mat2, preserves_form, rat
 
 # ---------------------------------------------------------------------------
@@ -84,7 +85,7 @@ class RootLabel:
     def __post_init__(self):
         name = _ALIASES.get(self.name, self.name)
         if name not in POSITIVE_ROOTS:
-            raise ValueError(f"unknown root {self.name!r}")
+            raise BadInput(f"unknown root {self.name!r}")
         object.__setattr__(self, "name", name)
 
     def __neg__(self) -> "RootLabel":
@@ -343,7 +344,7 @@ def _t_powers(t):
     denominator, which covers every exponent of the 7-dimensional weights."""
     t = rat(t)
     if t == 0:
-        raise ValueError("t must be nonzero")
+        raise BadInput("t must be nonzero")
     p, q = t.numerator, t.denominator
     p2, q2 = p * p, q * q
     return (q2 * q2, p * q2 * q, p2 * q2, p2 * p * q, p2 * p2), p2 * q2
@@ -422,7 +423,7 @@ def levi_m(A: Matrix2) -> GroupElement:
     a, b, c, d = A.entries()
     dt = a * d - b * c
     if dt == 0:
-        raise ValueError("singular Levi parameter")
+        raise BadInput("singular Levi parameter")
     rows = [
         [d, c, 0, 0, 0, 0, 0],
         [b, a, 0, 0, 0, 0, 0],
@@ -508,7 +509,7 @@ def levi_l(A: Matrix2) -> GroupElement:
     e = A.den
     D = a * d - b * c
     if D == 0:
-        raise ValueError("singular Levi parameter")
+        raise BadInput("singular Levi parameter")
     return GroupElement._trusted(Matrix7._raw(_l_grid(a, b, c, d, e, D), e * e * D))
 
 

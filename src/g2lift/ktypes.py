@@ -12,6 +12,8 @@ from __future__ import annotations
 from math import comb
 from typing import Dict
 
+from .arith import BadInput
+
 SU2Decomposition = Dict[int, int]  # highest weight j -> multiplicity of Sym^j
 
 
@@ -23,7 +25,7 @@ def plethysm_symn_sym3(n: int) -> SU2Decomposition:
     Zero multiplicities are omitted from the result.
     """
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise BadInput("n must be nonnegative")
     out: SU2Decomposition = {}
     for i in range(0, n + 1):
         mult = i // 2 - (i - 1) // 3
@@ -43,5 +45,5 @@ def decomposition_dimension(dec: SU2Decomposition) -> int:
 def ktype_dimension(k: int, n: int) -> int:
     """dim V_{k,n} = (2k + n + 1) * C(n + 3, 3)."""
     if k < 2 or n < 0:
-        raise ValueError("need k >= 2 and n >= 0")
+        raise BadInput("need k >= 2 and n >= 0")
     return (2 * k + n + 1) * comb(n + 3, 3)

@@ -18,13 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import is_fundamental_discriminant, kronecker
+from .arith import BadInput, Refusal, is_fundamental_discriminant, kronecker
 from .exact import Poly
 from .modforms import QExpansion
 
 
-class SeriesInstability(ArithmeticError):
+class SeriesInstability(Refusal, ArithmeticError):
     """Raised when independent cutoffs disagree beyond tolerance."""
+
+    code, exit_code = "SERIES_INSTABILITY", 3
 
 
 # ---------------------------------------------------------------------------
@@ -106,19 +108,19 @@ def central_twisted_value(f: QExpansion, D: int = 1, tol: float = 1e-10, ext_flo
     else SeriesInstability is raised.
     """
     if not math.isfinite(tol):
-        raise ValueError("tol must be finite")
+        raise BadInput("tol must be finite")
     if tol < 1e-12:
-        raise ValueError("tol below supported floating accuracy")
+        raise BadInput("tol below supported floating accuracy")
     if f.level != 1 or f.weight.denominator != 1 or int(f.weight) % 4 != 0:
-        raise ValueError("level-one eigenform of weight 2k with k even required")
+        raise BadInput("level-one eigenform of weight 2k with k even required")
     if not is_fundamental_discriminant(D):
-        raise ValueError("D must be a positive fundamental discriminant (or 1)")
+        raise BadInput("D must be a positive fundamental discriminant (or 1)")
     two_k = int(f.weight)
     k = two_k // 2
     w = 1.0  # root number: level one, k even, D > 0
     base = _cutoff_terms(D, k, tol)
     if 2 * base >= f.precision:
-        raise ValueError(f"need at least {2 * base + 1} coefficients, have {f.precision}")
+        raise BadInput(f"need at least {2 * base + 1} coefficients, have {f.precision}")
     s1 = _smoothed_sum(f, D, k, 1.0, base, ext_float)
     val1 = (1.0 + w) * s1
     # doubled cutoff parameter splits the two functional-equation halves;

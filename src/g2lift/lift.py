@@ -20,12 +20,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import BadInput
 from .cubic import (
-    CanonicalReduction,
-    CubicVector,
-    etale_type,
-    quartic_q,
-    reduce_to_canonical,
+    CanonicalReduction, CubicFieldOrbitUnsupported, CubicVector, etale_type, quartic_q, reduce_to_canonical,
     verify_reduction,
 )
 from .exact import Matrix2
@@ -82,7 +79,7 @@ class LiftContext:
     def __init__(self, two_k: int = 12, prec_int: int = 2000, prec_half: int = 600):
         if two_k % 4 != 0:
             # k = two_k/2 must be even for the root-number and sign conventions
-            raise ValueError("two_k must be divisible by 4")
+            raise BadInput("two_k must be divisible by 4")
         self.two_k = two_k
         self.k = two_k // 2
         self.f: QExpansion = eigenform(two_k, prec_int)
@@ -94,9 +91,9 @@ class LiftContext:
         """Coefficient record at a lattice vector w, up to C(S)."""
         w = CubicVector.of(*w)
         if not w.is_lattice():
-            raise ValueError("w must lie in the integral lattice")
+            raise BadInput("w must lie in the integral lattice")
         if quartic_q(w) >= 0:
-            raise ValueError("q(w) < 0 required")
+            raise BadInput("q(w) < 0 required")
         red = reduce_to_canonical(w)  # raises on cubic-field orbits
         n = int(red.index)  # a positive integer: see CanonicalReduction.index
         c_val = Fraction(0) if n % 4 in (2, 3) else self.g.coeff(n)
@@ -108,7 +105,7 @@ class LiftContext:
         det(m')^2 rho3(m'^-1) w and the phase picks up
         mu_f(det m')^-1 sgn(det m')^k (trivial sign, k even)."""
         if m.det() == 0:
-            raise ValueError("m must be invertible")
+            raise BadInput("m must be invertible")
         m_prime = levi_m_coords(ad_weyl_alpha(levi_m(m)))
         w_new = CubicVector.of(*coad_w(m_prime, coef.w))
         sgn = 1.0 if m_prime.det() > 0 else (-1.0) ** self.k
@@ -133,10 +130,10 @@ class LiftContext:
             return L1.value * L1.value, L1.abs_error_bound * 3
         if et.kind == "quadratic_split":
             if not et.real_quadratic:
-                raise ValueError("w with an imaginary quadratic factor has no real twist to split by")
+                raise BadInput("w with an imaginary quadratic factor has no real twist to split by")
             LD = central_twisted_value(self.f, et.quad_disc, tol)
             return L1.value * LD.value, (L1.abs_error_bound + LD.abs_error_bound) * 3
-        raise ValueError("cubic-field orbit unsupported")
+        raise CubicFieldOrbitUnsupported("cubic-field orbit unsupported")
 
     def gross_ratio(self, w, tol: float = 1e-10) -> float:
         """R(w) = c_{tS}^2 pi^(2k) / (Gamma(k)^2 |q(w)|^(k-1/2) L_split(w));

@@ -28,16 +28,22 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Sequence
 
-from .arith import InputTooLarge, prime_powers
+from .arith import BadInput, InputTooLarge, ParseError, prime_powers
 from .exact import check_digit_runs, parse_rational, rat
 
 
-class NonRationalEigenspace(ValueError):
+class NonRationalEigenspace(BadInput):
     """Raised for weights whose eigenforms need coefficient fields."""
 
 
-class PrecisionError(ValueError):
+class PrecisionError(BadInput):
     """Raised when a precision is below what an operation needs."""
+
+
+class BadCacheFile(ParseError):
+    """A cache file that does not read as one (``QExpansion.load``)."""
+
+    code = "BAD_CACHE_FILE"
 
 
 RATIONAL_EIGEN_WEIGHTS = (12, 16, 18, 20, 22, 26)
@@ -189,14 +195,12 @@ class QExpansion:
         lines = text.strip().splitlines()
         head = lines[0].split() if lines else []
         if len(head) != 3:
-            raise ValueError("cache file needs a 'weight level N' header")
-        try:
+            raise BadCacheFile("cache file needs a 'weight level N' header")
+        with BadCacheFile.reading("zero denominator in cache file"):
             weight, level, n = parse_rational(head[0]), int(check_digit_runs(head[1])), int(check_digit_runs(head[2]))
             coeffs = [parse_rational(t) for t in lines[1 : 1 + n]]
-        except ZeroDivisionError as exc:
-            raise ValueError("zero denominator in cache file") from exc
         if len(coeffs) != n:
-            raise ValueError("truncated cache file")
+            raise BadCacheFile("truncated cache file")
         return cls(weight, level, coeffs)
 
 
@@ -230,7 +234,7 @@ def _sigma_list(k: int, n: int) -> List[int]:
 def eisenstein(weight: int, prec: int) -> QExpansion:
     """E4 or E6, normalized to constant term 1."""
     if weight not in (4, 6):
-        raise ValueError("only weights 4 and 6 generate the level-one ring")
+        raise BadInput("only weights 4 and 6 generate the level-one ring")
 
     def build():
         mult = 240 if weight == 4 else -504
@@ -301,7 +305,7 @@ def mu_f(f: QExpansion, r) -> complex:
     InputTooLarge."""
     r = rat(r)
     if r == 0:
-        raise ValueError("mu_f undefined at 0")
+        raise BadInput("mu_f undefined at 0")
     out = complex(1, 0)
     for n, sign in ((abs(r.numerator), 1), (r.denominator, -1)):
         for p, e in prime_powers(n):

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import comb, isqrt, lcm
 from typing import List
 
-from .arith import is_fundamental_discriminant, kronecker
+from .arith import BadInput, is_fundamental_discriminant, kronecker
 from .exact import kernel
 from .modforms import PrecisionError, QExpansion, _cached, _convolve_int, _sigma_list
 
@@ -143,7 +143,7 @@ def plus_cusp_basis(k: int, prec: int) -> List[QExpansion]:
     imposed support conditions pin the space.
     """
     if k % 2 != 0 or k < 6:
-        raise ValueError("k must be even and at least 6")
+        raise BadInput("k must be even and at least 6")
     if prec < 8 * k:
         raise PrecisionError("precision below the solvability threshold")
 
@@ -176,12 +176,12 @@ def shimura_lift_check(g: QExpansion, f: QExpansion, D: int, n_max: int) -> bool
         sum_{d | n} chi_D(d) d^(k-1) c(D n^2 / d^2)  ==  c(D) a_n(f).
     """
     if g.level != 4 or g.weight.denominator != 2:
-        raise ValueError("half-integral form must have level 4 and weight k + 1/2")
+        raise BadInput("half-integral form must have level 4 and weight k + 1/2")
     k = g.weight.numerator // 2
     if f.weight != 2 * k or f.level != 1:
-        raise ValueError("integral form must have level 1 and weight 2k")
+        raise BadInput("integral form must have level 1 and weight 2k")
     if not is_fundamental_discriminant(D):
-        raise ValueError("D must be a positive fundamental discriminant (or 1)")
+        raise BadInput("D must be a positive fundamental discriminant (or 1)")
     if D * n_max * n_max >= g.precision or n_max >= f.precision:
         raise PrecisionError("insufficient precision for the lift check")
     cD = g.coeff(D)

@@ -23,6 +23,7 @@ from math import prod
 from operator import add
 from typing import Callable
 
+from .arith import BadInput
 from .exact import Matrix2, Matrix5, mat2
 from .group import (
     ALL_ROOTS, GroupElement, RootLabel, ad_w, coad_w, heis_n, heis_n1, identity, iota, levi_l,
@@ -238,7 +239,7 @@ def run_structure_suite(
     wrong iota word, so the failure path stays exercised end to end.
     """
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise BadInput("samples must be >= 1")
     checks = dict(CHECKS)
     if inject_bad_weyl:
         checks["imi"] = _check(IDENTITIES["imi"][0], partial(_imi, io=iota() * torus(RootLabel("a"), 2)))

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from g2lift import cli, lfunctions, lift
+from g2lift.arith import Refusal
 from g2lift.cli import main
 from g2lift.exact import mat2
 from g2lift.group import (
@@ -328,10 +329,12 @@ def test_outputs_validate_against_shipped_schemas(capsys, tmp_path):
     jsonschema.validate(json.loads(out), load("error.schema.json"))
 
 
-def test_show_singular_levi_is_a_bad_word(capsys):
+def test_show_singular_levi_is_bad_input(capsys):
+    """The word parses; the library refuses the value, so the code is the
+    library's, not the word format's."""
     code, out = run_cli(capsys, "show", "l:1,2,2,4")
     assert code == 2
-    assert json.loads(out)["error"] == "BAD_WORD"
+    assert json.loads(out)["error"] == "BAD_INPUT"
 
 
 def test_show_iota_token(capsys):
@@ -364,7 +367,7 @@ def test_show_token_matches_its_constructor(capsys, token):
     assert out == build().dump() + "\n"
 
 
-# --- one refusal table, work caps, non-finite tolerances ----------------------
+# --- refusal codes from their classes, work caps, non-finite tolerances ------
 
 RECORDED = json.loads((pathlib.Path(__file__).parent / "data" / "cli_outputs.json").read_text())
 
@@ -379,7 +382,10 @@ def _raising(exc):
 @pytest.mark.parametrize("case", RECORDED, ids=[c["id"] for c in RECORDED])
 def test_output_matches_recording(capsys, monkeypatch, tmp_path, case):
     """stdout and exit code equal those recorded from the per-command
-    handlers that the refusal table replaced, byte for byte.
+    handlers that the refusal classes replaced, byte for byte.  Four codes
+    were recorded again: coeff's three-entry --w is BAD_VECTOR, as under
+    reduce, and the three show words that parse but name a value the library
+    refuses (a singular Levi, t = 0, an unknown root) are BAD_INPUT.
     lfunc shares the lift's form check, so its two form refusals, eigen14
     and the odd-k eigen18 (which answered SERIES_INSTABILITY before), were
     recorded again with the message coeff gives.  Real input does not
@@ -400,12 +406,32 @@ def test_output_matches_recording(capsys, monkeypatch, tmp_path, case):
 
 
 @pytest.mark.parametrize(
+    "exc",
+    [
+        ValueError("Deligne bound violated; upstream eigenform is wrong"),
+        AssertionError("reduction failed its 7x7 verification"),
+        ZeroDivisionError("division by zero"),
+    ],
+    ids=["undeclared-value-error", "assertion", "zero-division"],
+)
+def test_internal_error_is_not_the_inputs(capsys, monkeypatch, exc):
+    """An exception of no refusal class is a fault of the program: one
+    INTERNAL_ERROR object and exit 1, never BAD_INPUT and never a traceback."""
+    monkeypatch.setattr(lift, "mu_f", _raising(exc))
+    code = main(["coeff", "--w=-5,0,1/3,0", "--prec", "300", "--prec-half", "100"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert_refused(out, "INTERNAL_ERROR")
+    assert json.loads(out)["message"] == f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize(
     "argv,error",
     [
         (("mf", "dump", "--series", "e4", "--prec", "5", "--out", "no/such/dir/e4.mf"), "BAD_INPUT"),
         (("gross", "--discs", "5,2", "--prec", "900", "--prec-half", "100"), "BAD_INPUT"),
         (("reduce", "--w=1/0,0,0,0"), "BAD_VECTOR"),
-        (("coeff", "--w=1/0,0,0,0"), "BAD_INPUT"),
+        (("coeff", "--w=1/0,0,0,0"), "BAD_VECTOR"),
         (("verify-structure", "--samples", "0"), "BAD_INPUT"),
         (("ktypes", "--n", "-1"), "BAD_INPUT"),
         (("ktypes", "--n", "2", "--k", "1"), "BAD_INPUT"),
@@ -509,10 +535,10 @@ OVERSIZED = "7" * (INT_STR_LIMIT + 700)
 @pytest.mark.parametrize(
     "argv,file_text,error",
     [
-        (("reduce", f"--w={OVERSIZED},0,1/3,0"), None, "BAD_VECTOR"),
-        (("show", f"m:{OVERSIZED},0,0,1"), None, "BAD_WORD"),
-        (("mf", "load", "{file}"), f"4 1 2\n1\n1/{OVERSIZED}\n", "BAD_CACHE_FILE"),
-        (("mf", "load", "{file}"), f"4 {OVERSIZED} 2\n1\n1\n", "BAD_CACHE_FILE"),
+        (("reduce", f"--w={OVERSIZED},0,1/3,0"), None, "INPUT_TOO_LARGE"),
+        (("show", f"m:{OVERSIZED},0,0,1"), None, "INPUT_TOO_LARGE"),
+        (("mf", "load", "{file}"), f"4 1 2\n1\n1/{OVERSIZED}\n", "INPUT_TOO_LARGE"),
+        (("mf", "load", "{file}"), f"4 {OVERSIZED} 2\n1\n1\n", "INPUT_TOO_LARGE"),
         (("coeff", f"--w={OVERSIZED},0,1/3,0"), None, "INPUT_TOO_LARGE"),
         (("gross", f"--discs=5,{OVERSIZED}"), None, "INPUT_TOO_LARGE"),
         (("mf", "dump", "--series", f"plus{OVERSIZED}"), None, "INPUT_TOO_LARGE"),
@@ -535,19 +561,53 @@ def test_precision_cap_reaches_the_ratio_table_precision():
     assert cli.MAX_PREC >= 20000
 
 
-def test_refusal_table_is_the_only_exception_map():
-    """No cmd_* function catches an exception itself, except gross, whose
-    CentralVanishing is a result row, not a refusal."""
+def test_only_format_parsers_convert_foreign_errors():
+    """A refusal's code comes from its class, so no cmd_* catches an
+    exception, except gross, whose CentralVanishing is a result row.  The
+    only handlers of Python's own errors are ParseError.reading and main's
+    INTERNAL_ERROR, and only the parsers of outside formats read under it:
+    --w, show words, --discs, cache files and the two mf file opens."""
     import ast
+    import importlib
     import inspect
+    import pkgutil
 
-    caught = {}
-    for fn in ast.parse(inspect.getsource(cli)).body:
-        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_"):
+    import g2lift
+
+    caught, readers = {}, set()
+    for info in pkgutil.iter_modules(g2lift.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"g2lift.{info.name}")))
+        defs = [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+        defs += [(f"{cls.name}.{fn.name}", fn) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+        for name, fn in defs:
             for node in ast.walk(fn):
                 if isinstance(node, ast.ExceptHandler):
-                    caught.setdefault(fn.name, []).append(ast.unparse(node.type))
-    assert caught == {"cmd_gross": ["CentralVanishing"]}
+                    caught.setdefault(f"{info.name}.{name}", []).append(ast.unparse(node.type))
+                elif isinstance(node, ast.Attribute) and node.attr == "reading":
+                    readers.add(f"{info.name}.{name}")
+    assert caught == {
+        "arith.ParseError.reading": ["Refusal", "ZeroDivisionError", "(ValueError, OSError)"],
+        "arith.fundamental_discriminant": ["SquarefreeCofactor"],
+        "cubic.is_maximal": ["SquarefreeCofactor"],
+        "cli.cmd_gross": ["CentralVanishing"],
+        "cli.main": ["Refusal", "Exception"],
+    }
+    assert readers == {"cli._parse_w", "cli._parse_word", "cli.cmd_gross", "cli.cmd_mf_dump", "cli.cmd_mf_load",
+                       "modforms.QExpansion.load"}
+
+
+def _refusal_classes(cls=Refusal):
+    return [cls, *(sub for c in cls.__subclasses__() for sub in _refusal_classes(c))]
+
+
+def test_refusal_classes_keep_their_library_bases():
+    """Every declared class is still a ValueError or an ArithmeticError, so a
+    library caller catches it as before, and its code is in the error schema."""
+    schema = json.loads((pathlib.Path(__file__).parent.parent / "docs" / "schemas" / "error.schema.json").read_text())
+    for cls in _refusal_classes()[1:]:
+        assert issubclass(cls, (ValueError, ArithmeticError)), cls
+        assert cls.code in schema["properties"]["error"]["enum"] and cls.exit_code in (2, 3), cls
 
 
 # --- fuzz gate ----------------------------------------------------------------
@@ -613,6 +673,7 @@ ARGV = st.one_of(
     st.builds(lambda *a: ("ktypes", *a), _capped(cli.MAX_KTYPES_N).map("--n={}".format),
               _integer.map("--k={}".format)),
 )
+DECLARED = {cls.code for cls in _refusal_classes()}
 CASES = st.one_of(ARGV.map(lambda argv: (argv, None)), _file_text.map(lambda text: (("mf", "load", "{file}"), text)))
 SCHEMAS = {"verify-structure": "run-report", "coeff": "lift-coefficient", "gross": "gross-report",
            "lfunc": "lfunc-value", "reduce": "reduce-record"}
@@ -622,7 +683,8 @@ SCHEMAS = {"verify-structure": "run-report", "coeff": "lift-coefficient", "gross
 @given(case=CASES)
 def test_cli_fuzz(case, tmp_path_factory):
     """Every argv ends in an answer or a typed refusal: exit 0-3, no
-    traceback, and JSON valid against its shipped schema."""
+    traceback, never INTERNAL_ERROR, every error code declared by a refusal
+    class, and JSON valid against its shipped schema."""
     jsonschema = pytest.importorskip("jsonschema")
     schemas = pathlib.Path(__file__).parent.parent / "docs" / "schemas"
     argv, file_text = case
@@ -640,7 +702,9 @@ def test_cli_fuzz(case, tmp_path_factory):
             return
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+    assert '"INTERNAL_ERROR"' not in out.getvalue()
     if code in (2, 3):
+        assert json.loads(out.getvalue())["error"] in DECLARED | {"TOO_FEW_POINTS"}
         schema = "error"
     elif argv[0] in SCHEMAS and "--csv" not in argv:
         schema = SCHEMAS[argv[0]]

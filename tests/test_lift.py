@@ -77,7 +77,7 @@ def test_preconditions(lift_ctx):
         lift_ctx.fourier_coefficient((1, 0, 0, 1))  # q > 0
     with pytest.raises(CubicFieldOrbitUnsupported):
         lift_ctx.fourier_coefficient((1, 0, -1, 1))
-    with pytest.raises(ValueError, match="cubic-field orbit"):
+    with pytest.raises(CubicFieldOrbitUnsupported, match="cubic-field orbit"):
         lift_ctx.l_split((1, 0, -1, 1))
     rec = lift_ctx.fourier_coefficient((-5, 0, F(1, 3), 0))
     with pytest.raises(ValueError, match="invertible"):
