@@ -5,18 +5,20 @@ A vector w = (a1, a2, a3, a4) is identified with the binary cubic
 f_w(u, v) = a1 u^3 + 3 a2 u^2 v + 3 a3 u v^2 + a4 v^3; the lattice
 condition is a1, a4 integral and 3 a2, 3 a3 integral, so (a, b, c, d) =
 (a1, 3 a2, 3 a3, a4) is an integral cubic form in the classical sense.
+Every computation on a cubic reads this one integral form, taken off the
+lattice as e (a1, 3 a2, 3 a3, a4) with e the lcm of the denominators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import NamedTuple, Optional, Tuple
 
 from .arith import BadInput, SquarefreeCofactor, fundamental_discriminant, prime_powers
 from .exact import Matrix2, mat2, rat
-from .group import ad_weyl_alpha, ad_weyl_alpha_inv, coad_w, heis_n1, levi_m, levi_m_coords, n1_coords
+from .group import coad_w, heis_n1, levi_m, levi_m_prime, n1_coords
 
 
 class NonEtaleInput(BadInput):
@@ -48,11 +50,15 @@ class CubicVector(NamedTuple):
             and (3 * self.a3).denominator == 1
         )
 
+    def denominator(self) -> int:
+        """e, the lcm of the denominators of a1, 3 a2, 3 a3 and a4."""
+        return lcm(self.a1.denominator, (3 * self.a2).denominator, (3 * self.a3).denominator, self.a4.denominator)
+
     def integral_form(self) -> Tuple[int, int, int, int]:
-        """(a, b, c, d) = (a1, 3 a2, 3 a3, a4); requires the lattice flag."""
-        if not self.is_lattice():
-            raise BadInput("vector is not in the integral lattice")
-        return (int(self.a1), int(3 * self.a2), int(3 * self.a3), int(self.a4))
+        """e (a1, 3 a2, 3 a3, a4): the classical (a, b, c, d) on the lattice,
+        where e = 1, and a form with the same roots off it."""
+        e = self.denominator()
+        return (int(e * self.a1), int(3 * e * self.a2), int(3 * e * self.a3), int(e * self.a4))
 
 
 def _vec(w) -> CubicVector:
@@ -64,15 +70,11 @@ def _vec(w) -> CubicVector:
 def quartic_q(w) -> Fraction:
     """The quartic invariant
     -3 a2^2 a3^2 + 4 a1 a3^3 + 4 a2^3 a4 - 6 a1 a2 a3 a4 + a1^2 a4^2,
-    equal to -disc(f_w)/27 and satisfying q(rho3(A, w)) = det(A)^6 q(w)."""
-    a1, a2, a3, a4 = _vec(w)
-    return (
-        -3 * a2**2 * a3**2
-        + 4 * a1 * a3**3
-        + 4 * a2**3 * a4
-        - 6 * a1 * a2 * a3 * a4
-        + a1**2 * a4**2
-    )
+    satisfying q(rho3(A, w)) = det(A)^6 q(w).  It is -disc(f_w)/27, and the
+    discriminant has degree 4, so it is read off the integral form e f_w as
+    -disc(e f_w) / (27 e^4)."""
+    w = _vec(w)
+    return Fraction(-form_disc(*w.integral_form()), 27 * w.denominator() ** 4)
 
 
 def form_disc(a: int, b: int, c: int, d: int) -> int:
@@ -82,15 +84,6 @@ def form_disc(a: int, b: int, c: int, d: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Rational root finding for binary cubics
-
-def _integral_coeffs(w: CubicVector) -> Tuple[int, int, int, int]:
-    """Clear denominators of (a1, 3a2, 3a3, a4); only the root set matters."""
-    a1, a2, a3, a4 = w
-    den = 1
-    for x in (a1, 3 * a2, 3 * a3, a4):
-        den = den * x.denominator // gcd(den, x.denominator)
-    return (int(a1 * den), int(3 * a2 * den), int(3 * a3 * den), int(a4 * den))
-
 
 def _quad_proj_roots(A: int, B: int, C: int) -> list[Tuple[int, int]]:
     """Rational projective roots of A u^2 + B u v + C v^2."""
@@ -154,20 +147,19 @@ def rational_projective_roots(w) -> list[Tuple[int, int]]:
     """All rational projective roots of f_w as primitive pairs (u0, v0),
     sorted; the root at infinity is (1, 0).  Multiplicity not reported.
 
-    With a d != 0, the substitution x = y/a turns a x^3 + b x^2 + c x + d
+    With a != 0, the substitution x = y/a turns a x^3 + b x^2 + c x + d
     into a^-2 g(y) for the monic integer cubic
     g(y) = y^3 + b y^2 + (a c) y + a^2 d, whose rational roots are
     integers; they are found by exact bisection on the at most three
     ranges where g is monotone (exact root isolation, Cohen, GTM 138).
-    A call costs O(bit length) evaluations of g and no factoring.
+    A call costs O(bit length) evaluations of g and no factoring.  For
+    d = 0 the root y = 0 is (0 : 1).
     """
-    a, b, c, d = _integral_coeffs(_vec(w))
+    a, b, c, d = _vec(w).integral_form()
     if a == 0 and b == 0 and c == 0 and d == 0:
         raise NonEtaleInput("zero form has no root divisor")
     if a == 0:
         roots = [(1, 0)] + _quad_proj_roots(b, c, d)
-    elif d == 0:
-        roots = [(0, 1)] + _quad_proj_roots(a, b, c)
     else:
         roots = [(y, a) for y in _monic_integer_roots(b, a * c, a * a * d)]
     seen = []
@@ -219,26 +211,27 @@ def etale_type(w, quad_disc: Optional[int] = None) -> EtaleType:
     quadratic factor's square class (the D0 of a reduction) passes it as
     quad_disc, and it is used instead of factoring that class again."""
     w = _vec(w)
-    if quartic_q(w) == 0:
+    a, b, c, d = w.integral_form()
+    if form_disc(a, b, c, d) == 0:
         raise NonEtaleInput("non-etale input")
     roots = rational_projective_roots(w)
-    a, b, c, d = _integral_coeffs(w)
     if not roots:
         return EtaleType("cubic_field", cubic_poly=(a, b, c, d))
     if len(roots) == 3:
         return EtaleType("totally_split")
     # a separable cubic with two rational roots has a rational third: one root
     u0, v0 = roots[0]
-    # f = (v0 u - u0 v) * (A u^2 + B u v + C v^2) up to a rational scalar
+    # f = (v0 u - u0 v) * (A u^2 + B u v + C v^2); (u0, v0) is primitive, so
+    # by Gauss's lemma A, B, C are integers and each division is exact
     if v0 != 0:
-        A = Fraction(a, v0)
-        B = (Fraction(b) + A * u0) / v0
-        C = (Fraction(c) + B * u0) / v0
+        A = a // v0
+        B = (b + A * u0) // v0
+        C = (c + B * u0) // v0
     else:  # root at infinity: f = v * (b u^2 + c u v + d v^2)
-        A, B, C = Fraction(b), Fraction(c), Fraction(d)
+        A, B, C = b, c, d
     disc2 = B * B - 4 * A * C
     if quad_disc is None:
-        quad_disc = fundamental_discriminant(disc2.numerator * disc2.denominator)
+        quad_disc = fundamental_discriminant(disc2)
     return EtaleType("quadratic_split", quad_disc=quad_disc, real_quadratic=disc2 > 0)
 
 
@@ -363,10 +356,6 @@ class CanonicalReduction:
         so -t*S = D0."""
         return -self.t * self.S
 
-    def m_prime(self) -> Matrix2:
-        """GL2 coordinate of Ad(w_alpha)(m), computed in the 7x7 model."""
-        return levi_m_coords(ad_weyl_alpha(levi_m(self.m)))
-
 
 def verify_reduction(w, red: CanonicalReduction) -> bool:
     """Exact 7x7 check of w = det(m')^2 rho3(m'^-1) w0, w0 = (t, 0, S/3, 0).
@@ -374,7 +363,7 @@ def verify_reduction(w, red: CanonicalReduction) -> bool:
     Conjugation inside the matrix group gives the adjoint W-action; the
     remaining det(m') scalar follows from coad = det * Ad(inverse)."""
     w = _vec(w)
-    b = red.m_prime()
+    b = levi_m_prime(red.m)
     mp = levi_m(b)
     conj = mp.inverse() * heis_n1(red.t, 0, red.S / 3, 0, 0) * mp
     b1, b2, b3, b4, z = n1_coords(conj)
@@ -410,13 +399,13 @@ def _reduce(w) -> Tuple[CanonicalReduction, Optional[int]]:
             raise AssertionError("reduction failed its 7x7 verification")
         return red, None
 
-    steps: list[Matrix2] = []
+    total = mat2(1, 0, 0, 1)
     cur = tuple(w)
 
     def apply(A: Matrix2):
-        nonlocal cur
+        nonlocal cur, total
         cur = coad_w(A, cur)
-        steps.append(A)
+        total = total * A
 
     if cur[3] != 0:
         roots = rational_projective_roots(cur)
@@ -440,12 +429,8 @@ def _reduce(w) -> Tuple[CanonicalReduction, Optional[int]]:
     apply(mat2(1, 0, 0, 1 / s_now))
     assert -cur[0] == d0 and 3 * cur[2] == 1
 
-    total = mat2(1, 0, 0, 1)
-    for A in steps:
-        total = total * A
-    m_prime = total.inverse()
-    m_mat = levi_m_coords(ad_weyl_alpha_inv(levi_m(m_prime)))
-    red = CanonicalReduction(t=cur[0], S=3 * cur[2], m=m_mat)
+    # total is m'^-1, and Ad(w_alpha) is an involution on M
+    red = CanonicalReduction(t=cur[0], S=3 * cur[2], m=levi_m_prime(total.inverse()))
     if not verify_reduction(w, red):
         raise AssertionError("reduction failed its 7x7 verification")
     return red, d0

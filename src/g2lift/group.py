@@ -635,7 +635,9 @@ def ad_weyl_alpha(g: GroupElement) -> GroupElement:
     return weyl(_ALPHA) * g * _weyl_inverse(_ALPHA)
 
 
-def ad_weyl_alpha_inv(g: GroupElement) -> GroupElement:
-    """Inverse conjugation: recovers m from m' = Ad(w_alpha)(m)."""
-    return _weyl_inverse(_ALPHA) * g * weyl(_ALPHA)
+def levi_m_prime(A: Matrix2) -> Matrix2:
+    """GL2 coordinate of m' = Ad(w_alpha)(m(A)), formed in the 7x7 model.
+    w_alpha^2 = m(-I) is central in M, so Ad(w_alpha) is an involution on M
+    and the same map recovers A from m'."""
+    return levi_m_coords(ad_weyl_alpha(levi_m(A)))
 

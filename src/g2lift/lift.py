@@ -26,7 +26,7 @@ from .cubic import (
     verify_reduction,
 )
 from .exact import Matrix2
-from .group import ad_weyl_alpha, coad_w, levi_m, levi_m_coords
+from .group import coad_w, levi_m_prime
 from .lfunctions import central_twisted_value
 from .modforms import QExpansion, eigenform, mu_f
 from .shimura import plus_cusp_basis
@@ -106,7 +106,7 @@ class LiftContext:
         mu_f(det m')^-1 sgn(det m')^k (trivial sign, k even)."""
         if m.det() == 0:
             raise BadInput("m must be invertible")
-        m_prime = levi_m_coords(ad_weyl_alpha(levi_m(m)))
+        m_prime = levi_m_prime(m)
         w_new = CubicVector.of(*coad_w(m_prime, coef.w))
         sgn = 1.0 if m_prime.det() > 0 else (-1.0) ** self.k
         phase = coef.phase * sgn / mu_f(self.f, m_prime.det())

@@ -199,6 +199,8 @@ class QExpansion:
         with BadCacheFile.reading("zero denominator in cache file"):
             weight, level, n = parse_rational(head[0]), int(check_digit_runs(head[1])), int(check_digit_runs(head[2]))
             coeffs = [parse_rational(t) for t in lines[1 : 1 + n]]
+        if level < 1:
+            raise BadCacheFile("cache file level must be at least 1")
         if len(coeffs) != n:
             raise BadCacheFile("truncated cache file")
         return cls(weight, level, coeffs)

@@ -97,6 +97,22 @@ def sigma(k, n):
     return sum(d**k for d in range(1, n + 1) if n % d == 0)
 
 
+# --- the quartic invariant as a Fraction polynomial --------------------------
+
+def quartic_q_polynomial(w):
+    """-3 a2^2 a3^2 + 4 a1 a3^3 + 4 a2^3 a4 - 6 a1 a2 a3 a4 + a1^2 a4^2 in
+    Fraction arithmetic on the coordinates themselves, with no integral form
+    and no discriminant: the polynomial that ``cubic.quartic_q`` replaced."""
+    a1, a2, a3, a4 = (Fraction(x) for x in w)
+    return (
+        -3 * a2**2 * a3**2
+        + 4 * a1 * a3**3
+        + 4 * a2**3 * a4
+        - 6 * a1 * a2 * a3 * a4
+        + a1**2 * a4**2
+    )
+
+
 # --- binary cubic discriminant via the resultant -----------------------------
 
 def disc_resultant(a, b, c, d):

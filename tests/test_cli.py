@@ -161,6 +161,15 @@ def test_mf_load_rejects_empty_or_malformed_header(tmp_path, capsys, text):
     assert json.loads(out)["error"] == "BAD_CACHE_FILE"
 
 
+@pytest.mark.parametrize("text", ["12 -3 2\n1\n1\n", "1/2 0 3\n1\n1\n1\n"], ids=["negative", "zero"])
+def test_mf_load_rejects_level_below_one(tmp_path, capsys, text):
+    path = tmp_path / "bad.mf"
+    path.write_text(text)
+    code, out = run_cli(capsys, "mf", "load", str(path))
+    assert code == 2
+    assert_refused(out, "BAD_CACHE_FILE")
+
+
 @pytest.mark.parametrize("series", ["plus7", "plusx", "plus4", "eigenx", "eigen13"])
 def test_mf_dump_unsupported_series(capsys, series):
     code, out = run_cli(capsys, "mf", "dump", "--series", series, "--prec", "100")

@@ -38,6 +38,7 @@ from oracles import (
     maximal_bruteforce,
     p_maximal_by_scan,
     prime_powers_by_trial,
+    quartic_q_polynomial,
     rational_roots_bruteforce,
     trace_matrix,
 )
@@ -73,6 +74,24 @@ def test_quartic_is_scaled_discriminant(rng):
         assert -27 * quartic_q(w) == form_disc(a, b, c, d)
         if a != 0:
             assert form_disc(a, b, c, d) == disc_resultant(a, b, c, d)
+
+
+_entry = st.one_of(
+    st.just(0),
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
+)
+
+
+@given(st.tuples(_entry, _entry, _entry, _entry))
+@settings(max_examples=300, deadline=None)
+@example((0, 0, 0, 0))
+@example((F(1, 2), 0, 0, 1))
+@example((F(-1, 10**6), F(1, 3), F(2, 999983), 0))
+def test_quartic_matches_polynomial_oracle(w):
+    """quartic_q reads the discriminant of the integral form; the oracle
+    expands the quartic in the coordinates, on and off the lattice."""
+    assert quartic_q(w) == quartic_q_polynomial(w)
 
 
 def test_q_covariance(rng):
@@ -193,6 +212,22 @@ def test_roots_match_oracle_planted(scale, shape, l1, l2, l3, quad):
     got = rational_projective_roots(_as_vector(*coeffs))
     assert got == rational_roots_bruteforce(*coeffs)
     assert all(_root_of_linear(*l) in got for l in linears)
+
+
+@given(
+    coeffs=st.tuples(st.integers(-10**4, 10**4).filter(bool), st.integers(-10**4, 10**4), st.integers(-10**4, 10**4)),
+    scale=st.sampled_from([1, 2, 3, 7, 10**6]),
+)
+@settings(max_examples=300, deadline=None)
+@example(coeffs=(1, 0, 0), scale=1)
+@example(coeffs=(2, -3, 1), scale=7)
+def test_roots_with_a4_zero_match_oracle(coeffs, scale):
+    """a4 = 0 and a1 != 0 runs the monic bisection, whose root y = 0 is
+    (0 : 1); a vector scaled off the lattice has the same roots."""
+    a, b, c = coeffs
+    w = _as_vector(a, b, c, 0)
+    assert rational_projective_roots(w) == rational_roots_bruteforce(a, b, c, 0)
+    assert rational_projective_roots(tuple(F(x) / scale for x in w)) == rational_roots_bruteforce(a, b, c, 0)
 
 
 def test_roots_match_oracle_clustered_and_extreme():
@@ -380,8 +415,7 @@ def test_ring_multiplication_associative(rng):
 def test_ring_rejects_nonlattice():
     with pytest.raises(ValueError):
         cubic_ring((F(1, 2), 0, 0, 1))
-    with pytest.raises(ValueError, match="not in the integral lattice"):
-        CubicVector.of(F(1, 2), 0, 0, 1).integral_form()
+    assert CubicVector.of(F(1, 2), 0, 0, 1).integral_form() == (1, 0, 0, 2)
 
 
 def test_maximality_examples():

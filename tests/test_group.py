@@ -11,7 +11,6 @@ from g2lift.group import (
     RootLabel,
     ad_w,
     ad_weyl_alpha,
-    ad_weyl_alpha_inv,
     coad_w,
     heis_n,
     heis_n1,
@@ -20,6 +19,7 @@ from g2lift.group import (
     levi_l,
     levi_m,
     levi_m_coords,
+    levi_m_prime,
     n1_coords,
     n_coords,
     rho3,
@@ -296,14 +296,15 @@ def test_imi_conjugation(rng):
 
 
 def test_ad_weyl_alpha_roundtrip(rng):
+    """w_alpha^2 = m(-I) is central in M, so Ad(w_alpha) undoes itself there
+    and levi_m_prime recovers m from m'."""
     for _ in range(10):
         A = rand_mat2(rng)
-        m = levi_m(A)
-        assert ad_weyl_alpha_inv(ad_weyl_alpha(m)) == m
+        assert ad_weyl_alpha(ad_weyl_alpha(levi_m(A))) == levi_m(A)
+        assert levi_m_prime(levi_m_prime(A)) == A
+    assert weyl(RootLabel("a")) * weyl(RootLabel("a")) == levi_m(mat2(-1, 0, 0, -1))
     # the GL2 shadow of the conjugation
-    A = mat2(1, 2, 3, 4)
-    got = levi_m_coords(ad_weyl_alpha(levi_m(A)))
-    assert got == mat2(4, -3, -2, 1)
+    assert levi_m_prime(mat2(1, 2, 3, 4)) == mat2(4, -3, -2, 1)
 
 
 # --- root datum certification -------------------------------------------------
