@@ -23,7 +23,10 @@ integer grid and one canonicalizing ``Matrix7._raw`` call:
 * l(A) is the grid ``_l_grid`` over A's common denominator and det A; its
   form and det identities are proved once per process as polynomial
   identities (``_certify_l_grid``), and no call validates its result.
-* w_gamma, w_alpha^-1 and iota are values formed once.
+* w_gamma and iota are values formed once.
+* Ad(w_alpha)(g) = w_alpha g w_alpha^-1 is g's grid with its rows and
+  columns permuted and signed by ``_weyl_rows`` (``ad_weyl_alpha``), with no
+  7x7 product.
 * m(A) is still built from Fraction rows and validated on every call.
 * The inverse of any element is its form adjoint GRAM^-1 g^T GRAM, a signed
   permuted transpose (``exact.form_adjoint``), with no 7x7 product.
@@ -366,11 +369,6 @@ def weyl(gamma: RootLabel) -> GroupElement:
     return weyl_t(gamma, 1)
 
 
-@cache
-def _weyl_inverse(gamma: RootLabel) -> GroupElement:
-    return weyl(gamma).inverse()
-
-
 _ALPHA = RootLabel("a")
 
 
@@ -562,7 +560,7 @@ def iota() -> GroupElement:
     """The fixed word w_b w_a w_b w_a w_b^-1 used to compare the two Levis,
     formed once."""
     wa, wb = weyl(RootLabel("a")), weyl(RootLabel("b"))
-    return wb * wa * wb * wa * _weyl_inverse(RootLabel("b"))
+    return wb * wa * wb * wa * wb.inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +629,18 @@ def coad_w(A: Matrix2, w):
 
 
 def ad_weyl_alpha(g: GroupElement) -> GroupElement:
-    """Conjugation by the fixed Weyl representative of the short root."""
-    return weyl(_ALPHA) * g * _weyl_inverse(_ALPHA)
+    """Conjugation by the fixed Weyl representative of the short root,
+    w_alpha g w_alpha^-1, as one signed permutation of g's grid.
+
+    w_alpha = w_alpha(1) has s_i = +-1 at (i, c_i) (``_weyl_rows``), c a
+    permutation, so w_alpha^-1 = w_alpha^T has s_i at (c_i, i) and entry
+    (i, j) of the product is s_i s_j g[c_i][c_j].  Over g's denominator that
+    grid is already canonical, since it holds g's entries up to sign.
+    """
+    rows = _weyl_rows(_ALPHA)
+    m = g.matrix
+    grid = tuple(tuple(si * sj * m.num[ci][cj] for cj, sj, _ in rows) for ci, si, _ in rows)
+    return GroupElement._trusted(Matrix7._raw(grid, m.den))
 
 
 def levi_m_prime(A: Matrix2) -> Matrix2:

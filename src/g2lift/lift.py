@@ -73,7 +73,8 @@ class LiftContext:
 
     two_k is the integral weight 2k; the half-integral side has weight
     k + 1/2.  Precision defaults cover indices -tS and twists D up to
-    roughly ``prec_half`` and Satake primes below ``prec_int``.
+    roughly ``prec_half`` and Satake primes below ``prec_int``.  L(f, 1)
+    is computed once per ``tol`` and kept; a refusal is not kept.
     """
 
     def __init__(self, two_k: int = 12, prec_int: int = 2000, prec_half: int = 600):
@@ -84,6 +85,14 @@ class LiftContext:
         self.k = two_k // 2
         self.f: QExpansion = eigenform(two_k, prec_int)
         self.g: QExpansion = plus_cusp_basis(self.k, prec_half)[0]
+        self._l1: dict = {}
+
+    def _central_value(self, tol: float):
+        """L(f, 1) at ``tol``, computed on the first call for that ``tol``."""
+        L = self._l1.get(tol)
+        if L is None:
+            L = self._l1[tol] = central_twisted_value(self.f, 1, tol)
+        return L
 
     # -- coefficient evaluation ---------------------------------------------
 
@@ -125,7 +134,7 @@ class LiftContext:
         """The central-value product matching the etale type of w:
         Q^3 gives L(k, f)^2; Q x Q(sqrt(D)) gives L(k, f) L(k, f x chi_D)."""
         et = etale_type(w)
-        L1 = central_twisted_value(self.f, 1, tol)
+        L1 = self._central_value(tol)
         if et.kind == "totally_split":
             return L1.value * L1.value, L1.abs_error_bound * 3
         if et.kind == "quadratic_split":
@@ -157,7 +166,7 @@ class LiftContext:
     def nonvanishing_split(self, tol: float = 1e-10) -> bool:
         """c(1) != 0 iff the central value is nonzero; both sides checked."""
         c1 = self.g.coeff(1)
-        L = central_twisted_value(self.f, 1, tol)
+        L = self._central_value(tol)
         l_nonzero = abs(L.value) > 10 * L.abs_error_bound
         if not l_nonzero and abs(L.value) > L.abs_error_bound / 10:
             raise ArithmeticError("inconclusive: central value within error of 0")

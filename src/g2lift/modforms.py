@@ -201,6 +201,8 @@ class QExpansion:
             coeffs = [parse_rational(t) for t in lines[1 : 1 + n]]
         if level < 1:
             raise BadCacheFile("cache file level must be at least 1")
+        if n < 2:
+            raise BadCacheFile("cache file precision must be at least 2")
         if len(coeffs) != n:
             raise BadCacheFile("truncated cache file")
         return cls(weight, level, coeffs)

@@ -839,6 +839,18 @@ def levi_l_by_rows(A):
     return GroupElement(Matrix7(rows))
 
 
+# --- conjugation by w_alpha as 7x7 products -----------------------------------
+
+def ad_weyl_alpha_by_products(g):
+    """w_alpha g w_alpha^-1 as two 7x7 products, w_alpha = w_alpha(1) taken
+    from the generator products: the construction the signed permutation of
+    ``group.ad_weyl_alpha`` replaced."""
+    from g2lift.group import RootLabel
+
+    wa = weyl_t_by_products(RootLabel("a"), 1)
+    return wa * g * wa.inverse()
+
+
 # --- the Gram-form inverse and form check as 7x7 products ---------------------
 
 def _gram_inv():

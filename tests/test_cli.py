@@ -170,6 +170,18 @@ def test_mf_load_rejects_level_below_one(tmp_path, capsys, text):
     assert_refused(out, "BAD_CACHE_FILE")
 
 
+@pytest.mark.parametrize("text", ["12 1 0\n", "12 1 -2\n1\n1\n1\n"], ids=["zero", "negative"])
+def test_mf_load_rejects_precision_below_two(tmp_path, capsys, text):
+    """mf dump never writes N below 2: an empty series is no answer, and a
+    negative N is no truncation."""
+    path = tmp_path / "bad.mf"
+    path.write_text(text)
+    code, out = run_cli(capsys, "mf", "load", str(path))
+    assert code == 2
+    assert_refused(out, "BAD_CACHE_FILE")
+    assert json.loads(out)["message"] == "cache file precision must be at least 2"
+
+
 @pytest.mark.parametrize("series", ["plus7", "plusx", "plus4", "eigenx", "eigen13"])
 def test_mf_dump_unsupported_series(capsys, series):
     code, out = run_cli(capsys, "mf", "dump", "--series", series, "--prec", "100")

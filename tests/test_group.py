@@ -36,6 +36,7 @@ from g2lift.group import (
 
 from conftest import rand_mat2, rand_rat
 from oracles import (
+    ad_weyl_alpha_by_products,
     certify_by_sampling,
     exp_by_table_sum,
     exp_power_table,
@@ -305,6 +306,29 @@ def test_ad_weyl_alpha_roundtrip(rng):
     assert weyl(RootLabel("a")) * weyl(RootLabel("a")) == levi_m(mat2(-1, 0, 0, -1))
     # the GL2 shadow of the conjugation
     assert levi_m_prime(mat2(1, 2, 3, 4)) == mat2(4, -3, -2, 1)
+
+
+word_st = st.lists(st.tuples(st.sampled_from(ALL_ROOTS), rat_st), min_size=1, max_size=4)
+
+
+@given(A=mat_st, a=vec_st, z=rat_st, u=rat_st, word=word_st)
+@settings(max_examples=40, deadline=None)
+def test_ad_weyl_alpha_matches_products(A, a, z, u, word):
+    """The signed-permutation conjugation equals w_alpha g w_alpha^-1 formed
+    by 7x7 products, in its canonical grid, on m(A), n1(a, z), u(a, z),
+    x_gamma(u) for every root and short words in root generators; and
+    levi_m_prime reads m' off the same product."""
+    A = mat2(*A)
+    gens = [root_generator(gamma, x) for gamma, x in word]
+    product = gens[0]
+    for g in gens[1:]:
+        product = product * g
+    cases = [levi_m(A), heis_n1(*a, z), u_coord(*a, z), product]
+    cases += [root_generator(gamma, u) for gamma in ALL_ROOTS]
+    for g in cases:
+        got, want = ad_weyl_alpha(g).matrix, ad_weyl_alpha_by_products(g).matrix
+        assert (got.num, got.den) == (want.num, want.den)
+    assert levi_m_prime(A) == levi_m_coords(ad_weyl_alpha_by_products(levi_m(A)))
 
 
 # --- root datum certification -------------------------------------------------

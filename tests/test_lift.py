@@ -9,7 +9,7 @@ from g2lift.group import ad_weyl_alpha, coad_w, levi_m, levi_m_coords
 from g2lift.lift import LiftContext
 from g2lift.modforms import satake
 
-from conftest import rand_mat2
+from conftest import PREC_INT, rand_mat2
 
 
 def lattice_translate(ctx, base_w, A):
@@ -207,6 +207,7 @@ def test_nonvanishing_false_branch(lift_ctx, monkeypatch):
     from g2lift.modforms import QExpansion
 
     ctx = copy.copy(lift_ctx)
+    ctx._l1 = {}  # the copy reads the patched L(f, 1), not the one the fixture keeps
     coeffs = [lift_ctx.g.coeff(n) for n in range(lift_ctx.g.precision)]
     coeffs[1] = F(0)
     ctx.g = QExpansion(F(13, 2), 4, coeffs)
@@ -224,11 +225,62 @@ def test_nonvanishing_inconclusive(lift_ctx, monkeypatch):
     from g2lift.lfunctions import LValue
 
     ctx = copy.copy(lift_ctx)
+    ctx._l1 = {}  # the copy reads the patched L(f, 1), not the one the fixture keeps
     monkeypatch.setattr(
         lift_mod, "central_twisted_value", lambda *a, **k: LValue(5e-12, 1e-12, 1)
     )
     with pytest.raises(ArithmeticError, match="inconclusive"):
         ctx.nonvanishing_split()
+
+
+def _count_central_value_at_1(monkeypatch, fail=None):
+    """Patch lift's central_twisted_value to count its D = 1 calls (and
+    raise ``fail`` on them, if given); returns the list of tols seen."""
+    import g2lift.lift as lift_mod
+
+    real, seen = lift_mod.central_twisted_value, []
+
+    def counted(f, D=1, tol=1e-10, **kwargs):
+        if D == 1:
+            seen.append(tol)
+            if fail is not None:
+                raise fail
+        return real(f, D, tol, **kwargs)
+
+    monkeypatch.setattr(lift_mod, "central_twisted_value", counted)
+    return seen
+
+
+def test_central_value_at_one_computed_once_per_tol(monkeypatch):
+    """Two ratios on one context compute L(f, 1) once; another tol computes
+    it again, and nonvanishing_split reads the kept value."""
+    ctx = LiftContext(12, prec_int=PREC_INT, prec_half=600)
+    seen = _count_central_value_at_1(monkeypatch)
+    first = ctx.gross_ratio((-5, 0, F(1, 3), 0))
+    assert ctx.gross_ratio((-8, 0, F(1, 3), 0)) > 0
+    assert seen == [1e-10]
+    assert ctx.gross_ratio((-5, 0, F(1, 3), 0)) == first
+    assert ctx.nonvanishing_split() is True
+    assert seen == [1e-10]
+    ctx.gross_ratio((-5, 0, F(1, 3), 0), tol=1e-8)
+    assert seen == [1e-10, 1e-8]
+
+
+def test_central_value_refusal_is_not_kept(monkeypatch):
+    """A SeriesInstability from L(f, 1) is raised on every call, and once
+    the series settles the value is computed."""
+    from g2lift.lfunctions import SeriesInstability
+
+    ctx = LiftContext(12, prec_int=PREC_INT, prec_half=600)
+    seen = _count_central_value_at_1(monkeypatch, SeriesInstability("series instability: 1.0 vs 2.0"))
+    for _ in range(2):
+        with pytest.raises(SeriesInstability):
+            ctx.gross_ratio((-5, 0, F(1, 3), 0))
+    assert seen == [1e-10, 1e-10]
+    monkeypatch.undo()
+    seen = _count_central_value_at_1(monkeypatch)
+    assert ctx.gross_ratio((-5, 0, F(1, 3), 0)) > 0
+    assert seen == [1e-10]
 
 
 def test_gross_ratio_constant_weight_sixteen():
