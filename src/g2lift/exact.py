@@ -15,8 +15,9 @@ is a rescaled, permuted transpose: ``form_adjoint`` builds it as one grid,
 and ``preserves_form`` needs one product.
 
 ``Poly`` is the one sparse polynomial type, with exact coefficients and
-exponents of either sign: the indeterminates of the l(A) certificate and
-the coefficients of the degree-7 Euler factor.
+exponents of either sign: the coefficients of the degree-7 Euler factor,
+and, through ``poly_matmul``, the one product of grids of them behind the
+group certificates (the word tables, the Weyl rows and the l(A) grid).
 """
 
 from __future__ import annotations
@@ -373,3 +374,10 @@ class Poly(dict):
                 c *= x**e
             total += c
         return total
+
+
+def poly_matmul(a, b, nvars: int) -> list:
+    """The product of two square grids whose entries are ``Poly`` in
+    ``nvars`` indeterminates or scalars: rows of Poly, zero included."""
+    cols = tuple(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col) if x and y), Poly(nvars)) for col in cols] for row in a]

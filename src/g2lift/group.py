@@ -7,22 +7,26 @@ h_gamma(t), the Heisenberg-parabolic coordinates n(a, t) / n1(a, t), the
 second parabolic's coordinates u(a, z), and the two GL2 Levi embeddings
 m(A) and l(A).
 
-Closed forms certified once.  ``_exp_table`` certifies the 12 root
-matrices X by Lie-algebra identities and keeps the rows of X and X^2.
-``_word_table`` expands a fixed word in root generators over those
-certified rows exactly, once per process, into a sparse table of integer
-monomials in the (q^2, p q, p^2) of each argument p/q, so the word equals
-the generator product for every argument.  Each constructor is then one
-integer grid and one canonicalizing ``Matrix7._raw`` call:
+Closed forms certified once.  Each certificate is a ``functools.cache``
+function, run on first use; a refusal raises and is not kept.
+``_exp_table`` certifies the 12 root matrices X by Lie-algebra identities
+and returns the rows of X and X^2.  ``_word_grid`` multiplies those rows
+into 2^n times a word in root generators at ``exact.Poly`` arguments, with
+the one grid product ``exact.poly_matmul``.  ``_word_table`` reads it at
+indeterminates as a sparse table of integer monomials in the
+(q^2, p q, p^2) of each argument p/q, so the word equals the generator
+product for every argument.  Each constructor is then one integer grid and
+one canonicalizing ``Matrix7._raw`` call:
 
 * x_gamma(u), n(a, t) and u(a, z) are words of one and five letters,
   evaluated from their tables.
 * w_gamma(t) is a signed monomial matrix and h_gamma(t) the diagonal
   t^k_i: ``_weyl_rows`` reads the signs and exponents once per root off
-  the three-letter word table of w_gamma(t).
+  the three-letter word grid of w_gamma(t), a grid over Z[t, t^-1].
 * l(A) is the grid ``_l_grid`` over A's common denominator and det A; its
   form and det identities are proved once per process as polynomial
-  identities (``_certify_l_grid``), and no call validates its result.
+  identities (``_certify_l_grid``, two grid products), and no call
+  validates its result.
 * w_gamma and iota are values formed once.
 * Ad(w_alpha)(g) = w_alpha g w_alpha^-1 is g's grid with its rows and
   columns permuted and signed by ``_weyl_rows`` (``ad_weyl_alpha``), with no
@@ -61,7 +65,7 @@ from math import lcm, prod
 from operator import getitem
 
 from .arith import BadInput
-from .exact import GRAM, Matrix2, Matrix7, Poly, form_adjoint, mat2, preserves_form, rat
+from .exact import GRAM, Matrix2, Matrix7, Poly, form_adjoint, mat2, poly_matmul, preserves_form, rat
 
 # ---------------------------------------------------------------------------
 # Root system bookkeeping
@@ -190,9 +194,7 @@ def identity() -> GroupElement:
     return GroupElement._trusted(Matrix7.identity())
 
 
-_EXP_TERMS = {}
-
-
+@cache
 def _exp_table():
     """The generator rows of all 12 roots, certified once per process.
 
@@ -201,9 +203,9 @@ def _exp_table():
     X^3 = 0.  These prove that E(u) = I + u X + u^2 X^2/2 preserves the
     form with det 1 for every u: E(u) = exp(u X), and (X^T)^k S = S (-X)^k
     turns E(u)^T S E(u) into S exp(-u X) exp(u X) = S, each power of u
-    cancelling separately; E(u) - I is nilpotent, so det E(u) = 1.  The
-    rows of X and X^2 then fill ``_EXP_TERMS``, and later constructions
-    skip validation.
+    cancelling separately; E(u) - I is nilpotent, so det E(u) = 1.  Returns
+    the rows of X and X^2, per root and row the (column, X, X^2) of each
+    nonzero entry, and later constructions skip validation.
     """
     terms = {}
     for gamma in ALL_ROOTS:
@@ -211,69 +213,61 @@ def _exp_table():
         x2 = x * x
         if x.den != 1 or not (x.transpose() * GRAM + GRAM * x).is_zero() or not (x2 * x).is_zero():
             raise AssertionError(f"generator table corrupt at {gamma}")
-        # entry (i, j) of 2 q^2 E(p/q) is 2 q^2 [i == j] + 2 p q X_ij + p^2 (X^2)_ij
         terms[(gamma.name, gamma.positive)] = [
             [(j, x.num[i][j], x2.num[i][j]) for j in range(7) if x.num[i][j] or x2.num[i][j]]
             for i in range(7)
         ]
-    _EXP_TERMS.update(terms)
+    return terms
 
 
-_WORD_TABLES = {}
+def _word_grid(word, args):
+    """2^n x_{g_1}(u_1) ... x_{g_n}(u_n) at ``Poly`` arguments u_k (in one set
+    of indeterminates), for a word of (root name, sign) keys of
+    ``_exp_table``: the ``poly_matmul`` product of the grids
+    2 E(u_k) = 2 I + 2 u_k X + u_k^2 X^2 over the certified rows."""
+    nvars = args[0].nvars
+    grid = None
+    for key, u in zip(word, args):
+        two, u2 = Poly(nvars, {(0,) * nvars: 2}), u * u
+        factor = [[two if i == j else Poly(nvars) for j in range(7)] for i in range(7)]
+        for i, row in enumerate(_exp_table()[key]):
+            for j, x, x2 in row:
+                factor[i][j] = factor[i][j] + 2 * x * u + x2 * u2
+        grid = factor if grid is None else poly_matmul(grid, factor, nvars)
+    return grid
 
 
+@cache
 def _word_table(word):
     """The entries of a word x_{g_1}(a_1) ... x_{g_n}(a_n) in root generators
     as sparse integer polynomials, expanded once per process from the
     certified generator rows.
 
-    A word is a tuple of (root name, sign) keys of ``_EXP_TERMS``.  With
-    a_k = p_k/q_k, each factor x_{g_k}(a_k) is 2 q_k^2 E_k(p_k/q_k) / (2 q_k^2)
-    and 2 q^2 E(p/q) = q^2 (2 I) + p q (2 X) + p^2 X^2.  The exact product of
-    these n coefficient-matrix sums is 2^n prod q_k^2 times the word; its
-    entry (i, j) is a sum over exponent vectors c in {0, 1, 2}^n of an integer
-    times the monomial prod_k (q_k^2, p_k q_k, p_k^2)[c_k].  Expanding it is
-    exact polynomial arithmetic over the certified rows, so the table is the
-    product of root generators for every argument: no sampling and no
-    separate certificate.  The table is (monomials, terms): the distinct
-    exponent vectors, and per row the (column, [(integer, monomial index)])
-    of each nonzero entry.  Only the fixed words of this module are keys.
+    ``_word_grid`` at the indeterminates a_1 .. a_n is 2^n times the word as
+    an identity in Z[a_1, .., a_n], of degree at most 2 in each a_k: exact
+    polynomial arithmetic over the certified rows, so no sampling and no
+    separate certificate.  At a_k = p_k/q_k, times prod q_k^2, a monomial
+    with exponent vector c in {0, 1, 2}^n becomes the integer
+    prod_k (q_k^2, p_k q_k, p_k^2)[c_k].  The table is (monomials, terms):
+    the distinct exponent vectors, and per row the (column, [(integer,
+    monomial index)]) of each nonzero entry.  Only the fixed words of this
+    module are keys.
     """
-    if not _EXP_TERMS:
-        _exp_table()
-    # poly[i][j] maps an exponent vector c to its coefficient in entry (i, j)
-    poly = [[{(): 1} if j == i else {} for j in range(7)] for i in range(7)]
-    for key in word:
-        rows = _EXP_TERMS[key]
-        # row j of the factor as (column, c_k, integer): 2 I, 2 X and X^2
-        factor = [
-            [(j, 0, 2)] + [(l, k, v) for l, x, x2 in rows[j] for k, v in ((1, 2 * x), (2, x2)) if v]
-            for j in range(7)
-        ]
-        for i, entries in enumerate(poly):
-            out = [{} for _ in range(7)]
-            for j, monos in enumerate(entries):
-                for c, coef in monos.items():
-                    for l, k, v in factor[j]:
-                        out[l][c + (k,)] = out[l].get(c + (k,), 0) + v * coef
-            poly[i] = out
+    n = len(word)
+    grid = _word_grid(word, [Poly.monomial(*(int(i == k) for i in range(n))) for k in range(n)])
     index = {}
     terms = [
-        [
-            (j, [(coef, index.setdefault(c, len(index))) for c, coef in monos.items() if coef])
-            for j, monos in enumerate(entries)
-            if any(monos.values())
-        ]
-        for entries in poly
+        [(j, [(coef, index.setdefault(c, len(index))) for c, coef in entry.items()])
+         for j, entry in enumerate(row) if entry]
+        for row in grid
     ]
-    table = _WORD_TABLES[word] = (tuple(index), terms)
-    return table
+    return tuple(index), terms
 
 
 def _word_eval(word, args) -> GroupElement:
     """The word at rational arguments, evaluated from its expanded table as
     one integer grid over 2^n prod q_k^2."""
-    monomials, terms = _WORD_TABLES.get(word) or _word_table(word)
+    monomials, terms = _word_table(word)
     den = 1 << len(word)
     powers = []
     for x in args:
@@ -296,50 +290,31 @@ def root_generator(gamma: RootLabel, u) -> GroupElement:
     return _word_eval(((gamma.name, gamma.positive),), (u,))
 
 
-_WEYL_ROWS = {}
-# (sign, power of p) of an argument's (q_k^2, p_k q_k, p_k^2) at p/q and at -q/p
-_AT_T = ((1, 0), (1, 1), (1, 2))
-_AT_MINUS_INV_T = ((1, 2), (-1, 1), (1, 0))
-
-
+@cache
 def _weyl_rows(gamma: RootLabel):
     """Per row i of w_gamma(t), the (column c_i, sign s_i, exponent k_i) of
     its one nonzero entry s_i t^k_i, read once per process and root off the
-    certified word table of (gamma, -gamma, gamma).
+    certified word grid of (gamma, -gamma, gamma).
 
-    The table is a polynomial identity in each argument's (p_k, q_k), for any
-    representation p_k/q_k with q_k != 0.  At (t, -1/t, t) = (p/q, -q/p, p/q)
-    it is 8 p^2 q^4 w_gamma(t), and each entry is homogeneous of degree 6 in
-    (p, q).  Summed exactly, every row must collapse to one entry
-    +-8 p^(2+k) q^(4-k), |k| <= 2; then w_gamma(t) = sum_i s_i t^k_i E_(i, c_i) for
-    every t != 0.  It is invertible (a product of unipotents), so c is a
-    permutation.  Any other table is refused.
+    At (t, -t^-1, t) in one Laurent indeterminate t, ``_word_grid`` is a
+    grid over Z[t, t^-1] equal to 8 w_gamma(t) as an identity there, and an
+    identity in Z[t, t^-1] holds at every t != 0 (evaluation there is a ring
+    homomorphism).  Every row must be one term +-8 t^k, |k| <= 2;
+    then w_gamma(t) = sum_i s_i t^k_i E_(i, c_i) for every t != 0.  It is
+    invertible (a product of unipotents), so c is a permutation.  Any other
+    grid is refused.
     """
+    t = Poly.monomial(1)
     key = (gamma.name, gamma.positive)
-    rows = _WEYL_ROWS.get(key)
-    if rows is None:
-        word = (key, (gamma.name, not gamma.positive), key)
-        monomials, terms = _WORD_TABLES.get(word) or _word_table(word)
-        at = (_AT_T, _AT_MINUS_INV_T, _AT_T)
-        signed = []
-        for c in monomials:
-            factors = [at[k][ck] for k, ck in enumerate(c)]
-            signed.append((prod(s for s, _ in factors), sum(e for _, e in factors)))
-        rows = []
-        for row_terms in terms:
-            entries = []
-            for j, monos in row_terms:
-                poly = {}
-                for coef, m in monos:
-                    s, e = signed[m]
-                    poly[e] = poly.get(e, 0) + s * coef
-                entries += [(j, v, e) for e, v in poly.items() if v]
-            if len(entries) != 1 or abs(entries[0][1]) != 8 or not 0 <= entries[0][2] <= 4:
-                raise AssertionError(f"Weyl word is not a signed monomial matrix at {gamma}")
-            j, v, e = entries[0]
-            rows.append((j, v // 8, e - 2))
-        rows = _WEYL_ROWS[key] = tuple(rows)
-    return rows
+    grid = _word_grid((key, (gamma.name, not gamma.positive), key), (t, -Poly.monomial(-1), t))
+    rows = []
+    for row in grid:
+        entries = [(j, v, k) for j, entry in enumerate(row) for (k,), v in entry.items()]
+        if len(entries) != 1 or abs(entries[0][1]) != 8 or abs(entries[0][2]) > 2:
+            raise AssertionError(f"Weyl word is not a signed monomial matrix at {gamma}")
+        j, v, k = entries[0]
+        rows.append((j, v // 8, k))
+    return tuple(rows)
 
 
 def _t_powers(t):
@@ -458,34 +433,26 @@ def _l_grid(a, b, c, d, e, D):
     ]
 
 
-_L_CERTIFIED = False
-
-
+@cache
 def _certify_l_grid():
     """Check once per process that the grid G of ``_l_grid`` at the
     indeterminates (a, b, c, d, e), five ``exact.Poly`` monomials, satisfies
-    G^T S G = s^2 S, with S = GRAM and s = e^2 D, as a polynomial identity,
-    and that G is the identity at A = I.
+    G^T S G = s^2 S, with S = GRAM and s = e^2 D, as a polynomial identity
+    (two ``poly_matmul`` products), and that G is the identity at A = I.
 
     Then det(G)^2 = s^14 in the integral domain Z[a, b, c, d, e], so
     det G = +-s^7, and the value at A = I fixes the sign.  Hence for every
     A = [[a, b], [c, d]] / e with D != 0, l(A) = G / s preserves the form and
     has det 1.  Raises on any other grid.
     """
-    global _L_CERTIFIED
     a, b, c, d, e = (Poly.monomial(*(int(i == v) for i in range(5))) for v in range(5))
     G = _l_grid(a, b, c, d, e, a * d - b * c)
     s = e * e * (a * d - b * c)
     S = GRAM.num
-    form_ok = all(
-        sum((G[k][i] * S[k][l] * G[l][j] for k in range(7) for l in range(7) if S[k][l]), Poly(5))
-        == s * s * S[i][j]
-        for i in range(7)
-        for j in range(7)
-    )
+    form = poly_matmul(poly_matmul(list(zip(*G)), S, 5), G, 5)
+    form_ok = all(form[i][j] == s * s * S[i][j] for i in range(7) for j in range(7))
     if not form_ok or _l_grid(1, 0, 0, 1, 1, 1) != [[int(i == j) for j in range(7)] for i in range(7)]:
         raise AssertionError("l grid corrupt")
-    _L_CERTIFIED = True
 
 
 def levi_l(A: Matrix2) -> GroupElement:
@@ -501,8 +468,7 @@ def levi_l(A: Matrix2) -> GroupElement:
     ``_certify_l_grid`` proves both once per process for every A with
     D != 0, so the result is trusted with no per-call check.
     """
-    if not _L_CERTIFIED:
-        _certify_l_grid()
+    _certify_l_grid()
     (a, b), (c, d) = A.num
     e = A.den
     D = a * d - b * c

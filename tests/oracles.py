@@ -774,14 +774,14 @@ def certify_by_sampling(table):
 
 # --- generator words as products of root generators ---------------------------
 
-def _word_by_products(names, args):
-    """x_{g_1}(a_1) ... x_{g_n}(a_n) over positive roots as n - 1 products of
+def word_by_products(roots, args):
+    """x_{g_1}(a_1) ... x_{g_n}(a_n) for RootLabels g_k as n - 1 products of
     7x7 root generators, each a one-letter word of ``group``."""
-    from g2lift.group import RootLabel, root_generator
+    from g2lift.group import root_generator
 
     out = None
-    for name, x in zip(names, args):
-        g = root_generator(RootLabel(name), x)
+    for gamma, x in zip(roots, args):
+        g = root_generator(gamma, x)
         out = g if out is None else out * g
     return out
 
@@ -790,14 +790,20 @@ def heis_n_by_products(a1, a2, a3, a4, t):
     """n(a1, a2, a3, a4, t) = x_b(a1) x_{a+b}(a2) x_{2a+b}(a3) x_{3a+b}(a4)
     x_{3a+2b}(t), four 7x7 products: the construction the expanded word
     table of ``group.heis_n`` replaced."""
-    return _word_by_products(("b", "a+b", "2a+b", "3a+b", "3a+2b"), (a1, a2, a3, a4, t))
+    from g2lift.group import RootLabel
+
+    names = ("b", "a+b", "2a+b", "3a+b", "3a+2b")
+    return word_by_products(map(RootLabel, names), (a1, a2, a3, a4, t))
 
 
 def u_coord_by_products(a1, a2, a3, a4, z):
     """u(a1, a2, a3, a4, z) = x_a(a1) x_{a+b}(a2) x_{2a+b}(a3) x_{3a+b}(a4)
     x_{3a+2b}(z), four 7x7 products: the construction the expanded word
     table of ``group.u_coord`` replaced."""
-    return _word_by_products(("a", "a+b", "2a+b", "3a+b", "3a+2b"), (a1, a2, a3, a4, z))
+    from g2lift.group import RootLabel
+
+    names = ("a", "a+b", "2a+b", "3a+b", "3a+2b")
+    return word_by_products(map(RootLabel, names), (a1, a2, a3, a4, z))
 
 
 def weyl_t_by_products(gamma, t):

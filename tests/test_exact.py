@@ -18,6 +18,7 @@ from g2lift.exact import (
     kernel,
     mat2,
     parse_rational,
+    poly_matmul,
     preserves_form,
     rat,
 )
@@ -316,6 +317,29 @@ def test_poly_laurent_algebra():
     assert invert_alpha(a + b) == a + b
     assert (a - a) == Poly(2)
     assert Poly(2, {(0, 0): F(0)}) == Poly(2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_poly_matmul_agrees_with_evaluation(data):
+    """The grid product of two sparse 7x7 grids of Laurent Polys and scalars,
+    evaluated at a point of nonzero Fractions, is the Matrix7 product of the
+    evaluated grids; every entry of the product is a Poly, zero included."""
+    entry = st.one_of(sparse_polys(2).map(lambda p: p[0]), small_rationals)
+    cells = st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), entry, max_size=16)
+
+    def grid(drawn):
+        return [[drawn.get((i, j), 0) for j in range(7)] for i in range(7)]
+
+    a, b = grid(data.draw(cells)), grid(data.draw(cells))
+    point = data.draw(st.tuples(*[st.fractions(-4, 4, max_denominator=5).filter(bool)] * 2))
+
+    def at(g):
+        return Matrix7([[x.at(*point) if isinstance(x, Poly) else x for x in row] for row in g])
+
+    out = poly_matmul(a, b, 2)
+    assert all(type(x) is Poly and x.nvars == 2 for row in out for x in row)
+    assert at(out) == at(a) * at(b)
 
 
 INT_STR_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2lift.exact import GRAM, Matrix7, form_adjoint, mat2, preserves_form
+from g2lift.exact import GRAM, Matrix7, Poly, form_adjoint, mat2, preserves_form
 from g2lift.group import (
     ALL_ROOTS,
     RootLabel,
@@ -50,6 +50,7 @@ from oracles import (
     torus_by_products,
     u_coord_by_products,
     weyl_t_by_products,
+    word_by_products,
 )
 
 rat_st = st.fractions(min_value=-30, max_value=30, max_denominator=9)
@@ -432,11 +433,12 @@ def test_corrupted_table_is_refused(monkeypatch):
     assert len(copies) == 12
     for gamma, bad in copies:
         monkeypatch.setattr(group, "_NILPOTENT", bad)
-        monkeypatch.setattr(group, "_EXP_TERMS", {})
+        group._exp_table.cache_clear()
         x = group.nilpotent_matrix(gamma)
         assert not (x.transpose() * GRAM + GRAM * x).is_zero()
         with pytest.raises(AssertionError, match=f"generator table corrupt at {re.escape(str(gamma))}$"):
             group._exp_table()
+        assert group._exp_table.cache_info().currsize == 0  # the refusal is not kept
         # the sampled certificate also sees every one of these copies
         key = _key(gamma)
         assert certify_by_sampling({key: exp_powers(x)}) == [key]
@@ -453,7 +455,7 @@ def test_root_outside_the_lie_algebra_is_refused(monkeypatch):
     bad = dict(group._NILPOTENT[key])
     bad[(0, 3)] += 1
     monkeypatch.setitem(group._NILPOTENT, key, bad)
-    monkeypatch.setattr(group, "_EXP_TERMS", {})
+    group._exp_table.cache_clear()
     with pytest.raises(AssertionError, match="generator table corrupt at a\\+b"):
         group._exp_table()
 
@@ -679,7 +681,7 @@ def test_corrupted_l_grid_is_refused(monkeypatch):
 
     group._certify_l_grid()
     grid = group._l_grid
-    monkeypatch.setattr(group, "_L_CERTIFIED", False)
+    group._certify_l_grid.cache_clear()
     for i in range(7):
         for j in range(7):
             def moved(*args, i=i, j=j):
@@ -690,32 +692,112 @@ def test_corrupted_l_grid_is_refused(monkeypatch):
             monkeypatch.setattr(group, "_l_grid", moved)
             with pytest.raises(AssertionError, match="l grid corrupt"):
                 levi_l(mat2(2, 3, 5, 7))
-            assert group._L_CERTIFIED is False
+            assert group._certify_l_grid.cache_info().currsize == 0
     monkeypatch.setattr(group, "_l_grid", grid)
     group._certify_l_grid()
-    assert group._L_CERTIFIED is True
+    assert group._certify_l_grid.cache_info().currsize == 1
 
 
 def test_corrupted_weyl_word_is_refused(monkeypatch):
-    """A three-letter word table with one coefficient moved by 1 no longer
-    collapses to a signed monomial matrix, and its rows are refused."""
+    """A Weyl product (gamma, -gamma, gamma) with one coefficient of any row
+    moved by 1 is no longer a signed monomial matrix, and its rows are
+    refused."""
     import g2lift.group as group
 
+    grid_of = group._word_grid
     for gamma in ALL_ROOTS:
-        key = _key(gamma)
-        word = (key, (gamma.name, not gamma.positive), key)
-        group._weyl_rows(gamma)
-        monomials, terms = group._WORD_TABLES[word]
-        for i, row_terms in enumerate(terms):
-            j, monos = row_terms[0]
-            bad_row = [(j, [(monos[0][0] + 1, monos[0][1])] + monos[1:])] + row_terms[1:]
-            bad = (monomials, terms[:i] + [bad_row] + terms[i + 1:])
-            monkeypatch.setitem(group._WORD_TABLES, word, bad)
-            monkeypatch.delitem(group._WEYL_ROWS, key, raising=False)
-            with pytest.raises(AssertionError, match="not a signed monomial matrix"):
+        for i in range(7):
+            def moved(word, args, i=i):
+                out = grid_of(word, args)
+                j, entry = next((j, entry) for j, entry in enumerate(out[i]) if entry)
+                out[i][j] = entry + Poly(1, {next(iter(entry)): 1})
+                return out
+
+            monkeypatch.setattr(group, "_word_grid", moved)
+            group._weyl_rows.cache_clear()
+            with pytest.raises(AssertionError, match=f"not a signed monomial matrix at {re.escape(str(gamma))}$"):
                 group._weyl_rows(gamma)
         monkeypatch.undo()
+    group._weyl_rows.cache_clear()
     assert weyl_t(RootLabel("a"), 2) == weyl_t_by_products(RootLabel("a"), 2)
+
+
+# certificate -> (one corrupted input, a call that relies on it, its refusal)
+_MUTATIONS = {
+    "generator table": (
+        "g._NILPOTENT[('a+b', True)][(0, 3)] += 1",
+        "g.root_generator(g.RootLabel('a+b'), 1)",
+        "generator table corrupt at a+b",
+    ),
+    "weyl product": (
+        "grid_of = g._word_grid\n"
+        "def moved(word, args):\n"
+        "    out = grid_of(word, args)\n"
+        "    out[0][0] = out[0][0] + 1\n"
+        "    return out\n"
+        "g._word_grid = moved",
+        "g.weyl_t(g.RootLabel('b'), 2)",
+        "Weyl word is not a signed monomial matrix at b",
+    ),
+    "l grid": (
+        "grid_of = g._l_grid\n"
+        "def moved(*args):\n"
+        "    out = grid_of(*args)\n"
+        "    out[0][4] = out[0][4] + 1\n"
+        "    return out\n"
+        "g._l_grid = moved",
+        "g.levi_l(mat2(2, 3, 5, 7))",
+        "l grid corrupt",
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
+@pytest.mark.parametrize("certificate", list(_MUTATIONS))
+def test_certificate_refuses_a_corrupted_input(certificate, flags):
+    """In a fresh process, plain and under `python -O` (which strips assert
+    statements), one corrupted input of each once-per-process certificate
+    is refused with the certificate's own message before any result is
+    built on it."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import g2lift
+
+    corrupt, call, refusal = _MUTATIONS[certificate]
+    code = (
+        "import g2lift.group as g\n"
+        "from g2lift.exact import mat2\n"
+        f"{corrupt}\n"
+        "try:\n"
+        f"    {call}\n"
+        "    print('ran on a corrupted input')\n"
+        "except AssertionError as e:\n"
+        "    print(e)\n"
+        "print(__debug__)\n"
+    )
+    src = str(Path(g2lift.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        capture_output=True, text=True, check=True, env={"PYTHONPATH": src},
+    )
+    assert out.stdout.splitlines() == [refusal, str(not flags)]
+
+
+@given(
+    word=st.lists(st.sampled_from(ALL_ROOTS), min_size=1, max_size=4),
+    args=st.lists(rat_st, min_size=4, max_size=4),
+)
+@settings(max_examples=40, deadline=None)
+def test_word_table_matches_generator_products(word, args):
+    """The expanded table of a random word of 1-4 letters over all 12 roots
+    equals the product of its root generators."""
+    import g2lift.group as group
+
+    args = args[:len(word)]
+    got = group._word_eval(tuple((gamma.name, gamma.positive) for gamma in word), args)
+    assert _canonical(got.matrix) == _canonical(word_by_products(word, args).matrix)
 
 
 # --- the inverse and the form check without GRAM products ----------------------

@@ -6,7 +6,7 @@ import pytest
 from g2lift.cubic import CubicFieldOrbitUnsupported, CubicVector, cubic_ring, is_maximal
 from g2lift.exact import mat2
 from g2lift.group import ad_weyl_alpha, coad_w, levi_m, levi_m_coords
-from g2lift.lift import LiftContext
+from g2lift.lift import CentralVanishing, LiftContext
 from g2lift.modforms import satake
 
 from conftest import PREC_INT, rand_mat2
@@ -207,7 +207,7 @@ def test_nonvanishing_false_branch(lift_ctx, monkeypatch):
     from g2lift.modforms import QExpansion
 
     ctx = copy.copy(lift_ctx)
-    ctx._l1 = {}  # the copy reads the patched L(f, 1), not the one the fixture keeps
+    ctx._l1 = (ctx.f, {})  # the copy reads the patched L(f, 1), not the one the fixture keeps
     coeffs = [lift_ctx.g.coeff(n) for n in range(lift_ctx.g.precision)]
     coeffs[1] = F(0)
     ctx.g = QExpansion(F(13, 2), 4, coeffs)
@@ -225,7 +225,7 @@ def test_nonvanishing_inconclusive(lift_ctx, monkeypatch):
     from g2lift.lfunctions import LValue
 
     ctx = copy.copy(lift_ctx)
-    ctx._l1 = {}  # the copy reads the patched L(f, 1), not the one the fixture keeps
+    ctx._l1 = (ctx.f, {})  # the copy reads the patched L(f, 1), not the one the fixture keeps
     monkeypatch.setattr(
         lift_mod, "central_twisted_value", lambda *a, **k: LValue(5e-12, 1e-12, 1)
     )
@@ -281,6 +281,39 @@ def test_central_value_refusal_is_not_kept(monkeypatch):
     seen = _count_central_value_at_1(monkeypatch)
     assert ctx.gross_ratio((-5, 0, F(1, 3), 0)) > 0
     assert seen == [1e-10]
+
+
+def test_central_value_memo_follows_the_form(monkeypatch):
+    """L(f, 1) kept for one form is not read for another: a copy that swaps
+    f, and a context whose f is reassigned, compute their own value, and the
+    original keeps its own."""
+    import copy
+
+    import g2lift.lift as lift_mod
+    from g2lift.lfunctions import LValue
+    from g2lift.modforms import eigenform
+
+    ctx = LiftContext(12, prec_int=PREC_INT, prec_half=600)
+    monkeypatch.setattr(
+        lift_mod, "central_twisted_value", lambda f, D=1, tol=1e-10: LValue(float(f.weight), 1e-12, 1)
+    )
+    f16 = eigenform(16, 200)
+    assert ctx._central_value(1e-10).value == 12
+    other = copy.copy(ctx)
+    other.f = f16
+    assert other._central_value(1e-10).value == 16
+    assert ctx._central_value(1e-10).value == 12
+    ctx.f = f16
+    assert ctx._central_value(1e-10).value == 16
+
+
+def test_gross_ratio_refuses_central_vanishing(lift_ctx, monkeypatch):
+    """A split central value within ten error bounds of zero leaves the
+    ratio undefined, and gross_ratio raises CentralVanishing."""
+    monkeypatch.setattr(LiftContext, "l_split", lambda self, w, tol=1e-10: (0.0, 1e-12))
+    with pytest.raises(CentralVanishing) as err:
+        lift_ctx.gross_ratio((-5, 0, F(1, 3), 0))
+    assert str(err.value) == "central vanishing; ratio undefined"
 
 
 def test_gross_ratio_constant_weight_sixteen():
