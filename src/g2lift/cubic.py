@@ -43,12 +43,7 @@ class CubicVector(NamedTuple):
 
     def is_lattice(self) -> bool:
         """a1, a4 in Z and a2, a3 in (1/3)Z."""
-        return (
-            self.a1.denominator == 1
-            and self.a4.denominator == 1
-            and (3 * self.a2).denominator == 1
-            and (3 * self.a3).denominator == 1
-        )
+        return self.denominator() == 1
 
     def denominator(self) -> int:
         """e, the lcm of the denominators of a1, 3 a2, 3 a3 and a4."""

@@ -15,9 +15,9 @@ is a rescaled, permuted transpose: ``form_adjoint`` builds it as one grid,
 and ``preserves_form`` needs one product.
 
 ``Poly`` is the one sparse polynomial type, with exact coefficients and
-exponents of either sign: the coefficients of the degree-7 Euler factor,
-and, through ``poly_matmul``, the one product of grids of them behind the
-group certificates (the word tables, the Weyl rows and the l(A) grid).
+exponents of either sign: the degree-7 Euler factor and, through
+``poly_matmul``, the one product of grids of them behind the group
+certificates (the word tables, the Weyl rows and the l(A) grid).
 """
 
 from __future__ import annotations

@@ -157,18 +157,6 @@ class GroupElement:
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement._trusted(self.matrix * other.matrix)
 
-    def __pow__(self, n: int) -> "GroupElement":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = identity()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def inverse(self) -> "GroupElement":
         # g^T S g = S gives g^-1 = S^-1 g^T S; S is a signed permutation, so
         # that is one rescaled, permuted transpose and no product.

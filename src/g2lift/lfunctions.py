@@ -9,8 +9,8 @@ with root number w = +1 (level one, k even, D > 0), self-validated by
 recomputing with the free cutoff parameter doubled; the incomplete gamma
 of integer order is the finite sum e^-x sum_{j<k} x^j / j!.
 
-An Euler factor is the list of its coefficients in T, each an
-``exact.Poly`` in the Satake unit a and a formal square root r of p.
+An Euler factor is one ``exact.Poly`` in the Satake unit a, a formal
+square root r of p, and T.
 """
 
 from __future__ import annotations
@@ -137,63 +137,36 @@ def central_twisted_value(f: QExpansion, D: int = 1, tol: float = 1e-10, ext_flo
 # ---------------------------------------------------------------------------
 # formal Euler-factor algebra
 
-ONE = Poly.monomial(0, 0)
+def _euler_factor(*roots) -> Poly:
+    """prod (1 - a^i r^j T) over the exponent pairs (i, j) of the roots."""
+    return math.prod(1 - Poly.monomial(i, j, 1) for i, j in roots)
 
 
-def _poly_mul(f: list, g: list) -> list:
-    out = [Poly(2)] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        for j, gj in enumerate(g):
-            out[i + j] = out[i + j] + fi * gj
-    return out
-
-
-def _euler_factor(roots) -> list:
-    """prod (1 - root * T) as a list of coefficients in T, each a ``Poly``
-    in (a, r)."""
-    out = [ONE]
-    for root in roots:
-        out = _poly_mul(out, [ONE, -root])
-    return out
-
-
-def std7_euler_factor() -> list:
+def std7_euler_factor() -> Poly:
     """The degree-7 polynomial in T with roots
     1, a^2, a^-2, a r, a^-1 r, a r^-1, a^-1 r^-1  (r = formal p^(1/2))."""
-    return _euler_factor(
-        [
-            ONE,
-            Poly.monomial(2, 0),
-            Poly.monomial(-2, 0),
-            Poly.monomial(1, 1),
-            Poly.monomial(-1, 1),
-            Poly.monomial(1, -1),
-            Poly.monomial(-1, -1),
-        ]
-    )
+    return _euler_factor((0, 0), (2, 0), (-2, 0), (1, 1), (-1, 1), (1, -1), (-1, -1))
 
 
-def sym2_factor() -> list:
+def sym2_factor() -> Poly:
     """(1 - T)(1 - a^2 T)(1 - a^-2 T)."""
-    return _euler_factor((ONE, Poly.monomial(2, 0), Poly.monomial(-2, 0)))
+    return _euler_factor((0, 0), (2, 0), (-2, 0))
 
 
-def shifted_pair_factor(shift: int) -> list:
+def shifted_pair_factor(shift: int) -> Poly:
     """(1 - a r^shift T)(1 - a^-1 r^shift T) for shift in {1, -1}."""
-    return _euler_factor((Poly.monomial(1, shift), Poly.monomial(-1, shift)))
+    return _euler_factor((1, shift), (-1, shift))
 
 
 def factorization_check() -> bool:
     """Exact identity: std7 = sym2 * (half-shift up) * (half-shift down)."""
-    lhs = std7_euler_factor()
-    rhs = _poly_mul(_poly_mul(sym2_factor(), shifted_pair_factor(1)), shifted_pair_factor(-1))
-    return lhs == rhs
+    return std7_euler_factor() == sym2_factor() * shifted_pair_factor(1) * shifted_pair_factor(-1)
 
 
 def std7_numeric_check(alpha: complex, p: int, T: complex, tol: float = 1e-14) -> bool:
     """Spot-check the factorization as complex numbers."""
     rp = math.sqrt(p)
-    lhs = sum(c.at(alpha, rp) * T**i for i, c in enumerate(std7_euler_factor()))
+    lhs = std7_euler_factor().at(alpha, rp, T)
     prod = 1.0 + 0j
     for root in (
         1,

@@ -137,6 +137,8 @@ class QExpansion:
 
     def _canonicalize(self, weight, num, den) -> None:
         """Set weight, num and den with den > 0 and gcd(den, *num) = 1."""
+        if den == 0:
+            raise ZeroDivisionError("q-series denominator is zero")
         if den < 0:
             num, den = [-x for x in num], -den
         g = gcd(den, *num)

@@ -67,14 +67,6 @@ def _powers(x: QExpansion, m: int) -> List[QExpansion]:
     return out
 
 
-def _combination(series: List[QExpansion], coeffs: List[Fraction]) -> QExpansion:
-    """sum_i coeffs[i] * series[i]."""
-    out = series[0].scale(coeffs[0])
-    for x, c in zip(series[1:], coeffs[1:]):
-        out = out + x.scale(c)
-    return out
-
-
 def _sturm_bound(k: int) -> int:
     """The last coefficient index the kernel reads: at least 32 and twice the
     Sturm bound (2k + 1)/4 of weight k + 1/2 on Gamma0(4), rounded up."""
@@ -160,10 +152,12 @@ def plus_cusp_basis(k: int, prec: int) -> List[QExpansion]:
         if len(sol) != d or not all(any(w[d:]) for w in sol):
             raise ArithmeticError(f"the brackets do not span the plus cusp forms of weight {k} + 1/2")
         out = []
-        for w in sol:
-            g = _combination(brackets, [-c * x.den for c, x in zip(w, brackets)])  # v_c = w_c den_c
-            lead = g.num[1] if g.num[1] != 0 else next(c for c in g.num if c != 0)
-            out.append(g.scale(Fraction(g.den, lead)))
+        for w in sol:  # -sum v_nu b_nu with v_nu = w_nu den_nu: -sum w_nu num_nu in integers
+            g = [0] * prec
+            for c, b in zip(w, brackets):
+                g = [y - c * x for y, x in zip(g, b.num)]
+            lead = g[1] if g[1] != 0 else next(c for c in g if c != 0)
+            out.append(QExpansion._raw(brackets[0].weight, 4, g, lead))
         return out
 
     return _cached(("plus_basis", k), prec, build)

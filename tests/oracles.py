@@ -654,29 +654,23 @@ def cesaro_direct_value(f, D, n_terms, order=2):
 
 
 def invert_alpha(poly):
-    """The involution a -> a^-1 of a Poly in (a, r)."""
+    """The involution a -> a^-1 of a Poly whose first indeterminate is a."""
     from g2lift.exact import Poly
 
-    return Poly(2, {(-i, j): v for (i, j), v in poly.items()})
+    return Poly(poly.nvars, {(-m[0],) + m[1:]: v for m, v in poly.items()})
 
 
-def invert_alpha_tpoly(tpoly):
-    return [invert_alpha(c) for c in tpoly]
-
-
-def specialize_alpha(tpoly, value):
-    """Substitute a rational value for the unit a in a T-polynomial."""
+def specialize_alpha(poly, value):
+    """Substitute a rational value for the unit a, the first indeterminate
+    of a Poly; the result keeps a, at exponent 0."""
     from g2lift.exact import Poly
 
     value = Fraction(value)
-    out = []
-    for coef in tpoly:
-        terms = {}
-        for (i, j), v in coef.items():
-            key = (0, j)
-            terms[key] = terms.get(key, Fraction(0)) + v * value**i
-        out.append(Poly(2, terms))
-    return out
+    terms = {}
+    for m, v in poly.items():
+        key = (0,) + m[1:]
+        terms[key] = terms.get(key, Fraction(0)) + v * value ** m[0]
+    return Poly(poly.nvars, terms)
 
 
 # --- test-only ring and root-datum helpers ------------------------------------

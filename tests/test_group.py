@@ -110,8 +110,9 @@ def test_root_generator_trivial_and_beta_line():
 
 def test_one_parameter_power():
     x = root_generator(RootLabel("alpha"), 1)
-    assert x**5 == root_generator(RootLabel("alpha"), 5)
-    assert x**-3 == root_generator(RootLabel("alpha"), -3)
+    assert x * x * x * x * x == root_generator(RootLabel("alpha"), 5)
+    y = x.inverse()
+    assert y * y * y == root_generator(RootLabel("alpha"), -3)
 
 
 def test_weyl_representatives():
@@ -443,7 +444,8 @@ def test_corrupted_table_is_refused(monkeypatch):
         key = _key(gamma)
         assert certify_by_sampling({key: exp_powers(x)}) == [key]
     monkeypatch.undo()
-    assert root_generator(RootLabel("a"), 3) == root_generator(RootLabel("a"), 1) ** 3
+    g = root_generator(RootLabel("a"), 1)
+    assert root_generator(RootLabel("a"), 3) == g * g * g
 
 
 def test_root_outside_the_lie_algebra_is_refused(monkeypatch):

@@ -16,13 +16,13 @@ from g2lift.lfunctions import (
     std7_numeric_check,
     sym2_factor,
 )
-from g2lift.lfunctions import _cutoff_terms, _poly_mul
+from g2lift.lfunctions import _cutoff_terms
 from g2lift.modforms import delta, eigenform
 
 from oracles import (
     cesaro_direct_value,
     cutoff_terms_by_walk,
-    invert_alpha_tpoly,
+    invert_alpha,
     kronecker_chi,
     kronecker_oracle,
     solve_root_number,
@@ -146,16 +146,22 @@ def test_factorization_formal_identity():
     assert factorization_check()
 
 
+def _t_coefficient(poly, i):
+    """The coefficient of T^i in a Poly in (a, r, T), as a Poly in (a, r)."""
+    return Poly(2, {m[:2]: c for m, c in poly.items() if m[2] == i})
+
+
 def test_std7_shape():
     p7 = std7_euler_factor()
-    assert len(p7) == 8
-    assert p7[0] == Poly.monomial(0, 0)
+    assert p7.nvars == 3
+    assert {m[2] for m in p7} == set(range(8))  # degree 7 in T
+    assert _t_coefficient(p7, 0) == Poly.monomial(0, 0)
     # alpha -> 1/alpha leaves the polynomial unchanged
-    assert invert_alpha_tpoly(p7) == p7
+    assert invert_alpha(p7) == p7
 
 
 def test_std7_t1_coefficient():
-    t1 = std7_euler_factor()[1]
+    t1 = _t_coefficient(std7_euler_factor(), 1)
     want = -(
         Poly.monomial(0, 0)
         + Poly.monomial(2, 0)
@@ -167,11 +173,9 @@ def test_std7_t1_coefficient():
 
 
 def test_std7_alpha_one_specialization():
-    one = Poly.monomial(0, 0)
-    expect = [one]
-    for root in (one, one, one, Poly.monomial(0, 1), Poly.monomial(0, 1),
-                 Poly.monomial(0, -1), Poly.monomial(0, -1)):
-        expect = _poly_mul(expect, [one, -root])
+    expect = Poly.monomial(0, 0, 0)
+    for j in (0, 0, 0, 1, 1, -1, -1):
+        expect = expect * (1 - Poly.monomial(0, j, 1))
     assert specialize_alpha(std7_euler_factor(), 1) == expect
 
 
@@ -187,9 +191,9 @@ def test_sym2_times_shifts_is_std7_numerically():
     alpha = cmath.exp(0.77j)
     rp = math.sqrt(7)
     T = 0.21 - 0.05j
-    full = _poly_mul(_poly_mul(sym2_factor(), shifted_pair_factor(1)), shifted_pair_factor(-1))
-    lhs = sum(c.at(alpha, rp) * T**i for i, c in enumerate(full))
-    rhs = sum(c.at(alpha, rp) * T**i for i, c in enumerate(std7_euler_factor()))
+    full = sym2_factor() * shifted_pair_factor(1) * shifted_pair_factor(-1)
+    lhs = full.at(alpha, rp, T)
+    rhs = std7_euler_factor().at(alpha, rp, T)
     assert abs(lhs - rhs) < 1e-14
 
 

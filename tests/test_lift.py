@@ -102,6 +102,30 @@ def test_transform_det_one_preserves_magnitude(lift_ctx, rng):
         assert moved.magnitude_sq == rec.magnitude_sq
 
 
+def test_failed_7x7_verification_raises(lift_ctx, monkeypatch, capsys):
+    """A reduction or moved record that fails its 7x7 check raises, on the
+    in-shape path, the GL2-translate path and transform_coefficient; the CLI
+    reports it as INTERNAL_ERROR, a fault of the program, not a refusal."""
+    import json
+
+    import g2lift.cubic as cubic_mod
+    import g2lift.lift as lift_mod
+    from g2lift import cli
+
+    rec = lift_ctx.fourier_coefficient((-5, 0, F(1, 3), 0))
+    for mod in (cubic_mod, lift_mod):
+        monkeypatch.setattr(mod, "verify_reduction", lambda w, red: False)
+    for w in ((-5, 0, F(1, 3), 0), (-5, 5, F(-14, 3), 4)):
+        with pytest.raises(AssertionError, match="^reduction failed its 7x7 verification$"):
+            cubic_mod.reduce_to_canonical(w)
+    with pytest.raises(AssertionError, match="^transformed record failed its 7x7 verification$"):
+        lift_ctx.transform_coefficient(rec, mat2(1, 1, 0, 1))
+    assert cli.main(["reduce", "--w=-5,0,1/3,0"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "INTERNAL_ERROR"
+    assert out["message"] == "AssertionError: reduction failed its 7x7 verification"
+
+
 def test_translate_coherence(lift_ctx, rng):
     """fourier_coefficient of a lattice translate equals
     transform_coefficient of the base record."""

@@ -171,6 +171,18 @@ def test_qexp_arithmetic_guards():
         a.coeff(5)
 
 
+def test_qexp_denominator_sign():
+    """A zero denominator is refused, as Fraction(p, 0) is; a negative one
+    moves its sign onto the coefficients."""
+    with pytest.raises(ZeroDivisionError):
+        QExpansion(12, 1, [2, 4], 0)
+    with pytest.raises(ZeroDivisionError):
+        QExpansion._raw(12, 1, [2, 4], 0)
+    g = QExpansion(12, 1, [1, 2], -3)
+    assert (g.num, g.den) == ((-1, -2), 3)
+    assert g.coeff(1) == F(-2, 3)
+
+
 def test_dump_load_roundtrip(tmp_path):
     f = eigenform(16, 20)
     path = tmp_path / "cache.mf"
