@@ -5,6 +5,8 @@ with exact rationals serialized as "num/den" strings.  Exit codes: 0 pass,
 1 check failure or internal error, 2 usage error, 3 numeric-inconclusive.
 ``main`` prints a refusal with the error code and exit code its class
 declares (``arith.Refusal``), and any other exception as INTERNAL_ERROR.
+Python's int/str conversion limit guards input only (``check_digit_runs``);
+``main`` lifts it while a command runs, as every output is polynomial in the input.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 3
 
-FORMS = {"delta": 12, "eigen12": 12, "eigen16": 16, "eigen18": 18, "eigen20": 20, "eigen22": 22, "eigen26": 26}
+FORMS = {"delta": 12, **{f"eigen{k}": k for k in modforms.RATIONAL_EIGEN_WEIGHTS}}
 
 # Work caps, checked in main before any work (INPUT_TOO_LARGE, exit 2): work
 # grows with these values, so exponentially in their bit length.  Slowest
@@ -316,11 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7, with no limit
     try:
         for name, cap in CAPS.items():
             value = getattr(args, name, 0)
             if value > cap:
                 raise InputTooLarge(f"--{name.replace('_', '-')} {value} exceeds the cap {cap}")
+        if limit:
+            sys.set_int_max_str_digits(0)
         return args.func(args)
     except Refusal as exc:
         _emit({"schema": 1, "error": exc.code, "message": str(exc)})
@@ -328,6 +333,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # a fault of the program, never the input's
         _emit({"schema": 1, "error": "INTERNAL_ERROR", "message": f"{type(exc).__name__}: {exc}"})
         return EXIT_FAIL
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ f_w(u, v) = a1 u^3 + 3 a2 u^2 v + 3 a3 u v^2 + a4 v^3; the lattice
 condition is a1, a4 integral and 3 a2, 3 a3 integral, so (a, b, c, d) =
 (a1, 3 a2, 3 a3, a4) is an integral cubic form in the classical sense.
 Every computation on a cubic reads this one integral form, taken off the
-lattice as e (a1, 3 a2, 3 a3, a4) with e the lcm of the denominators.
+lattice as e (a1, 3 a2, 3 a3, a4) with e the lcm of the denominators, and
+one monic bisection finds its roots (through a unimodular shift if a1 = 0).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import NamedTuple, Optional, Tuple
 
 from .arith import BadInput, SquarefreeCofactor, fundamental_discriminant, prime_powers
 from .exact import Matrix2, mat2, rat
-from .group import coad_w, heis_n1, levi_m, levi_m_prime, n1_coords
+from .group import coad_w, heis_n1, levi_m, levi_m_prime
 
 
 class NonEtaleInput(BadInput):
@@ -80,21 +81,6 @@ def form_disc(a: int, b: int, c: int, d: int) -> int:
 # ---------------------------------------------------------------------------
 # Rational root finding for binary cubics
 
-def _quad_proj_roots(A: int, B: int, C: int) -> list[Tuple[int, int]]:
-    """Rational projective roots of A u^2 + B u v + C v^2."""
-    if A == 0:
-        if B == 0:
-            return [(1, 0)] if C != 0 else []
-        return [(1, 0), (-C, B)]
-    disc = B * B - 4 * A * C
-    if disc < 0:
-        return []
-    r = isqrt(disc)
-    if r * r != disc:
-        return []
-    return [(-B + r, 2 * A)] if r == 0 else [(-B + r, 2 * A), (-B - r, 2 * A)]
-
-
 def _monotone_root(g, lo: int, hi: int, sign: int) -> Optional[int]:
     """The integer root of g in [lo, hi], where sign * g is increasing."""
     if lo > hi or sign * g(lo) > 0 or sign * g(hi) < 0:
@@ -148,24 +134,25 @@ def rational_projective_roots(w) -> list[Tuple[int, int]]:
     integers; they are found by exact bisection on the at most three
     ranges where g is monotone (exact root isolation, Cohen, GTM 138).
     A call costs O(bit length) evaluations of g and no factoring.  For
-    d = 0 the root y = 0 is (0 : 1).
+    d = 0 the root y = 0 is (0 : 1).  A form with a = 0 is read at
+    (t u + v, u) for the least t in {0, 1, 2} with f(t, 1) != 0, a nonzero
+    polynomial of degree <= 2 in t, as (f(t, 1), 2 b t + c, b, 0); the
+    shift is unimodular, so a root (y : a') maps back to the primitive
+    root (t y + a' : y).
     """
     a, b, c, d = _vec(w).integral_form()
     if a == 0 and b == 0 and c == 0 and d == 0:
         raise NonEtaleInput("zero form has no root divisor")
+    shift = None
     if a == 0:
-        roots = [(1, 0)] + _quad_proj_roots(b, c, d)
-    else:
-        roots = [(y, a) for y in _monic_integer_roots(b, a * c, a * a * d)]
-    seen = []
-    for (u0, v0) in roots:
-        g = gcd(abs(u0), abs(v0)) or 1
-        u0, v0 = u0 // g, v0 // g
-        if v0 < 0 or (v0 == 0 and u0 < 0):
-            u0, v0 = -u0, -v0
-        if (u0, v0) not in seen:
-            seen.append((u0, v0))
-    return sorted(seen)
+        shift = next(t for t in range(3) if (b * t + c) * t + d != 0)
+        a, b, c, d = (b * shift + c) * shift + d, 2 * b * shift + c, b, 0
+    roots = []
+    for y in _monic_integer_roots(b, a * c, a * a * d):
+        g = gcd(y, a)
+        u0, v0 = (y // g, a // g) if shift is None else ((shift * y + a) // g, y // g)
+        roots.append((-u0, -v0) if v0 < 0 or (v0 == 0 and u0 < 0) else (u0, v0))
+    return sorted(roots)
 
 
 def fundamental_discriminant_of_class(r: Fraction) -> Tuple[int, Fraction]:
@@ -347,31 +334,26 @@ class CanonicalReduction:
 
         For a reduction of a lattice vector it is a positive integer: in
         shape, t = a1 and S = 3 a3 are integers with t < 0 < S; otherwise
-        the last two steps of ``_reduce`` land on (-D0, 0, 1/3, 0) exactly,
+        the last two steps of ``reduce_to_canonical`` land on (-D0, 0, 1/3, 0),
         so -t*S = D0."""
         return -self.t * self.S
 
 
 def verify_reduction(w, red: CanonicalReduction) -> bool:
-    """Exact 7x7 check of w = det(m')^2 rho3(m'^-1) w0, w0 = (t, 0, S/3, 0).
+    """Exact 7x7 check of w = det(m')^2 rho3(m'^-1) w0, w0 = (t, 0, S/3, 0),
+    as the one identity m'^-1 n1(w0, 0) m' == n1(w / det m', 0).
 
-    Conjugation inside the matrix group gives the adjoint W-action; the
-    remaining det(m') scalar follows from coad = det * Ad(inverse)."""
+    Conjugation inside the matrix group gives the adjoint W-action, which
+    coad = det * Ad(inverse) scales by det(m'); n1 is injective, so the
+    matrices agree exactly when the coordinates do."""
     w = _vec(w)
     b = levi_m_prime(red.m)
     mp = levi_m(b)
-    conj = mp.inverse() * heis_n1(red.t, 0, red.S / 3, 0, 0) * mp
-    b1, b2, b3, b4, z = n1_coords(conj)
     dt = b.det()
-    return z == 0 and (dt * b1, dt * b2, dt * b3, dt * b4) == tuple(w)
+    return mp.inverse() * heis_n1(red.t, 0, red.S / 3, 0, 0) * mp == heis_n1(*(x / dt for x in w), 0)
 
 
 def reduce_to_canonical(w) -> CanonicalReduction:
-    """Reduce w (q(w) < 0, some rational projective root) to shape; see _reduce."""
-    return _reduce(w)[0]
-
-
-def _reduce(w) -> Tuple[CanonicalReduction, Optional[int]]:
     """Reduce w (q(w) < 0, some rational projective root) to shape.
 
     Steps: move a rational root of f_w to kill a4, shear away a2 (the
@@ -381,8 +363,8 @@ def _reduce(w) -> Tuple[CanonicalReduction, Optional[int]]:
     is the minimal positive integer == 0, 1 mod 4 in the square class of
     -t*S; any two vectors of one coadjoint orbit then land on literally the
     same shape vector.  Vectors already in shape return the identity
-    reduction untouched.  The second value is D0, or None for a vector
-    already in shape.
+    reduction untouched, and only they get m = 1: every other reduction
+    has -t*S = D0.
     """
     w = _vec(w)
     if quartic_q(w) >= 0:
@@ -392,7 +374,7 @@ def _reduce(w) -> Tuple[CanonicalReduction, Optional[int]]:
         red = CanonicalReduction(t=w.a1, S=3 * w.a3, m=mat2(1, 0, 0, 1))
         if not verify_reduction(w, red):
             raise AssertionError("reduction failed its 7x7 verification")
-        return red, None
+        return red
 
     total = mat2(1, 0, 0, 1)
     cur = tuple(w)
@@ -428,15 +410,16 @@ def _reduce(w) -> Tuple[CanonicalReduction, Optional[int]]:
     red = CanonicalReduction(t=cur[0], S=3 * cur[2], m=levi_m_prime(total.inverse()))
     if not verify_reduction(w, red):
         raise AssertionError("reduction failed its 7x7 verification")
-    return red, d0
+    return red
 
 
 def reduction_json(w) -> dict:
     """CLI-facing record for a reduced vector.  The quadratic factor of f_w
-    has the square class of -t*S, so the D0 the reduction found is its
-    field discriminant and the class is factored once."""
+    has the square class of -t*S, which is D0 itself unless w was already
+    in shape (m = 1), so the class is factored once."""
     w = _vec(w)
-    red, d0 = _reduce(w)
+    red = reduce_to_canonical(w)
+    d0 = None if red.m == mat2(1, 0, 0, 1) else int(red.index)
     return {
         "w": [str(x) for x in w],
         "q": str(quartic_q(w)),

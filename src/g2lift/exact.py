@@ -31,6 +31,8 @@ from typing import Iterable, Sequence
 
 from .arith import InputTooLarge
 
+INPUT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7, with no limit
+
 
 def rat(x) -> Fraction:
     """Coerce ints, strings like '2/3' and Fractions to Fraction.  A float
@@ -53,10 +55,10 @@ def parse_rational(text: str) -> Fraction:
 
 
 def check_digit_runs(text: str) -> str:
-    """text, or InputTooLarge if a run of digits in it is longer than the
-    int/str conversion limit; Python's own refusal advises a call that a
-    command-line user cannot make.  Underscores do not end a run, as in int."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7, with no limit
+    """text, or InputTooLarge if a run of digits in it (underscores do not end a run, as in int)
+    is longer than the int/str conversion limit at start-up, which input keeps while the CLI
+    lifts the limit; Python's own refusal advises a call that a command-line user cannot make."""
+    limit = INPUT_DIGIT_LIMIT
     run = re.search(rf"\d{{{limit + 1},}}", text.replace("_", "")) if limit else None
     if run:
         raise InputTooLarge(f"a {len(run.group())}-digit number exceeds the {limit}-digit limit")

@@ -37,21 +37,16 @@ class CentralVanishing(ArithmeticError):
 
 
 @dataclass(frozen=True, slots=True)
-class LiftCoefficient:
+class LiftCoefficient(CanonicalReduction):
+    """The reduction (t, S, m) of ``w`` with its phase and c(-tS)."""
+
     w: CubicVector
-    t: Fraction
-    S: Fraction
-    m: Matrix2
     phase: complex
     c_value: Fraction
 
     @property
     def magnitude_sq(self) -> Fraction:
         return self.c_value * self.c_value
-
-    @property
-    def index(self) -> Fraction:
-        return -self.t * self.S
 
     def as_json(self) -> dict:
         return {
@@ -119,19 +114,17 @@ class LiftContext:
     def transform_coefficient(self, coef: LiftCoefficient, m: Matrix2) -> LiftCoefficient:
         """Move a record along m: the index vector becomes
         det(m')^2 rho3(m'^-1) w and the phase picks up
-        mu_f(det m')^-1 sgn(det m')^k (trivial sign, k even)."""
+        mu_f(det m')^-1 sgn(det m')^k, with sign 1: ``LiftContext`` refuses odd k."""
         if m.det() == 0:
             raise BadInput("m must be invertible")
         m_prime = levi_m_prime(m)
         w_new = CubicVector.of(*coad_w(m_prime, coef.w))
-        sgn = 1.0 if m_prime.det() > 0 else (-1.0) ** self.k
-        phase = coef.phase * sgn / mu_f(self.f, m_prime.det())
+        phase = coef.phase / mu_f(self.f, m_prime.det())
         m_new = coef.m * m
         rec = LiftCoefficient(
             w=w_new, t=coef.t, S=coef.S, m=m_new, phase=phase, c_value=coef.c_value
         )
-        red = CanonicalReduction(t=rec.t, S=rec.S, m=rec.m)
-        if not verify_reduction(w_new, red):
+        if not verify_reduction(w_new, rec):
             raise AssertionError("transformed record failed its 7x7 verification")
         return rec
 

@@ -35,7 +35,7 @@ from typing import List
 
 from .arith import BadInput, is_fundamental_discriminant, kronecker
 from .exact import kernel
-from .modforms import PrecisionError, QExpansion, _cached, _convolve_int, _sigma_list
+from .modforms import PrecisionError, QExpansion, _cached, _convolve_int, _eisenstein, _sigma_list
 
 
 def theta_half(prec: int) -> QExpansion:
@@ -73,25 +73,6 @@ def _sturm_bound(k: int) -> int:
     return max(32, -(-(2 * k + 1) * 6 // 24) * 2)
 
 
-def _bernoulli(n: int) -> Fraction:
-    """B_n from sum_{j <= m} C(m + 1, j) B_j = 0 for m >= 1, B_0 = 1."""
-    b = [Fraction(1)]
-    for m in range(1, n + 1):
-        b.append(-sum(comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
-    return b[n]
-
-
-def _eisenstein_4z(w: int, prec: int) -> QExpansion:
-    """E_w(4z) = 1 - (2w / B_w) sum sigma_(w-1)(n) q^(4n), weight w on Gamma0(4)."""
-    c = -2 * w / _bernoulli(w)
-    sig = _sigma_list(w - 1, (prec + 3) // 4)
-    num = [0] * prec
-    num[0] = c.denominator
-    for n in range(1, len(sig)):
-        num[4 * n] = c.numerator * sig[n]
-    return QExpansion(w, 4, num, c.denominator)
-
-
 def _bracket_coefficients(w: int, nu: int) -> List[Fraction]:
     """(-1)^r C(nu + w - 1, nu - r) C(nu - 1/2, r) for r = 0 .. nu: Cohen's
     bracket of a weight-w form with a weight-1/2 form."""
@@ -111,7 +92,7 @@ def _bracket(w: int, nu: int, prec: int) -> QExpansion:
     (D^r E)[0::4] with (D^(nu-r) theta)[eps::4], and those at 2, 3 mod 4 are
     zero: 2(nu + 1) products of length about prec/4, over a factor with
     about sqrt(prec)/2 nonzero terms."""
-    e, th = _eisenstein_4z(w, prec), theta_half(prec)
+    e, th = _eisenstein(w, 4, prec), theta_half(prec)
     cs = _bracket_coefficients(w, nu)
     l = lcm(*(c.denominator for c in cs))
     pos = (range(0, prec, 4), range(1, prec, 4))

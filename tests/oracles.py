@@ -508,13 +508,13 @@ def plus_cusp_basis_monomials(k, prec):
 def bracket_by_products(w, nu, prec):
     """[E_w(4z), theta]_nu = sum_r c_r D^r[E_w(4z)] D^(nu-r)[theta], D = q d/dq,
     with every term one product of whole series of length prec."""
-    from g2lift.modforms import QExpansion
-    from g2lift.shimura import _bracket_coefficients, _eisenstein_4z, theta_half
+    from g2lift.modforms import QExpansion, _eisenstein
+    from g2lift.shimura import _bracket_coefficients, theta_half
 
     def q_derivative(x, r):
         return QExpansion(x.weight + 2 * r, x.level, [n**r * c for n, c in enumerate(x.num)], x.den)
 
-    e, th = _eisenstein_4z(w, prec), theta_half(prec)
+    e, th = _eisenstein(w, 4, prec), theta_half(prec)
     out = None
     for r, c in enumerate(_bracket_coefficients(w, nu)):
         term = (q_derivative(e, r) * q_derivative(th, nu - r)).scale(c)

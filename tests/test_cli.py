@@ -578,6 +578,29 @@ def test_oversized_literal_refused_in_the_programs_words(capsys, tmp_path, argv,
     assert message == f"a {len(OVERSIZED)}-digit number exceeds the {INT_STR_LIMIT}-digit limit"
 
 
+@pytest.mark.skipif(not INT_STR_LIMIT, reason="no int/str conversion limit")
+def test_conversion_limit_is_lifted_only_while_a_command_runs(capsys, monkeypatch):
+    """A command prints numbers past the limit, its input stays held to it,
+    and the limit in force before main is back after it, on an answer and
+    on a refusal alike."""
+    limits = []
+    real = cli.cubic.reduction_json
+    monkeypatch.setattr(cli.cubic, "reduction_json", lambda w: limits.append(sys.get_int_max_str_digits()) or real(w))
+    old = sys.get_int_max_str_digits()
+    nines = "9" * (INT_STR_LIMIT // 4 + 5)  # q has degree 4 in the entries
+    try:
+        sys.set_int_max_str_digits(INT_STR_LIMIT)
+        code, out = run_cli(capsys, "reduce", f"--w= -{nines},0,{nines}/3,0")
+        assert code == 0 and len(json.loads(out)["q"]) > INT_STR_LIMIT
+        assert limits == [0] and sys.get_int_max_str_digits() == INT_STR_LIMIT
+        code, out = run_cli(capsys, "reduce", f"--w={OVERSIZED},0,1/3,0")
+        assert code == 2
+        assert_refused(out, "INPUT_TOO_LARGE")
+        assert sys.get_int_max_str_digits() == INT_STR_LIMIT
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_precision_cap_reaches_the_ratio_table_precision():
     assert cli.MAX_PREC >= 20000
 

@@ -230,6 +230,47 @@ def test_roots_with_a4_zero_match_oracle(coeffs, scale):
     assert rational_projective_roots(tuple(F(x) / scale for x in w)) == rational_roots_bruteforce(a, b, c, 0)
 
 
+@pytest.mark.parametrize(
+    "coeffs,want",
+    [
+        # t = 0: d != 0; (0, 1, -3, 2) also vanishes at t = 1 and t = 2
+        ((0, 1, -3, 2), [(1, 0), (1, 1), (2, 1)]),
+        ((0, 0, 0, 5), [(1, 0)]),
+        ((0, 0, 2, 3), [(-3, 2), (1, 0)]),
+        ((0, 1, 0, -4), [(-2, 1), (1, 0), (2, 1)]),
+        # t = 1: d = 0 and b + c != 0
+        ((0, 1, 1, 0), [(-1, 1), (0, 1), (1, 0)]),
+        ((0, 2, 0, 0), [(0, 1), (1, 0)]),
+        ((0, 0, 1, 0), [(0, 1), (1, 0)]),
+        ((0, 3, 5, 0), [(-5, 3), (0, 1), (1, 0)]),
+        # t = 2: d = 0 and b + c = 0
+        ((0, 1, -1, 0), [(0, 1), (1, 0), (1, 1)]),
+        ((0, -6, 6, 0), [(0, 1), (1, 0), (1, 1)]),
+    ],
+)
+def test_roots_with_a1_zero_take_the_shifted_path(coeffs, want):
+    """a = 0 reads f at (t u + v, u) for the least t in {0, 1, 2} with
+    f(t, 1) != 0, and maps each root (y : a') back to (t y + a' : y); the
+    same roots come out on the lattice and scaled off it."""
+    a, b, c, d = coeffs
+    assert rational_roots_bruteforce(*coeffs) == want
+    w = _as_vector(*coeffs)
+    assert rational_projective_roots(w) == want
+    assert rational_projective_roots(tuple(F(x) / 7 for x in w)) == want
+    assert rational_projective_roots((0, F(b, 6), F(c, 6), F(d, 2))) == want
+
+
+@given(st.tuples(*[st.integers(-60, 60)] * 3).filter(any), st.sampled_from([1, 2, 5]))
+@settings(max_examples=300, deadline=None)
+@example((1, -3, 2), 1)
+@example((3, 1, 0), 2)
+@example((2, -2, 0), 1)
+def test_roots_with_a1_zero_match_oracle(bcd, scale):
+    b, c, d = bcd
+    w = tuple(F(x) / scale for x in _as_vector(0, b, c, d))
+    assert rational_projective_roots(w) == rational_roots_bruteforce(0, b, c, d)
+
+
 def test_roots_match_oracle_clustered_and_extreme():
     # Roots a unit apart sit next to the critical points of the monic
     # transform; a root (u - N v)(u^2 + e v^2) sits at the Cauchy bound.
@@ -618,14 +659,17 @@ def test_reduction_json_factors_the_square_class_once(monkeypatch):
 
 def test_reduction_d0_is_the_etale_field_discriminant(rng):
     """On translates of shape vectors, the D0 found by the reduction gives
-    the etale type that factoring the quadratic factor gives."""
-    from g2lift.cubic import _reduce
-
+    the etale type that factoring the quadratic factor gives.  A vector not
+    already in shape is the one with m != 1, and its -t*S is D0."""
     for _ in range(40):
         shape = (-rng.randint(1, 400), 0, F(rng.randint(1, 60), 3 * rng.randint(1, 9)), 0)
         w = coad_w(rand_mat2(rng), shape)
-        red, d0 = _reduce(w)
-        if d0 is not None:
+        red = reduce_to_canonical(w)
+        in_shape = w[1] == w[3] == 0 and w[0] < 0 < w[2]
+        assert (red.m == mat2(1, 0, 0, 1)) == in_shape, w
+        if not in_shape:
+            d0 = int(red.index)
+            assert (red.t, red.S) == (-d0, 1)
             assert etale_type(w, quad_disc=d0) == etale_type(w), (w, d0)
             assert (d0 == 1) == (etale_type(w).kind == "totally_split"), (w, d0)
 

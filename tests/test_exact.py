@@ -342,6 +342,23 @@ def test_poly_matmul_agrees_with_evaluation(data):
     assert at(out) == at(a) * at(b)
 
 
+def test_matrices_are_immutable_hashable_and_of_one_size():
+    """Equal matrices hash equal, as a frozen record holding a Matrix2
+    (cubic.CanonicalReduction) needs; a matrix refuses assignment; and a
+    Matrix2 times or plus a Matrix7 is a TypeError, not a product."""
+    a, b = mat2(1, F(1, 2), 0, 3), mat2(2, 1, 0, 6).scale(F(1, 2))
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert len({a, b, Matrix2.identity()}) == 2
+    with pytest.raises(AttributeError, match="matrix is immutable"):
+        a.den = 2
+    seven = Matrix7.identity()
+    with pytest.raises(TypeError):
+        a * seven
+    with pytest.raises(TypeError):
+        a + seven
+    assert repr(a) == "Matrix2(\n[1  1/2]\n[0  3]\n)"
+
+
 INT_STR_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 

@@ -57,6 +57,15 @@ rat_st = st.fractions(min_value=-30, max_value=30, max_denominator=9)
 vec_st = st.tuples(rat_st, rat_st, rat_st, rat_st)
 
 
+def test_group_elements_are_immutable_and_hash_by_value():
+    g, h = levi_m(mat2(2, 1, 1, 1)), levi_m(mat2(2, 1, 1, 1))
+    assert g == h and g is not h and hash(g) == hash(h)
+    assert len({g, h, identity()}) == 2
+    with pytest.raises(AttributeError, match="GroupElement is immutable"):
+        g.matrix = Matrix7.identity()
+    assert repr(g) == f"GroupElement({g.matrix!r})"
+
+
 # --- displayed closed forms -------------------------------------------------
 
 def n_closed(a1, a2, a3, a4, t):

@@ -51,6 +51,24 @@ def test_records_hold_no_instance_dict(lift_ctx):
     assert (moved.c_value, moved.w) == (rec.c_value + 1, rec.w)
 
 
+def test_record_is_its_reduction(lift_ctx):
+    """A lift record is the CanonicalReduction it was read from, so the 7x7
+    check takes it as it is, and equal records hash equal through their
+    Matrix2."""
+    import dataclasses
+
+    from g2lift.cubic import CanonicalReduction, reduce_to_canonical, verify_reduction
+
+    w = coad_w(mat2(1, 2, 0, 1), (F(-5), F(0), F(1, 3), F(0)))
+    rec, red = lift_ctx.fourier_coefficient(w), reduce_to_canonical(w)
+    assert isinstance(rec, CanonicalReduction)
+    assert (rec.t, rec.S, rec.m, rec.index) == (red.t, red.S, red.m, red.index) == (-5, 1, red.m, 5)
+    assert verify_reduction(w, rec)
+    assert not verify_reduction(w, dataclasses.replace(rec, S=rec.S + 1))
+    copy = dataclasses.replace(rec)
+    assert copy == rec and copy is not rec and hash(copy) == hash(rec)
+
+
 def test_record_at_five(lift_ctx):
     rec = lift_ctx.fourier_coefficient((-5, 0, F(1, 3), 0))
     assert rec.c_value == lift_ctx.g.coeff(5) == 120

@@ -13,6 +13,7 @@ from g2lift.modforms import (
     PrecisionError,
     QExpansion,
     _convolve_int,
+    _eisenstein,
     delta,
     eigenform,
     eisenstein,
@@ -31,6 +32,28 @@ def test_eisenstein_against_divisor_sums():
     for n in range(1, 60):
         assert e4.coeff(n) == 240 * sigma(3, n)
         assert e6.coeff(n) == -504 * sigma(5, n)
+
+
+# -2w / B_w, the constant of E_w, from tabled Bernoulli numbers, not the recursion
+EISENSTEIN_CONSTANTS = {
+    4: 240, 6: -504, 8: 480, 10: -264, 12: F(65520, 691), 14: -24, 16: F(16320, 3617), 18: F(-28728, 43867),
+}
+
+
+@pytest.mark.parametrize("level", [1, 4])
+def test_one_eisenstein_builder_at_both_levels(level):
+    """E_w(N z) for every weight a bracket reads, at N = 1 (E4, E6) and 4
+    (the brackets): 1 + C_w sigma_(w-1)(n) at q^(N n), 0 elsewhere; at
+    N = 1 and w = 4, 6 it is the stored E4 and E6."""
+    prec = 61
+    for w, c in EISENSTEIN_CONSTANTS.items():
+        e = _eisenstein(w, level, prec)
+        assert (e.weight, e.level, e.precision) == (w, level, prec)
+        for n in range(prec):
+            want = 1 if n == 0 else c * sigma(w - 1, n // level) if n % level == 0 else 0
+            assert e.coeff(n) == want, (w, n)
+        if level == 1 and w in (4, 6):
+            assert e == eisenstein(w, prec)
 
 
 def test_eisenstein_rejects_bad_weight():
@@ -169,6 +192,11 @@ def test_qexp_arithmetic_guards():
     assert c.weight == 10 and c.precision == 3
     with pytest.raises(PrecisionError):
         a.coeff(5)
+
+
+def test_qexp_product_refuses_a_level_mismatch():
+    with pytest.raises(ValueError, match="level mismatch in multiplication"):
+        QExpansion(F(4), 1, (1, 2, 3)) * QExpansion(F(1, 2), 4, (1, 2, 0))
 
 
 def test_qexp_denominator_sign():
