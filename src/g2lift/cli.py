@@ -20,7 +20,7 @@ from functools import partial
 
 from . import cubic, ktypes, lfunctions, modforms, shimura, structure
 from .arith import BadInput, InputTooLarge, ParseError, Refusal
-from .exact import check_digit_runs, mat2, parse_rational
+from .exact import check_digit_runs, int_str_limit, mat2, parse_rational
 from .group import (
     GroupElement, RootLabel, heis_n, heis_n1, identity, iota, levi_l, levi_m, root_generator, torus, u_coord,
     weyl, z_coord,
@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7, with no limit
+    limit = int_str_limit()
     try:
         for name, cap in CAPS.items():
             value = getattr(args, name, 0)

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import NamedTuple, Optional, Tuple
 
 from .arith import BadInput, SquarefreeCofactor, fundamental_discriminant, prime_powers
-from .exact import Matrix2, mat2, rat
+from .exact import Matrix2, mat2, over_lcm, rat
 from .group import coad_w, heis_n1, levi_m, levi_m_prime
 
 
@@ -48,13 +48,12 @@ class CubicVector(NamedTuple):
 
     def denominator(self) -> int:
         """e, the lcm of the denominators of a1, 3 a2, 3 a3 and a4."""
-        return lcm(self.a1.denominator, (3 * self.a2).denominator, (3 * self.a3).denominator, self.a4.denominator)
+        return over_lcm((self.a1, 3 * self.a2, 3 * self.a3, self.a4))[1]
 
     def integral_form(self) -> Tuple[int, int, int, int]:
-        """e (a1, 3 a2, 3 a3, a4): the classical (a, b, c, d) on the lattice,
-        where e = 1, and a form with the same roots off it."""
-        e = self.denominator()
-        return (int(e * self.a1), int(3 * e * self.a2), int(3 * e * self.a3), int(e * self.a4))
+        """e (a1, 3 a2, 3 a3, a4) by ``over_lcm``: the classical (a, b, c, d)
+        on the lattice, where e = 1, and a form with the same roots off it."""
+        return over_lcm((self.a1, 3 * self.a2, 3 * self.a3, self.a4))[0]
 
 
 def _vec(w) -> CubicVector:

@@ -1,13 +1,13 @@
 """Exact rational matrix kernel: dense 7x7, 5x5 and 2x2 matrices over Q.
 
-Matrices store an integer entry grid over a single positive denominator,
-canonicalized so the gcd of all entries with the denominator is 1; exact
-equality is then tuple equality and products need one gcd pass instead of
-one per entry.  Scalars in and out are ``fractions.Fraction`` (always
-reduced, positive denominator), coerced by ``rat``, which refuses floats;
-a matrix built from them scales each numerator to the lcm of the
-denominators in integers.  The one elimination is a fraction-free
-(Bareiss) echelon of integer rows, behind ``det`` and ``kernel``.
+Every exact vector (a matrix grid, a q-series, a cubic form) is integers
+over one positive denominator, their gcd with it 1, so exact equality is
+tuple equality and a product needs one gcd pass, not one per entry.
+``over_lcm`` builds that form in integers from values taken through ``rat``,
+which refuses floats; ``canonical`` restores it after integer arithmetic.
+Scalars in and out are ``fractions.Fraction`` (always reduced, positive
+denominator).  The one elimination is a fraction-free (Bareiss) echelon of
+integer rows, behind ``det`` and ``kernel``.
 
 The Gram form GRAM of the 7x7 orthogonal group is a symmetric signed
 permutation, so its adjoint S^-1 g^T S (the inverse of a form-preserving g)
@@ -25,13 +25,20 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import add
 from typing import Iterable, Sequence
 
 from .arith import InputTooLarge
 
-INPUT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7, with no limit
+
+def int_str_limit() -> int:
+    """Python's int/str conversion limit in digits now; 0 for none, as before 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+INPUT_DIGIT_LIMIT = int_str_limit()
 
 
 def rat(x) -> Fraction:
@@ -43,6 +50,32 @@ def rat(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError(f"float {x!r} is not an exact rational")
     return Fraction(x)
+
+
+def over_lcm(values) -> tuple:
+    """(nums, den): the values (anything ``rat`` takes) as integers over den,
+    the lcm of their denominators, each p/q becoming p (den / q).
+
+    That form is already canonical.  A prime dividing den divides some
+    value's q to its full power in den; that value's p is prime to q
+    (Fractions are reduced) and den / q is prime to it, so the prime misses
+    that numerator.  So gcd(den, *nums) = 1 with no gcd pass."""
+    fr = [rat(x) for x in values]
+    den = lcm(*(x.denominator for x in fr))
+    return tuple(x.numerator * (den // x.denominator) for x in fr), den
+
+
+def canonical(nums, den) -> tuple:
+    """(nums, den) for the integers nums over den != 0, rescaled to den > 0
+    and gcd(den, *nums) = 1, the form ``over_lcm`` builds."""
+    if den == 0:
+        raise ZeroDivisionError("denominator is zero")
+    if den < 0:
+        nums, den = [-x for x in nums], -den
+    g = gcd(den, *nums)
+    if g > 1:
+        nums, den = [x // g for x in nums], den // g
+    return tuple(nums), den
 
 
 def parse_rational(text: str) -> Fraction:
@@ -116,45 +149,23 @@ class _MatrixBase:
     SIZE: int = 0
 
     def __init__(self, rows: Iterable[Sequence]):
-        """The grid of ``rows`` (anything ``rat`` takes) over den = lcm of
-        the entries' denominators, each entry p/q becoming p (den / q): no
-        Fraction arithmetic.
-
-        That grid is already canonical.  A prime dividing den divides some
-        entry's q to its full power in den; that entry's p is prime to q
-        (Fractions are reduced) and den / q is prime to it, so the prime
-        misses that numerator.  So gcd(den, *num) = 1 with no gcd pass."""
-        fr = tuple(tuple(rat(x) for x in r) for r in rows)
+        """The grid of ``rows`` (anything ``rat`` takes) by ``over_lcm``."""
+        rows = tuple(rows)
         n = self.SIZE
-        if len(fr) != n or any(len(r) != n for r in fr):
+        if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"expected {n}x{n} matrix")
-        den = lcm(*(x.denominator for r in fr for x in r))
-        num = tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in fr)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self._set(*over_lcm(x for r in rows for x in r))
 
     @classmethod
     def _raw(cls, num, den):
-        """Canonicalizing constructor from an int grid over den != 0."""
-        if den < 0:
-            den = -den
-            num = tuple(tuple(-x for x in r) for r in num)
-        g = den
-        for r in num:
-            for x in r:
-                if x:
-                    g = gcd(g, x)
-                    if g == 1:
-                        break
-            if g == 1:
-                break
-        if g > 1:
-            den //= g
-            num = tuple(tuple(x // g for x in r) for r in num)
+        """The int grid num over den by ``canonical``, which refuses den = 0."""
         out = object.__new__(cls)
-        object.__setattr__(out, "num", tuple(tuple(r) for r in num))
-        object.__setattr__(out, "den", den)
+        out._set(*canonical([*chain.from_iterable(num)], den))
         return out
+
+    def _set(self, flat, den):
+        object.__setattr__(self, "num", tuple(zip(*[iter(flat)] * self.SIZE)))  # rows of SIZE
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("matrix is immutable")

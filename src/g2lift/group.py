@@ -61,11 +61,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm, prod
+from math import prod
 from operator import getitem
 
 from .arith import BadInput
-from .exact import GRAM, Matrix2, Matrix7, Poly, form_adjoint, mat2, poly_matmul, preserves_form, rat
+from .exact import GRAM, Matrix2, Matrix7, Poly, form_adjoint, mat2, over_lcm, poly_matmul, preserves_form, rat
 
 # ---------------------------------------------------------------------------
 # Root system bookkeeping
@@ -529,12 +529,10 @@ def symplectic(a, b) -> Fraction:
 
 def _sym3(x1, x2, y1, y2, w):
     """(T(x, x, x), T(x, x, y), T(x, y, y), T(y, y, y), L), where w = n / L
-    with L the lcm of w's denominators and T is the symmetric trilinear form
+    is ``over_lcm(w)`` and T is the symmetric trilinear form
     of f_n, f_n(u, v) = T(p, p, p) for p = (u, v): the integer coefficients
     of f_n(u x + v y) on the (1, 3, 3, 1)-weighted basis, for integer x, y."""
-    w1, w2, w3, w4 = map(rat, w)
-    L = lcm(w1.denominator, w2.denominator, w3.denominator, w4.denominator)
-    n1, n2, n3, n4 = (x.numerator * (L // x.denominator) for x in (w1, w2, w3, w4))
+    (n1, n2, n3, n4), L = over_lcm(w)
     # T(x, ., .) and T(y, ., .) as symmetric 2x2 grids, then one more contraction
     m11, m12, m22 = n1 * x1 + n2 * x2, n2 * x1 + n3 * x2, n3 * x1 + n4 * x2
     k11, k12, k22 = n1 * y1 + n2 * y2, n2 * y1 + n3 * y2, n3 * y1 + n4 * y2

@@ -2,7 +2,8 @@
 
 A series stores an integer coefficient tuple over one positive denominator,
 canonicalized so the gcd of all coefficients with the denominator is 1 (the
-form ``exact`` uses for matrices); ``coeff(n)`` returns a reduced Fraction.
+form ``exact.canonical`` makes, and ``exact.over_lcm`` builds from rational
+coefficients); ``coeff(n)`` returns a reduced Fraction.
 One store holds each built series by name, the longest one built, and serves
 a shorter request as its truncation (truncation commutes with products).
 Series multiplication is one Kronecker substitution: each signed integer
@@ -22,15 +23,14 @@ One builder makes E_w(N z), its constant -2w / B_w read off the Bernoulli number
 from __future__ import annotations
 
 import decimal
-import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, lcm
 from typing import List, Sequence
 
 from .arith import BadInput, InputTooLarge, ParseError, prime_powers
-from .exact import check_digit_runs, parse_rational, rat
+from .exact import canonical, check_digit_runs, int_str_limit, over_lcm, parse_rational, rat
 
 
 class NonRationalEigenspace(BadInput):
@@ -75,8 +75,8 @@ def _convolve_int(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
     each product coefficient sums at most that many nonzero pairs, so a
     sparse factor such as theta (about sqrt(n) nonzero terms) keeps the
     groups narrow.  Groups go through ``str``/``int``, so groups wider than
-    ``sys.get_int_max_str_digits()`` digits (4300 by default, 0 for no
-    limit; about 75 at the CLI's caps) raise InputTooLarge before packing.
+    ``exact.int_str_limit()`` digits (4300 by default, 0 for no limit; about
+    75 at the CLI's caps) raise InputTooLarge before packing.
     """
     square = a is b  # x * x: pack once and square, about half a multiply in libmpdec
     a = a[:n]
@@ -87,7 +87,7 @@ def _convolve_int(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
         return [0] * n
     bound = ma * mb * min(len(a) - a.count(0), len(b) - b.count(0))
     w = (2 * bound).bit_length() * 30103 // 100000 + 1  # 10^w > 2^bits > 2M
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7, with no limit
+    limit = int_str_limit()
     if limit and w > limit:
         raise InputTooLarge(f"{w}-digit product groups exceed the {limit}-digit int/str conversion limit")
 
@@ -120,9 +120,8 @@ class QExpansion:
     def __post_init__(self):
         num, den = self.num, self.den
         if not all(type(x) is int for x in num):
-            fr = [rat(x) for x in num]
-            l = lcm(*(x.denominator for x in fr))
-            num, den = [x.numerator * (l // x.denominator) for x in fr], den * l
+            num, l = over_lcm(num)
+            den *= l
         self._canonicalize(self.weight, num, den)
 
     @classmethod
@@ -137,16 +136,10 @@ class QExpansion:
         return out
 
     def _canonicalize(self, weight, num, den) -> None:
-        """Set weight, num and den with den > 0 and gcd(den, *num) = 1."""
-        if den == 0:
-            raise ZeroDivisionError("q-series denominator is zero")
-        if den < 0:
-            num, den = [-x for x in num], -den
-        g = gcd(den, *num)
-        if g > 1:
-            num, den = [x // g for x in num], den // g
+        """Set weight, and num and den by ``canonical``."""
+        num, den = canonical(num, den)
         object.__setattr__(self, "weight", rat(weight))
-        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
     @property

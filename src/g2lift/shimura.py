@@ -30,11 +30,11 @@ correspondence checker below certifies the outcome independently.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import comb, isqrt
 from typing import List
 
 from .arith import BadInput, is_fundamental_discriminant, kronecker
-from .exact import kernel
+from .exact import kernel, over_lcm
 from .modforms import PrecisionError, QExpansion, _cached, _convolve_int, _eisenstein, _sigma_list
 
 
@@ -93,12 +93,10 @@ def _bracket(w: int, nu: int, prec: int) -> QExpansion:
     zero: 2(nu + 1) products of length about prec/4, over a factor with
     about sqrt(prec)/2 nonzero terms."""
     e, th = _eisenstein(w, 4, prec), theta_half(prec)
-    cs = _bracket_coefficients(w, nu)
-    l = lcm(*(c.denominator for c in cs))
+    cs, l = over_lcm(_bracket_coefficients(w, nu))
     pos = (range(0, prec, 4), range(1, prec, 4))
     acc = [[0] * len(p) for p in pos]
-    for r, c in enumerate(cs):
-        a = c.numerator * (l // c.denominator)
+    for r, a in enumerate(cs):
         de = [(4 * i) ** r * x for i, x in enumerate(e.num[0::4])]
         for eps, p in enumerate(pos):
             dth = [a * n ** (nu - r) * x if x else 0 for n, x in zip(p, th.num[eps::4])]

@@ -13,10 +13,12 @@ from g2lift.exact import (
     Matrix7,
     Poly,
     _adjoint_table,
+    canonical,
     echelon,
     form_adjoint,
     kernel,
     mat2,
+    over_lcm,
     parse_rational,
     poly_matmul,
     preserves_form,
@@ -245,6 +247,41 @@ def test_construction_matches_fraction_products(case):
     assert all(type(x) is int for r in m.num for x in r)
     assert m.den > 0 and gcd(m.den, *(x for r in m.num for x in r)) == 1
     assert m.rows == tuple(tuple(F(x) for x in r) for r in rows)
+
+
+_big = st.integers(-2**200, 2**200)
+
+
+@given(
+    values=st.lists(st.one_of(st.just(0), _big, st.builds(F, _big, st.integers(1, 2**200))), max_size=10),
+    den=_big.filter(bool),
+    at=st.integers(0, 10),
+)
+@settings(max_examples=200, deadline=None)
+def test_over_lcm_and_canonical_make_one_form(values, den, at):
+    """over_lcm writes values (zeros, negatives, numerators and denominators
+    up to 2^200) over the lcm of their denominators, canonical with no gcd
+    pass, and refuses a float among them; canonical keeps the values of
+    integers over any den != 0, is idempotent and refuses den = 0."""
+    nums, lcm_den = over_lcm(values)
+    assert [F(x, lcm_den) for x in nums] == values
+    assert lcm_den > 0 and gcd(lcm_den, *nums) == 1
+    with pytest.raises(TypeError, match="float 0.5"):
+        over_lcm(values[:at] + [0.5] + values[at:])
+    ints = [F(x).numerator for x in values]
+    out = canonical(ints, den)
+    assert [F(x, out[1]) for x in out[0]] == [F(x, den) for x in ints]
+    assert out[1] > 0 and gcd(out[1], *out[0]) == 1 and canonical(*out) == out
+    with pytest.raises(ZeroDivisionError, match="denominator is zero"):
+        canonical(ints, 0)
+
+
+def test_zero_denominator_is_refused_at_construction():
+    """An int grid over den = 0 is refused where it is built, as a q-series
+    is, and not at its first entry read."""
+    for cls in (Matrix2, Matrix5, Matrix7):
+        with pytest.raises(ZeroDivisionError, match="denominator is zero"):
+            cls._raw(cls.identity().num, 0)
 
 
 def test_wrong_shapes_are_refused():
