@@ -185,12 +185,8 @@ class EtaleType:
         return f"cubic field [{a},{b},{c},{d}]"
 
 
-def etale_type(w, quad_disc: Optional[int] = None) -> EtaleType:
-    """Exact factorization type of f_w over Q; requires q(w) != 0.
-
-    A caller that already holds the fundamental discriminant of the
-    quadratic factor's square class (the D0 of a reduction) passes it as
-    quad_disc, and it is used instead of factoring that class again."""
+def etale_type(w) -> EtaleType:
+    """Exact factorization type of f_w over Q; requires q(w) != 0."""
     w = _vec(w)
     a, b, c, d = w.integral_form()
     if form_disc(a, b, c, d) == 0:
@@ -211,9 +207,7 @@ def etale_type(w, quad_disc: Optional[int] = None) -> EtaleType:
     else:  # root at infinity: f = v * (b u^2 + c u v + d v^2)
         A, B, C = b, c, d
     disc2 = B * B - 4 * A * C
-    if quad_disc is None:
-        quad_disc = fundamental_discriminant(disc2)
-    return EtaleType("quadratic_split", quad_disc=quad_disc, real_quadratic=disc2 > 0)
+    return EtaleType("quadratic_split", quad_disc=fundamental_discriminant(disc2), real_quadratic=disc2 > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -237,21 +231,6 @@ class CubicRing:
     @property
     def discriminant(self) -> int:
         return form_disc(self.a, self.b, self.c, self.d)
-
-    def multiply(self, x, y):
-        """Product of coordinate vectors on the basis (1, omega, theta)."""
-        a, b, c, d = self.a, self.b, self.c, self.d
-        x0, x1, x2 = x
-        y0, y1, y2 = y
-        ww = (-a * c, b, -a)
-        tt = (-b * d, d, -c)
-        wt = (-a * d, 0, 0)
-        cross = x1 * y2 + x2 * y1
-        return (
-            x0 * y0 + x1 * y1 * ww[0] + x2 * y2 * tt[0] + cross * wt[0],
-            x0 * y1 + x1 * y0 + x1 * y1 * ww[1] + x2 * y2 * tt[1],
-            x0 * y2 + x2 * y0 + x1 * y1 * ww[2] + x2 * y2 * tt[2],
-        )
 
 
 def cubic_ring(w) -> CubicRing:
@@ -337,6 +316,26 @@ class CanonicalReduction:
         so -t*S = D0."""
         return -self.t * self.S
 
+    @property
+    def etale(self) -> EtaleType:
+        """The etale type of f_w, read off the record with no root search.
+
+        f_w has the rational root that the reduction moved, and its
+        quadratic cofactor has the square class of -t*S.  Off the identity
+        reduction that class is D0 = -t*S itself (see ``index``).  In shape,
+        w = (t, 0, S/3, 0) has the integral form (a, 0, c, 0), f_w is
+        u (a u^2 + c v^2), and the class is that of n = -4ac, which
+        ``etale_type`` would factor.  q(w) < 0, so the factor is real."""
+        if self.m == Matrix2.identity():
+            a, _, c, _ = CubicVector.of(self.t, 0, self.S / 3, 0).integral_form()
+            n = -4 * a * c
+            d0 = 1 if isqrt(n) ** 2 == n else fundamental_discriminant(n)
+        else:
+            d0 = int(self.index)
+        if d0 == 1:
+            return EtaleType("totally_split")
+        return EtaleType("quadratic_split", quad_disc=d0, real_quadratic=True)
+
 
 def verify_reduction(w, red: CanonicalReduction) -> bool:
     """Exact 7x7 check of w = det(m')^2 rho3(m'^-1) w0, w0 = (t, 0, S/3, 0),
@@ -413,16 +412,14 @@ def reduce_to_canonical(w) -> CanonicalReduction:
 
 
 def reduction_json(w) -> dict:
-    """CLI-facing record for a reduced vector.  The quadratic factor of f_w
-    has the square class of -t*S, which is D0 itself unless w was already
-    in shape (m = 1), so the class is factored once."""
+    """CLI-facing record for a reduced vector, its etale type read off the
+    reduction (``CanonicalReduction.etale``)."""
     w = _vec(w)
     red = reduce_to_canonical(w)
-    d0 = None if red.m == mat2(1, 0, 0, 1) else int(red.index)
     return {
         "w": [str(x) for x in w],
         "q": str(quartic_q(w)),
-        "etale": str(etale_type(w, quad_disc=d0)),
+        "etale": str(red.etale),
         "t": str(red.t),
         "S": str(red.S),
         "m": [[str(red.m[0, 0]), str(red.m[0, 1])], [str(red.m[1, 0]), str(red.m[1, 1])]],

@@ -15,9 +15,9 @@ is a rescaled, permuted transpose: ``form_adjoint`` builds it as one grid,
 and ``preserves_form`` needs one product.
 
 ``Poly`` is the one sparse polynomial type, with exact coefficients and
-exponents of either sign: the degree-7 Euler factor and, through
-``poly_matmul``, the one product of grids of them behind the group
-certificates (the word tables, the Weyl rows and the l(A) grid).
+exponents of either sign; through ``poly_matmul``, the one product of grids
+of them, it is the algebra behind the group certificates (the word tables,
+the Weyl rows and the l(A) grid).
 """
 
 from __future__ import annotations
@@ -210,11 +210,6 @@ class _MatrixBase:
         )
         return type(self)._raw(num, l)
 
-    def scale(self, c):
-        c = rat(c)
-        num = tuple(tuple(x * c.numerator for x in r) for r in self.num)
-        return type(self)._raw(num, self.den * c.denominator)
-
     def transpose(self):
         return type(self)._raw(tuple(zip(*self.num)), self.den)
 
@@ -336,7 +331,8 @@ class Poly(dict):
     """A sparse polynomial in ``nvars`` indeterminates with exact
     coefficients: {exponent tuple: nonzero coefficient}, exponents of either
     sign.  ``+``, ``-`` and ``*`` take another Poly in the same
-    indeterminates or a scalar, which stands for its constant term."""
+    indeterminates or a scalar, which stands for its constant term; a scalar
+    may stand on the left of ``+`` and ``*``."""
 
     __slots__ = ("nvars",)
 
@@ -365,9 +361,6 @@ class Poly(dict):
     def __sub__(self, other):
         return self + -self._of(other)
 
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other):
         out = {}
         for m1, c1 in self.items():
@@ -377,16 +370,6 @@ class Poly(dict):
         return Poly(self.nvars, out)
 
     __rmul__ = __mul__
-
-    def at(self, *values):
-        """The value at the point ``values``, nonzero where an exponent is
-        negative; exact for exact values."""
-        total = 0
-        for m, c in self.items():
-            for x, e in zip(values, m):
-                c *= x**e
-            total += c
-        return total
 
 
 def poly_matmul(a, b, nvars: int) -> list:

@@ -1,5 +1,4 @@
-"""Central L-values of level-one eigenforms and their quadratic twists,
-plus the exact Euler-factor algebra of the degree-7 standard L-function.
+"""Central L-values of level-one eigenforms and their quadratic twists.
 
 Twisted central values use the smoothed series
 
@@ -7,10 +6,8 @@ Twisted central values use the smoothed series
 
 with root number w = +1 (level one, k even, D > 0), self-validated by
 recomputing with the free cutoff parameter doubled; the incomplete gamma
-of integer order is the finite sum e^-x sum_{j<k} x^j / j!.
-
-An Euler factor is one ``exact.Poly`` in the Satake unit a, a formal
-square root r of p, and T.
+of integer order is the finite sum e^-x sum_{j<k} x^j / j!.  The error
+bound of a value is the disagreement of those two cutoffs.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 from .arith import BadInput, Refusal, is_fundamental_discriminant, kronecker
-from .exact import Poly
 from .modforms import QExpansion
 
 
@@ -132,50 +128,3 @@ def central_twisted_value(f: QExpansion, D: int = 1, tol: float = 1e-10, ext_flo
     if err > tol:
         raise SeriesInstability(f"series instability: {val1} vs {val2}")
     return LValue(value=val1, abs_error_bound=err, terms_used=3 * base)
-
-
-# ---------------------------------------------------------------------------
-# formal Euler-factor algebra
-
-def _euler_factor(*roots) -> Poly:
-    """prod (1 - a^i r^j T) over the exponent pairs (i, j) of the roots."""
-    return math.prod(1 - Poly.monomial(i, j, 1) for i, j in roots)
-
-
-def std7_euler_factor() -> Poly:
-    """The degree-7 polynomial in T with roots
-    1, a^2, a^-2, a r, a^-1 r, a r^-1, a^-1 r^-1  (r = formal p^(1/2))."""
-    return _euler_factor((0, 0), (2, 0), (-2, 0), (1, 1), (-1, 1), (1, -1), (-1, -1))
-
-
-def sym2_factor() -> Poly:
-    """(1 - T)(1 - a^2 T)(1 - a^-2 T)."""
-    return _euler_factor((0, 0), (2, 0), (-2, 0))
-
-
-def shifted_pair_factor(shift: int) -> Poly:
-    """(1 - a r^shift T)(1 - a^-1 r^shift T) for shift in {1, -1}."""
-    return _euler_factor((1, shift), (-1, shift))
-
-
-def factorization_check() -> bool:
-    """Exact identity: std7 = sym2 * (half-shift up) * (half-shift down)."""
-    return std7_euler_factor() == sym2_factor() * shifted_pair_factor(1) * shifted_pair_factor(-1)
-
-
-def std7_numeric_check(alpha: complex, p: int, T: complex, tol: float = 1e-14) -> bool:
-    """Spot-check the factorization as complex numbers."""
-    rp = math.sqrt(p)
-    lhs = std7_euler_factor().at(alpha, rp, T)
-    prod = 1.0 + 0j
-    for root in (
-        1,
-        alpha**2,
-        alpha**-2,
-        alpha * rp,
-        rp / alpha,
-        alpha / rp,
-        1 / (alpha * rp),
-    ):
-        prod *= 1 - root * T
-    return abs(lhs - prod) <= tol * max(1.0, abs(prod))

@@ -162,14 +162,3 @@ class LiftContext:
         num = float(rec.magnitude_sq) * math.pi ** (2 * k)
         den = math.gamma(k) ** 2 * qa ** (k - 0.5) * lsplit
         return num / den
-
-    def nonvanishing_split(self, tol: float = 1e-10) -> bool:
-        """c(1) != 0 iff the central value is nonzero; both sides checked."""
-        c1 = self.g.coeff(1)
-        L = self._central_value(tol)
-        l_nonzero = abs(L.value) > 10 * L.abs_error_bound
-        if not l_nonzero and abs(L.value) > L.abs_error_bound / 10:
-            raise ArithmeticError("inconclusive: central value within error of 0")
-        if (c1 != 0) != l_nonzero:
-            raise AssertionError("coefficient and central value disagree on vanishing")
-        return c1 != 0

@@ -3,7 +3,11 @@
 A series stores an integer coefficient tuple over one positive denominator,
 canonicalized so the gcd of all coefficients with the denominator is 1 (the
 form ``exact.canonical`` makes, and ``exact.over_lcm`` builds from rational
-coefficients); ``coeff(n)`` returns a reduced Fraction.
+coefficients); ``coeff(n)`` returns a reduced Fraction.  The arithmetic
+on series is the product and truncation, which is all that the level-one
+generators, the plus space and the lift read; a sum is formed on the
+integer numerators where it is needed (the Rankin-Cohen brackets and the
+plus-space combination, in ``shimura``).
 One store holds each built series by name, the longest one built, and serves
 a shorter request as its truncation (truncation commutes with products).
 Series multiplication is one Kronecker substitution: each signed integer
@@ -26,7 +30,7 @@ import decimal
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import List, Sequence
 
 from .arith import BadInput, InputTooLarge, ParseError, prime_powers
@@ -150,22 +154,6 @@ class QExpansion:
         if not 0 <= n < self.precision:
             raise PrecisionError(f"coefficient {n} beyond precision {self.precision}")
         return Fraction(self.num[n], self.den)
-
-    def __add__(self, other: "QExpansion") -> "QExpansion":
-        if self.weight != other.weight or self.level != other.level:
-            raise ValueError("weight/level mismatch in addition")
-        l = lcm(self.den, other.den)
-        sa, sb = l // self.den, l // other.den
-        num = [x * sa + y * sb for x, y in zip(self.num, other.num)]
-        return QExpansion._raw(self.weight, self.level, num, l)
-
-    def __sub__(self, other: "QExpansion") -> "QExpansion":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "QExpansion":
-        c = rat(c)
-        num = [c.numerator * x for x in self.num]
-        return QExpansion._raw(self.weight, self.level, num, c.denominator * self.den)
 
     def __mul__(self, other: "QExpansion") -> "QExpansion":
         if self.level != other.level:

@@ -82,11 +82,9 @@ def traced(run):
     return ran
 
 
-def main(argv) -> int:
-    import pytest
-
-    os.chdir(ROOT)
-    ran = traced(lambda: pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", *argv]))
+def report(ran) -> None:
+    """Print every executable line of the package missing from ``ran`` (as
+    ``traced`` returns it), then the count of them."""
     total = missed = 0
     for path in sorted(PACKAGE.glob("*.py")):
         lines = executable_lines(path)
@@ -97,6 +95,13 @@ def main(argv) -> int:
         for n in never:
             print(f"{path.relative_to(ROOT)}:{n}: {text[n - 1].strip()}")
     print(f"{missed} of {total} executable lines in {PACKAGE.relative_to(ROOT)} never ran")
+
+
+def main(argv) -> int:
+    import pytest
+
+    os.chdir(ROOT)
+    report(traced(lambda: pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", *argv])))
     return 0
 
 

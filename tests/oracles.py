@@ -6,10 +6,17 @@ of Bareiss, superring enumeration instead of local criteria, character
 arithmetic instead of the closed plethysm formula.  The plus-space kernel
 is checked against a Gauss-Jordan elimination in Fraction arithmetic
 (``rational_kernel``) instead of the integer Bareiss echelon.
+
+What only tests call lives here too, with its own arithmetic rather than
+borrowed library methods: the degree-7 Euler factorization (criterion 2),
+the nonvanishing agreement of c(1) and L(f, 1) (criterion 5), sums and
+scalings of series (``series_combination``), scalings of matrices and the
+cubic ring product.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import gcd, lcm
 from itertools import product
@@ -293,6 +300,25 @@ def _rref(vectors, p):
     return [tuple(row) for row in rows[:r] if any(row)]
 
 
+def ring_multiply(ring, x, y):
+    """Product of coordinate vectors on the basis (1, omega, theta) of the
+    ring of a ``cubic.CubicRing`` (a, b, c, d), by its multiplication table
+    omega theta = -a d, omega^2 = -a c + b omega - a theta and
+    theta^2 = -b d + d omega - c theta."""
+    a, b, c, d = ring.a, ring.b, ring.c, ring.d
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    ww = (-a * c, b, -a)
+    tt = (-b * d, d, -c)
+    wt = (-a * d, 0, 0)
+    cross = x1 * y2 + x2 * y1
+    return (
+        x0 * y0 + x1 * y1 * ww[0] + x2 * y2 * tt[0] + cross * wt[0],
+        x0 * y1 + x1 * y0 + x1 * y1 * ww[1] + x2 * y2 * tt[1],
+        x0 * y2 + x2 * y0 + x1 * y1 * ww[2] + x2 * y2 * tt[2],
+    )
+
+
 def superring_exists(ring, p) -> bool:
     """Is there an order R < L <= (1/p) R inside R tensor Q?
 
@@ -314,9 +340,9 @@ def superring_exists(ring, p) -> bool:
         prods = []
         for i, v in enumerate(gens):
             for w in gens[i:]:
-                prods.append(ring.multiply(v, w))
+                prods.append(ring_multiply(ring, v, w))
             for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-                prods.append(ring.multiply(v, [Fraction(x) for x in e]))
+                prods.append(ring_multiply(ring, v, [Fraction(x) for x in e]))
         if all(in_lattice(x) for x in prods):
             return True
     return False
@@ -427,6 +453,23 @@ def plethysm_oracle(n):
     return decompose_su2(sym_power_character(n))
 
 
+# --- sums and scalings of series ---------------------------------------------
+
+def series_combination(terms):
+    """sum c x over triples (c, num, den) of a rational c and a series x held
+    as the integers num over den, truncated to the shortest: (num, den), den
+    the lcm of the c.denominator * den, not reduced.  The sums, differences
+    and scalings of series that only tests form."""
+    terms = [(Fraction(c), num, den) for c, num, den in terms]
+    n = min(len(num) for _, num, _ in terms)
+    out_den = lcm(*(c.denominator * den for c, _, den in terms))
+    out = [0] * n
+    for c, num, den in terms:
+        s = c.numerator * (out_den // (c.denominator * den))
+        out = [y + s * x for y, x in zip(out, num)]
+    return out, out_den
+
+
 # --- Kohnen plus space from independently powered monomials ------------------
 
 def _series_pow(x, k):
@@ -482,6 +525,7 @@ def plus_cusp_basis_monomials(k, prec):
     each powered independently at full precision, and combined linearly
     along the Gauss-Jordan kernel of the c(0) and plus-support rows;
     c(1)-normalized."""
+    from g2lift.modforms import QExpansion
     from g2lift.shimura import theta_half, weight2_F
 
     th, ff = theta_half(prec), weight2_F(prec)
@@ -494,12 +538,10 @@ def plus_cusp_basis_monomials(k, prec):
     rows += [[g.coeff(n) for g in mons] for n in range(2, bound + 1) if n % 4 in (2, 3)]
     out = []
     for v in rational_kernel(rows, len(mons)):
-        g = mons[0].scale(v[0])
-        for j in range(1, len(mons)):
-            g = g + mons[j].scale(v[j])
-        assert all(g.num[n] == 0 for n in range(prec) if n % 4 in (2, 3))
-        lead = g.num[1] if g.num[1] != 0 else next(c for c in g.num if c != 0)
-        out.append(g.scale(Fraction(g.den, lead)))
+        num, _ = series_combination((c, g.num, g.den) for c, g in zip(v, mons))
+        assert all(num[n] == 0 for n in range(prec) if n % 4 in (2, 3))
+        lead = num[1] if num[1] != 0 else next(c for c in num if c != 0)
+        out.append(QExpansion(mons[0].weight, mons[0].level, num, lead))
     return out
 
 
@@ -515,11 +557,11 @@ def bracket_by_products(w, nu, prec):
         return QExpansion(x.weight + 2 * r, x.level, [n**r * c for n, c in enumerate(x.num)], x.den)
 
     e, th = _eisenstein(w, 4, prec), theta_half(prec)
-    out = None
+    terms = []
     for r, c in enumerate(_bracket_coefficients(w, nu)):
-        term = (q_derivative(e, r) * q_derivative(th, nu - r)).scale(c)
-        out = term if out is None else out + term
-    return out
+        term = q_derivative(e, r) * q_derivative(th, nu - r)
+        terms.append((c, term.num, term.den))
+    return QExpansion(term.weight, term.level, *series_combination(terms))
 
 
 # --- the discriminant, Hecke operators and plus-form coefficients ------------
@@ -530,10 +572,11 @@ def delta_by_eisenstein(prec):
     from g2lift.modforms import QExpansion, eisenstein
 
     e4, e6 = eisenstein(4, prec), eisenstein(6, prec)
-    num = e4 * e4 * e4 - e6 * e6
+    cube, square = e4 * e4 * e4, e6 * e6
+    num, den = series_combination([(1, cube.num, cube.den), (-1, square.num, square.den)])
     coeffs = []
-    for c in num.num:
-        q, r = divmod(c, 1728 * num.den)
+    for c in num:
+        q, r = divmod(c, 1728 * den)
         assert r == 0, "E4^3 - E6^2 not divisible by 1728"
         coeffs.append(q)
     return QExpansion(12, 1, coeffs)
@@ -588,8 +631,6 @@ def satake_holds(f, p, alpha, tol=1e-10) -> bool:
 def cutoff_terms_by_walk(D, k, tol):
     """Smallest n = 16 + 8i whose tail bound Q(k, 2 pi n/D) n^(3/2) is at
     most tol * 1e-3, found by walking i = 0, 1, 2, ...; O(D) steps."""
-    import math
-
     from g2lift.lfunctions import gamma_inc_ratio
 
     n = 16
@@ -673,6 +714,83 @@ def specialize_alpha(poly, value):
     return Poly(poly.nvars, terms)
 
 
+# --- the degree-7 Euler factor (criterion 2) ----------------------------------
+#
+# An Euler factor is one ``exact.Poly`` in the Satake unit a, a formal
+# square root r of p, and T.
+
+def poly_at(poly, *values):
+    """The value of a Poly at the point ``values``, nonzero where an exponent
+    is negative; exact for exact values."""
+    total = 0
+    for m, c in poly.items():
+        for x, e in zip(values, m):
+            c *= x**e
+        total += c
+    return total
+
+
+def _euler_factor(*roots):
+    """prod (1 - a^i r^j T) over the exponent pairs (i, j) of the roots."""
+    from g2lift.exact import Poly
+
+    return math.prod(Poly.monomial(0, 0, 0) - Poly.monomial(i, j, 1) for i, j in roots)
+
+
+def std7_euler_factor():
+    """The degree-7 polynomial in T with roots
+    1, a^2, a^-2, a r, a^-1 r, a r^-1, a^-1 r^-1  (r = formal p^(1/2))."""
+    return _euler_factor((0, 0), (2, 0), (-2, 0), (1, 1), (-1, 1), (1, -1), (-1, -1))
+
+
+def sym2_factor():
+    """(1 - T)(1 - a^2 T)(1 - a^-2 T)."""
+    return _euler_factor((0, 0), (2, 0), (-2, 0))
+
+
+def shifted_pair_factor(shift):
+    """(1 - a r^shift T)(1 - a^-1 r^shift T) for shift in {1, -1}."""
+    return _euler_factor((1, shift), (-1, shift))
+
+
+def factorization_check() -> bool:
+    """Exact identity: std7 = sym2 * (half-shift up) * (half-shift down)."""
+    return std7_euler_factor() == sym2_factor() * shifted_pair_factor(1) * shifted_pair_factor(-1)
+
+
+def std7_numeric_check(alpha, p, T, tol=1e-14) -> bool:
+    """Spot-check the factorization as complex numbers."""
+    rp = math.sqrt(p)
+    lhs = poly_at(std7_euler_factor(), alpha, rp, T)
+    prod = 1.0 + 0j
+    for root in (
+        1,
+        alpha**2,
+        alpha**-2,
+        alpha * rp,
+        rp / alpha,
+        alpha / rp,
+        1 / (alpha * rp),
+    ):
+        prod *= 1 - root * T
+    return abs(lhs - prod) <= tol * max(1.0, abs(prod))
+
+
+# --- nonvanishing of c(1) against L(f, 1) (criterion 5) ------------------------
+
+def nonvanishing_split(c1, L) -> bool:
+    """c(1) != 0 iff the central value L = L(f, 1) (an ``LValue``) is
+    nonzero, both sides checked: L counts as nonzero beyond 10 times its
+    error bound and as zero within a tenth of it, and between the two the
+    check is inconclusive."""
+    l_nonzero = abs(L.value) > 10 * L.abs_error_bound
+    if not l_nonzero and abs(L.value) > L.abs_error_bound / 10:
+        raise ArithmeticError("inconclusive: central value within error of 0")
+    if (c1 != 0) != l_nonzero:
+        raise AssertionError("coefficient and central value disagree on vanishing")
+    return c1 != 0
+
+
 # --- test-only ring and root-datum helpers ------------------------------------
 
 def is_totally_real(w) -> bool:
@@ -715,6 +833,12 @@ def root_coords(label):
 
 # --- root generators as a sum over the power table ----------------------------
 
+def matrix_scale(m, c):
+    """c m for a rational c, entry by entry through the checking constructor."""
+    c = Fraction(c)
+    return type(m)([[c * x for x in row] for row in m.rows])
+
+
 def exp_powers(x):
     """[X^k / k!] for k >= 1 until the power vanishes: the power-series table
     of a root matrix X that the generator certificate of ``group`` once
@@ -726,7 +850,7 @@ def exp_powers(x):
         if term.is_zero():
             break
         powers.append(term)
-        term = (term * x).scale(Fraction(1, k))
+        term = matrix_scale(term * x, Fraction(1, k))
     return powers
 
 
@@ -747,7 +871,7 @@ def exp_by_table_sum(powers, u):
     uk = Fraction(1)
     for power in powers:
         uk *= u
-        out = out + power.scale(uk)
+        out = out + matrix_scale(power, uk)
     return out
 
 

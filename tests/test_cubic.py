@@ -40,6 +40,7 @@ from oracles import (
     prime_powers_by_trial,
     quartic_q_polynomial,
     rational_roots_bruteforce,
+    ring_multiply,
     trace_matrix,
 )
 
@@ -450,7 +451,7 @@ def test_ring_multiplication_associative(rng):
             ((1, 2, 3), (0, 1, 0), (2, 0, 1)),
         ]
         for x, y, z in triples:
-            assert ring.multiply(ring.multiply(x, y), z) == ring.multiply(x, ring.multiply(y, z))
+            assert ring_multiply(ring, ring_multiply(ring, x, y), z) == ring_multiply(ring, x, ring_multiply(ring, y, z))
 
 
 def test_ring_rejects_nonlattice():
@@ -658,20 +659,35 @@ def test_reduction_json_factors_the_square_class_once(monkeypatch):
 
 
 def test_reduction_d0_is_the_etale_field_discriminant(rng):
-    """On translates of shape vectors, the D0 found by the reduction gives
-    the etale type that factoring the quadratic factor gives.  A vector not
-    already in shape is the one with m != 1, and its -t*S is D0."""
+    """On translates of shape vectors, and on the shape vectors themselves,
+    the etale type read off the reduction is the one that factoring the
+    quadratic factor gives.  A vector not already in shape is the one with
+    m != 1, and its -t*S is D0."""
     for _ in range(40):
         shape = (-rng.randint(1, 400), 0, F(rng.randint(1, 60), 3 * rng.randint(1, 9)), 0)
-        w = coad_w(rand_mat2(rng), shape)
-        red = reduce_to_canonical(w)
-        in_shape = w[1] == w[3] == 0 and w[0] < 0 < w[2]
-        assert (red.m == mat2(1, 0, 0, 1)) == in_shape, w
-        if not in_shape:
-            d0 = int(red.index)
-            assert (red.t, red.S) == (-d0, 1)
-            assert etale_type(w, quad_disc=d0) == etale_type(w), (w, d0)
-            assert (d0 == 1) == (etale_type(w).kind == "totally_split"), (w, d0)
+        for w in (coad_w(rand_mat2(rng), shape), shape):
+            red = reduce_to_canonical(w)
+            in_shape = w[1] == w[3] == 0 and w[0] < 0 < w[2]
+            assert (red.m == mat2(1, 0, 0, 1)) == in_shape, w
+            assert red.etale == etale_type(w), w
+            if not in_shape:
+                d0 = int(red.index)
+                assert (red.t, red.S) == (-d0, 1)
+                assert (d0 == 1) == (etale_type(w).kind == "totally_split"), (w, d0)
+
+
+def test_reduction_json_reads_the_etale_type_off_the_record(monkeypatch):
+    """`reduce` searches for roots only inside the reduction: none for a
+    vector in shape and one for a GL2 translate, whose a4 != 0."""
+    import g2lift.cubic as cubic
+
+    calls = []
+    real = cubic.rational_projective_roots
+    monkeypatch.setattr(cubic, "rational_projective_roots", lambda w: calls.append(w) or real(w))
+    for w, searches in (((-5, 0, F(1, 3), 0), 0), ((-5, 5, F(-14, 3), 4), 1)):
+        calls.clear()
+        assert reduction_json(w)["etale"] == "Q x Q(sqrt(5))"
+        assert len(calls) == searches, w
 
 
 def test_verify_reduction_rejects_wrong_m():

@@ -750,6 +750,14 @@ _MUTATIONS = {
         "g.weyl_t(g.RootLabel('b'), 2)",
         "Weyl word is not a signed monomial matrix at b",
     ),
+    # GRAM with (3, 3) = -3 is still a symmetric signed permutation, but the
+    # root matrices no longer lie in the Lie algebra of its form
+    "gram entry": (
+        "g.GRAM = g.Matrix7.from_entries({**{(i, j): 1 for i, j in ((0, 5), (5, 0), (1, 6), (6, 1), (2, 4), (4, 2))},"
+        " (3, 3): -3})",
+        "g.root_generator(g.RootLabel('a'), 1)",
+        "generator table corrupt at a",
+    ),
     "l grid": (
         "grid_of = g._l_grid\n"
         "def moved(*args):\n"

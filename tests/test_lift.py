@@ -10,6 +10,7 @@ from g2lift.lift import CentralVanishing, LiftContext
 from g2lift.modforms import satake
 
 from conftest import PREC_INT, rand_mat2
+from oracles import nonvanishing_split
 
 
 def lattice_translate(ctx, base_w, A):
@@ -202,22 +203,20 @@ def test_l_split_refuses_an_imaginary_quadratic(lift_ctx):
         lift_ctx.l_split((1, 0, F(1, 3), 0))
 
 
+def _l_at_one(ctx):
+    from g2lift.lfunctions import central_twisted_value
+
+    return central_twisted_value(ctx.f, 1, 1e-10)
+
+
 def test_nonvanishing_split(lift_ctx):
-    assert lift_ctx.nonvanishing_split() is True
+    assert nonvanishing_split(lift_ctx.g.coeff(1), _l_at_one(lift_ctx)) is True
 
 
 def test_nonvanishing_synthetic_zero(lift_ctx):
     """Force c(1) = 0 and exercise the disagreement branch."""
-    import copy
-
-    from g2lift.modforms import QExpansion
-
-    ctx = copy.copy(lift_ctx)
-    coeffs = [lift_ctx.g.coeff(n) for n in range(lift_ctx.g.precision)]
-    coeffs[1] = F(0)
-    ctx.g = QExpansion(F(13, 2), 4, coeffs)
-    with pytest.raises(AssertionError):
-        ctx.nonvanishing_split()
+    with pytest.raises(AssertionError, match="disagree"):
+        nonvanishing_split(F(0), _l_at_one(lift_ctx))
 
 
 def test_record_json(lift_ctx):
@@ -240,39 +239,19 @@ def test_gross_ratio_trivial_class_soft(lift_ctx):
     assert r > 0
 
 
-def test_nonvanishing_false_branch(lift_ctx, monkeypatch):
-    """Both sides vanishing returns False (central value patched to 0)."""
-    import copy
-
-    import g2lift.lift as lift_mod
+def test_nonvanishing_false_branch():
+    """Both sides vanishing returns False (c(1) = 0 and a zero central value)."""
     from g2lift.lfunctions import LValue
-    from g2lift.modforms import QExpansion
 
-    ctx = copy.copy(lift_ctx)
-    ctx._l1 = (ctx.f, {})  # the copy reads the patched L(f, 1), not the one the fixture keeps
-    coeffs = [lift_ctx.g.coeff(n) for n in range(lift_ctx.g.precision)]
-    coeffs[1] = F(0)
-    ctx.g = QExpansion(F(13, 2), 4, coeffs)
-    monkeypatch.setattr(
-        lift_mod, "central_twisted_value", lambda *a, **k: LValue(0.0, 1e-12, 1)
-    )
-    assert ctx.nonvanishing_split() is False
+    assert nonvanishing_split(F(0), LValue(0.0, 1e-12, 1)) is False
 
 
-def test_nonvanishing_inconclusive(lift_ctx, monkeypatch):
+def test_nonvanishing_inconclusive(lift_ctx):
     """Central value indistinguishable from zero raises the inconclusive error."""
-    import copy
-
-    import g2lift.lift as lift_mod
     from g2lift.lfunctions import LValue
 
-    ctx = copy.copy(lift_ctx)
-    ctx._l1 = (ctx.f, {})  # the copy reads the patched L(f, 1), not the one the fixture keeps
-    monkeypatch.setattr(
-        lift_mod, "central_twisted_value", lambda *a, **k: LValue(5e-12, 1e-12, 1)
-    )
     with pytest.raises(ArithmeticError, match="inconclusive"):
-        ctx.nonvanishing_split()
+        nonvanishing_split(lift_ctx.g.coeff(1), LValue(5e-12, 1e-12, 1))
 
 
 def _count_central_value_at_1(monkeypatch, fail=None):
@@ -294,15 +273,14 @@ def _count_central_value_at_1(monkeypatch, fail=None):
 
 
 def test_central_value_at_one_computed_once_per_tol(monkeypatch):
-    """Two ratios on one context compute L(f, 1) once; another tol computes
-    it again, and nonvanishing_split reads the kept value."""
+    """Two ratios on one context compute L(f, 1) once, a third reads the
+    kept value, and another tol computes it again."""
     ctx = LiftContext(12, prec_int=PREC_INT, prec_half=600)
     seen = _count_central_value_at_1(monkeypatch)
     first = ctx.gross_ratio((-5, 0, F(1, 3), 0))
     assert ctx.gross_ratio((-8, 0, F(1, 3), 0)) > 0
     assert seen == [1e-10]
     assert ctx.gross_ratio((-5, 0, F(1, 3), 0)) == first
-    assert ctx.nonvanishing_split() is True
     assert seen == [1e-10]
     ctx.gross_ratio((-5, 0, F(1, 3), 0), tol=1e-8)
     assert seen == [1e-10, 1e-8]

@@ -22,7 +22,7 @@ from g2lift.modforms import (
 )
 
 from conftest import forget
-from oracles import delta_by_eisenstein, hecke_Tp, satake_holds, sigma
+from oracles import delta_by_eisenstein, hecke_Tp, satake_holds, series_combination, sigma
 
 
 def test_eisenstein_against_divisor_sums():
@@ -81,10 +81,9 @@ def test_delta_precision_guard():
 
 def test_e4_cubed_minus_e6_squared_divisible():
     e4, e6 = eisenstein(4, 40), eisenstein(6, 40)
-    num = e4 * e4 * e4 - e6 * e6
-    for n in range(num.precision):
-        c = num.coeff(n)
-        assert c.denominator == 1 and c.numerator % 1728 == 0
+    cube, square = e4 * e4 * e4, e6 * e6
+    num, den = series_combination([(1, cube.num, cube.den), (-1, square.num, square.den)])
+    assert den == 1 and all(c % 1728 == 0 for c in num)
 
 
 def test_hecke_eigenvalues_delta():
@@ -184,9 +183,10 @@ def test_mu_f_multiplicativity(rng):
 
 
 def test_qexp_arithmetic_guards():
+    """A series offers a product and no sum: sums are test oracles."""
     a = QExpansion(F(4), 1, (1, 2, 3))
     b = QExpansion(F(6), 1, (1, 0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         a + b
     c = a * b
     assert c.weight == 10 and c.precision == 3
@@ -357,21 +357,15 @@ def _assert_canonical(got, want_coeffs):
     assert got.den > 0 and gcd(got.den, *got.num) == 1
 
 
-@given(
-    _signed_series(),
-    _signed_series(),
-    st.one_of(st.integers(-10**6, 0), st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**6))),
-)
+@given(_signed_series(), _signed_series())
 @settings(max_examples=300, deadline=None)
-def test_trusted_results_match_the_checking_constructor(a, b, c):
-    """Products, sums and scalings skip the element type check; each equals
-    the series the checking constructor builds from coeff(n) reads, with
-    den > 0 and gcd 1 (a truncated product can share a factor with den)."""
+def test_trusted_results_match_the_checking_constructor(a, b):
+    """A product skips the element type check; it equals the series the
+    checking constructor builds from coeff(n) reads, with den > 0 and gcd 1
+    (a truncated product can share a factor with den)."""
     n = min(a.precision, b.precision)
     xa, xb = [a.coeff(i) for i in range(a.precision)], [b.coeff(i) for i in range(b.precision)]
     _assert_canonical(a * b, [sum(xa[i] * xb[k - i] for i in range(k + 1)) for k in range(n)])
-    _assert_canonical(a + b, [xa[i] + xb[i] for i in range(n)])
-    _assert_canonical(a.scale(c), [c * x for x in xa])
 
 
 def _digest(series):
