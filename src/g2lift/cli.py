@@ -35,11 +35,11 @@ FORMS = {"delta": 12, **{f"eigen{k}": k for k in modforms.RATIONAL_EIGEN_WEIGHTS
 
 # Work caps, checked in main before any work (INPUT_TOO_LARGE, exit 2): work
 # grows with these values, so exponentially in their bit length.  Slowest
-# cold call at each cap (Python 3.11.7, 2-vCPU Xeon):
-MAX_PREC = 20000  # --prec, --prec-half, mf dump --prec: mf dump --series plus20, 1.5 s
-MAX_PLUS_K = 20  # k of mf dump --series plusK: the same 1.5 s (nine bracket products)
-MAX_SAMPLES = 1000  # verify-structure --samples: 13 s cold
-MAX_KTYPES_N = 10000  # ktypes --n: 0.2 s
+# cold call at each cap, median of 5 (3 for --samples; Python 3.11.7, 2-vCPU Xeon):
+MAX_PREC = 20000  # --prec, --prec-half, mf dump --prec: mf dump --series plus20, 0.68 s
+MAX_PLUS_K = 20  # k of mf dump --series plusK: the same 0.68 s (nine bracket products)
+MAX_SAMPLES = 1000  # verify-structure --samples: 4.7 s cold
+MAX_KTYPES_N = 10000  # ktypes --n: 0.057 s
 CAPS = {"prec": MAX_PREC, "prec_half": MAX_PREC, "samples": MAX_SAMPLES, "n": MAX_KTYPES_N}
 
 # mf dump --series name -> builder(prec)
@@ -125,7 +125,7 @@ def cmd_show(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    _emit({**cubic.reduction_json(_parse_w(args.w)), "schema": 1})
+    _emit(cubic.reduction_json(_parse_w(args.w)))
     return EXIT_PASS
 
 

@@ -294,14 +294,16 @@ def is_maximal(ring: CubicRing) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class CanonicalReduction:
-    """Data (t, S, m) with t < 0 < S and, writing m' = Ad(w_alpha)(m),
+    """Data (w, t, S, m) with t < 0 < S and, writing m' = Ad(w_alpha)(m),
 
         w = det(m')^2 rho3(m'^-1) (t, 0, S/3, 0).
 
-    The identity is re-verified through the 7x7 matrix model before the
-    object is returned, never trusted from coordinate algebra alone.
+    ``verify_reduction`` checks the identity through the 7x7 matrix model
+    from the record alone, before the record is returned: it is never
+    trusted from coordinate algebra alone.
     """
 
+    w: CubicVector
     t: Fraction
     S: Fraction
     m: Matrix2
@@ -322,12 +324,12 @@ class CanonicalReduction:
 
         f_w has the rational root that the reduction moved, and its
         quadratic cofactor has the square class of -t*S.  Off the identity
-        reduction that class is D0 = -t*S itself (see ``index``).  In shape,
-        w = (t, 0, S/3, 0) has the integral form (a, 0, c, 0), f_w is
-        u (a u^2 + c v^2), and the class is that of n = -4ac, which
+        reduction that class is D0 = -t*S itself (see ``index``).  With m = 1
+        the verified w is (t, 0, S/3, 0), of integral form (a, 0, c, 0), so f_w
+        is u (a u^2 + c v^2) and the class is that of n = -4ac, which
         ``etale_type`` would factor.  q(w) < 0, so the factor is real."""
         if self.m == Matrix2.identity():
-            a, _, c, _ = CubicVector.of(self.t, 0, self.S / 3, 0).integral_form()
+            a, _, c, _ = self.w.integral_form()
             n = -4 * a * c
             d0 = 1 if isqrt(n) ** 2 == n else fundamental_discriminant(n)
         else:
@@ -336,19 +338,29 @@ class CanonicalReduction:
             return EtaleType("totally_split")
         return EtaleType("quadratic_split", quad_disc=d0, real_quadratic=True)
 
+    def as_json(self) -> dict:
+        """(schema, w, t, S, m) as exact strings, the fields that
+        ``reduction_json`` and ``LiftCoefficient.as_json`` extend."""
+        return {
+            "schema": 1,
+            "w": [str(x) for x in self.w],
+            "t": str(self.t),
+            "S": str(self.S),
+            "m": [[str(self.m[i, j]) for j in range(2)] for i in range(2)],
+        }
 
-def verify_reduction(w, red: CanonicalReduction) -> bool:
-    """Exact 7x7 check of w = det(m')^2 rho3(m'^-1) w0, w0 = (t, 0, S/3, 0),
-    as the one identity m'^-1 n1(w0, 0) m' == n1(w / det m', 0).
+
+def verify_reduction(red: CanonicalReduction) -> bool:
+    """Exact 7x7 check of the record's w = det(m')^2 rho3(m'^-1) w0, with
+    w0 = (t, 0, S/3, 0), as the one identity m'^-1 n1(w0, 0) m' == n1(w / det m', 0).
 
     Conjugation inside the matrix group gives the adjoint W-action, which
     coad = det * Ad(inverse) scales by det(m'); n1 is injective, so the
     matrices agree exactly when the coordinates do."""
-    w = _vec(w)
     b = levi_m_prime(red.m)
     mp = levi_m(b)
     dt = b.det()
-    return mp.inverse() * heis_n1(red.t, 0, red.S / 3, 0, 0) * mp == heis_n1(*(x / dt for x in w), 0)
+    return mp.inverse() * heis_n1(red.t, 0, red.S / 3, 0, 0) * mp == heis_n1(*(x / dt for x in red.w), 0)
 
 
 def reduce_to_canonical(w) -> CanonicalReduction:
@@ -369,8 +381,8 @@ def reduce_to_canonical(w) -> CanonicalReduction:
         raise BadInput("precondition violation: q(w) >= 0")
 
     if w.a2 == 0 and w.a4 == 0 and w.a1 < 0 and w.a3 > 0:
-        red = CanonicalReduction(t=w.a1, S=3 * w.a3, m=mat2(1, 0, 0, 1))
-        if not verify_reduction(w, red):
+        red = CanonicalReduction(w=w, t=w.a1, S=3 * w.a3, m=mat2(1, 0, 0, 1))
+        if not verify_reduction(red):
             raise AssertionError("reduction failed its 7x7 verification")
         return red
 
@@ -405,22 +417,14 @@ def reduce_to_canonical(w) -> CanonicalReduction:
     assert -cur[0] == d0 and 3 * cur[2] == 1
 
     # total is m'^-1, and Ad(w_alpha) is an involution on M
-    red = CanonicalReduction(t=cur[0], S=3 * cur[2], m=levi_m_prime(total.inverse()))
-    if not verify_reduction(w, red):
+    red = CanonicalReduction(w=w, t=cur[0], S=3 * cur[2], m=levi_m_prime(total.inverse()))
+    if not verify_reduction(red):
         raise AssertionError("reduction failed its 7x7 verification")
     return red
 
 
 def reduction_json(w) -> dict:
-    """CLI-facing record for a reduced vector, its etale type read off the
-    reduction (``CanonicalReduction.etale``)."""
-    w = _vec(w)
+    """CLI-facing record for a reduced vector: the record's own JSON with
+    q(w) and the etale type read off the reduction (``CanonicalReduction.etale``)."""
     red = reduce_to_canonical(w)
-    return {
-        "w": [str(x) for x in w],
-        "q": str(quartic_q(w)),
-        "etale": str(red.etale),
-        "t": str(red.t),
-        "S": str(red.S),
-        "m": [[str(red.m[0, 0]), str(red.m[0, 1])], [str(red.m[1, 0]), str(red.m[1, 1])]],
-    }
+    return {**red.as_json(), "q": str(quartic_q(red.w)), "etale": str(red.etale)}

@@ -95,9 +95,6 @@ class RootLabel:
             raise BadInput(f"unknown root {self.name!r}")
         object.__setattr__(self, "name", name)
 
-    def __neg__(self) -> "RootLabel":
-        return RootLabel(self.name, not self.positive)
-
     def __str__(self):
         return self.name if self.positive else "-" + self.name
 
@@ -541,6 +538,16 @@ def _sym3(x1, x2, y1, y2, w):
     return xx1 * x1 + xx2 * x2, xx1 * y1 + xx2 * y2, yy1 * x1 + yy2 * x2, yy1 * y1 + yy2 * y2, L
 
 
+def _grid(A: Matrix2):
+    """A's integer grid (a, b, c, d) over e, with D = a d - b c; a singular A
+    is refused before any W-action reads its w."""
+    (a, b), (c, d) = A.num
+    D = a * d - b * c
+    if D == 0:
+        raise BadInput("singular matrix")
+    return a, b, c, d, D
+
+
 def rho3(A: Matrix2, w):
     """Symmetric-cube action: coefficients of f_w(d u + b v, c u + a v), each
     the ``_sym3`` integer at x = (d, c), y = (b, a) over e^3 L.
@@ -548,9 +555,7 @@ def rho3(A: Matrix2, w):
     Satisfies rho3(A*B, w) = rho3(A, rho3(B, w)) and
     q(rho3(A, w)) = det(A)^6 q(w).
     """
-    (a, b), (c, d) = A.num
-    if a * d - b * c == 0:
-        raise ValueError("singular matrix")
+    a, b, c, d, _ = _grid(A)
     *cubic, L = _sym3(d, c, b, a, w)
     den = A.den**3 * L
     return tuple(Fraction(x, den) for x in cubic)
@@ -559,10 +564,7 @@ def rho3(A: Matrix2, w):
 def ad_w(A: Matrix2, w):
     """W-part of conjugation by m(A): det(A)^-1 rho3(A, w), the integers of
     ``rho3`` over e L D."""
-    (a, b), (c, d) = A.num
-    D = a * d - b * c
-    if D == 0:
-        raise ValueError("singular matrix")
+    a, b, c, d, D = _grid(A)
     *cubic, L = _sym3(d, c, b, a, w)
     den = A.den * L * D
     return tuple(Fraction(x, den) for x in cubic)
@@ -571,10 +573,7 @@ def ad_w(A: Matrix2, w):
 def coad_w(A: Matrix2, w):
     """Dual action on character indices: det(A)^2 rho3(A^-1, w), the
     ``_sym3`` integers at the grid (d, -b, -c, a) of A^-1 over e L D."""
-    (a, b), (c, d) = A.num
-    D = a * d - b * c
-    if D == 0:
-        raise ZeroDivisionError("matrix is singular")
+    a, b, c, d, D = _grid(A)
     *cubic, L = _sym3(a, -c, -b, d, w)
     den = A.den * L * D
     return tuple(Fraction(x, den) for x in cubic)

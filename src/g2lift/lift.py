@@ -17,14 +17,11 @@ alpha vs 1/alpha choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .arith import BadInput
-from .cubic import (
-    CanonicalReduction, CubicFieldOrbitUnsupported, CubicVector, etale_type, quartic_q, reduce_to_canonical,
-    verify_reduction,
-)
+from .cubic import CanonicalReduction, CubicVector, quartic_q, reduce_to_canonical, verify_reduction
 from .exact import Matrix2
 from .group import coad_w, levi_m_prime
 from .lfunctions import central_twisted_value
@@ -38,9 +35,9 @@ class CentralVanishing(ArithmeticError):
 
 @dataclass(frozen=True, slots=True)
 class LiftCoefficient(CanonicalReduction):
-    """The reduction (t, S, m) of ``w`` with its phase and c(-tS)."""
+    """The reduction (w, t, S, m) with its phase and c(-tS); its JSON
+    extends the reduction's."""
 
-    w: CubicVector
     phase: complex
     c_value: Fraction
 
@@ -50,11 +47,7 @@ class LiftCoefficient(CanonicalReduction):
 
     def as_json(self) -> dict:
         return {
-            "schema": 1,
-            "w": [str(x) for x in self.w],
-            "t": str(self.t),
-            "S": str(self.S),
-            "m": [[str(self.m[0, 0]), str(self.m[0, 1])], [str(self.m[1, 0]), str(self.m[1, 1])]],
+            **CanonicalReduction.as_json(self),
             "phase": {"re": self.phase.real, "im": self.phase.imag},
             "c_value": str(self.c_value),
             "magnitude_sq": str(self.magnitude_sq),
@@ -109,7 +102,7 @@ class LiftContext:
         n = int(red.index)  # a positive integer: see CanonicalReduction.index
         c_val = Fraction(0) if n % 4 in (2, 3) else self.g.coeff(n)
         phase = (1 / mu_f(self.f, red.m.det())) * (1 / mu_f(self.f, red.S))
-        return LiftCoefficient(w=w, t=red.t, S=red.S, m=red.m, phase=phase, c_value=c_val)
+        return LiftCoefficient(red.w, red.t, red.S, red.m, phase=phase, c_value=c_val)
 
     def transform_coefficient(self, coef: LiftCoefficient, m: Matrix2) -> LiftCoefficient:
         """Move a record along m: the index vector becomes
@@ -120,29 +113,24 @@ class LiftContext:
         m_prime = levi_m_prime(m)
         w_new = CubicVector.of(*coad_w(m_prime, coef.w))
         phase = coef.phase / mu_f(self.f, m_prime.det())
-        m_new = coef.m * m
-        rec = LiftCoefficient(
-            w=w_new, t=coef.t, S=coef.S, m=m_new, phase=phase, c_value=coef.c_value
-        )
-        if not verify_reduction(w_new, rec):
+        rec = replace(coef, w=w_new, m=coef.m * m, phase=phase)
+        if not verify_reduction(rec):
             raise AssertionError("transformed record failed its 7x7 verification")
         return rec
 
     # -- ratio experiments ---------------------------------------------------
 
-    def l_split(self, w, tol: float = 1e-10):
-        """The central-value product matching the etale type of w:
-        Q^3 gives L(k, f)^2; Q x Q(sqrt(D)) gives L(k, f) L(k, f x chi_D)."""
-        et = etale_type(w)
+    def l_split(self, rec: CanonicalReduction, tol: float = 1e-10):
+        """The central-value product matching the etale type of the record
+        (``CanonicalReduction.etale``): Q^3 gives L(k, f)^2; Q x Q(sqrt(D))
+        gives L(k, f) L(k, f x chi_D).  A record exists only for q(w) < 0 and
+        f_w with a rational root, so its quadratic factor, if any, is real."""
+        et = rec.etale
         L1 = self._central_value(tol)
         if et.kind == "totally_split":
             return L1.value * L1.value, L1.abs_error_bound * 3
-        if et.kind == "quadratic_split":
-            if not et.real_quadratic:
-                raise BadInput("w with an imaginary quadratic factor has no real twist to split by")
-            LD = central_twisted_value(self.f, et.quad_disc, tol)
-            return L1.value * LD.value, (L1.abs_error_bound + LD.abs_error_bound) * 3
-        raise CubicFieldOrbitUnsupported("cubic-field orbit unsupported")
+        LD = central_twisted_value(self.f, et.quad_disc, tol)
+        return L1.value * LD.value, (L1.abs_error_bound + LD.abs_error_bound) * 3
 
     def gross_ratio(self, w, tol: float = 1e-10) -> float:
         """R(w) = c_{tS}^2 pi^(2k) / (Gamma(k)^2 |q(w)|^(k-1/2) L_split(w));
@@ -152,13 +140,12 @@ class LiftContext:
         shape vectors whose rings have index 2 at the rational place, where
         constancy still follows from the half-integral coefficient formula.
         """
-        w = CubicVector.of(*w)
         rec = self.fourier_coefficient(w)
-        lsplit, lerr = self.l_split(w, tol)
+        lsplit, lerr = self.l_split(rec, tol)
         if abs(lsplit) <= 10 * lerr:
             raise CentralVanishing("central vanishing; ratio undefined")
         k = self.k
-        qa = abs(float(quartic_q(w)))
+        qa = abs(float(quartic_q(rec.w)))
         num = float(rec.magnitude_sq) * math.pi ** (2 * k)
         den = math.gamma(k) ** 2 * qa ** (k - 0.5) * lsplit
         return num / den

@@ -927,10 +927,11 @@ def u_coord_by_products(a1, a2, a3, a4, z):
 def weyl_t_by_products(gamma, t):
     """w_gamma(t) = x_gamma(t) x_{-gamma}(-1/t) x_gamma(t), two 7x7 products:
     the construction the expanded word table of ``group.weyl_t`` replaced."""
-    from g2lift.group import root_generator
+    from g2lift.group import RootLabel, root_generator
 
     t = Fraction(t)
-    return root_generator(gamma, t) * root_generator(-gamma, -1 / t) * root_generator(gamma, t)
+    minus = RootLabel(gamma.name, not gamma.positive)
+    return root_generator(gamma, t) * root_generator(minus, -1 / t) * root_generator(gamma, t)
 
 
 def torus_by_products(gamma, t):

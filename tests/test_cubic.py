@@ -577,7 +577,7 @@ def test_reduction_roundtrip_translate():
     mp = mat2(1, 1, 0, 1)
     w = coad_w(mp.inverse(), w0)
     red = reduce_to_canonical(w)
-    assert verify_reduction(w, red)
+    assert verify_reduction(red)
     assert red.index == 5
 
 
@@ -596,7 +596,7 @@ def test_reduction_random_orbit(rng):
             w = coad_w(A, base)
             red = reduce_to_canonical(w)
             assert red.t == -D and red.S == 1
-            assert verify_reduction(w, red)
+            assert verify_reduction(red)
             assert red.m.det() != 0
 
 
@@ -613,7 +613,7 @@ def test_reduction_of_68_bit_translate_is_fast():
     red = reduce_to_canonical(w)
     elapsed = time.perf_counter() - t0
     assert (red.t, red.S) == (-5, 1)
-    assert verify_reduction(w, red)
+    assert verify_reduction(red)
     assert elapsed < 0.5, f"reduction took {elapsed:.3f} s"
 
 
@@ -622,8 +622,8 @@ def test_reduction_verified_against_7x7(rng):
         A = rand_mat2(rng)
         w = coad_w(A, (F(-13), F(0), F(1, 3), F(0)))
         red = reduce_to_canonical(w)
-        broken = CanonicalReduction(t=red.t, S=red.S + 1, m=red.m)
-        assert not verify_reduction(w, broken)
+        broken = CanonicalReduction(w=red.w, t=red.t, S=red.S + 1, m=red.m)
+        assert not verify_reduction(broken)
 
 
 def test_fundamental_class_normalization():
@@ -693,8 +693,8 @@ def test_reduction_json_reads_the_etale_type_off_the_record(monkeypatch):
 def test_verify_reduction_rejects_wrong_m():
     w = coad_w(mat2(1, 2, 0, 1), (F(-5), F(0), F(1, 3), F(0)))
     red = reduce_to_canonical(w)
-    wrong = CanonicalReduction(t=red.t, S=red.S, m=red.m * mat2(1, 1, 0, 1))
-    assert not verify_reduction(w, wrong)
+    wrong = CanonicalReduction(w=red.w, t=red.t, S=red.S, m=red.m * mat2(1, 1, 0, 1))
+    assert not verify_reduction(wrong)
 
 
 def test_failed_verification_is_refused_under_optimize():
@@ -709,7 +709,7 @@ def test_failed_verification_is_refused_under_optimize():
     code = (
         "from fractions import Fraction as F\n"
         "import g2lift.cubic as cubic\n"
-        "cubic.verify_reduction = lambda w, red: False\n"
+        "cubic.verify_reduction = lambda red: False\n"
         "for w in ((-5, 0, F(1, 3), 0), (-5, 10, F(-59, 3), 38)):\n"
         "    try:\n"
         "        cubic.reduce_to_canonical(w)\n"

@@ -64,8 +64,9 @@ def test_record_is_its_reduction(lift_ctx):
     rec, red = lift_ctx.fourier_coefficient(w), reduce_to_canonical(w)
     assert isinstance(rec, CanonicalReduction)
     assert (rec.t, rec.S, rec.m, rec.index) == (red.t, red.S, red.m, red.index) == (-5, 1, red.m, 5)
-    assert verify_reduction(w, rec)
-    assert not verify_reduction(w, dataclasses.replace(rec, S=rec.S + 1))
+    assert rec.w == red.w == w
+    assert verify_reduction(rec)
+    assert not verify_reduction(dataclasses.replace(rec, S=rec.S + 1))
     copy = dataclasses.replace(rec)
     assert copy == rec and copy is not rec and hash(copy) == hash(rec)
 
@@ -97,7 +98,7 @@ def test_preconditions(lift_ctx):
     with pytest.raises(CubicFieldOrbitUnsupported):
         lift_ctx.fourier_coefficient((1, 0, -1, 1))
     with pytest.raises(CubicFieldOrbitUnsupported, match="cubic-field orbit"):
-        lift_ctx.l_split((1, 0, -1, 1))
+        lift_ctx.gross_ratio((1, 0, -1, 1))
     rec = lift_ctx.fourier_coefficient((-5, 0, F(1, 3), 0))
     with pytest.raises(ValueError, match="invertible"):
         lift_ctx.transform_coefficient(rec, mat2(1, 2, 2, 4))
@@ -133,7 +134,7 @@ def test_failed_7x7_verification_raises(lift_ctx, monkeypatch, capsys):
 
     rec = lift_ctx.fourier_coefficient((-5, 0, F(1, 3), 0))
     for mod in (cubic_mod, lift_mod):
-        monkeypatch.setattr(mod, "verify_reduction", lambda w, red: False)
+        monkeypatch.setattr(mod, "verify_reduction", lambda red: False)
     for w in ((-5, 0, F(1, 3), 0), (-5, 5, F(-14, 3), 4)):
         with pytest.raises(AssertionError, match="^reduction failed its 7x7 verification$"):
             cubic_mod.reduce_to_canonical(w)
@@ -196,11 +197,26 @@ def test_gross_ratio_totally_split_uses_square(lift_ctx):
     assert lift_ctx.gross_ratio(w) > 0
 
 
-def test_l_split_refuses_an_imaginary_quadratic(lift_ctx):
+def test_gross_ratio_refuses_an_imaginary_quadratic(lift_ctx):
     """q = 4/27 > 0 and f_w = u(u^2 + v^2): one rational root beside an
-    imaginary quadratic factor, which has no real twist to split by."""
-    with pytest.raises(ValueError, match="imaginary quadratic"):
-        lift_ctx.l_split((1, 0, F(1, 3), 0))
+    imaginary quadratic factor.  No record exists for q(w) >= 0, so the
+    ratio refuses it where the coefficient does, before any split."""
+    with pytest.raises(ValueError, match=r"q\(w\) < 0 required"):
+        lift_ctx.gross_ratio((1, 0, F(1, 3), 0))
+
+
+def test_gross_ratio_reads_the_etale_type_off_the_record(lift_ctx, monkeypatch):
+    """The ratio splits by the record's etale type, so it searches for roots
+    only inside the reduction: none in shape, one for a GL2 translate."""
+    import g2lift.cubic as cubic
+
+    calls = []
+    real = cubic.rational_projective_roots
+    monkeypatch.setattr(cubic, "rational_projective_roots", lambda w: calls.append(w) or real(w))
+    for w, searches in (((-5, 0, F(1, 3), 0), 0), ((-5, 5, F(-14, 3), 4), 1)):
+        calls.clear()
+        assert lift_ctx.gross_ratio(w) > 0
+        assert len(calls) == searches, w
 
 
 def _l_at_one(ctx):
@@ -330,7 +346,7 @@ def test_central_value_memo_follows_the_form(monkeypatch):
 def test_gross_ratio_refuses_central_vanishing(lift_ctx, monkeypatch):
     """A split central value within ten error bounds of zero leaves the
     ratio undefined, and gross_ratio raises CentralVanishing."""
-    monkeypatch.setattr(LiftContext, "l_split", lambda self, w, tol=1e-10: (0.0, 1e-12))
+    monkeypatch.setattr(LiftContext, "l_split", lambda self, rec, tol=1e-10: (0.0, 1e-12))
     with pytest.raises(CentralVanishing) as err:
         lift_ctx.gross_ratio((-5, 0, F(1, 3), 0))
     assert str(err.value) == "central vanishing; ratio undefined"
