@@ -363,8 +363,9 @@ def verify_reduction(red: CanonicalReduction) -> bool:
     return mp.inverse() * heis_n1(red.t, 0, red.S / 3, 0, 0) * mp == heis_n1(*(x / dt for x in red.w), 0)
 
 
-def reduce_to_canonical(w) -> CanonicalReduction:
-    """Reduce w (q(w) < 0, some rational projective root) to shape.
+def reduce_to_canonical(w, q: Optional[Fraction] = None) -> CanonicalReduction:
+    """Reduce w (q(w) < 0, some rational projective root) to shape; ``q`` is
+    q(w) when the caller has computed it.
 
     Steps: move a rational root of f_w to kill a4, shear away a2 (the
     cofactor quadratic has nonzero v^2-coefficient whenever q != 0), flip
@@ -377,7 +378,7 @@ def reduce_to_canonical(w) -> CanonicalReduction:
     has -t*S = D0.
     """
     w = _vec(w)
-    if quartic_q(w) >= 0:
+    if (quartic_q(w) if q is None else q) >= 0:
         raise BadInput("precondition violation: q(w) >= 0")
 
     if w.a2 == 0 and w.a4 == 0 and w.a1 < 0 and w.a3 > 0:
@@ -426,5 +427,6 @@ def reduce_to_canonical(w) -> CanonicalReduction:
 def reduction_json(w) -> dict:
     """CLI-facing record for a reduced vector: the record's own JSON with
     q(w) and the etale type read off the reduction (``CanonicalReduction.etale``)."""
-    red = reduce_to_canonical(w)
-    return {**red.as_json(), "q": str(quartic_q(red.w)), "etale": str(red.etale)}
+    q = quartic_q(w)
+    red = reduce_to_canonical(w, q)
+    return {**red.as_json(), "q": str(q), "etale": str(red.etale)}

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Optional
 
 from .arith import BadInput
 from .cubic import CanonicalReduction, CubicVector, quartic_q, reduce_to_canonical, verify_reduction
@@ -91,14 +92,16 @@ class LiftContext:
 
     # -- coefficient evaluation ---------------------------------------------
 
-    def fourier_coefficient(self, w) -> LiftCoefficient:
-        """Coefficient record at a lattice vector w, up to C(S)."""
+    def fourier_coefficient(self, w, q: Optional[Fraction] = None) -> LiftCoefficient:
+        """Coefficient record at a lattice vector w, up to C(S); ``q`` is q(w)
+        when the caller has computed it, as ``gross_ratio`` has."""
         w = CubicVector.of(*w)
         if not w.is_lattice():
             raise BadInput("w must lie in the integral lattice")
-        if quartic_q(w) >= 0:
+        q = quartic_q(w) if q is None else q
+        if q >= 0:
             raise BadInput("q(w) < 0 required")
-        red = reduce_to_canonical(w)  # raises on cubic-field orbits
+        red = reduce_to_canonical(w, q)  # raises on cubic-field orbits
         n = int(red.index)  # a positive integer: see CanonicalReduction.index
         c_val = Fraction(0) if n % 4 in (2, 3) else self.g.coeff(n)
         phase = (1 / mu_f(self.f, red.m.det())) * (1 / mu_f(self.f, red.S))
@@ -140,12 +143,13 @@ class LiftContext:
         shape vectors whose rings have index 2 at the rational place, where
         constancy still follows from the half-integral coefficient formula.
         """
-        rec = self.fourier_coefficient(w)
+        q = quartic_q(w)
+        rec = self.fourier_coefficient(w, q)
         lsplit, lerr = self.l_split(rec, tol)
         if abs(lsplit) <= 10 * lerr:
             raise CentralVanishing("central vanishing; ratio undefined")
         k = self.k
-        qa = abs(float(quartic_q(rec.w)))
+        qa = abs(float(q))
         num = float(rec.magnitude_sq) * math.pi ** (2 * k)
         den = math.gamma(k) ** 2 * qa ** (k - 0.5) * lsplit
         return num / den

@@ -16,11 +16,12 @@ and the standard library's libmpdec multiplies large operands by
 number-theoretic transform where CPython's int multiply is Karatsuba, so
 an O(N^2) schoolbook convolution becomes one transform-sized product, a
 squaring when both factors are one series.  At N = 5000, E4 * E4 takes
-about 29 ms, E4 * E6 43 ms and a cold delta 46 ms; at N = 20000, 128, 193
-and 205 ms (medians of 21 runs, 7 at N = 20000; Python 3.11.7 on a 2-vCPU
+about 11 ms, E4 * E6 17 ms and a cold delta 16 ms; at N = 20000, 50, 75
+and 78 ms (medians of 21 runs, 7 at N = 20000; Python 3.11.7 on a 2-vCPU
 Xeon).  Below a few hundred coefficients CPython's int multiply would be
-faster (F * delta at N = 200: 0.9 ms against 0.4 ms), a cost within the
-run-to-run spread of the lift's set-up, whose largest series has N = 2000.
+faster (F * delta at N = 200: 0.42 ms against 0.14 ms on binary groups);
+the lift's set-up makes such products only for the monomials at the Sturm
+bound (twelve at N = 33), and its largest are delta's squarings at N = 2000.
 One builder makes E_w(N z), its constant -2w / B_w read off the Bernoulli number.
 """
 
@@ -77,10 +78,12 @@ def _convolve_int(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
     X^m > |P| makes the sum positive without touching the low n groups.
     M = max|a_i| * max|b_j| * min(nonzero count of a, nonzero count of b):
     each product coefficient sums at most that many nonzero pairs, so a
-    sparse factor such as theta (about sqrt(n) nonzero terms) keeps the
-    groups narrow.  Groups go through ``str``/``int``, so groups wider than
-    ``exact.int_str_limit()`` digits (4300 by default, 0 for no limit; about
-    75 at the CLI's caps) raise InputTooLarge before packing.
+    sparse factor such as Jacobi's S in ``delta`` or theta in the plus-space
+    monomials (about sqrt(n) nonzero terms) keeps the groups narrow.  Groups
+    go through ``str``/``int``, so groups wider than ``exact.int_str_limit()``
+    digits (4300 by default, 0 for no limit; at most 71 at the CLI's caps,
+    for the weight-26 eigenform at N = 20000) raise InputTooLarge before
+    packing.
     """
     square = a is b  # x * x: pack once and square, about half a multiply in libmpdec
     a = a[:n]

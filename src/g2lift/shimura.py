@@ -20,11 +20,13 @@ c(0) and plus-support rows on the monomials alone would, so both give the
 same basis.  The kernel is solved on the columns' integer numerators, the
 brackets' one full-precision build and monomials built only to that bound,
 as truncation commutes with products.  At full precision N a bracket b_nu
-costs 2(nu + 1) products of length N/4, one per term and residue 0 or 1
-mod 4 (E_(k-2nu)(4z) lives on q^(4i), theta on squares), so k = 6, 8, 10
-take four.  Each bracket is zero at n = 2, 3 mod 4 by construction, so
-every basis form has plus support through full precision; the
-correspondence checker below certifies the outcome independently.
+is a lacunary sum and no product: E_(k-2nu)(4z) lives on q^(4i) and theta
+on the squares q^(j^2), so on each residue 0 or 1 mod 4 it is a sum of
+about sqrt(N)/2 shifted copies of the nu + 1 rows D^r E_(k-2nu)(4z), each
+row packed once as one int, at nu + 1 small multiply-adds per copy.  Each
+bracket is zero at n = 2, 3 mod 4 by construction, so every basis form has
+plus support through full precision; the correspondence checker below
+certifies the outcome independently.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import List
 
 from .arith import BadInput, is_fundamental_discriminant, kronecker
 from .exact import kernel, over_lcm
-from .modforms import PrecisionError, QExpansion, _cached, _convolve_int, _eisenstein, _sigma_list
+from .modforms import PrecisionError, QExpansion, _cached, _eisenstein, _sigma_list
 
 
 def theta_half(prec: int) -> QExpansion:
@@ -87,22 +89,45 @@ def _bracket(w: int, nu: int, prec: int) -> QExpansion:
     """[E_w(4z), theta]_nu = sum_r c_r D^r[E_w(4z)] D^(nu-r)[theta], D = q d/dq,
     a cusp form of weight w + 2 nu + 1/2 on Gamma0(4) in the plus space.
 
-    E_w(4z) lives on q^(4i) and theta on q^(j^2), j^2 = 0 or 1 mod 4, so the
-    coefficients at n = eps mod 4 (eps = 0, 1) of a term are the product of
-    (D^r E)[0::4] with (D^(nu-r) theta)[eps::4], and those at 2, 3 mod 4 are
-    zero: 2(nu + 1) products of length about prec/4, over a factor with
-    about sqrt(prec)/2 nonzero terms."""
+    With E_w(4z) = sum e_i q^(4i) and theta = sum m_j q^(j^2) the bracket is the
+    lacunary sum sum_j q^(j^2) sum_r c_r j^(2(nu-r)) m_j D^r E: zero at n = 2, 3
+    mod 4, and on n = 4s + eps (eps = j mod 2) a sum of the rows D^r E = [(4i)^r
+    e_i] shifted by (j^2 - eps)/4 and scaled by small integers.  Each row is packed
+    once as one int of fixed-width binary groups, so a residue costs about
+    sqrt(prec)/2 * (nu + 1) multiply-shift-adds of ints of prec/4 groups and no
+    product."""
     e, th = _eisenstein(w, 4, prec), theta_half(prec)
     cs, l = over_lcm(_bracket_coefficients(w, nu))
-    pos = (range(0, prec, 4), range(1, prec, 4))
-    acc = [[0] * len(p) for p in pos]
-    for r, a in enumerate(cs):
-        de = [(4 * i) ** r * x for i, x in enumerate(e.num[0::4])]
-        for eps, p in enumerate(pos):
-            dth = [a * n ** (nu - r) * x if x else 0 for n, x in zip(p, th.num[eps::4])]
-            acc[eps] = [s + t for s, t in zip(acc[eps], _convolve_int(de, dth, len(p)))]
+    rows = [[(4 * i) ** r * x for i, x in enumerate(e.num[0::4])] for r in range(nu + 1)]
+    # per residue eps, one (shift, [scale of row r]) for each j = eps mod 2, j^2 < prec
+    terms = [
+        [((j * j - eps) // 4, [a * j ** (2 * (nu - r)) * th.num[j * j] for r, a in enumerate(cs)])
+         for j in range(eps, isqrt(prec - 1) + 1, 2)]
+        for eps in (0, 1)
+    ]
+    # M bounds every row entry and every coefficient of either residue, and the
+    # groups have Y = 256^width > 2M.  A packed row is sum x_i Y^i exactly (the
+    # bias M is packed into each group and taken back as M * sum Y^i), so the
+    # shifted sum A is sum_s a_s Y^s exactly, the coefficients a_s at s >= n
+    # included.  A + M * sum_(s<n) Y^s is then congruent mod Y^n to
+    # sum_(s<n) (a_s + M) Y^s, whose groups lie in [0, 2M] and so in [0, Y):
+    # masking with Y^n - 1 leaves exactly those groups, with no borrow.
+    tops = [max(map(abs, row)) for row in rows]
+    bound = max(tops + [sum(abs(x) * t for _, xs in ts for x, t in zip(xs, tops)) for ts in terms])
+    width = (2 * bound).bit_length() // 8 + 1
+    ones = int.from_bytes(b"\1".ljust(width, b"\0") * len(rows[0]), "little")  # sum Y^i
+    packed = [
+        int.from_bytes(b"".join([(x + bound).to_bytes(width, "little") for x in row]), "little") - bound * ones
+        for row in rows
+    ]
     num = [0] * prec
-    num[0::4], num[1::4] = acc
+    for eps, ts in enumerate(terms):
+        acc = 0
+        for h, xs in ts:
+            acc += sum(x * p for x, p in zip(xs, packed)) << (8 * width * h)
+        n = len(range(eps, prec, 4))
+        raw = ((acc + bound * ones) & ((1 << 8 * width * n) - 1)).to_bytes(width * n, "little")
+        num[eps::4] = [int.from_bytes(raw[i : i + width], "little") - bound for i in range(0, width * n, width)]
     return QExpansion._raw(Fraction(2 * (w + 2 * nu) + 1, 2), 4, num, l * e.den * th.den)
 
 
@@ -120,7 +145,7 @@ def plus_cusp_basis(k: int, prec: int) -> List[QExpansion]:
 
     def build():
         d, m, nrows = k // 6, k // 2, _sturm_bound(k) + 1  # d = dim S_2k(SL2(Z))
-        brackets = [_bracket(k - 2 * nu, nu, prec) for nu in range(1, d + 1)]  # sum 2(nu + 1) products
+        brackets = [_bracket(k - 2 * nu, nu, prec) for nu in range(1, d + 1)]
         # truncation commutes with products, so the kernel read from
         # c(0) .. c(bound) only needs the monomials at precision bound + 1
         th = theta_half(nrows)

@@ -3,6 +3,7 @@ from math import lcm
 
 import pytest
 
+from g2lift.arith import BadInput
 from g2lift.cubic import CubicFieldOrbitUnsupported, CubicVector, cubic_ring, is_maximal
 from g2lift.exact import mat2
 from g2lift.group import ad_weyl_alpha, coad_w, levi_m, levi_m_coords
@@ -217,6 +218,29 @@ def test_gross_ratio_reads_the_etale_type_off_the_record(lift_ctx, monkeypatch):
         calls.clear()
         assert lift_ctx.gross_ratio(w) > 0
         assert len(calls) == searches, w
+
+
+def test_q_is_computed_once_per_op(lift_ctx, monkeypatch):
+    """A coefficient, a ratio and a `reduce` record each compute q(w) once,
+    in shape and for a GL2 translate, and the refusal texts stay apart."""
+    import g2lift.cubic as cubic
+    import g2lift.lift as lift
+
+    calls = []
+    real = cubic.quartic_q
+    counted = lambda w: calls.append(w) or real(w)
+    monkeypatch.setattr(cubic, "quartic_q", counted)
+    monkeypatch.setattr(lift, "quartic_q", counted)
+    ops = (lift_ctx.fourier_coefficient, lift_ctx.gross_ratio, cubic.reduction_json)
+    for w in ((-5, 0, F(1, 3), 0), (-5, 5, F(-14, 3), 4)):
+        for op in ops:
+            calls.clear()
+            op(w)
+            assert len(calls) == 1, (op.__name__, w)
+    with pytest.raises(BadInput, match=r"^q\(w\) < 0 required$"):
+        lift_ctx.fourier_coefficient((1, 0, 0, 1))
+    with pytest.raises(BadInput, match=r"^precondition violation: q\(w\) >= 0$"):
+        cubic.reduce_to_canonical((1, 0, 0, 1))
 
 
 def _l_at_one(ctx):

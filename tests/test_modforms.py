@@ -453,7 +453,8 @@ def test_plus_basis_digests_pinned():
 def test_store_serves_shorter_requests_without_products(monkeypatch):
     """The store holds one series per name, the longest built: after builds
     at 5000, every request at 600 is a truncation that makes no product and
-    equals a cold build at 600, and the precision floors still refuse."""
+    equals a cold build at 600, and the precision floors still refuse.  The
+    brackets make no product, so a rebuilt plus basis is caught at ``_bracket``."""
     from g2lift import modforms, shimura
 
     def requests(prec):
@@ -478,7 +479,7 @@ def test_store_serves_shorter_requests_without_products(monkeypatch):
         raise AssertionError("a held series was rebuilt")
 
     monkeypatch.setattr(modforms, "_convolve_int", no_product)
-    monkeypatch.setattr(shimura, "_convolve_int", no_product)
+    monkeypatch.setattr(shimura, "_bracket", no_product)
     assert [(x.num, x.den) for x in requests(600)] == cold
     held = modforms._series_cache
     assert len(held) == 9

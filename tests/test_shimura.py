@@ -94,11 +94,15 @@ def test_plus6_is_the_kohnen_zagier_bracket():
 
 @pytest.mark.parametrize("k", range(6, 41, 2))
 def test_split_bracket_matches_whole_series_products(k):
-    """The bracket from products of length prec/4 on the residues 0 and 1
-    mod 4 equals the sum of whole-series products, for every nu <= k // 6;
-    precisions 2 .. 9 and 8k .. 8k + 3 give every length of range(eps, prec, 4)."""
+    """The bracket, split on the residues 0 and 1 mod 4 into shifted sums of
+    the packed rows D^r E over theta's squares, equals the sum of whole-series
+    products, for every nu <= k // 6; precisions 2 .. 9 and 8k .. 8k + 3 give
+    every length of range(eps, prec, 4).  At 4000, for k = 6, 8, 10, 14, 18 and 20 (E_w(4z) has negative coefficients
+    when w = 2 mod 4), the packed groups are at least 4/5 as wide as at the
+    CLI's precision cap of 20000."""
+    precs = [*range(2, 10), *range(8 * k, 8 * k + 4)] + ([4000] if k in (6, 8, 10, 14, 18, 20) else [])
     for nu in range(1, k // 6 + 1):
-        for prec in [*range(2, 10), *range(8 * k, 8 * k + 4)]:
+        for prec in precs:
             got, want = _bracket(k - 2 * nu, nu, prec), bracket_by_products(k - 2 * nu, nu, prec)
             assert (got.weight, got.level, got.num, got.den) == (want.weight, want.level, want.num, want.den), (nu, prec)
 
