@@ -15,11 +15,14 @@ list is packed as fixed-width decimal digit groups into one ``Decimal``,
 and the standard library's libmpdec multiplies large operands by
 number-theoretic transform where CPython's int multiply is Karatsuba, so
 an O(N^2) schoolbook convolution becomes one transform-sized product, a
-squaring when both factors are one series.  At N = 5000, E4 * E4 takes
-about 11 ms, E4 * E6 17 ms and a cold delta 16 ms; at N = 20000, 50, 75
-and 78 ms (medians of 21 runs, 7 at N = 20000; Python 3.11.7 on a 2-vCPU
-Xeon).  Below a few hundred coefficients CPython's int multiply would be
-faster (F * delta at N = 200: 0.42 ms against 0.14 ms on binary groups);
+squaring when both factors are one series, and only the n low digit
+groups that the truncated product keeps are read back.  At N = 5000,
+E4 * E4 takes about 10 ms, E4 * E6 15 ms, a cold delta (two squarings) 13 ms
+and a cold eigenform of weight 26 (one product with delta) 45 ms; at
+N = 20000, 44, 70, 60 and 204 ms (medians of 21 runs, 7 at N = 20000;
+Python 3.11.7 on a 2-vCPU Xeon).  Below a few hundred coefficients
+CPython's int multiply would be faster (F * delta at N = 200: 0.42 ms
+against 0.14 ms on binary groups);
 the lift's set-up makes such products only for the monomials at the Sturm
 bound (twelve at N = 33), and its largest are delta's squarings at N = 2000.
 One builder makes E_w(N z), its constant -2w / B_w read off the Bernoulli number.
@@ -31,7 +34,7 @@ import decimal
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 from typing import List, Sequence
 
 from .arith import BadInput, InputTooLarge, ParseError, prime_powers
@@ -70,20 +73,17 @@ def _convolve_int(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
     """First n coefficients of the product of two signed integer lists.
 
     Each factor A = sum a_i X^i is packed into one Decimal with w-digit
-    decimal groups, X = 10^w: the groups are a_i + bias, nonnegative, and
-    the bias is subtracted back as a packed constant.  The product P is
-    exact in ``_EXACT``.  Its groups c are read from the digit string of
-    P + M * (1 + X + ... + X^(n-1)) + X^m, where |c| <= M and 2M < X, so
-    every biased group is in [0, X) and no borrow crosses a group boundary;
-    X^m > |P| makes the sum positive without touching the low n groups.
-    M = max|a_i| * max|b_j| * min(nonzero count of a, nonzero count of b):
-    each product coefficient sums at most that many nonzero pairs, so a
-    sparse factor such as Jacobi's S in ``delta`` or theta in the plus-space
-    monomials (about sqrt(n) nonzero terms) keeps the groups narrow.  Groups
-    go through ``str``/``int``, so groups wider than ``exact.int_str_limit()``
-    digits (4300 by default, 0 for no limit; at most 71 at the CLI's caps,
-    for the weight-26 eigenform at N = 20000) raise InputTooLarge before
-    packing.
+    decimal groups, X = 10^w: a factor with a negative entry packs the groups
+    a_i + bias, nonnegative, and subtracts the bias back as a packed constant;
+    a nonnegative factor packs its entries as they are.  The product P is
+    exact in ``_EXACT``, and only its low n groups are read back (below).
+    M = max|a_i| * max|b_j| * min(nonzero count of a, nonzero count of b)
+    bounds every product coefficient: each sums at most that many nonzero
+    pairs, so a sparse factor such as theta in the plus-space monomials
+    (about sqrt(n) nonzero terms) keeps the groups narrow.  Groups go through
+    ``str``/``int``, so groups wider than ``exact.int_str_limit()`` digits
+    (4300 by default, 0 for no limit; at most 87 at the CLI's caps, for the
+    weight-26 eigenform at N = 20000) raise InputTooLarge before packing.
     """
     square = a is b  # x * x: pack once and square, about half a multiply in libmpdec
     a = a[:n]
@@ -99,15 +99,24 @@ def _convolve_int(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
         raise InputTooLarge(f"{w}-digit product groups exceed the {limit}-digit int/str conversion limit")
 
     def pack(xs, bias):
+        if min(xs) >= 0:
+            return Decimal("".join([str(x).zfill(w) for x in reversed(xs)]))
         digits = "".join([str(x + bias).zfill(w) for x in reversed(xs)])
         return _EXACT.subtract(Decimal(digits), Decimal(str(bias).zfill(w) * len(xs)))
 
     pa = pack(a, ma)
     prod = _EXACT.multiply(pa, pa if square else pack(b, mb))
-    m = max(n, len(a) + len(b) - 1) + 1
-    offset = "1" + "0" * (w * (m - n)) + str(bound).zfill(w) * n
-    s = str(_EXACT.add(prod, Decimal(offset)))
-    return [int(s[i - w : i]) - bound for i in range(len(s), len(s) - w * n, -w)]
+    # P = sum c_k X^k exactly, with |c_k| <= M and 2M < X.  Flooring P / X^n
+    # leaves low = P - floor(P / X^n) X^n in [0, X^n), congruent mod X^n to
+    # sum_(k<n) c_k X^k.  low + M * (1 + X + ... + X^(n-1)) is then congruent
+    # mod X^n to sum_(k<n) (c_k + M) X^k, whose groups lie in [0, 2M] and so in
+    # [0, X): the sum is below 2 X^n, so adding X^n as well gives exactly
+    # n w + 1 digits, and the last n groups of its digit string are the c_k + M
+    # with no borrow.  Groups past the product read 0, as its c_k are 0.
+    high = prod.scaleb(-w * n, _EXACT).to_integral_value(decimal.ROUND_FLOOR, _EXACT)
+    low = _EXACT.subtract(prod, high.scaleb(w * n, _EXACT))
+    s = str(_EXACT.add(low, Decimal("1" + str(bound).zfill(w) * n)))
+    return [int(s[i - w : i]) - bound for i in range(len(s), 1, -w)]
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +222,26 @@ def _cached(name, prec: int, build):
 
 
 def _sigma_list(k: int, n: int) -> List[int]:
-    """[sigma_k(1), ..., sigma_k(n-1)] by divisor sieving."""
+    """[0, sigma_k(1), ..., sigma_k(n-1)] by a smallest-prime-factor sieve:
+    sigma_k is multiplicative, sigma_k(m) = sigma_k(r) sigma_k(p^e) for
+    m = r p^e with p the smallest prime factor of m and p not dividing r,
+    and sigma_k(p^e) = (p^(k(e+1)) - 1) / (p^k - 1) = p^k sigma_k(p^(e-1)) + 1,
+    so each m costs one multiplication."""
     out = [0] * n
-    for d in range(1, n):
-        dk = d**k
-        for m in range(d, n, d):
-            out[m] += dk
+    if n > 1:
+        out[1] = 1
+    spf = [0] * n  # smallest prime factor of each composite, 0 at primes
+    for p in range(isqrt(max(n - 1, 0)), 1, -1):  # descending: a smaller p overwrites
+        spf[p * p :: p] = [p] * len(range(p * p, n, p))
+    rest = [1] * n  # m with its smallest prime factor removed entirely
+    for m in range(2, n):
+        p = spf[m]
+        if p == 0:
+            out[m] = m**k + 1
+            continue
+        q = m // p
+        r = rest[m] = q if q % p else rest[q]
+        out[m] = out[q] * (out[p] - 1) + 1 if r == 1 else out[r] * out[m // r]
     return out
 
 
@@ -248,19 +271,30 @@ def eisenstein(weight: int, prec: int) -> QExpansion:
 
 
 def delta(prec: int) -> QExpansion:
-    """The discriminant q prod (1 - q^n)^24 = q S^8: by Jacobi's identity
-    S = prod (1 - q^n)^3 = sum_{m>=0} (-1)^m (2m + 1) q^(m(m+1)/2), so S^8
-    takes three squarings of small-coefficient series."""
+    """The discriminant q prod (1 - q^n)^24 = q S^8.  By Jacobi's identity
+    S = prod (1 - q^n)^3 = sum_{m>=0} (-1)^m (2m + 1) q^(T_m), T_m = m(m+1)/2,
+    so S^2 is the lacunary sum over pairs of triangular exponents of
+    (-1)^(m+j) (2m + 1)(2j + 1) q^(T_m + T_j), formed directly in small
+    integers (about 4,000 terms at N = 5000), and S^8 takes two squarings."""
 
     def build():
-        s = [0] * (prec - 1)
+        n = prec - 1
+        terms = []
         m = 0
-        while m * (m + 1) // 2 < prec - 1:
-            s[m * (m + 1) // 2] = (-1) ** m * (2 * m + 1)
+        while m * (m + 1) // 2 < n:
+            terms.append((m * (m + 1) // 2, (-1) ** m * (2 * m + 1)))
             m += 1
-        x = QExpansion(Fraction(3, 2), 1, s)
-        for _ in range(3):
-            x = x * x
+        s2 = [0] * n
+        for i, (t, c) in enumerate(terms):
+            if 2 * t < n:
+                s2[2 * t] += c * c
+            for u, d in terms[i + 1 :]:
+                if t + u >= n:
+                    break
+                s2[t + u] += 2 * c * d
+        x = QExpansion._raw(3, 1, s2, 1)
+        x = x * x
+        x = x * x
         return QExpansion(12, 1, (0,) + x.num)
 
     return _cached("delta", prec, build)
@@ -268,18 +302,16 @@ def delta(prec: int) -> QExpansion:
 
 def eigenform(two_k: int, prec: int) -> QExpansion:
     """The normalized rational eigenform in the listed one-dimensional
-    cuspidal weights; built multiplicatively from the ring generators."""
+    cuspidal weights: delta itself at weight 12, and otherwise the one product
+    delta * E_(2k-12), since dim M_w = 1 for w = 4, 6, 8, 10 and 14 makes
+    E_w the only normalized form of weight w (E8 = E4^2, E10 = E4 E6,
+    E14 = E4^2 E6)."""
     if two_k not in RATIONAL_EIGEN_WEIGHTS:
         raise NonRationalEigenspace("non-rational eigenspace unsupported")
 
     def build():
         f = delta(prec)
-        extra = {12: (0, 0), 16: (1, 0), 18: (0, 1), 20: (2, 0), 22: (1, 1), 26: (2, 1)}[two_k]
-        for _ in range(extra[0]):
-            f = f * eisenstein(4, prec)
-        for _ in range(extra[1]):
-            f = f * eisenstein(6, prec)
-        return f
+        return f if two_k == 12 else f * _eisenstein(two_k - 12, 1, prec)
 
     return _cached(("eigen", two_k), prec, build)
 

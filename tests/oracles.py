@@ -582,6 +582,32 @@ def delta_by_eisenstein(prec):
     return QExpansion(12, 1, coeffs)
 
 
+def eigenform_by_generators(two_k, prec):
+    """The weight-2k eigenform as delta * E4^a * E6^b, one product per
+    generator factor: the chain that the one product delta * E_(2k-12)
+    replaced."""
+    from g2lift.modforms import delta, eisenstein
+
+    f = delta(prec)
+    extra = {12: (0, 0), 16: (1, 0), 18: (0, 1), 20: (2, 0), 22: (1, 1), 26: (2, 1)}[two_k]
+    for _ in range(extra[0]):
+        f = f * eisenstein(4, prec)
+    for _ in range(extra[1]):
+        f = f * eisenstein(6, prec)
+    return f
+
+
+def sigma_list_by_divisor_sieve(k, n):
+    """[0, sigma_k(1), ..., sigma_k(n-1)] by adding d^k to every multiple of
+    each d: the sieve that the multiplicative one replaced."""
+    out = [0] * n
+    for d in range(1, n):
+        dk = d**k
+        for m in range(d, n, d):
+            out[m] += dk
+    return out
+
+
 def hecke_Tp(f, p):
     """T_p on level-one integral weight 2k:
     a(n) -> a(pn) + p^(2k-1) a(n/p); output precision floor(prec/p)."""

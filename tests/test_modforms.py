@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from g2lift.arith import InputTooLarge
 from g2lift.modforms import (
+    RATIONAL_EIGEN_WEIGHTS,
     NonRationalEigenspace,
     PrecisionError,
     QExpansion,
     _convolve_int,
     _eisenstein,
+    _sigma_list,
     delta,
     eigenform,
     eisenstein,
@@ -22,7 +24,15 @@ from g2lift.modforms import (
 )
 
 from conftest import forget
-from oracles import delta_by_eisenstein, hecke_Tp, satake_holds, series_combination, sigma
+from oracles import (
+    delta_by_eisenstein,
+    eigenform_by_generators,
+    hecke_Tp,
+    satake_holds,
+    series_combination,
+    sigma,
+    sigma_list_by_divisor_sieve,
+)
 
 
 def test_eisenstein_against_divisor_sums():
@@ -54,6 +64,17 @@ def test_one_eisenstein_builder_at_both_levels(level):
             assert e.coeff(n) == want, (w, n)
         if level == 1 and w in (4, 6):
             assert e == eisenstein(w, prec)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7, 9, 13])
+def test_sigma_sieve_against_divisor_sums(k):
+    """The multiplicative sieve against sigma_k(m) by trial division, at the
+    lengths with no prime (n <= 2), the first prime and prime power, and
+    2000; and against the additive divisor sieve at 20000, the CLI's cap."""
+    for n in (1, 2, 3, 4, 2000):
+        assert _sigma_list(k, n) == [0] + [sigma(k, m) for m in range(1, n)], n
+    if k in (1, 13):
+        assert _sigma_list(k, 20000) == sigma_list_by_divisor_sieve(k, 20000)
 
 
 def test_eisenstein_rejects_bad_weight():
@@ -117,6 +138,15 @@ def test_eigenform_certification():
             tp = hecke_Tp(f, p)
             ap = f.coeff(p)
             assert all(tp.coeff(n) == ap * f.coeff(n) for n in range(tp.precision))
+
+
+@pytest.mark.parametrize("prec", [600, 2000])
+def test_eigenform_equals_generator_chain(prec):
+    """The one product delta * E_(2k-12) equals delta * E4^a * E6^b, built
+    cold, in every listed weight."""
+    forget(*[("eigen", two_k) for two_k in RATIONAL_EIGEN_WEIGHTS])
+    for two_k in RATIONAL_EIGEN_WEIGHTS:
+        assert eigenform(two_k, prec) == eigenform_by_generators(two_k, prec), two_k
 
 
 def test_eigenform_twelve_is_delta():
@@ -228,9 +258,11 @@ def test_dump_load_roundtrip(tmp_path):
 def test_packed_convolution_matches_naive(rng):
     """The packed series product agrees with schoolbook convolution on
     signed rational inputs: unequal lengths, empty, all-zero and
-    all-negative lists, trailing zeros, entries up to 10^40, n past the
-    product's length, and lists of a few hundred entries whose groups
-    reach the bound exactly, so that the digit bias, the truncation and
+    all-negative lists, trailing zeros, entries up to 10^40, n = 1 and n
+    past the product's length, packed products of either sign, factors
+    packed with and without the bias (nonnegative ones have none), and
+    lists of a few hundred entries whose groups reach the bound exactly,
+    so that the digit bias, the floor at X^n, the low-group read-back and
     every carry pattern are exercised."""
 
     def naive(a, b, n=None):
@@ -279,8 +311,32 @@ def test_packed_convolution_matches_naive(rng):
                 n = support[-1] + 1
                 assert _convolve_int(sparse, [-m] * lb, n)[-1] == -len(support) * m * m
                 assert _convolve_int([m] * lb, sparse, n)[-1] == len(support) * m * m
+    # the packed product P = sum c_k X^k has the sign of its top nonzero c_k:
+    # negative with a negative leading coefficient on one side, positive with
+    # one on both; each side is signed (packed with the bias) or nonnegative
+    # (packed without), and n runs from 1 to past the product's length
+    signed = ([3, -1, 4, -1, -5], [-2, 7, -1, 8, -2, -8], [0, big, 0, -big + 1], [-big] * 3)
+    nonneg = ([1, 0, 4, 1, 5], [2, 7, 1, 8, 2, 8, 0, 0], [0, big, big - 1])
+    assert naive(signed[0], nonneg[0], 9)[-1] < 0 and naive(signed[0], signed[1], 10)[-1] > 0
+    for a in signed + nonneg:
+        for b in signed + nonneg:
+            for n in (1, 2, len(a) + len(b) - 1, len(a) + len(b) + 3):
+                assert _convolve_int(a, b, n) == naive(a, b, n)
+    # a group at +-bound exactly, M = m^2 * (nonzero count of the sparser
+    # factor), under every packing: nonnegative by nonnegative, nonnegative by
+    # signed and signed by signed, in the first group read (n = 1) and the last
+    for m in (1, 9, 2**64 - 1, big):
+        assert _convolve_int([m], [m], 1) == [m * m]
+        assert _convolve_int([m], [-m], 1) == [-m * m]
+        assert _convolve_int([-m], [-m, 0, m], 1) == [m * m]
+        for la in (1, 4, 7):
+            assert _convolve_int([m] * la, [m] * 7, la)[-1] == la * m * m
+            assert _convolve_int([m] * la, [-m] * 7, la)[-1] == -la * m * m
+            assert _convolve_int([-m] * la, [-m] * 7, la)[-1] == la * m * m
+            assert _convolve_int([0, m] * la, [m] * 14, 2 * la)[-1] == la * m * m
     # n past len(a) + len(b) - 1: the groups past the product read 0
-    for a, b in (([3, -1], [2, 5, -7]), ([big], [-big]), ([-1] * 4, [1] * 3), ([big] * 200, [-big] * 300)):
+    for a, b in (([3, -1], [2, 5, -7]), ([big], [-big]), ([-1] * 4, [1] * 3), ([big] * 200, [-big] * 300),
+                 ([big] * 200, [big] * 300), ([2, 0, 7], [0, 5])):
         for n in (len(a) + len(b) - 1, len(a) + len(b), 3 * (len(a) + len(b))):
             assert _convolve_int(a, b, n) == naive(a, b, n)
             assert _convolve_int(a, a, n) == naive(a, a, n)
@@ -376,7 +432,7 @@ def _digest(series):
     return h.hexdigest()
 
 
-PINNED_NAMES = ("delta", ("eigen", 16), ("plus_basis", 6), ("plus_basis", 8))
+PINNED_NAMES = ("delta", *[("eigen", two_k) for two_k in (16, 18, 20, 22, 26)], ("plus_basis", 6), ("plus_basis", 8))
 
 
 def test_series_digests_pinned():
@@ -394,12 +450,17 @@ def test_series_digests_pinned():
 
 def test_series_digests_pinned_at_5000():
     """The N = 600 pins pack factors of at most 18,000 digits; these reach
-    195,000 (recorded with CPython's int product)."""
+    195,000 (recorded with CPython's int product; eigen18 to eigen26 recorded
+    from the generator chain delta * E4^a * E6^b)."""
     from g2lift.shimura import plus_cusp_basis
 
     forget(*PINNED_NAMES)
     assert _digest(delta(5000)) == "5809daa2edc7a79ecd914ddbe4c6f0eb59b7389f9e01032814a0d161e7503aa4"
     assert _digest(eigenform(16, 5000)) == "21528d26bf347e372d28487b8cfde556bbcac72a2bca6abe545aef8eeffd5dca"
+    assert _digest(eigenform(18, 5000)) == "782ad060e83115d5bd68d4789faac6f5160bee843327924d14f0834619f43791"
+    assert _digest(eigenform(20, 5000)) == "d570219c70f3d7940d019fc3d652c7f332b7917e5e6976ff90ec19224d3a8589"
+    assert _digest(eigenform(22, 5000)) == "242647f558f19dc4fef93ce4fcc113021b3e4f92135a5c8d8fe84d4cfd46fd07"
+    assert _digest(eigenform(26, 5000)) == "74b8426ef72051c3b5d8141457c0aff7164a37d534bb68764e3ef291c406ebc2"
     assert _digest(plus_cusp_basis(6, 5000)[0]) == "9c605d20bea7e2d07b556a3d2318be2abf883e8b06c5ceba129440aa41ae4b7e"
     assert _digest(plus_cusp_basis(8, 5000)[0]) == "d974063bf1ec2b8e1a131d4010d3bae8e3531dd03aa350a1cb3c51dd816b61aa"
 
