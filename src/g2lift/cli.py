@@ -36,10 +36,10 @@ FORMS = {"delta": 12, **{f"eigen{k}": k for k in modforms.RATIONAL_EIGEN_WEIGHTS
 # Work caps, checked in main before any work (INPUT_TOO_LARGE, exit 2): work
 # grows with these values, so exponentially in their bit length.  Slowest
 # cold call at each cap, median of 5 (3 for --samples; Python 3.11.7, 2-vCPU Xeon):
-MAX_PREC = 20000  # --prec, --prec-half, mf dump --prec: mf dump --series eigen26, 0.28 s
-MAX_PLUS_K = 20  # k of mf dump --series plusK: plus20 at --prec 20000, 0.21 s
+MAX_PREC = 20000  # --prec, --prec-half, mf dump --prec: mf dump --series eigen26, 0.24 s
+MAX_PLUS_K = 20  # k of mf dump --series plusK: plus20 at --prec 20000, 0.23 s
 MAX_SAMPLES = 1000  # verify-structure --samples: 4.7 s cold
-MAX_KTYPES_N = 10000  # ktypes --n: 0.052 s
+MAX_KTYPES_N = 10000  # ktypes --n: 0.069 s
 CAPS = {"prec": MAX_PREC, "prec_half": MAX_PREC, "samples": MAX_SAMPLES, "n": MAX_KTYPES_N}
 
 # mf dump --series name -> builder(prec)

@@ -16,11 +16,13 @@ and the standard library's libmpdec multiplies large operands by
 number-theoretic transform where CPython's int multiply is Karatsuba, so
 an O(N^2) schoolbook convolution becomes one transform-sized product, a
 squaring when both factors are one series, and only the n low digit
-groups that the truncated product keeps are read back.  At N = 5000,
-E4 * E4 takes about 10 ms, E4 * E6 15 ms, a cold delta (two squarings) 13 ms
-and a cold eigenform of weight 26 (one product with delta) 45 ms; at
-N = 20000, 44, 70, 60 and 204 ms (medians of 21 runs, 7 at N = 20000;
-Python 3.11.7 on a 2-vCPU Xeon).  Below a few hundred coefficients
+groups that the truncated product keeps are read back.  The last product
+of delta and of each eigenform packs groups only as wide as Deligne's bound
+on the coefficients it keeps (and its factors' entries) needs.  At
+N = 5000, E4 * E4 takes about 10 ms, E4 * E6 15 ms, a cold delta (two
+squarings) 11 ms and a cold eigenform of weight 26 (one product with delta)
+33 ms; at N = 20000, 44, 68, 58 and 151 ms (medians of 21 runs, 7 at
+N = 20000; Python 3.11.7 on a 2-vCPU Xeon).  Below a few hundred coefficients
 CPython's int multiply would be faster (F * delta at N = 200: 0.42 ms
 against 0.14 ms on binary groups);
 the lift's set-up makes such products only for the monomials at the Sturm
@@ -69,7 +71,7 @@ _EXACT = decimal.Context(
 # ---------------------------------------------------------------------------
 # integer-list convolution via Kronecker substitution
 
-def _convolve_int(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
+def _convolve_int(a: Sequence[int], b: Sequence[int], n: int, kept_bound: int | None = None) -> List[int]:
     """First n coefficients of the product of two signed integer lists.
 
     Each factor A = sum a_i X^i is packed into one Decimal with w-digit
@@ -80,10 +82,15 @@ def _convolve_int(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
     M = max|a_i| * max|b_j| * min(nonzero count of a, nonzero count of b)
     bounds every product coefficient: each sums at most that many nonzero
     pairs, so a sparse factor such as theta in the plus-space monomials
-    (about sqrt(n) nonzero terms) keeps the groups narrow.  Groups go through
-    ``str``/``int``, so groups wider than ``exact.int_str_limit()`` digits
-    (4300 by default, 0 for no limit; at most 87 at the CLI's caps, for the
-    weight-26 eigenform at N = 20000) raise InputTooLarge before packing.
+    (about sqrt(n) nonzero terms) keeps the groups narrow.  A caller that can
+    prove a smaller ``kept_bound`` on the kept coefficients |c_k|, k < n (the
+    eigenform builds, by Deligne's theorem), passes it, and M is then
+    min(that product bound, max(kept_bound, max|a_i|, max|b_j|)): the read-back
+    needs only the kept groups and the packed entries within M, and the
+    coefficients past n may exceed it.  Groups go through ``str``/``int``, so
+    groups wider than ``exact.int_str_limit()`` digits (4300 by default, 0 for
+    no limit; at most 58 at the CLI's caps, for E14's entries in the weight-26
+    eigenform at N = 20000) raise InputTooLarge before packing.
     """
     square = a is b  # x * x: pack once and square, about half a multiply in libmpdec
     a = a[:n]
@@ -93,6 +100,8 @@ def _convolve_int(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
     if ma == 0 or mb == 0:
         return [0] * n
     bound = ma * mb * min(len(a) - a.count(0), len(b) - b.count(0))
+    if kept_bound is not None:
+        bound = min(bound, max(kept_bound, ma, mb))
     w = (2 * bound).bit_length() * 30103 // 100000 + 1  # 10^w > 2^bits > 2M
     limit = int_str_limit()
     if limit and w > limit:
@@ -106,8 +115,9 @@ def _convolve_int(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
 
     pa = pack(a, ma)
     prod = _EXACT.multiply(pa, pa if square else pack(b, mb))
-    # P = sum c_k X^k exactly, with |c_k| <= M and 2M < X.  Flooring P / X^n
-    # leaves low = P - floor(P / X^n) X^n in [0, X^n), congruent mod X^n to
+    # P = sum c_k X^k exactly, with |c_k| <= M for k < n and 2M < X (the c_k
+    # past n are unbounded here).  Flooring P / X^n leaves
+    # low = P - floor(P / X^n) X^n in [0, X^n), congruent mod X^n to
     # sum_(k<n) c_k X^k.  low + M * (1 + X + ... + X^(n-1)) is then congruent
     # mod X^n to sum_(k<n) (c_k + M) X^k, whose groups lie in [0, 2M] and so in
     # [0, X): the sum is below 2 X^n, so adding X^n as well gives exactly
@@ -275,7 +285,12 @@ def delta(prec: int) -> QExpansion:
     S = prod (1 - q^n)^3 = sum_{m>=0} (-1)^m (2m + 1) q^(T_m), T_m = m(m+1)/2,
     so S^2 is the lacunary sum over pairs of triangular exponents of
     (-1)^(m+j) (2m + 1)(2j + 1) q^(T_m + T_j), formed directly in small
-    integers (about 4,000 terms at N = 5000), and S^8 takes two squarings."""
+    integers (about 4,000 terms at N = 5000), and S^8 takes two squarings.
+    The second keeps S^8 = sum tau(m + 1) q^m through m = N - 2, and Deligne's
+    theorem (P. Deligne, "La conjecture de Weil. I", Publ. IHES 43, 1974)
+    gives |tau(m)| <= d(m) m^(11/2) <= 2 m^6, as the divisor count d(m) is at
+    most 2 sqrt(m); so 2 (N - 1)^6 bounds every kept group of that squaring,
+    whatever its groups past N - 1 hold."""
 
     def build():
         n = prec - 1
@@ -292,10 +307,8 @@ def delta(prec: int) -> QExpansion:
                 if t + u >= n:
                     break
                 s2[t + u] += 2 * c * d
-        x = QExpansion._raw(3, 1, s2, 1)
-        x = x * x
-        x = x * x
-        return QExpansion(12, 1, (0,) + x.num)
+        s4 = _convolve_int(s2, s2, n)
+        return QExpansion._raw(12, 1, [0] + _convolve_int(s4, s4, n, 2 * n**6), 1)
 
     return _cached("delta", prec, build)
 
@@ -305,13 +318,22 @@ def eigenform(two_k: int, prec: int) -> QExpansion:
     cuspidal weights: delta itself at weight 12, and otherwise the one product
     delta * E_(2k-12), since dim M_w = 1 for w = 4, 6, 8, 10 and 14 makes
     E_w the only normalized form of weight w (E8 = E4^2, E10 = E4 E6,
-    E14 = E4^2 E6)."""
+    E14 = E4^2 E6).  That product is a cusp form with a(1) = 1 and
+    dim S_2k = 1, so it is the normalized eigenform, and Deligne's theorem
+    bounds its coefficients, |a(m)| <= d(m) m^((2k-1)/2) <= 2 m^k with
+    d(m) <= 2 sqrt(m); the product reads back its kept groups, m <= N - 1,
+    at the width 2 (N - 1)^k (times the factors' denominators, all 1) sets."""
     if two_k not in RATIONAL_EIGEN_WEIGHTS:
         raise NonRationalEigenspace("non-rational eigenspace unsupported")
 
     def build():
         f = delta(prec)
-        return f if two_k == 12 else f * _eisenstein(two_k - 12, 1, prec)
+        if two_k == 12:
+            return f
+        e = _eisenstein(two_k - 12, 1, prec)
+        den = f.den * e.den
+        num = _convolve_int(f.num, e.num, prec, den * 2 * (prec - 1) ** (two_k // 2))
+        return QExpansion._raw(two_k, 1, num, den)
 
     return _cached(("eigen", two_k), prec, build)
 

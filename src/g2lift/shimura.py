@@ -32,7 +32,7 @@ certifies the outcome independently.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 from typing import List
 
 from .arith import BadInput, is_fundamental_discriminant, kronecker
@@ -172,6 +172,11 @@ def shimura_lift_check(g: QExpansion, f: QExpansion, D: int, n_max: int) -> bool
     k + 1/2 on Gamma0(4):
 
         sum_{d | n} chi_D(d) d^(k-1) c(D n^2 / d^2)  ==  c(D) a_n(f).
+
+    The c(D m^2), m <= n_max, are read once through ``g.coeff`` and scaled to
+    integers C_m = L c(D m^2) over the lcm L of their denominators, so each
+    side is compared in integers: sum chi_D(d) d^(k-1) C_(n/d) times the
+    denominator of a_n equals C_1 times its numerator.
     """
     if g.level != 4 or g.weight.denominator != 2:
         raise BadInput("half-integral form must have level 4 and weight k + 1/2")
@@ -182,12 +187,13 @@ def shimura_lift_check(g: QExpansion, f: QExpansion, D: int, n_max: int) -> bool
         raise BadInput("D must be a positive fundamental discriminant (or 1)")
     if D * n_max * n_max >= g.precision or n_max >= f.precision:
         raise PrecisionError("insufficient precision for the lift check")
-    cD = g.coeff(D)
+    c = [Fraction(0)] + [g.coeff(D * m * m) for m in range(1, n_max + 1)]  # c(D m^2) at index m
+    L = lcm(*[x.denominator for x in c])
+    C = [x.numerator * (L // x.denominator) for x in c]
+    weights = [0] + [kronecker(D, d) * d ** (k - 1) for d in range(1, n_max + 1)]
     for n in range(1, n_max + 1):
-        acc = Fraction(0)
-        for d in range(1, n + 1):
-            if n % d == 0:
-                acc += kronecker(D, d) * d ** (k - 1) * g.coeff(D * (n // d) ** 2)
-        if acc != cD * f.coeff(n):
+        acc = sum(weights[d] * C[n // d] for d in range(1, n + 1) if n % d == 0)
+        a = f.coeff(n)
+        if acc * a.denominator != C[1] * a.numerator:
             return False
     return True

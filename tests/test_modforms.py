@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from g2lift.arith import InputTooLarge
@@ -149,6 +149,17 @@ def test_eigenform_equals_generator_chain(prec):
         assert eigenform(two_k, prec) == eigenform_by_generators(two_k, prec), two_k
 
 
+def test_eigenforms_meet_deligne_bound_exactly():
+    """The bound the eigenform builds read back at: a(n)^2 <= d(n)^2 n^(2k-1)
+    <= 4 n^(2k) in integers, for every listed weight at N = 2000."""
+    d = [0] + [sigma(0, n) for n in range(1, 2000)]
+    for two_k in RATIONAL_EIGEN_WEIGHTS:
+        f = eigenform(two_k, 2000)
+        assert f.den == 1
+        for n in range(1, 2000):
+            assert f.num[n] ** 2 <= d[n] ** 2 * n ** (two_k - 1) <= 4 * n**two_k, (two_k, n)
+
+
 def test_eigenform_twelve_is_delta():
     assert eigenform(12, 50) == delta(50)
 
@@ -255,6 +266,11 @@ def test_dump_load_roundtrip(tmp_path):
     assert QExpansion.load(th.dump()) == th
 
 
+def _truncated_product(a, b, n):
+    """Schoolbook c_0 .. c_(n-1) of the product of two lists."""
+    return [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)) for k in range(n)]
+
+
 def test_packed_convolution_matches_naive(rng):
     """The packed series product agrees with schoolbook convolution on
     signed rational inputs: unequal lengths, empty, all-zero and
@@ -266,8 +282,7 @@ def test_packed_convolution_matches_naive(rng):
     every carry pattern are exercised."""
 
     def naive(a, b, n=None):
-        n = min(len(a), len(b)) if n is None else n
-        return [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)) for k in range(n)]
+        return _truncated_product(a, b, min(len(a), len(b)) if n is None else n)
 
     def check(a, b):
         c = QExpansion(F(4), 1, a) * QExpansion(F(6), 1, b)
@@ -372,6 +387,34 @@ def test_too_wide_groups_are_refused_or_answered():
         assert _convolve_int(a, a, 2) == _convolve_int(a, list(a), 2) == [10**4400, 6 * 10**2200]
     finally:
         sys.set_int_max_str_digits(old)
+
+
+@st.composite
+def _kept_bound_products(draw):
+    """(a, b, n, bound) with bound >= every kept |c_k|, k < n.  Leading zeros
+    keep the first c_k small while the packed entries a_i, b_j (i, j < n) are
+    not, as delta's q^0 term does for E14's entries in delta * E14, so the
+    discarded c_k past n can exceed both bound and the entries."""
+    m = draw(st.sampled_from((1, 9, 2**32 - 1, 10**6, 2**64, 10**40)))
+    a, b = (
+        [0] * draw(st.integers(0, 6)) + draw(st.lists(st.integers(-m, m), min_size=1, max_size=12))
+        for _ in range(2)
+    )
+    n = draw(st.integers(1, len(a) + len(b) + 2))
+    kept = max(map(abs, _truncated_product(a, b, n)))
+    return a, b, n, kept + draw(st.sampled_from((0, 1, m)))
+
+
+@given(_kept_bound_products())
+@settings(max_examples=300, deadline=None)
+@example(([1, 10**40], [1, 10**40], 2, 2 * 10**40))  # c_2 = 10^80 past the kept groups
+@example(([0, 10**40], [0, -(10**40)], 2, 0))  # kept groups 0, packed entries 10^40
+def test_kept_bound_matches_naive(case):
+    """A caller bound on the kept coefficients alone gives the truncated
+    product, squared or not, however large the discarded ones are."""
+    a, b, n, bound = case
+    assert _convolve_int(a, b, n, bound) == _truncated_product(a, b, n)
+    assert _convolve_int(a, a, n, max(map(abs, _truncated_product(a, a, n)))) == _truncated_product(a, a, n)
 
 
 @st.composite

@@ -188,6 +188,30 @@ def test_lift_check_detects_corruption(delta_full, plus6_full):
     assert not shimura_lift_check(bad, delta_full, 5, 3)
 
 
+class _CoeffRaised:
+    """A form that delegates every attribute to ``form`` but coeff(n), which
+    raises c(index) by ``by``: the perturbed plus form of the benchmark's
+    negative control has this shape, so a check that read ``num`` or ``den``
+    in place of coeff(n) would pass it."""
+
+    def __init__(self, form, index, by):
+        self._form, self._index, self._by = form, index, by
+
+    def __getattr__(self, name):
+        return getattr(self._form, name)
+
+    def coeff(self, n):
+        c = self._form.coeff(n)
+        return c + self._by if n == self._index else c
+
+
+@pytest.mark.parametrize("by", [1, F(1, 3)])
+def test_lift_check_reads_coefficients_through_coeff(delta_full, plus6_full, by):
+    for D in (1, 5, 8):
+        assert shimura_lift_check(_CoeffRaised(plus6_full, 4 * D, 0), delta_full, D, 10)
+        assert not shimura_lift_check(_CoeffRaised(plus6_full, 4 * D, by), delta_full, D, 10)
+
+
 def test_plus_basis_shared_generators_match_cold_build():
     """The k = 8 basis built on the theta that the k = 6 build left in the
     series store equals one built with none of its names held."""
