@@ -3,8 +3,9 @@
 Every exact vector (a matrix grid, a q-series, a cubic form) is integers
 over one positive denominator, their gcd with it 1, so exact equality is
 tuple equality and a product needs one gcd pass, not one per entry.
-``over_lcm`` builds that form in integers from values taken through ``rat``,
-which refuses floats; ``canonical`` restores it after integer arithmetic.
+``over_lcm`` builds that form in integers, taking ints and Fractions as
+they are and every other value through ``rat``, which refuses floats;
+``canonical`` restores it after integer arithmetic.
 Scalars in and out are ``fractions.Fraction`` (always reduced, positive
 denominator).  The one elimination is a fraction-free (Bareiss) echelon of
 integer rows, behind ``det`` and ``kernel``.
@@ -54,13 +55,17 @@ def rat(x) -> Fraction:
 
 def over_lcm(values) -> tuple:
     """(nums, den): the values (anything ``rat`` takes) as integers over den,
-    the lcm of their denominators, each p/q becoming p (den / q).
+    the lcm of their denominators, each p/q becoming p (den / q).  A plain
+    int (p/1) or Fraction is read as it is; any other value goes through
+    ``rat``, so strings are parsed and floats refused as there, and so is an
+    int subclass such as bool, which may redefine numerator and denominator.
 
     That form is already canonical.  A prime dividing den divides some
     value's q to its full power in den; that value's p is prime to q
-    (Fractions are reduced) and den / q is prime to it, so the prime misses
-    that numerator.  So gcd(den, *nums) = 1 with no gcd pass."""
-    fr = [rat(x) for x in values]
+    (an int has q = 1, and Fractions, ``rat``'s included, are reduced with
+    q > 0) and den / q is prime to it, so the prime misses that numerator.
+    So gcd(den, *nums) = 1 with no gcd pass."""
+    fr = [x if type(x) is int or type(x) is Fraction else rat(x) for x in values]
     den = lcm(*(x.denominator for x in fr))
     return tuple(x.numerator * (den // x.denominator) for x in fr), den
 

@@ -18,13 +18,11 @@ an O(N^2) schoolbook convolution becomes one transform-sized product, a
 squaring when both factors are one series, and only the n low digit
 groups that the truncated product keeps are read back.  The last product
 of delta and of each eigenform packs groups only as wide as Deligne's bound
-on the coefficients it keeps (and its factors' entries) needs.  At
-N = 5000, E4 * E4 takes about 10 ms, E4 * E6 15 ms, a cold delta (two
-squarings) 11 ms and a cold eigenform of weight 26 (one product with delta)
-33 ms; at N = 20000, 44, 68, 58 and 151 ms (medians of 21 runs, 7 at
-N = 20000; Python 3.11.7 on a 2-vCPU Xeon).  Below a few hundred coefficients
-CPython's int multiply would be faster (F * delta at N = 200: 0.42 ms
-against 0.14 ms on binary groups);
+on the coefficients it keeps (and its factors' entries) needs.  So E4 * E4
+costs one squaring, E4 * E6 one transform-sized product, a cold delta two
+squarings of lacunary sums, and a cold eigenform of weight 2k > 12 one
+product with delta.  Below a few hundred coefficients CPython's int
+multiply on binary groups would be faster;
 the lift's set-up makes such products only for the monomials at the Sturm
 bound (twelve at N = 33), and its largest are delta's squarings at N = 2000.
 One builder makes E_w(N z), its constant -2w / B_w read off the Bernoulli number.
@@ -36,7 +34,8 @@ import decimal
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from math import comb, isqrt
+from itertools import repeat
+from math import comb, gcd, isqrt
 from typing import List, Sequence
 
 from .arith import BadInput, InputTooLarge, ParseError, prime_powers
@@ -193,7 +192,11 @@ class QExpansion:
         w = self.weight
         head = f"{w.numerator}/{w.denominator}" if w.denominator != 1 else str(w.numerator)
         lines = [f"{head} {self.level} {self.precision}"]
-        lines += [f"{c.numerator}/{c.denominator}" for c in map(self.coeff, range(self.precision))]
+        d = self.den
+        if d == 1:
+            lines += [f"{x}/1" for x in self.num]
+        else:
+            lines += [f"{x // g}/{d // g}" for x, g in zip(self.num, map(gcd, self.num, repeat(d)))]
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -221,11 +221,18 @@ def test_entries_always_reduced():
     assert all(x.denominator > 0 for x in m.entries())
 
 
+class _Int(int):
+    """An int subclass: ``over_lcm`` sends it through ``rat``, as it does bools."""
+
+
 _entry_st = st.one_of(
     st.integers(-10**15, 10**15),
     st.fractions(max_denominator=10**12),
     st.builds("{}/{}".format, st.integers(-10**15, 10**15), st.integers(1, 10**12)),
     st.just(0),
+    st.booleans(),
+    st.decimals(-10**15, 10**15, places=12),
+    st.builds(_Int, st.integers(-10**15, 10**15)),
 )
 
 
@@ -240,8 +247,10 @@ def _grids(draw):
 @settings(max_examples=300, deadline=None)
 def test_construction_matches_fraction_products(case):
     """Rows of ints, Fractions with denominators up to 10^12 and 'p/q'
-    strings, zeros and all-zero rows among them, give the grid of one
-    Fraction product per entry, already canonical, and read back as drawn."""
+    strings, zeros and all-zero rows among them, and of the values that
+    take the ``rat`` branch of ``over_lcm`` (bools, finite Decimals, an int
+    subclass), give the grid of one Fraction product per entry, all plain
+    ints, already canonical, and read back as drawn."""
     n, rows = case
     m = {2: Matrix2, 5: Matrix5, 7: Matrix7}[n](rows)
     assert (m.num, m.den) == grid_by_fraction_products(rows, n)
@@ -277,6 +286,22 @@ def test_over_lcm_and_canonical_make_one_form(values, den, at):
         canonical(ints, 0)
 
 
+def test_over_lcm_takes_ints_and_fractions_as_they_are(monkeypatch):
+    """Only the string of [0, 7, 1/2, '3/4'] goes through rat; the int and
+    Fraction entries are read as they are, to the same form."""
+    import g2lift.exact as exact
+
+    seen = []
+
+    def counting_rat(x):
+        seen.append(x)
+        return rat(x)
+
+    monkeypatch.setattr(exact, "rat", counting_rat)
+    assert over_lcm([0, 7, F(1, 2), "3/4"]) == ((0, 28, 2, 3), 4)
+    assert seen == ["3/4"]
+
+
 def test_zero_denominator_is_refused_at_construction():
     """An int grid over den = 0 is refused where it is built, as a q-series
     is, and not at its first entry read."""
@@ -294,8 +319,8 @@ def test_wrong_shapes_are_refused():
 
 
 def test_floats_are_refused():
-    """rat, the one way into the exact kernel, names a float and refuses it
-    instead of taking its binary value; so do the constructors through it."""
+    """rat names a float and refuses it instead of taking its binary value;
+    so do the constructors through it."""
     assert rat(F(1, 10)) == rat("1/10") == rat("0.1") == F(1, 10)
     for bad in (0.1, 2.0, float("nan")):
         with pytest.raises(TypeError, match=f"float {bad!r} is not an exact rational"):

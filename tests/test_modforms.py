@@ -266,6 +266,21 @@ def test_dump_load_roundtrip(tmp_path):
     assert QExpansion.load(th.dump()) == th
 
 
+def test_dump_writes_each_coefficient_reduced():
+    """dump writes what one reduced Fraction per coefficient writes, on
+    plus18's second and third basis forms (den 5 and 39, negative entries,
+    some coefficients reducing to p/1 and some by a proper factor of 39)
+    and on an eigenform (den 1)."""
+    from g2lift.shimura import plus_cusp_basis
+
+    _, f5, f39 = plus_cusp_basis(18, 200)
+    assert (f5.den, f39.den) == (5, 39) and min(f5.num) < 0 and min(f39.num) < 0
+    for f in (f5, f39, eigenform(16, 200)):
+        coeffs = [F(x, f.den) for x in f.num]
+        assert f.dump().splitlines()[1:] == [f"{c.numerator}/{c.denominator}" for c in coeffs]
+        assert QExpansion.load(f.dump()) == f
+
+
 def _truncated_product(a, b, n):
     """Schoolbook c_0 .. c_(n-1) of the product of two lists."""
     return [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)) for k in range(n)]

@@ -1,0 +1,51 @@
+"""Rules on the package's own text: no comment or docstring under
+src/g2lift quotes a measured time.  A cost is stated by what sets it ("one
+transform-sized product", "two squarings"); measured times live in the
+README, where they are re-measured when the code moves them."""
+
+import io
+import re
+import tokenize
+from pathlib import Path
+
+import g2lift
+
+PACKAGE = Path(g2lift.__file__).resolve().parent
+# a number, one space, then a unit of time as a whole word
+TIME = re.compile(r"(?:\d+\.)?\d+ (?:ms|µs|s)\b")
+
+
+def _prose(path):
+    """The comments and the docstrings of the module at path, each a list of
+    (line, text); a docstring is a string token that makes a whole statement."""
+    tokens = list(tokenize.generate_tokens(io.StringIO(path.read_text(encoding="utf-8")).readline))
+    comments = [(t.start[0], t.string) for t in tokens if t.type == tokenize.COMMENT]
+    code = [t for t in tokens if t.type not in (tokenize.NL, tokenize.COMMENT)]
+    opens = (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT)
+    docstrings = [
+        (t.start[0], t.string)
+        for before, t, after in zip([None, *code], code, code[1:])
+        if t.type == tokenize.STRING and (before is None or before.type in opens) and after.type == tokenize.NEWLINE
+    ]
+    return comments, docstrings
+
+
+def test_time_pattern():
+    for quoted in ("0.24 s", "about 10 ms,", "52 µs a call", "(4.7 s)"):
+        assert TIME.search(quoted), quoted
+    for prose in ("factor out 2s of n", "n = 4s + eps", "100 samples", "2 squarings", "N = 5000 s_i"):
+        assert not TIME.search(prose), prose
+
+
+def test_no_comment_or_docstring_quotes_a_time():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 10
+    quoted = []
+    for path in modules:
+        comments, docstrings = _prose(path)
+        assert docstrings, f"{path.name}: no docstring found"
+        for line, text in comments + docstrings:
+            for m in TIME.finditer(text):
+                at = line + text.count("\n", 0, m.start())
+                quoted.append(f"{path.name}:{at}: {m.group()!r}")
+    assert not quoted, "measured times belong in the README:\n" + "\n".join(quoted)
