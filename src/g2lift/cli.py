@@ -35,8 +35,8 @@ FORMS = {"delta": 12, **{f"eigen{k}": k for k in modforms.RATIONAL_EIGEN_WEIGHTS
 
 # Work caps, checked in main before any work (INPUT_TOO_LARGE, exit 2): work
 # grows with these values, so exponentially in their bit length.  Each comment
-# names the slowest cold call at its cap (the README gives its time):
-MAX_PREC = 20000  # --prec, --prec-half, mf dump --prec: gross --form eigen20
+# names the slowest cold calls at its cap (the README gives their times):
+MAX_PREC = 20000  # --prec, --prec-half, mf dump --prec: gross --form eigen20, mf dump --series eigen26
 MAX_PLUS_K = 20  # k of mf dump --series plusK: plus20 at --prec 20000
 MAX_SAMPLES = 1000  # verify-structure --samples 1000
 MAX_KTYPES_N = 10000  # ktypes --n 10000

@@ -56,9 +56,11 @@ def rat(x) -> Fraction:
 def over_lcm(values) -> tuple:
     """(nums, den): the values (anything ``rat`` takes) as integers over den,
     the lcm of their denominators, each p/q becoming p (den / q).  A plain
-    int (p/1) or Fraction is read as it is; any other value goes through
-    ``rat``, so strings are parsed and floats refused as there, and so is an
-    int subclass such as bool, which may redefine numerator and denominator.
+    int (p/1) or Fraction is read as it is, which skips one Fraction built
+    per value; any other value goes through ``rat``, so strings are parsed
+    and floats refused as there.  The test is on the exact type only because
+    it is the quicker one: a bool or other int subclass, or a Decimal, gives
+    the same integers through ``rat``.
 
     That form is already canonical.  A prime dividing den divides some
     value's q to its full power in den; that value's p is prime to q

@@ -193,10 +193,7 @@ class QExpansion:
         head = f"{w.numerator}/{w.denominator}" if w.denominator != 1 else str(w.numerator)
         lines = [f"{head} {self.level} {self.precision}"]
         d = self.den
-        if d == 1:
-            lines += [f"{x}/1" for x in self.num]
-        else:
-            lines += [f"{x // g}/{d // g}" for x, g in zip(self.num, map(gcd, self.num, repeat(d)))]
+        lines += [f"{x // g}/{d // g}" for x, g in zip(self.num, map(gcd, self.num, repeat(d)))]
         return "\n".join(lines) + "\n"
 
     @classmethod

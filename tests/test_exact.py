@@ -222,7 +222,8 @@ def test_entries_always_reduced():
 
 
 class _Int(int):
-    """An int subclass: ``over_lcm`` sends it through ``rat``, as it does bools."""
+    """An int subclass: ``over_lcm`` sends it through ``rat``, as it does
+    bools, and must read it to the same integers as a plain int."""
 
 
 _entry_st = st.one_of(
