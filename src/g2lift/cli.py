@@ -224,16 +224,6 @@ def cmd_mf_dump(args) -> int:
     return EXIT_PASS
 
 
-def cmd_mf_load(args) -> int:
-    with modforms.BadCacheFile.reading(), open(args.file) as fh:
-        text = fh.read()
-    series = modforms.QExpansion.load(text)
-    first = [f"{c.numerator}/{c.denominator}" for c in map(series.coeff, range(min(8, series.precision)))]
-    _emit({"schema": 1, "weight": str(series.weight), "level": series.level, "precision": series.precision,
-           "first_coeffs": first})
-    return EXIT_PASS
-
-
 def cmd_ktypes(args) -> int:
     dec = ktypes.plethysm_symn_sym3(args.n)
     payload = {
@@ -297,16 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--ext-float", action="store_true")
     q.set_defaults(func=cmd_lfunc)
 
-    p = sub.add_parser("mf", help="dump/load exact q-expansion cache files")
+    p = sub.add_parser("mf", help="dump exact q-expansions")
     mf = p.add_subparsers(dest="mf_action", required=True)
     q = mf.add_parser("dump")
     q.add_argument("--series", default="delta", help="e4 e6 delta eigenNN theta f2 plusK")
     q.add_argument("--prec", type=int, default=100)
     q.add_argument("--out")
     q.set_defaults(func=cmd_mf_dump)
-    q = mf.add_parser("load")
-    q.add_argument("file")
-    q.set_defaults(func=cmd_mf_load)
 
     p = sub.add_parser("ktypes", help="symmetric-power decomposition table")
     p.add_argument("--n", type=int, required=True)

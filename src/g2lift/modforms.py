@@ -38,8 +38,8 @@ from itertools import repeat
 from math import comb, gcd, isqrt
 from typing import List, Sequence
 
-from .arith import BadInput, InputTooLarge, ParseError, prime_powers
-from .exact import canonical, check_digit_runs, int_str_limit, over_lcm, parse_rational, rat
+from .arith import BadInput, InputTooLarge, prime_powers
+from .exact import canonical, int_str_limit, over_lcm, rat
 
 
 class NonRationalEigenspace(BadInput):
@@ -48,12 +48,6 @@ class NonRationalEigenspace(BadInput):
 
 class PrecisionError(BadInput):
     """Raised when a precision is below what an operation needs."""
-
-
-class BadCacheFile(ParseError):
-    """A cache file that does not read as one (``QExpansion.load``)."""
-
-    code = "BAD_CACHE_FILE"
 
 
 RATIONAL_EIGEN_WEIGHTS = (12, 16, 18, 20, 22, 26)
@@ -188,30 +182,13 @@ class QExpansion:
         return self if n >= self.precision else QExpansion._raw(self.weight, self.level, self.num[:n], self.den)
 
     def dump(self) -> str:
-        """Cache file format: header 'weight level N', then exact rationals."""
+        """The `mf dump` text format: header 'weight level N', then exact rationals."""
         w = self.weight
         head = f"{w.numerator}/{w.denominator}" if w.denominator != 1 else str(w.numerator)
         lines = [f"{head} {self.level} {self.precision}"]
         d = self.den
         lines += [f"{x // g}/{d // g}" for x, g in zip(self.num, map(gcd, self.num, repeat(d)))]
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def load(cls, text: str) -> "QExpansion":
-        lines = text.strip().splitlines()
-        head = lines[0].split() if lines else []
-        if len(head) != 3:
-            raise BadCacheFile("cache file needs a 'weight level N' header")
-        with BadCacheFile.reading("zero denominator in cache file"):
-            weight, level, n = parse_rational(head[0]), int(check_digit_runs(head[1])), int(check_digit_runs(head[2]))
-            coeffs = [parse_rational(t) for t in lines[1 : 1 + n]]
-        if level < 1:
-            raise BadCacheFile("cache file level must be at least 1")
-        if n < 2:
-            raise BadCacheFile("cache file precision must be at least 2")
-        if len(coeffs) != n:
-            raise BadCacheFile("truncated cache file")
-        return cls(weight, level, coeffs)
 
 
 # ---------------------------------------------------------------------------

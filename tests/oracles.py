@@ -10,8 +10,8 @@ is checked against a Gauss-Jordan elimination in Fraction arithmetic
 What only tests call lives here too, with its own arithmetic rather than
 borrowed library methods: the degree-7 Euler factorization (criterion 2),
 the nonvanishing agreement of c(1) and L(f, 1) (criterion 5), sums and
-scalings of series (``series_combination``), scalings of matrices and the
-cubic ring product.
+scalings of series (``series_combination``), the reading of ``mf dump``
+text (``read_dump``), scalings of matrices and the cubic ring product.
 """
 
 from __future__ import annotations
@@ -468,6 +468,20 @@ def series_combination(terms):
         s = c.numerator * (out_den // (c.denominator * den))
         out = [y + s * x for y, x in zip(out, num)]
     return out, out_den
+
+
+# --- the mf dump text format read back ---------------------------------------
+
+def read_dump(text):
+    """The series that a ``QExpansion.dump`` text holds: the header 'weight
+    level N', then N rationals, each read by Fraction.  Only dumps that the
+    package wrote reach it, so it refuses nothing."""
+    from g2lift.modforms import QExpansion
+
+    head, *lines = text.splitlines()
+    weight, level, n = head.split()
+    assert int(n) == len(lines)
+    return QExpansion(Fraction(weight), int(level), [Fraction(t) for t in lines])
 
 
 # --- Kohnen plus space from independently powered monomials ------------------

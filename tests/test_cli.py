@@ -129,58 +129,20 @@ def test_lfunc_value(capsys):
 
 
 def test_mf_dump_load_roundtrip(tmp_path, capsys):
+    """--out writes, byte for byte, what mf dump prints without it."""
     path = tmp_path / "delta.mf"
-    code, _ = run_cli(capsys, "mf", "dump", "--series", "delta", "--prec", "16", "--out", str(path))
+    code, out = run_cli(capsys, "mf", "dump", "--series", "delta", "--prec", "16", "--out", str(path))
     assert code == 0
-    code, out = run_cli(capsys, "mf", "load", str(path))
+    assert out == json.dumps({"precision": 16, "schema": 1, "written": str(path)}) + "\n"
+    code, printed = run_cli(capsys, "mf", "dump", "--series", "delta", "--prec", "16")
     assert code == 0
-    rec = json.loads(out)
-    assert rec["weight"] == "12" and rec["precision"] == 16
-    assert rec["first_coeffs"][1] == "1/1"
+    assert path.read_text() == printed
 
 
 def test_mf_dump_half_integral_header(capsys):
     code, out = run_cli(capsys, "mf", "dump", "--series", "theta", "--prec", "6")
     assert code == 0
     assert out.splitlines()[0] == "1/2 4 6"
-
-
-def test_mf_load_rejects_garbage(tmp_path, capsys):
-    path = tmp_path / "bad.mf"
-    path.write_text("12 1 5\n1/1\n")
-    code, out = run_cli(capsys, "mf", "load", str(path))
-    assert code == 2
-    assert json.loads(out)["error"] == "BAD_CACHE_FILE"
-
-
-@pytest.mark.parametrize("text", ["", "\n\n", "12 1\n1/1\n", "1/0 1 1\n1/1\n", "12 1 1\n1/0\n"])
-def test_mf_load_rejects_empty_or_malformed_header(tmp_path, capsys, text):
-    path = tmp_path / "bad.mf"
-    path.write_text(text)
-    code, out = run_cli(capsys, "mf", "load", str(path))
-    assert code == 2
-    assert json.loads(out)["error"] == "BAD_CACHE_FILE"
-
-
-@pytest.mark.parametrize("text", ["12 -3 2\n1\n1\n", "1/2 0 3\n1\n1\n1\n"], ids=["negative", "zero"])
-def test_mf_load_rejects_level_below_one(tmp_path, capsys, text):
-    path = tmp_path / "bad.mf"
-    path.write_text(text)
-    code, out = run_cli(capsys, "mf", "load", str(path))
-    assert code == 2
-    assert_refused(out, "BAD_CACHE_FILE")
-
-
-@pytest.mark.parametrize("text", ["12 1 0\n", "12 1 -2\n1\n1\n1\n"], ids=["zero", "negative"])
-def test_mf_load_rejects_precision_below_two(tmp_path, capsys, text):
-    """mf dump never writes N below 2: an empty series is no answer, and a
-    negative N is no truncation."""
-    path = tmp_path / "bad.mf"
-    path.write_text(text)
-    code, out = run_cli(capsys, "mf", "load", str(path))
-    assert code == 2
-    assert_refused(out, "BAD_CACHE_FILE")
-    assert json.loads(out)["message"] == "cache file precision must be at least 2"
 
 
 @pytest.mark.parametrize("series", ["plus7", "plusx", "plus4", "eigenx", "eigen13"])
@@ -207,9 +169,12 @@ def test_ktypes_table(capsys):
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["coeff"])  # missing required --w
-    assert exc.value.code == 2
+    """A missing required option and the retired mf load end in argparse's
+    usage error."""
+    for argv in (["coeff"], ["mf", "load", "f.mf"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def assert_refused(out, error):
@@ -402,7 +367,7 @@ def _raising(exc):
 
 
 @pytest.mark.parametrize("case", RECORDED, ids=[c["id"] for c in RECORDED])
-def test_output_matches_recording(capsys, monkeypatch, tmp_path, case):
+def test_output_matches_recording(capsys, monkeypatch, case):
     """stdout and exit code equal those recorded from the per-command
     handlers that the refusal classes replaced, byte for byte.  Four codes
     were recorded again: coeff's three-entry --w is BAD_VECTOR, as under
@@ -419,10 +384,6 @@ def test_output_matches_recording(capsys, monkeypatch, tmp_path, case):
         monkeypatch.setattr(lfunctions, "central_twisted_value", unstable)
         monkeypatch.setattr(lift, "central_twisted_value", unstable)
     argv = case["argv"]
-    if case["file_text"] is not None:
-        path = tmp_path / "f.mf"
-        path.write_text(case["file_text"])
-        argv = [a.replace("{file}", str(path)) for a in argv]
     code, out = run_cli(capsys, *argv)
     assert code == case["exit"]
     if "stdout_sha256" in case:
@@ -539,16 +500,13 @@ def test_work_caps_refuse_before_the_work(capsys, argv):
         (("reduce", "--w=1e10000000,0,1/3,0"), "BAD_VECTOR"),
         (("show", "x:a:1E10000000"), "BAD_WORD"),
         (("show", "n:1,0,1e-10000000,0,3"), "BAD_WORD"),
-        (("mf", "load", "{file}"), "BAD_CACHE_FILE"),
     ],
-    ids=["reduce", "show-root", "show-heisenberg", "mf-load"],
+    ids=["reduce", "show-root", "show-heisenberg"],
 )
-def test_exponent_form_refused_before_expansion(capsys, tmp_path, argv, error):
+def test_exponent_form_refused_before_expansion(capsys, argv, error):
     """Fraction would build 10^(10^7) in full, about 14 s, before refusing."""
-    path = tmp_path / "f.mf"
-    path.write_text("4 1 2\n1\n1e10000000\n")
     with deadline(0.5):
-        code, out = run_cli(capsys, *(a.replace("{file}", str(path)) for a in argv))
+        code, out = run_cli(capsys, *argv)
     assert code == 2
     assert_refused(out, error)
 
@@ -559,26 +517,22 @@ OVERSIZED = "7" * (INT_STR_LIMIT + 700)
 
 @pytest.mark.skipif(not INT_STR_LIMIT, reason="no int/str conversion limit")
 @pytest.mark.parametrize(
-    "argv,file_text,error",
+    "argv",
     [
-        (("reduce", f"--w={OVERSIZED},0,1/3,0"), None, "INPUT_TOO_LARGE"),
-        (("show", f"m:{OVERSIZED},0,0,1"), None, "INPUT_TOO_LARGE"),
-        (("mf", "load", "{file}"), f"4 1 2\n1\n1/{OVERSIZED}\n", "INPUT_TOO_LARGE"),
-        (("mf", "load", "{file}"), f"4 {OVERSIZED} 2\n1\n1\n", "INPUT_TOO_LARGE"),
-        (("coeff", f"--w={OVERSIZED},0,1/3,0"), None, "INPUT_TOO_LARGE"),
-        (("gross", f"--discs=5,{OVERSIZED}"), None, "INPUT_TOO_LARGE"),
-        (("mf", "dump", "--series", f"plus{OVERSIZED}"), None, "INPUT_TOO_LARGE"),
+        ("reduce", f"--w={OVERSIZED},0,1/3,0"),
+        ("show", f"m:{OVERSIZED},0,0,1"),
+        ("coeff", f"--w={OVERSIZED},0,1/3,0"),
+        ("gross", f"--discs=5,{OVERSIZED}"),
+        ("mf", "dump", "--series", f"plus{OVERSIZED}"),
     ],
-    ids=["reduce", "show", "mf-load-coefficient", "mf-load-header", "coeff", "gross", "mf-dump-plus"],
+    ids=["reduce", "show", "coeff", "gross", "mf-dump-plus"],
 )
-def test_oversized_literal_refused_in_the_programs_words(capsys, tmp_path, argv, file_text, error):
+def test_oversized_literal_refused_in_the_programs_words(capsys, argv):
     """A digit run past Python's int/str limit is refused with the limit in
     digits, not with Python's advice to raise it, which a CLI user cannot."""
-    path = tmp_path / "f.mf"
-    path.write_text(file_text or "")
-    code, out = run_cli(capsys, *(a.replace("{file}", str(path)) for a in argv))
+    code, out = run_cli(capsys, *argv)
     assert code == 2
-    assert_refused(out, error)
+    assert_refused(out, "INPUT_TOO_LARGE")
     message = json.loads(out)["message"]
     assert message == f"a {len(OVERSIZED)}-digit number exceeds the {INT_STR_LIMIT}-digit limit"
 
@@ -615,7 +569,7 @@ def test_only_format_parsers_convert_foreign_errors():
     exception, except gross, whose CentralVanishing is a result row.  The
     only handlers of Python's own errors are ParseError.reading and main's
     INTERNAL_ERROR, and only the parsers of outside formats read under it:
-    --w, show words, --discs, cache files and the two mf file opens."""
+    --w, show words, --discs and the mf dump --out file open."""
     import ast
     import importlib
     import inspect
@@ -642,8 +596,7 @@ def test_only_format_parsers_convert_foreign_errors():
         "cli.cmd_gross": ["CentralVanishing"],
         "cli.main": ["Refusal", "Exception"],
     }
-    assert readers == {"cli._parse_w", "cli._parse_word", "cli.cmd_gross", "cli.cmd_mf_dump", "cli.cmd_mf_load",
-                       "modforms.QExpansion.load"}
+    assert readers == {"cli._parse_w", "cli._parse_word", "cli.cmd_gross", "cli.cmd_mf_dump"}
 
 
 def _refusal_classes(cls=Refusal):
@@ -657,6 +610,16 @@ def test_refusal_classes_keep_their_library_bases():
     for cls in _refusal_classes()[1:]:
         assert issubclass(cls, (ValueError, ArithmeticError)), cls
         assert cls.code in schema["properties"]["error"]["enum"] and cls.exit_code in (2, 3), cls
+
+
+def test_error_schema_lists_exactly_the_declared_codes():
+    """The error enum is the refusal classes' codes and the two that no class
+    declares, gross's TOO_FEW_POINTS and main's INTERNAL_ERROR: no entry
+    outlives its class, and no class ships without its entry."""
+    schema = json.loads((pathlib.Path(__file__).parent.parent / "docs" / "schemas" / "error.schema.json").read_text())
+    declared = {cls.code for cls in _refusal_classes()} | {"TOO_FEW_POINTS", "INTERNAL_ERROR"}
+    assert sorted(schema["properties"]["error"]["enum"]) == sorted(declared)
+    assert schema["properties"]["schema"] == {"const": 1}
 
 
 # --- fuzz gate ----------------------------------------------------------------
@@ -697,11 +660,6 @@ _series = st.one_of(
                      "plus6", "plus20", "plusx", "e8", ""]),
     _capped(cli.MAX_PLUS_K).map("plus{}".format),
 )
-_file_text = st.one_of(
-    st.text(max_size=200),
-    st.builds(lambda head, lines: head + "\n" + "\n".join(lines),
-              st.lists(_token, min_size=2, max_size=4).map(" ".join), st.lists(_token, max_size=12)),
-)
 # each sample runs all 17 structure checks, about 12-15 ms in-process; 8 samples take at most 115 ms
 ARGV = st.one_of(
     st.tuples(st.just("verify-structure"), _capped(cli.MAX_SAMPLES, small=8).map("--samples={}".format),
@@ -723,24 +681,18 @@ ARGV = st.one_of(
               _integer.map("--k={}".format)),
 )
 DECLARED = {cls.code for cls in _refusal_classes()}
-CASES = st.one_of(ARGV.map(lambda argv: (argv, None)), _file_text.map(lambda text: (("mf", "load", "{file}"), text)))
 SCHEMAS = {"verify-structure": "run-report", "coeff": "lift-coefficient", "gross": "gross-report",
            "lfunc": "lfunc-value", "reduce": "reduce-record"}
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=CASES)
-def test_cli_fuzz(case, tmp_path_factory):
+@given(argv=ARGV)
+def test_cli_fuzz(argv):
     """Every argv ends in an answer or a typed refusal: exit 0-3, no
     traceback, never INTERNAL_ERROR, every error code declared by a refusal
     class, and JSON valid against its shipped schema."""
     jsonschema = pytest.importorskip("jsonschema")
     schemas = pathlib.Path(__file__).parent.parent / "docs" / "schemas"
-    argv, file_text = case
-    if file_text is not None:
-        path = tmp_path_factory.mktemp("fuzz") / "f.mf"
-        path.write_text(file_text)
-        argv = [a.replace("{file}", str(path)) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), deadline(10):
         try:

@@ -5,12 +5,12 @@ package that none of it reached.
     PYTHONPATH=src python tests/user_reach.py
 
 The runs are every recorded CLI case in tests/data/cli_outputs.json that
-needs no library patch and no input file, the commands ``gross``,
-``lfunc value`` and ``verify-structure`` at their defaults, and one seed-1
-pass of each benchmark workload of perfbench/workloads.py, verification
-included.  Code that only the test suite reaches shows up here; what is
-left should be refusals, guards and ``__main__``.  Pytest does not collect
-this file, because its name does not start with ``test_``.
+needs no library patch, the commands ``gross``, ``lfunc value`` and
+``verify-structure`` at their defaults, and one seed-1 pass of each
+benchmark workload of perfbench/workloads.py, verification included.
+Code that only the test suite reaches shows up here; what is left should
+be refusals, guards and ``__main__``.  Pytest does not collect this file,
+because its name does not start with ``test_``.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ DEFAULT_COMMANDS = (["gross"], ["lfunc", "value"], ["verify-structure"])
 
 
 def cli_runs() -> list:
-    """The argv of every recorded case with no patch and no file, then the
-    commands that run at their defaults."""
+    """The argv of every recorded case with no patch, then the commands
+    that run at their defaults."""
     cases = json.loads((ROOT / "tests" / "data" / "cli_outputs.json").read_text())
-    pinned = [c["argv"] for c in cases if c["patch"] is None and c["file_text"] is None]
+    pinned = [c["argv"] for c in cases if c["patch"] is None]
     return pinned + [list(argv) for argv in DEFAULT_COMMANDS]
 
 
