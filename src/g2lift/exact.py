@@ -1,8 +1,12 @@
-"""Exact rational matrix kernel: dense 7x7, 5x5 and 2x2 matrices over Q.
+"""Exact rational matrix kernel: 7x7, 5x5 and 2x2 matrices over Q.
 
 Every exact vector (a matrix grid, a q-series, a cubic form) is integers
 over one positive denominator, their gcd with it 1, so exact equality is
-tuple equality and a product needs one gcd pass, not one per entry.
+tuple equality and a product needs one gcd pass, not one per entry.  A
+matrix holds every entry, zeros included; a product reads each column of
+its right factor as its nonzero entries only, since the group's Levi,
+Weyl, torus and unipotent grids are mostly zeros, and a zero term adds
+nothing to an exact integer sum.
 ``over_lcm`` builds that form in integers, taking ints and Fractions as
 they are and every other value through ``rat``, which refuses floats;
 ``canonical`` restores it after integer arithmetic.
@@ -197,13 +201,9 @@ class _MatrixBase:
     def __mul__(self, other):
         if type(self) is not type(other):
             return NotImplemented
-        n = self.SIZE
-        a = self.num
-        bt = tuple(zip(*other.num))
-        rng = range(n)
-        num = tuple(
-            tuple(sum(ar[k] * bc[k] for k in rng) for bc in bt) for ar in a
-        )
+        # each column of other as its nonzero (row, entry) pairs
+        cols = [[(k, x) for k, x in enumerate(c) if x] for c in zip(*other.num)]
+        num = tuple(tuple(sum([ar[k] * x for k, x in col]) for col in cols) for ar in self.num)
         return type(self)._raw(num, self.den * other.den)
 
     def __add__(self, other):

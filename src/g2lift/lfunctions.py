@@ -7,7 +7,10 @@ Twisted central values use the smoothed series
 with root number w = +1 (level one, k even, D > 0), self-validated by
 recomputing with the free cutoff parameter doubled; the incomplete gamma
 of integer order is the finite sum e^-x sum_{j<k} x^j / j!.  The error
-bound of a value is the disagreement of those two cutoffs.
+bound of a value is the disagreement of those two cutoffs.  The three
+smoothed sums this takes are one pass over n: chi_D(n) is read from a
+table of its D values (it has period D), and each a_n chi_D(n) n^-k is
+formed once for every sum it enters.
 """
 
 from __future__ import annotations
@@ -45,28 +48,60 @@ class LValue:
     terms_used: int
 
 
-def _smoothed_sum(f: QExpansion, D: int, k: int, x: float, n_max: int, use_mpmath: bool = False):
-    """sum a_n chi_D(n) n^-k Gamma(k, 2 pi n x / D) / Gamma(k)."""
-    if use_mpmath:
+def _chi_table(D: int) -> list:
+    """[kronecker(D, r) for r < D]: chi_D(n) = table[n % D] for every n >= 1.
+
+    For a fundamental D > 0, n -> kronecker(D, n) has period D on n >= 1.
+    If gcd(n, D) > 1, then gcd(n + D, D) > 1 and both values are 0.  Else
+    write n = 2^s u with u odd.  For D = 1 mod 4, kronecker(D, 2) = (2/D)
+    (both read D mod 8) and Jacobi reciprocity gives (D/u) = (u/D), so the
+    value is the Jacobi symbol (n/D).  For D = 4m, n is odd and the value
+    is (m/n) = (2/n)^t (m'/n) with m = 2^t m', m' odd and t <= 1; by
+    reciprocity (m'/n) is (n/m') times a sign read off n mod 4, and (2/n)
+    reads n mod 8, so the value depends on n mod 8m' (t = 1, D = 8m') or
+    n mod 4m' (t = 0, D = 4m'), that is on n mod D."""
+    return [kronecker(D, r) for r in range(D)]
+
+
+def _central_sums(f: QExpansion, D: int, k: int, base: int, ext_float: bool = False) -> tuple:
+    """(S(1), S(2), S(1/2)) in one pass over n, where
+
+        S(x) = sum_n a_n chi_D(n) n^-k Gamma(k, 2 pi n x / D) / Gamma(k)
+
+    runs to n = base for x = 1 and 2 and to 2 base for x = 1/2.  Each n
+    reads chi_D from ``_chi_table`` and forms chi_D(n) a_n n^-k once for the
+    sums it enters; every product and sum is taken in the order of three
+    separate sums, so the floats are the same.  ext_float recomputes the
+    same sums at 40 digits through mpmath's regularized incomplete gamma."""
+    chi = _chi_table(D)
+    if ext_float:
         import mpmath
 
         with mpmath.workdps(40):
-            acc = mpmath.mpf(0)
-            for n in range(1, n_max + 1):
-                chi = kronecker(D, n)
-                if chi == 0:
-                    continue
-                c = f.coeff(n)
-                xx = 2 * mpmath.pi * n * x / D
-                acc += chi * mpmath.mpf(c.numerator) / c.denominator / mpmath.mpf(n) ** k * mpmath.gammainc(k, xx, regularized=True)
-            return float(acc)
-    acc = 0.0
-    for n in range(1, n_max + 1):
-        chi = kronecker(D, n)
-        if chi == 0:
-            continue
-        acc += chi * (f.num[n] / f.den) * n ** (-k) * gamma_inc_ratio(k, 2 * math.pi * n * x / D)
-    return acc
+            s1 = s2 = sh = mpmath.mpf(0)
+            for n in range(1, 2 * base + 1):
+                c = chi[n % D]
+                if c:
+                    a = f.coeff(n)
+                    t = c * mpmath.mpf(a.numerator) / a.denominator / mpmath.mpf(n) ** k
+                    y = 2 * mpmath.pi * n
+                    if n <= base:
+                        s1 += t * mpmath.gammainc(k, y * 1.0 / D, regularized=True)
+                        s2 += t * mpmath.gammainc(k, y * 2.0 / D, regularized=True)
+                    sh += t * mpmath.gammainc(k, y * 0.5 / D, regularized=True)
+            return float(s1), float(s2), float(sh)
+    num, den, two_pi = f.num, f.den, 2 * math.pi
+    s1 = s2 = sh = 0.0
+    for n in range(1, 2 * base + 1):
+        c = chi[n % D]
+        if c:
+            t = c * (num[n] / den) * n ** (-k)
+            y = two_pi * n
+            if n <= base:
+                s1 += t * gamma_inc_ratio(k, y * 1.0 / D)
+                s2 += t * gamma_inc_ratio(k, y * 2.0 / D)
+            sh += t * gamma_inc_ratio(k, y * 0.5 / D)
+    return s1, s2, sh
 
 
 def _cutoff_terms(D: int, k: int, tol: float) -> int:
@@ -117,12 +152,10 @@ def central_twisted_value(f: QExpansion, D: int = 1, tol: float = 1e-10, ext_flo
     base = _cutoff_terms(D, k, tol)
     if 2 * base >= f.precision:
         raise BadInput(f"need at least {2 * base + 1} coefficients, have {f.precision}")
-    s1 = _smoothed_sum(f, D, k, 1.0, base, ext_float)
-    val1 = (1.0 + w) * s1
     # doubled cutoff parameter splits the two functional-equation halves;
     # the x = 1/2 half decays at half speed, so scale its term count
-    s_a = _smoothed_sum(f, D, k, 2.0, base, ext_float)
-    s_b = _smoothed_sum(f, D, k, 0.5, 2 * base, ext_float)
+    s1, s_a, s_b = _central_sums(f, D, k, base, ext_float)
+    val1 = (1.0 + w) * s1
     val2 = s_a + w * s_b
     err = abs(val1 - val2) + 1e-14 * (1 + abs(val1))
     if err > tol:

@@ -5,7 +5,10 @@ substitution instead of coefficient formulas, cofactor expansion instead
 of Bareiss, superring enumeration instead of local criteria, character
 arithmetic instead of the closed plethysm formula.  The plus-space kernel
 is checked against a Gauss-Jordan elimination in Fraction arithmetic
-(``rational_kernel``) instead of the integer Bareiss echelon.
+(``rational_kernel``) instead of the integer Bareiss echelon.  Products
+are checked against the dense row-by-column sum (``matmul_dense``), and
+central values against three separate smoothed sums with chi_D from the
+Kronecker symbol (``smoothed_sum``).
 
 What only tests call lives here too, with its own arithmetic rather than
 borrowed library methods: the degree-7 Euler factorization (criterion 2),
@@ -37,6 +40,21 @@ def grid_by_fraction_products(rows, size):
         for x in r:
             den = lcm(den, x.denominator)
     return tuple(tuple(int(x * den) for x in r) for r in fr), den
+
+
+def matmul_dense(a, b):
+    """(num, den) of the product of two matrices, canonical: every entry
+    the full row-by-column sum, 0 * x terms included, over den_a den_b.
+    The product body that the zero-skipping ``_MatrixBase.__mul__``
+    replaced."""
+    from g2lift.exact import canonical
+
+    n = a.SIZE
+    bt = tuple(zip(*b.num))
+    rng = range(n)
+    num = tuple(tuple(sum(ar[k] * bc[k] for k in rng) for bc in bt) for ar in a.num)
+    flat, den = canonical([x for r in num for x in r], a.den * b.den)
+    return tuple(zip(*[iter(flat)] * n)), den
 
 
 # --- polynomial substitution oracle for the symmetric-cube action ----------
@@ -690,19 +708,70 @@ def kronecker_chi(D, n):
     return kronecker(D, n)
 
 
+def smoothed_sum(f, D, k, x, n_max, use_mpmath=False):
+    """sum a_n chi_D(n) n^-k Gamma(k, 2 pi n x / D) / Gamma(k) to n_max, one
+    sum per call with chi_D from ``arith.kronecker``; at 40 digits through
+    mpmath with use_mpmath.  The three-call body that the one-pass
+    ``lfunctions._central_sums`` replaced."""
+    from g2lift.arith import kronecker
+    from g2lift.lfunctions import gamma_inc_ratio
+
+    if use_mpmath:
+        import mpmath
+
+        with mpmath.workdps(40):
+            acc = mpmath.mpf(0)
+            for n in range(1, n_max + 1):
+                chi = kronecker(D, n)
+                if chi == 0:
+                    continue
+                c = f.coeff(n)
+                xx = 2 * mpmath.pi * n * x / D
+                acc += chi * mpmath.mpf(c.numerator) / c.denominator / mpmath.mpf(n) ** k * mpmath.gammainc(k, xx, regularized=True)
+            return float(acc)
+    acc = 0.0
+    for n in range(1, n_max + 1):
+        chi = kronecker(D, n)
+        if chi == 0:
+            continue
+        acc += chi * (f.num[n] / f.den) * n ** (-k) * gamma_inc_ratio(k, 2 * math.pi * n * x / D)
+    return acc
+
+
+def smoothed_sums(f, D, k, base, use_mpmath=False):
+    """(S(1), S(2), S(1/2)) by three ``smoothed_sum`` calls, to base, base
+    and 2 base."""
+    return tuple(smoothed_sum(f, D, k, x, n, use_mpmath) for x, n in ((1.0, base), (2.0, base), (0.5, 2 * base)))
+
+
+def central_value_by_three_sums(f, D, tol, ext_float=False):
+    """(value, abs_error_bound, terms_used) of ``central_twisted_value`` for
+    a form and D it accepts, from ``smoothed_sums``; raises
+    SeriesInstability where the two cutoffs disagree beyond tol."""
+    from g2lift.lfunctions import SeriesInstability, _cutoff_terms
+
+    k = int(f.weight) // 2
+    base = _cutoff_terms(D, k, tol)
+    s1, s_a, s_b = smoothed_sums(f, D, k, base, ext_float)
+    val1 = 2.0 * s1
+    val2 = s_a + s_b
+    err = abs(val1 - val2) + 1e-14 * (1 + abs(val1))
+    if err > tol:
+        raise SeriesInstability(f"series instability: {val1} vs {val2}")
+    return val1, err, 3 * base
+
+
 def solve_root_number(f, D=1, tol=1e-8):
     """Treat the root number as unknown and solve it from two cutoffs."""
-    from g2lift.lfunctions import _cutoff_terms, _smoothed_sum
+    from g2lift.lfunctions import _cutoff_terms
 
     two_k = int(f.weight)
     k = two_k // 2
     base = _cutoff_terms(D, k, tol)
     if 2 * base >= f.precision:
         raise ValueError("insufficient precision")
-    s1a = _smoothed_sum(f, D, k, 1.0, base)
+    s1a, s2a, s2b = smoothed_sums(f, D, k, base)
     s1b = s1a
-    s2a = _smoothed_sum(f, D, k, 2.0, base)
-    s2b = _smoothed_sum(f, D, k, 0.5, 2 * base)
     # L = S(x) + w S(1/x) for every x; eliminate L between x = 1 and x = 2
     return (s1a - s2a) / (s2b - s1b)
 

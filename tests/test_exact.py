@@ -32,6 +32,7 @@ from oracles import (
     det_cofactor,
     grid_by_fraction_products,
     invert_alpha,
+    matmul_dense,
     poly_at,
     preserves_form_by_products,
     rational_kernel,
@@ -261,6 +262,37 @@ def test_construction_matches_fraction_products(case):
 
 
 _big = st.integers(-2**200, 2**200)
+
+
+@st.composite
+def _sparse_pairs(draw):
+    """Two n x n matrices, n in (2, 5, 7), of entries that are mostly 0 and
+    otherwise ints or Fractions of either sign past 2^64, with whole zero
+    rows and columns drawn for each factor."""
+    n = draw(st.sampled_from((2, 5, 7)))
+    wide = st.integers(-2**80, 2**80)
+    entry = st.one_of(st.just(0), st.just(0), wide, st.builds(F, wide, st.integers(1, 2**70)))
+    out = []
+    for _ in range(2):
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        zero_rows = draw(st.sets(st.integers(0, n - 1), max_size=n))
+        zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=n))
+        rows = [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(r)] for i, r in enumerate(rows)]
+        out.append({2: Matrix2, 5: Matrix5, 7: Matrix7}[n](rows))
+    return out
+
+
+@given(_sparse_pairs())
+@settings(max_examples=200, deadline=None)
+def test_product_matches_the_dense_product(pair):
+    """The product, which reads each column of its right factor as its
+    nonzero entries, gives the grid and denominator of the dense
+    row-by-column sum, canonical, on grids with zero rows and columns,
+    negative entries and entries past 2^64."""
+    a, b = pair
+    got = a * b
+    assert (got.num, got.den) == matmul_dense(a, b)
+    assert got.den > 0 and gcd(got.den, *(x for r in got.num for x in r)) == 1
 
 
 @given(

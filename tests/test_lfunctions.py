@@ -6,11 +6,12 @@ import pytest
 
 from g2lift.arith import is_fundamental_discriminant, kronecker
 from g2lift.exact import Poly
-from g2lift.lfunctions import SeriesInstability, central_twisted_value, gamma_inc_ratio
-from g2lift.lfunctions import _cutoff_terms
+from g2lift.lfunctions import LValue, SeriesInstability, central_twisted_value, gamma_inc_ratio
+from g2lift.lfunctions import _central_sums, _chi_table, _cutoff_terms
 from g2lift.modforms import delta, eigenform
 
 from oracles import (
+    central_value_by_three_sums,
     cesaro_direct_value,
     cutoff_terms_by_walk,
     factorization_check,
@@ -19,6 +20,7 @@ from oracles import (
     kronecker_oracle,
     poly_at,
     shifted_pair_factor,
+    smoothed_sums,
     solve_root_number,
     specialize_alpha,
     std7_euler_factor,
@@ -67,6 +69,70 @@ def test_cutoff_bisection_matches_walk():
         for k in (6, 8, 9, 10, 11, 13):
             for tol in (1e-4, 3e-7, 1e-12):
                 assert _cutoff_terms(D, k, tol) == cutoff_terms_by_walk(D, k, tol), (D, k, tol)
+
+
+def test_chi_table_has_period_D():
+    """chi_D(n) = table[n % D] for every n < 3D and every fundamental D < 2000,
+    D = 1 mod 4 and D = 0 mod 4 (4m and 8m') alike."""
+    discs = [D for D in range(1, 2000) if is_fundamental_discriminant(D)]
+    assert {D % 16 for D in discs if D % 4 == 0} == {8, 12}
+    for D in discs:
+        table = _chi_table(D)
+        assert len(table) == D
+        assert all(table[n % D] == kronecker(D, n) for n in range(1, 3 * D)), D
+
+
+def _hex(floats):
+    return [x.hex() for x in floats]
+
+
+def _outcome(fn, *args):
+    """fn(*args) as (value, abs_error_bound, terms_used) with the floats as
+    their hex, or the refusal it raises."""
+    try:
+        out = fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, LValue):
+        out = out.value, out.abs_error_bound, out.terms_used
+    return out[0].hex(), out[1].hex(), out[2]
+
+
+def _largest_answering(k, tol, precision):
+    """The largest fundamental D whose doubled cutoff fits the precision."""
+    return max(D for D in range(1, precision) if is_fundamental_discriminant(D) and 2 * _cutoff_terms(D, k, tol) < precision)
+
+
+@pytest.mark.parametrize("two_k", [12, 20, 26])
+def test_one_pass_matches_three_sums(two_k):
+    """The one-pass sums equal three separate ``smoothed_sum`` calls float
+    for float, and so value, abs_error_bound and terms_used (or the
+    refusal) equal the three-call computation's, for D = 1, a spread of
+    fundamental D and the largest D the precision answers.  2k = 26 has k
+    odd, which central_twisted_value refuses; its sums are compared."""
+    f = eigenform(two_k, 4000)
+    k = two_k // 2
+    for tol in (1e-6, 1e-10, 1e-12):
+        for D in (1, 5, 8, 12, 13, 40, 61, 105, 136, _largest_answering(k, tol, f.precision)):
+            base = _cutoff_terms(D, k, tol)
+            assert _hex(_central_sums(f, D, k, base)) == _hex(smoothed_sums(f, D, k, base)), (D, tol)
+            if k % 2 == 0:
+                got = _outcome(central_twisted_value, f, D, tol)
+                assert got == _outcome(central_value_by_three_sums, f, D, tol), (D, tol)
+            else:
+                with pytest.raises(ValueError, match="k even"):
+                    central_twisted_value(f, D, tol)
+
+
+def test_one_pass_matches_three_sums_at_40_digits():
+    """ext_float: the one-pass mpmath sums, and so the value, error bound
+    and term count, equal the three-call computation's, float for float."""
+    d = delta(1200)
+    for D in (1, 5, 12, 13):
+        base = _cutoff_terms(D, 6, 1e-10)
+        assert _hex(_central_sums(d, D, 6, base, True)) == _hex(smoothed_sums(d, D, 6, base, True)), D
+        got = _outcome(central_twisted_value, d, D, 1e-10, True)
+        assert got == _outcome(central_value_by_three_sums, d, D, 1e-10, True), D
 
 
 def test_central_value_delta():
