@@ -86,7 +86,7 @@ def _central_sums(f: QExpansion, D: int, k: int, base: int, ext_float: bool = Fa
                     t = c * mpmath.mpf(a.numerator) / a.denominator / mpmath.mpf(n) ** k
                     y = 2 * mpmath.pi * n
                     if n <= base:
-                        s1 += t * mpmath.gammainc(k, y * 1.0 / D, regularized=True)
+                        s1 += t * mpmath.gammainc(k, y / D, regularized=True)
                         s2 += t * mpmath.gammainc(k, y * 2.0 / D, regularized=True)
                     sh += t * mpmath.gammainc(k, y * 0.5 / D, regularized=True)
             return float(s1), float(s2), float(sh)
@@ -98,7 +98,7 @@ def _central_sums(f: QExpansion, D: int, k: int, base: int, ext_float: bool = Fa
             t = c * (num[n] / den) * n ** (-k)
             y = two_pi * n
             if n <= base:
-                s1 += t * gamma_inc_ratio(k, y * 1.0 / D)
+                s1 += t * gamma_inc_ratio(k, y / D)
                 s2 += t * gamma_inc_ratio(k, y * 2.0 / D)
             sh += t * gamma_inc_ratio(k, y * 0.5 / D)
     return s1, s2, sh
