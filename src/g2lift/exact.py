@@ -3,10 +3,12 @@
 Every exact vector (a matrix grid, a q-series, a cubic form) is integers
 over one positive denominator, their gcd with it 1, so exact equality is
 tuple equality and a product needs one gcd pass, not one per entry.  A
-matrix holds every entry, zeros included; a product reads each column of
-its right factor as its nonzero entries only, since the group's Levi,
-Weyl, torus and unipotent grids are mostly zeros, and a zero term adds
-nothing to an exact integer sum.
+matrix holds every entry, zeros included.  A product forms each row of
+the result from the matching row of its left factor: every nonzero x
+there adds x times the matching row of the right factor, and a row with
+no nonzero is a zero row.  The group's Levi, Weyl, torus and unipotent
+grids are mostly zeros, and a zero term adds nothing to an exact integer
+sum, so each entry is the row-by-column sum without its zero terms.
 ``over_lcm`` builds that form in integers, taking ints and Fractions as
 they are and every other value through ``rat``, which refuses floats;
 ``canonical`` restores it after integer arithmetic.
@@ -201,9 +203,15 @@ class _MatrixBase:
     def __mul__(self, other):
         if type(self) is not type(other):
             return NotImplemented
-        # each column of other as its nonzero (row, entry) pairs
-        cols = [[(k, x) for k, x in enumerate(c) if x] for c in zip(*other.num)]
-        num = tuple(tuple(sum([ar[k] * x for k, x in col]) for col in cols) for ar in self.num)
+        # row i of the product: x * (row k of other) summed over the nonzero x = self[i][k]
+        brows, zero = other.num, (0,) * self.SIZE
+        num = []
+        for ar in self.num:
+            row = None
+            for x, br in zip(ar, brows):
+                if x:
+                    row = [x * y for y in br] if row is None else [s + x * y for s, y in zip(row, br)]
+            num.append(zero if row is None else row)
         return type(self)._raw(num, self.den * other.den)
 
     def __add__(self, other):

@@ -43,6 +43,12 @@ def gamma_inc_ratio(k: int, x: float) -> float:
 
 @dataclass(frozen=True)
 class LValue:
+    """A central value, the bound on its error, and terms_used = 3 base:
+    the terms of the doubled-cutoff sums S(2) (n <= base) and S(1/2)
+    (n <= 2 base) of ``_central_sums``.  With S(1)'s base terms the
+    sums add 4 base terms over 2 base distinct n, so terms_used counts
+    neither the terms added nor the coefficients read."""
+
     value: float
     abs_error_bound: float
     terms_used: int
@@ -136,7 +142,9 @@ def central_twisted_value(f: QExpansion, D: int = 1, tol: float = 1e-10, ext_flo
     f must be a certified level-one eigenform of weight 2k with k even, so
     that the root number is +1; D a positive fundamental discriminant (or
     1).  Two runs with the cutoff parameter doubled must agree within tol,
-    else SeriesInstability is raised.
+    else SeriesInstability is raised.  terms_used is 3 base, the terms of
+    the doubled-cutoff run S(2) + S(1/2); the sums add 4 base terms over
+    2 base distinct n (see ``LValue``).
     """
     if not math.isfinite(tol):
         raise BadInput("tol must be finite")

@@ -268,31 +268,64 @@ _big = st.integers(-2**200, 2**200)
 def _sparse_pairs(draw):
     """Two n x n matrices, n in (2, 5, 7), of entries that are mostly 0 and
     otherwise ints or Fractions of either sign past 2^64, with whole zero
-    rows and columns drawn for each factor."""
+    rows and columns drawn for each factor.  The left factor may instead
+    hold one nonzero in each row, have a row whose only nonzero is in the
+    last column, or be all zero."""
     n = draw(st.sampled_from((2, 5, 7)))
+    cls = {2: Matrix2, 5: Matrix5, 7: Matrix7}[n]
     wide = st.integers(-2**80, 2**80)
-    entry = st.one_of(st.just(0), st.just(0), wide, st.builds(F, wide, st.integers(1, 2**70)))
+    nonzero = st.one_of(wide.filter(bool), st.builds(F, wide.filter(bool), st.integers(1, 2**70)))
+    entry = st.one_of(st.just(0), st.just(0), nonzero)
     out = []
     for _ in range(2):
         rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
         zero_rows = draw(st.sets(st.integers(0, n - 1), max_size=n))
         zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=n))
         rows = [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(r)] for i, r in enumerate(rows)]
-        out.append({2: Matrix2, 5: Matrix5, 7: Matrix7}[n](rows))
-    return out
+        out.append(rows)
+    left = draw(st.sampled_from(("drawn", "one per row", "last column", "zero")))
+    if left == "one per row":
+        at = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        xs = draw(st.lists(nonzero, min_size=n, max_size=n))
+        out[0] = [[x if j == c else 0 for j in range(n)] for c, x in zip(at, xs)]
+    elif left == "last column":
+        out[0][draw(st.integers(0, n - 1))] = [0] * (n - 1) + [draw(nonzero)]
+    elif left == "zero":
+        out[0] = [[0] * n for _ in range(n)]
+    return [cls(rows) for rows in out]
 
 
 @given(_sparse_pairs())
 @settings(max_examples=200, deadline=None)
 def test_product_matches_the_dense_product(pair):
-    """The product, which reads each column of its right factor as its
-    nonzero entries, gives the grid and denominator of the dense
-    row-by-column sum, canonical, on grids with zero rows and columns,
+    """The product, which forms each row by adding, for each nonzero x of
+    the left factor's row, x times the matching row of the right factor,
+    gives the grid and denominator of the dense row-by-column sum,
+    canonical.  The grids have zero rows and columns, rows with one
+    nonzero (the last column's included), an all-zero left factor,
     negative entries and entries past 2^64."""
     a, b = pair
     got = a * b
     assert (got.num, got.den) == matmul_dense(a, b)
     assert got.den > 0 and gcd(got.den, *(x for r in got.num for x in r)) == 1
+
+
+@pytest.mark.parametrize("cls", (Matrix2, Matrix5, Matrix7))
+def test_product_of_a_signed_permutation_and_of_zero(cls):
+    """A signed permutation P (row i holding s_i at column sigma(i)) times
+    a dense grid D is D's rows permuted and signed, row i being s_i times
+    row sigma(i); zero times D and D times zero are the zero grid over 1."""
+    n = cls.SIZE
+    dense = cls([[F(3 * i + j + 1, 2 + (i * j) % 5) * (-1) ** j for j in range(n)] for i in range(n)])
+    sigma = [(3 * i + 1) % n for i in range(n)]
+    signs = [(-1) ** i for i in range(n)]
+    perm = cls([[signs[i] if j == sigma[i] else 0 for j in range(n)] for i in range(n)])
+    got = perm * dense
+    assert got.rows == tuple(tuple(s * x for x in dense.rows[k]) for s, k in zip(signs, sigma))
+    assert (got.num, got.den) == matmul_dense(perm, dense)
+    zero = cls([[0] * n for _ in range(n)])
+    assert zero.den == 1
+    assert zero * dense == zero and dense * zero == zero
 
 
 @given(
