@@ -132,7 +132,8 @@ class GroupElement:
     orthogonal-group condition under those operations is a proved identity,
     not a trust assumption, so the type invariant survives.  The inverse is
     the form adjoint GRAM^-1 g^T GRAM, a signed permuted transpose built
-    without a 7x7 product (``exact.form_adjoint``).
+    without a 7x7 product (``exact.form_adjoint``).  Coordinate readers
+    compare an element with a closed form and do not re-validate it.
     """
 
     __slots__ = ("matrix",)
@@ -376,8 +377,9 @@ def n1_coords(g: GroupElement):
     return a1, a2, a3, a4, 2 * t_raw + a1 * a4 - 3 * a2 * a3
 
 
-def levi_m(A: Matrix2) -> GroupElement:
-    """The Levi GL2 of the Heisenberg parabolic, m(A) in closed form."""
+def _levi_m_matrix(A: Matrix2) -> Matrix7:
+    """The Levi GL2 of the Heisenberg parabolic: the closed-form grid of
+    m(A), unchecked.  A singular A is refused."""
     a, b, c, d = A.entries()
     dt = a * d - b * c
     if dt == 0:
@@ -391,14 +393,25 @@ def levi_m(A: Matrix2) -> GroupElement:
         [0, 0, 0, 0, 0, a / dt, -b / dt],
         [0, 0, 0, 0, 0, -c / dt, d / dt],
     ]
-    return GroupElement(Matrix7(rows))
+    return Matrix7(rows)
+
+
+def levi_m(A: Matrix2) -> GroupElement:
+    """m(A) in closed form, validated on every call."""
+    return GroupElement(_levi_m_matrix(A))
 
 
 def levi_m_coords(g: GroupElement) -> Matrix2:
-    """GL2 coordinate of an element of M; validates the block shape."""
+    """GL2 coordinate A of an element g of M, read off its top-left block.
+
+    g preserves the form with det 1, being a ``GroupElement``, so if A is
+    invertible and g's grid equals ``_levi_m_matrix(A)``, g is m(A): the
+    comparison decides, with no second form check.  The det test comes
+    first, so a singular block is this ``ValueError``, not ``BadInput``.
+    """
     m = g.matrix
     A = mat2(m[1, 1], m[1, 0], m[0, 1], m[0, 0])
-    if A.det() == 0 or g != levi_m(A):
+    if A.det() == 0 or m != _levi_m_matrix(A):
         raise ValueError("element is not in the Levi M")
     return A
 

@@ -4,8 +4,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
+
+# Opt-in profile for mutation checks (``--hypothesis-profile=mutation``): a
+# broken kernel fails at its first counterexample instead of spending minutes
+# shrinking wide grids.  The default profile is unchanged.
+settings.register_profile("mutation", phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 # Shared precisions: the in-process series store holds the longest series
 # built per name and serves every shorter request as a truncation, so each

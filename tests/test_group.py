@@ -201,6 +201,86 @@ def test_levi_m_identity_and_coords(rng):
         levi_m_coords(heis_n(1, 0, 0, 0, 0))
 
 
+def _block_det(g):
+    m = g.matrix
+    return mat2(m[1, 1], m[1, 0], m[0, 1], m[0, 0]).det()
+
+
+def test_levi_m_coords_refuses_by_comparison():
+    """Elements outside M whose top-left block has det 1: the det test
+    passes, so the comparison with the closed form must refuse them.  Each
+    differs from an m(A) only outside the three diagonal blocks (rows and
+    columns 0-1, 2-4, 5-6), so a reader that compares fewer entries than
+    the whole grid accepts them."""
+    for g in (
+        heis_n(0, 0, 0, 0, 1),
+        u_coord(0, 0, 0, 0, 1),
+        levi_l(mat2(1, 1, 0, 1)),
+        levi_m(mat2(2, 1, 1, 1)) * heis_n(0, 0, 0, 0, 1),
+    ):
+        assert _block_det(g) == 1
+        with pytest.raises(ValueError, match="not in the Levi M"):
+            levi_m_coords(g)
+
+
+def test_levi_m_coords_refuses_a_singular_block_as_not_in_m():
+    """A singular top-left block is refused by the det test before any
+    closed form is formed, as the reader's ValueError and not the closed
+    form's BadInput."""
+    for g in (weyl(RootLabel("b")), iota()):
+        assert _block_det(g) == 0
+        with pytest.raises(ValueError, match="not in the Levi M") as info:
+            levi_m_coords(g)
+        assert not isinstance(info.value, BadInput)
+
+
+def test_levi_m_coords_reads_members_built_elsewhere():
+    """Members of M built by other constructors: u(1, 0, 0, 0, 0), the ml
+    identity, and the torus element h_b(2)."""
+    for g in (u_coord(1, 0, 0, 0, 0), torus(RootLabel("b"), 2)):
+        A = levi_m_coords(g)
+        assert levi_m(A) == g
+
+
+def test_form_checks_per_levi_call(monkeypatch):
+    """levi_m validates its grid once, levi_m_coords compares and does not
+    validate, and levi_m_prime makes only the one check of its m(A)."""
+    import g2lift.group as group
+
+    calls = []
+    check = group.preserves_form
+
+    def counted(m):
+        calls.append(m)
+        return check(m)
+
+    monkeypatch.setattr(group, "preserves_form", counted)
+    A = mat2(F(2, 3), 5, -1, F(7, 2))
+    g = levi_m(A)
+    assert len(calls) == 1
+    assert levi_m_coords(g) == A
+    assert len(calls) == 1
+    levi_m_prime(A)
+    assert len(calls) == 2
+
+
+wide_rat_st = st.builds(F, st.integers(-(2**64), 2**64), st.integers(1, 2**32))
+wide_mat2_st = st.tuples(wide_rat_st, wide_rat_st, wide_rat_st, wide_rat_st).map(lambda t: mat2(*t)).filter(
+    lambda A: A.det() != 0
+)
+
+
+@given(A=wide_mat2_st)
+@settings(max_examples=200, deadline=None)
+def test_levi_m_coords_and_m_prime_on_wide_entries(A):
+    """The reader recovers A from m(A), and the 7x7 route of m' equals the
+    2x2 conjugation J A J^-1 = [[d, -c], [-b, a]], J = [[0, -1], [1, 0]],
+    at 64-bit numerators and 32-bit denominators."""
+    a, b, c, d = A.entries()
+    assert levi_m_coords(levi_m(A)) == A
+    assert levi_m_prime(A) == mat2(d, -c, -b, a)
+
+
 def test_ml_identities(rng):
     for _ in range(10):
         a = rand_rat(rng, 9) or F(1)
