@@ -192,7 +192,7 @@ def cmd_gross(args) -> int:
 
 def cmd_lfunc(args) -> int:
     f = modforms.eigenform(_lifted_form(args.form), args.prec)
-    val = lfunctions.central_twisted_value(f, args.disc, args.tol, ext_float=args.ext_float)
+    val = lfunctions.central_twisted_value(f, args.disc, args.tol)
     _emit(
         {
             "schema": 1,
@@ -284,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--disc", type=int, default=1)
     q.add_argument("--tol", type=float, default=1e-10)
     q.add_argument("--prec", type=int, default=2000)
-    q.add_argument("--ext-float", action="store_true")
     q.set_defaults(func=cmd_lfunc)
 
     p = sub.add_parser("mf", help="dump exact q-expansions")

@@ -69,7 +69,7 @@ def _chi_table(D: int) -> list:
     return [kronecker(D, r) for r in range(D)]
 
 
-def _central_sums(f: QExpansion, D: int, k: int, base: int, ext_float: bool = False) -> tuple:
+def _central_sums(f: QExpansion, D: int, k: int, base: int) -> tuple:
     """(S(1), S(2), S(1/2)) in one pass over n, where
 
         S(x) = sum_n a_n chi_D(n) n^-k Gamma(k, 2 pi n x / D) / Gamma(k)
@@ -77,25 +77,8 @@ def _central_sums(f: QExpansion, D: int, k: int, base: int, ext_float: bool = Fa
     runs to n = base for x = 1 and 2 and to 2 base for x = 1/2.  Each n
     reads chi_D from ``_chi_table`` and forms chi_D(n) a_n n^-k once for the
     sums it enters; every product and sum is taken in the order of three
-    separate sums, so the floats are the same.  ext_float recomputes the
-    same sums at 40 digits through mpmath's regularized incomplete gamma."""
+    separate sums, so the floats are the same."""
     chi = _chi_table(D)
-    if ext_float:
-        import mpmath
-
-        with mpmath.workdps(40):
-            s1 = s2 = sh = mpmath.mpf(0)
-            for n in range(1, 2 * base + 1):
-                c = chi[n % D]
-                if c:
-                    a = f.coeff(n)
-                    t = c * mpmath.mpf(a.numerator) / a.denominator / mpmath.mpf(n) ** k
-                    y = 2 * mpmath.pi * n
-                    if n <= base:
-                        s1 += t * mpmath.gammainc(k, y / D, regularized=True)
-                        s2 += t * mpmath.gammainc(k, y * 2.0 / D, regularized=True)
-                    sh += t * mpmath.gammainc(k, y * 0.5 / D, regularized=True)
-            return float(s1), float(s2), float(sh)
     num, den, two_pi = f.num, f.den, 2 * math.pi
     s1 = s2 = sh = 0.0
     for n in range(1, 2 * base + 1):
@@ -136,7 +119,7 @@ def _cutoff_terms(D: int, k: int, tol: float) -> int:
     return 16 + 8 * hi
 
 
-def central_twisted_value(f: QExpansion, D: int = 1, tol: float = 1e-10, ext_float: bool = False) -> LValue:
+def central_twisted_value(f: QExpansion, D: int = 1, tol: float = 1e-10) -> LValue:
     """Central value L(k, f x chi_D) of the unnormalized twisted L-series.
 
     f must be a certified level-one eigenform of weight 2k with k even, so
@@ -162,7 +145,7 @@ def central_twisted_value(f: QExpansion, D: int = 1, tol: float = 1e-10, ext_flo
         raise BadInput(f"need at least {2 * base + 1} coefficients, have {f.precision}")
     # doubled cutoff parameter splits the two functional-equation halves;
     # the x = 1/2 half decays at half speed, so scale its term count
-    s1, s_a, s_b = _central_sums(f, D, k, base, ext_float)
+    s1, s_a, s_b = _central_sums(f, D, k, base)
     val1 = (1.0 + w) * s1
     val2 = s_a + w * s_b
     err = abs(val1 - val2) + 1e-14 * (1 + abs(val1))

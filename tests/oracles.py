@@ -744,15 +744,16 @@ def smoothed_sums(f, D, k, base, use_mpmath=False):
     return tuple(smoothed_sum(f, D, k, x, n, use_mpmath) for x, n in ((1.0, base), (2.0, base), (0.5, 2 * base)))
 
 
-def central_value_by_three_sums(f, D, tol, ext_float=False):
+def central_value_by_three_sums(f, D, tol, use_mpmath=False):
     """(value, abs_error_bound, terms_used) of ``central_twisted_value`` for
-    a form and D it accepts, from ``smoothed_sums``; raises
-    SeriesInstability where the two cutoffs disagree beyond tol."""
+    a form and D it accepts, from ``smoothed_sums`` (at 40 digits with
+    use_mpmath); raises SeriesInstability where the two cutoffs disagree
+    beyond tol."""
     from g2lift.lfunctions import SeriesInstability, _cutoff_terms
 
     k = int(f.weight) // 2
     base = _cutoff_terms(D, k, tol)
-    s1, s_a, s_b = smoothed_sums(f, D, k, base, ext_float)
+    s1, s_a, s_b = smoothed_sums(f, D, k, base, use_mpmath)
     val1 = 2.0 * s1
     val2 = s_a + s_b
     err = abs(val1 - val2) + 1e-14 * (1 + abs(val1))

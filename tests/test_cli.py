@@ -169,9 +169,9 @@ def test_ktypes_table(capsys):
 
 
 def test_usage_error_exit_code():
-    """A missing required option and the retired mf load end in argparse's
-    usage error."""
-    for argv in (["coeff"], ["mf", "load", "f.mf"]):
+    """A missing required option and the retired mf load and lfunc value
+    --ext-float end in argparse's usage error."""
+    for argv in (["coeff"], ["mf", "load", "f.mf"], ["lfunc", "value", "--ext-float"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -672,6 +672,7 @@ ARGV = st.one_of(
               _forms.map("--form={}".format), st.lists(_disc, min_size=1, max_size=5).map(lambda t: "--discs=" + ",".join(t)),
               _float.map("--tol={}".format), _float.map("--spread-tol={}".format),
               _prec.map("--prec={}".format), _prec.map("--prec-half={}".format)),
+    # lfunc value has no --ext-float: the draw keeps argparse's usage error in reach
     st.builds(lambda ext, *a: ("lfunc", "value", *a) + (("--ext-float",) if ext else ()), st.booleans(),
               _forms.map("--form={}".format), _disc.map("--disc={}".format), _float.map("--tol={}".format),
               _prec.map("--prec={}".format)),

@@ -124,17 +124,6 @@ def test_one_pass_matches_three_sums(two_k):
                     central_twisted_value(f, D, tol)
 
 
-def test_one_pass_matches_three_sums_at_40_digits():
-    """ext_float: the one-pass mpmath sums, and so the value, error bound
-    and term count, equal the three-call computation's, float for float."""
-    d = delta(1200)
-    for D in (1, 5, 12, 13):
-        base = _cutoff_terms(D, 6, 1e-10)
-        assert _hex(_central_sums(d, D, 6, base, True)) == _hex(smoothed_sums(d, D, 6, base, True)), D
-        got = _outcome(central_twisted_value, d, D, 1e-10, True)
-        assert got == _outcome(central_value_by_three_sums, d, D, 1e-10, True), D
-
-
 def test_central_value_delta():
     d = delta(2500)
     val = central_twisted_value(d, 1, 1e-10)
@@ -152,18 +141,12 @@ def test_central_value_twists_stable():
 
 
 def test_central_value_agrees_with_mpmath_reference():
-    # high-precision recomputation of the same smoothed series
+    # the same smoothed series recomputed at 40 digits by the oracle
     d = delta(2500)
-    got = central_twisted_value(d, 5, 1e-10).value
-    ref = central_twisted_value(d, 5, 1e-10, ext_float=True).value
-    assert abs(got - ref) < 1e-11
-
-
-def test_ext_float_leaves_working_precision_alone():
-    """The 40-digit ext_float path must not change the process-global mp.dps."""
-    with mpmath.workdps(15):
-        central_twisted_value(delta(2500), 5, 1e-10, ext_float=True)
-        assert mpmath.mp.dps == 15
+    for D in (1, 5, 12, 13):
+        got = central_twisted_value(d, D, 1e-10).value
+        ref = central_value_by_three_sums(d, D, 1e-10, use_mpmath=True)[0]
+        assert abs(got - ref) < 1e-11, D
 
 
 def test_central_value_guards():

@@ -1,10 +1,13 @@
 """Rules on the package's own text: no comment or docstring under
-src/g2lift quotes a measured time.  A cost is stated by what sets it ("one
+src/g2lift quotes a measured time, and no module imports anything outside
+the standard library.  A cost is stated by what sets it ("one
 transform-sized product", "two squarings"); measured times live in the
 README, where they are re-measured when the code moves them."""
 
+import ast
 import io
 import re
+import sys
 import tokenize
 from pathlib import Path
 
@@ -49,3 +52,28 @@ def test_no_comment_or_docstring_quotes_a_time():
                 at = line + text.count("\n", 0, m.start())
                 quoted.append(f"{path.name}:{at}: {m.group()!r}")
     assert not quoted, "measured times belong in the README:\n" + "\n".join(quoted)
+
+
+def _imported_names(path):
+    """(line, top-level module name) of every absolute import in the module
+    at path, nested imports included; relative and __future__ imports are
+    left out."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names += [(node.lineno, alias.name.partition(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module != "__future__":
+            names.append((node.lineno, node.module.partition(".")[0]))
+    return names
+
+
+def test_package_imports_only_the_standard_library():
+    """src/g2lift runs on a bare interpreter: every import, also one inside
+    a function, is relative, __future__ or a standard-library module."""
+    outside = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in _imported_names(path)
+        if name not in sys.stdlib_module_names
+    ]
+    assert not outside, "imports outside the standard library:\n" + "\n".join(outside)
