@@ -162,7 +162,8 @@ def fundamental_discriminant_of_class(r: Fraction) -> Tuple[int, Fraction]:
     d0 = fundamental_discriminant(r.numerator * r.denominator)
     ratio = Fraction(d0) / r
     lam = Fraction(isqrt(ratio.numerator), isqrt(ratio.denominator))
-    assert lam * lam * r == d0, "square-class arithmetic broke"
+    if lam * lam * r != d0:
+        raise AssertionError("square-class arithmetic broke")
     return d0, lam
 
 
@@ -409,13 +410,15 @@ def reduce_to_canonical(w, q: Optional[Fraction] = None) -> CanonicalReduction:
         apply(shear_inv.inverse())
     if cur[0] > 0:
         apply(mat2(1, 0, 0, -1))
-    assert cur[1] == cur[3] == 0 and cur[0] < 0 < cur[2]
+    if not (cur[1] == cur[3] == 0 and cur[0] < 0 < cur[2]):
+        raise AssertionError("reduction did not reach the shape (t, 0, S/3, 0), t < 0 < S")
 
     d0, lam = fundamental_discriminant_of_class(-3 * cur[0] * cur[2])
     apply(mat2(lam, 0, 0, lam))
     s_now = 3 * cur[2]
     apply(mat2(1, 0, 0, 1 / s_now))
-    assert -cur[0] == d0 and 3 * cur[2] == 1
+    if not (-cur[0] == d0 and 3 * cur[2] == 1):
+        raise AssertionError("reduction did not reach t = -D0, S = 1")
 
     # total is m'^-1, and Ad(w_alpha) is an involution on M
     red = CanonicalReduction(w=w, t=cur[0], S=3 * cur[2], m=levi_m_prime(total.inverse()))

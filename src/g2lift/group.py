@@ -20,9 +20,10 @@ one canonicalizing ``Matrix7._raw`` call:
 
 * x_gamma(u), n(a, t) and u(a, z) are words of one and five letters,
   evaluated from their tables.
-* w_gamma(t) is a signed monomial matrix and h_gamma(t) the diagonal
-  t^k_i: ``_weyl_rows`` reads the signs and exponents once per root off
-  the three-letter word grid of w_gamma(t), a grid over Z[t, t^-1].
+* w_gamma(t) is a signed monomial matrix: ``_weyl_rows`` reads its signs
+  and exponents once per root off the three-letter word grid of
+  w_gamma(t), a grid over Z[t, t^-1].  w_gamma = w_gamma(1) is its signs,
+  and h_gamma(t) = w_gamma(t) w_gamma^-1 the diagonal t^k_i.
 * l(A) is the grid ``_l_grid`` over A's common denominator and det A; its
   form and det identities are proved once per process as polynomial
   identities (``_certify_l_grid``, two grid products), and no call
@@ -303,31 +304,14 @@ def _weyl_rows(gamma: RootLabel):
     return tuple(rows)
 
 
-def _t_powers(t):
-    """(p^(2+k) q^(2-k) for k = -2 .. 2, (p q)^2) for t = p/q: t^k over one
-    denominator, which covers every exponent of the 7-dimensional weights."""
-    t = rat(t)
-    if t == 0:
-        raise BadInput("t must be nonzero")
-    p, q = t.numerator, t.denominator
-    p2, q2 = p * p, q * q
-    return (q2 * q2, p * q2 * q, p2 * q2, p2 * p * q, p2 * p2), p2 * q2
-
-
-def weyl_t(gamma: RootLabel, t) -> GroupElement:
-    """w_gamma(t) = x_gamma(t) x_{-gamma}(-1/t) x_gamma(t), t nonzero: the
-    signed monomial matrix of ``_weyl_rows``."""
-    powers, den = _t_powers(t)
-    grid = [[0] * 7 for _ in range(7)]
-    for row, (j, s, k) in zip(grid, _weyl_rows(gamma)):
-        row[j] = s * powers[k + 2]
-    return GroupElement._trusted(Matrix7._raw(grid, den))
-
-
 @cache
 def weyl(gamma: RootLabel) -> GroupElement:
-    """The fixed Weyl representative w_gamma = w_gamma(1), formed once."""
-    return weyl_t(gamma, 1)
+    """The fixed Weyl representative w_gamma = w_gamma(1), formed once: the
+    sign s_i of ``_weyl_rows`` at (i, c_i) in row i."""
+    grid = [[0] * 7 for _ in range(7)]
+    for row, (j, s, _) in zip(grid, _weyl_rows(gamma)):
+        row[j] = s
+    return GroupElement._trusted(Matrix7._raw(grid, 1))
 
 
 _ALPHA = RootLabel("a")
@@ -335,12 +319,19 @@ _ALPHA = RootLabel("a")
 
 def torus(gamma: RootLabel, t) -> GroupElement:
     """h_gamma(t) = w_gamma(t) w_gamma(1)^-1 = diag(t^k_i): w_gamma(1)^-1 has
-    s_i at (c_i, i), so row i of the product is s_i^2 t^k_i at (i, i)."""
-    powers, den = _t_powers(t)
+    s_i at (c_i, i), so row i of the product is s_i^2 t^k_i at (i, i).  For
+    t = p/q, t^k = p^(2+k) q^(2-k) / (p q)^2, and |k| <= 2 covers every
+    exponent of the 7-dimensional weights."""
+    t = rat(t)
+    if t == 0:
+        raise BadInput("t must be nonzero")
+    p, q = t.numerator, t.denominator
+    p2, q2 = p * p, q * q
+    powers = (q2 * q2, p * q2 * q, p2 * q2, p2 * p * q, p2 * p2)
     grid = [[0] * 7 for _ in range(7)]
     for i, (_, _, k) in enumerate(_weyl_rows(gamma)):
         grid[i][i] = powers[k + 2]
-    return GroupElement._trusted(Matrix7._raw(grid, den))
+    return GroupElement._trusted(Matrix7._raw(grid, p2 * q2))
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,9 @@ class LiftContext:
     two_k is the integral weight 2k; the half-integral side has weight
     k + 1/2.  Precision defaults cover indices -tS and twists D up to
     roughly ``prec_half`` and Satake primes below ``prec_int``.  L(f, 1)
-    is computed once per ``tol`` and kept with the form it was computed
-    from, so a copy or an instance whose ``f`` is replaced computes its own;
-    a refusal is not kept.
+    is computed once per form and ``tol`` and kept under both, so a copy or
+    an instance whose ``f`` is replaced computes its own; a refusal is not
+    kept.
     """
 
     def __init__(self, two_k: int = 12, prec_int: int = 2000, prec_half: int = 600):
@@ -76,18 +76,15 @@ class LiftContext:
         self.k = two_k // 2
         self.f: QExpansion = eigenform(two_k, prec_int)
         self.g: QExpansion = plus_cusp_basis(self.k, prec_half)[0]
-        self._l1: tuple = (self.f, {})
+        self._l1: dict = {}
 
     def _central_value(self, tol: float):
-        """L(f, 1) at ``tol``, computed on the first call for that ``tol``
-        and this ``f``."""
-        f, memo = self._l1
-        if f is not self.f:
-            memo = {}
-            self._l1 = (self.f, memo)
-        L = memo.get(tol)
+        """L(f, 1) at ``tol``, computed on the first call for this ``f`` and
+        that ``tol``."""
+        key = (self.f, tol)
+        L = self._l1.get(key)
         if L is None:
-            L = memo[tol] = central_twisted_value(self.f, 1, tol)
+            L = self._l1[key] = central_twisted_value(self.f, 1, tol)
         return L
 
     # -- coefficient evaluation ---------------------------------------------

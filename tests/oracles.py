@@ -1036,7 +1036,8 @@ def u_coord_by_products(a1, a2, a3, a4, z):
 
 def weyl_t_by_products(gamma, t):
     """w_gamma(t) = x_gamma(t) x_{-gamma}(-1/t) x_gamma(t), two 7x7 products:
-    the construction the expanded word table of ``group.weyl_t`` replaced."""
+    the construction that the signed monomial rows of ``group._weyl_rows``
+    replaced, read as ``group.torus(gamma, t) * group.weyl(gamma)``."""
     from g2lift.group import RootLabel, root_generator
 
     t = Fraction(t)

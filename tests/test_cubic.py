@@ -697,6 +697,26 @@ def test_verify_reduction_rejects_wrong_m():
     assert not verify_reduction(wrong)
 
 
+def test_broken_reduction_steps_raise(monkeypatch):
+    """Each invariant of the reduction raises its own AssertionError when the
+    step before it is broken: a wrong square class, a wrong root (so a4 is
+    not cleared) and a wrong scale (so t != -D0)."""
+    import g2lift.cubic as cubic
+
+    with monkeypatch.context() as m:
+        m.setattr(cubic, "fundamental_discriminant", lambda n: 2 * n)
+        with pytest.raises(AssertionError, match="^square-class arithmetic broke$"):
+            fundamental_discriminant_of_class(F(5))
+    with monkeypatch.context() as m:
+        m.setattr(cubic, "rational_projective_roots", lambda w: [(1, 0)])
+        with pytest.raises(AssertionError, match=r"^reduction did not reach the shape \(t, 0, S/3, 0\)"):
+            reduce_to_canonical((-5, 5, F(-14, 3), 4))
+    real = cubic.fundamental_discriminant_of_class
+    monkeypatch.setattr(cubic, "fundamental_discriminant_of_class", lambda r: (real(r)[0], 2 * real(r)[1]))
+    with pytest.raises(AssertionError, match="^reduction did not reach t = -D0, S = 1$"):
+        reduce_to_canonical((-5, 5, F(-14, 3), 4))
+
+
 def test_failed_verification_is_refused_under_optimize():
     """`python -O` strips assert statements; a reduction whose 7x7 check
     fails must still be refused, on the in-shape path and the general one."""

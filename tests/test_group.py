@@ -31,7 +31,6 @@ from g2lift.group import (
     u_coords,
     u_tilde1,
     weyl,
-    weyl_t,
     z_coord,
 )
 
@@ -580,7 +579,8 @@ def _p_side_inputs(n=200):
 def test_p_side_values_are_pinned():
     """One sha256 over (num, den) of x_gamma(u), w_gamma(t), w_gamma,
     h_gamma(t), n, n1 and the n1 coordinates read back, on seeded inputs;
-    recorded from the product-of-generators construction."""
+    recorded from the product-of-generators construction, and w_gamma(t)
+    read as h_gamma(t) w_gamma."""
     import hashlib
 
     h = hashlib.sha256()
@@ -592,7 +592,7 @@ def test_p_side_values_are_pinned():
         feed(weyl(gamma))
     for gamma, u, t, v in _p_side_inputs():
         feed(root_generator(gamma, u))
-        feed(weyl_t(gamma, t))
+        feed(torus(gamma, t) * weyl(gamma))
         feed(torus(gamma, t))
         feed(heis_n(*v))
         feed(heis_n1(*v))
@@ -618,14 +618,14 @@ def test_heis_n_table_matches_generator_products():
 
 
 def test_weyl_t_table_matches_generator_products():
-    """The signed monomial w_gamma(t) of every root equals
-    x_g(t) x_{-g}(-1/t) x_g(t) as a product of root generators, in canonical
-    (num, den)."""
+    """w_gamma(t) = h_gamma(t) w_gamma of every root, from the diagonal and
+    the signs of ``_weyl_rows``, equals x_g(t) x_{-g}(-1/t) x_g(t) as a
+    product of root generators, in canonical (num, den)."""
     ts = [F(1), F(-1), F(2), F(-1, 2), F(10**6), F(-1, 10**6)]
     ts += [t for _, _, t, _ in _p_side_inputs(24)]
     for gamma in ALL_ROOTS:
         for t in ts:
-            got, want = weyl_t(gamma, t).matrix, weyl_t_by_products(gamma, t).matrix
+            got, want = (torus(gamma, t) * weyl(gamma)).matrix, weyl_t_by_products(gamma, t).matrix
             assert _canonical(got) == _canonical(want), (gamma, t)
 
 
@@ -716,14 +716,16 @@ _EDGE_TS = [F(1), F(-1), F(10**6), F(-1, 10**6)]
 
 
 def test_weyl_t_and_torus_match_their_oracles():
-    """w_gamma(t) as a signed monomial matrix and h_gamma(t) as a diagonal
-    equal the generator products (and w_gamma(t) w_gamma(1)^-1) for all 12
-    roots, in canonical (num, den), at the edge values and seeded t."""
+    """w_gamma(t) = h_gamma(t) w_gamma as a signed monomial matrix and
+    h_gamma(t) as a diagonal equal the generator products (and
+    w_gamma(t) w_gamma(1)^-1) for all 12 roots, in canonical (num, den), at
+    the edge values and seeded t."""
     ts = _EDGE_TS + [t for _, _, t, _ in _p_side_inputs(36)]
     for gamma in ALL_ROOTS:
         assert _canonical(weyl(gamma).matrix) == _canonical(weyl_t_by_products(gamma, 1).matrix)
         for t in ts:
-            w, h = weyl_t(gamma, t).matrix, torus(gamma, t).matrix
+            h = torus(gamma, t)
+            w, h = (h * weyl(gamma)).matrix, h.matrix
             assert _canonical(w) == _canonical(weyl_t_by_products(gamma, t).matrix), (gamma, t)
             assert _canonical(h) == _canonical(torus_by_products(gamma, t).matrix), (gamma, t)
             assert sum(1 for row in w.num for x in row if x) == 7
@@ -811,7 +813,7 @@ def test_corrupted_weyl_word_is_refused(monkeypatch):
                 group._weyl_rows(gamma)
         monkeypatch.undo()
     group._weyl_rows.cache_clear()
-    assert weyl_t(RootLabel("a"), 2) == weyl_t_by_products(RootLabel("a"), 2)
+    assert torus(RootLabel("a"), 2) * weyl(RootLabel("a")) == weyl_t_by_products(RootLabel("a"), 2)
 
 
 # certificate -> (one corrupted input, a call that relies on it, its refusal)
@@ -828,7 +830,7 @@ _MUTATIONS = {
         "    out[0][0] = out[0][0] + 1\n"
         "    return out\n"
         "g._word_grid = moved",
-        "g.weyl_t(g.RootLabel('b'), 2)",
+        "g.torus(g.RootLabel('b'), 2)",
         "Weyl word is not a signed monomial matrix at b",
     ),
     # GRAM with (3, 3) = -3 is still a symmetric signed permutation, but the
@@ -909,7 +911,7 @@ _levi_st = st.tuples(rat_st, rat_st, rat_st, rat_st).map(lambda t: mat2(*t)).fil
 # generators have entries in row and column 3, where GRAM has its -2
 _letter_st = st.one_of(
     st.builds(root_generator, _root_st, rat_st),
-    st.builds(weyl_t, _root_st, _nonzero_st),
+    st.builds(lambda gamma, t: torus(gamma, t) * weyl(gamma), _root_st, _nonzero_st),
     st.builds(weyl, _root_st),
     st.builds(torus, _root_st, _nonzero_st),
     st.builds(heis_n, rat_st, rat_st, rat_st, rat_st, rat_st),

@@ -1,8 +1,10 @@
 """Rules on the package's own text: no comment or docstring under
-src/g2lift quotes a measured time, and no module imports anything outside
-the standard library.  A cost is stated by what sets it ("one
-transform-sized product", "two squarings"); measured times live in the
-README, where they are re-measured when the code moves them."""
+src/g2lift quotes a measured time, no module imports anything outside the
+standard library, and no module holds an assert statement or reads
+__debug__.  A cost is stated by what sets it ("one transform-sized
+product", "two squarings"); measured times live in the README, where they
+are re-measured when the code moves them.  A check that must hold raises
+AssertionError explicitly, so python -O runs the same code."""
 
 import ast
 import io
@@ -77,3 +79,32 @@ def test_package_imports_only_the_standard_library():
         if name not in sys.stdlib_module_names
     ]
     assert not outside, "imports outside the standard library:\n" + "\n".join(outside)
+
+
+def _optimize_branches(source):
+    """(line, what) of every assert statement and every read of __debug__
+    in source: what python -O strips or turns to False."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assert):
+            found.append((node.lineno, "assert"))
+        elif isinstance(node, ast.Name) and node.id == "__debug__":
+            found.append((node.lineno, "__debug__"))
+    return found
+
+
+def test_optimize_branch_rule():
+    assert _optimize_branches("assert x") == [(1, "assert")]
+    assert _optimize_branches("if __debug__:\n    pass") == [(1, "__debug__")]
+    assert _optimize_branches('if not x:\n    raise AssertionError("x broke")') == []
+
+
+def test_package_runs_the_same_under_optimize():
+    """No module under src/g2lift holds an assert statement or reads
+    __debug__, so every path runs the same with and without python -O."""
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, what in _optimize_branches(path.read_text(encoding="utf-8"))
+    ]
+    assert not found, "raise AssertionError instead:\n" + "\n".join(found)
