@@ -22,8 +22,8 @@ class BadInput(Refusal, ValueError):
 
 
 class ParseError(BadInput):
-    """Outside text that its format does not read, or a file that does not
-    open; each format declares a subclass with its own code."""
+    """Outside text that its format does not read; each format declares a
+    subclass with its own code."""
 
     @classmethod
     @contextmanager
@@ -36,7 +36,7 @@ class ParseError(BadInput):
             raise
         except ZeroDivisionError as exc:
             raise cls(zero_message.format(exc)) from exc
-        except (ValueError, OSError) as exc:
+        except ValueError as exc:
             raise cls(str(exc)) from exc
 
 

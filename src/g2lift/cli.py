@@ -181,12 +181,7 @@ def cmd_gross(args) -> int:
         "spread_tol": args.spread_tol,
         "passed": passed,
     }
-    if args.csv:
-        print("D,ratio,status")
-        for r in rows:
-            print(f"{r['D']},{r.get('ratio', '')},{r['status']}")
-    else:
-        _emit(payload)
+    _emit(payload)
     return EXIT_PASS if passed else EXIT_FAIL
 
 
@@ -213,14 +208,7 @@ def cmd_mf_dump(args) -> int:
         if args.series.startswith("plus") and k.isdecimal() and int(check_digit_runs(k)) > MAX_PLUS_K:
             raise InputTooLarge(f"plus-space weight {k} exceeds the cap {MAX_PLUS_K}")
         raise FormUnsupported(f"unknown or unsupported series {args.series!r}")
-    series = build(args.prec)
-    text = series.dump()
-    if args.out:
-        with ParseError.reading(), open(args.out, "w") as fh:
-            fh.write(text)
-        _emit({"schema": 1, "written": args.out, "precision": series.precision})
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(build(args.prec).dump())
     return EXIT_PASS
 
 
@@ -274,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spread-tol", type=float, default=1e-4)
     p.add_argument("--prec", type=int, default=2000)
     p.add_argument("--prec-half", type=int, default=600)
-    p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_gross)
 
     p = sub.add_parser("lfunc", help="numeric central values")
@@ -291,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = mf.add_parser("dump")
     q.add_argument("--series", default="delta", help="e4 e6 delta eigenNN theta f2 plusK")
     q.add_argument("--prec", type=int, default=100)
-    q.add_argument("--out")
     q.set_defaults(func=cmd_mf_dump)
 
     p = sub.add_parser("ktypes", help="symmetric-power decomposition table")
