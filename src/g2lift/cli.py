@@ -158,6 +158,8 @@ def cmd_gross(args) -> int:
     rows = []
     ratios = []
     for D in discs:
+        if D < 1:
+            raise BadInput(f"D = {D} is not positive")
         if D % 4 in (2, 3):  # c(D) = 0, so the ratio is 0 and the relative spread undefined
             raise BadInput(f"D = {D} is 2 or 3 mod 4, not a discriminant")
         w = (Fraction(-D), Fraction(0), Fraction(1, 3), Fraction(0))

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from g2lift import structure
+from g2lift.group import heis_n1, u_tilde1, z_coord
 from g2lift.structure import CHECKS, IDENTITIES, _check, run_structure_suite
 
 
@@ -63,6 +65,46 @@ def test_injected_report_and_draws_are_pinned():
         CHECKS[name](rng, 7)
         after[name] = rng.getrandbits(32)
     assert _digest(after) == "f7d9dd41012f266231396e4b1660e84760692a88fa3fc817ef8c9c6b57ad6f7c"
+
+
+def test_modulus_bases_are_the_unit_elements_built_once(monkeypatch):
+    """The modulus checks' operands are n1, u~1 and z at the unit vectors,
+    built on the first sample and not again."""
+    structure._unit_bases.cache_clear()
+    calls = []
+
+    def counted(name, build):
+        return lambda *e: calls.append(name) or build(*e)
+
+    for name, build in (("heis_n1", heis_n1), ("u_tilde1", u_tilde1), ("z_coord", z_coord)):
+        monkeypatch.setattr(structure, name, counted(name, build))
+    for name in ("modulus_det3_P", "modulus_det5_Q"):
+        assert CHECKS[name](random.Random(name), 4) is None
+    assert calls == ["heis_n1"] * 5 + ["u_tilde1"] * 3 + ["z_coord"] * 2
+    n1_basis, u_basis, z_basis = structure._unit_bases()
+    units5 = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)]
+    assert list(n1_basis) == [heis_n1(*e) for e in units5]
+    assert list(u_basis) == [u_tilde1(*e) for e in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]]
+    assert list(z_basis) == [z_coord(*e) for e in [(1, 0), (0, 1)]]
+
+
+@pytest.mark.parametrize(
+    "name, part, build, args",
+    [
+        ("modulus_det3_P", 0, heis_n1, (2, 0, 0, 0, 0)),
+        ("modulus_det5_Q", 1, u_tilde1, (2, 0, 0)),
+        ("modulus_det5_Q", 2, z_coord, (2, 0)),
+    ],
+    ids=["P-n1", "Q-u_tilde1", "Q-z"],
+)
+def test_modulus_checks_refuse_a_non_unit_basis(monkeypatch, name, part, build, args):
+    """A basis element that is not a unit element doubles the determinant,
+    and the check reports its first draw."""
+    bases = [list(b) for b in structure._unit_bases()]
+    bases[part][0] = build(*args)
+    monkeypatch.setattr(structure, "_unit_bases", lambda: bases)
+    ce = CHECKS[name](random.Random(name), 3)
+    assert ce is not None and set(ce) == {"A", "got"}
 
 
 def _leaves(value):
