@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from functools import partial
 
 from . import cubic, ktypes, lfunctions, modforms, shimura, structure
-from .arith import BadInput, InputTooLarge, ParseError, Refusal
+from .arith import BadInput, InputTooLarge, ParseError, Refusal, is_fundamental_discriminant
 from .exact import check_digit_runs, int_str_limit, mat2, parse_rational
 from .group import (
     GroupElement, RootLabel, heis_n, heis_n1, identity, iota, levi_l, levi_m, root_generator, torus, u_coord,
@@ -155,13 +156,11 @@ def cmd_gross(args) -> int:
         discs = sorted(int(check_digit_runs(d)) for d in args.discs.split(","))
     if len(set(discs)) < len(discs):  # a repeat is one point counted twice
         raise BadInput("repeated discriminant in --discs")
-    rows = []
-    ratios = []
+    for D in discs:  # constancy is predicted at fundamental D only (Kohnen-Zagier)
+        if not is_fundamental_discriminant(D):
+            raise BadInput(f"D = {D} is not a positive fundamental discriminant")
+    rows, ratios = [], []
     for D in discs:
-        if D < 1:
-            raise BadInput(f"D = {D} is not positive")
-        if D % 4 in (2, 3):  # c(D) = 0, so the ratio is 0 and the relative spread undefined
-            raise BadInput(f"D = {D} is 2 or 3 mod 4, not a discriminant")
         w = (Fraction(-D), Fraction(0), Fraction(1, 3), Fraction(0))
         try:
             r = ctx.gross_ratio(w, tol=args.tol)
@@ -175,15 +174,8 @@ def cmd_gross(args) -> int:
         return EXIT_INCONCLUSIVE
     spread = (max(ratios) - min(ratios)) / abs(min(ratios))
     passed = spread < args.spread_tol
-    payload = {
-        "schema": 1,
-        "form": args.form,
-        "rows": rows,
-        "relative_spread": spread,
-        "spread_tol": args.spread_tol,
-        "passed": passed,
-    }
-    _emit(payload)
+    _emit({"schema": 1, "form": args.form, "rows": rows, "relative_spread": spread,
+           "spread_tol": args.spread_tol, "passed": passed})
     return EXIT_PASS if passed else EXIT_FAIL
 
 
@@ -294,18 +286,27 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     limit = int_str_limit()
     try:
-        for name, cap in CAPS.items():
-            value = getattr(args, name, 0)
-            if value > cap:
-                raise InputTooLarge(f"--{name.replace('_', '-')} {value} exceeds the cap {cap}")
-        if limit:
-            sys.set_int_max_str_digits(0)
-        return args.func(args)
-    except Refusal as exc:
-        _emit({"schema": 1, "error": exc.code, "message": str(exc)})
-        return exc.exit_code
-    except Exception as exc:  # a fault of the program, never the input's
-        _emit({"schema": 1, "error": "INTERNAL_ERROR", "message": f"{type(exc).__name__}: {exc}"})
+        try:
+            for name, cap in CAPS.items():
+                value = getattr(args, name, 0)
+                if value > cap:
+                    raise InputTooLarge(f"--{name.replace('_', '-')} {value} exceeds the cap {cap}")
+            if limit:
+                sys.set_int_max_str_digits(0)
+            code = args.func(args)
+        except Refusal as exc:
+            _emit({"schema": 1, "error": exc.code, "message": str(exc)})
+            code = exc.exit_code
+        except BrokenPipeError:
+            raise
+        except Exception as exc:  # a fault of the program, never the input's
+            _emit({"schema": 1, "error": "INTERNAL_ERROR", "message": f"{type(exc).__name__}: {exc}"})
+            code = EXIT_FAIL
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: the SIGPIPE recipe of Python's signal docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAIL
     finally:
         if limit:

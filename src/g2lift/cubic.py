@@ -380,14 +380,19 @@ def reduce_to_canonical(w, q: Optional[Fraction] = None) -> CanonicalReduction:
     """
     w = _vec(w)
     if (quartic_q(w) if q is None else q) >= 0:
-        raise BadInput("precondition violation: q(w) >= 0")
-
+        raise BadInput("q(w) < 0 required")
     if w.a2 == 0 and w.a4 == 0 and w.a1 < 0 and w.a3 > 0:
         red = CanonicalReduction(w=w, t=w.a1, S=3 * w.a3, m=mat2(1, 0, 0, 1))
-        if not verify_reduction(red):
-            raise AssertionError("reduction failed its 7x7 verification")
-        return red
+    else:
+        red = _reduce_to_shape(w)
+    if not verify_reduction(red):
+        raise AssertionError("reduction failed its 7x7 verification")
+    return red
 
+
+def _reduce_to_shape(w: CubicVector) -> CanonicalReduction:
+    """The steps of ``reduce_to_canonical`` for a w not already in shape,
+    whose record it returns unverified."""
     total = mat2(1, 0, 0, 1)
     cur = tuple(w)
 
@@ -421,10 +426,7 @@ def reduce_to_canonical(w, q: Optional[Fraction] = None) -> CanonicalReduction:
         raise AssertionError("reduction did not reach t = -D0, S = 1")
 
     # total is m'^-1, and Ad(w_alpha) is an involution on M
-    red = CanonicalReduction(w=w, t=cur[0], S=3 * cur[2], m=levi_m_prime(total.inverse()))
-    if not verify_reduction(red):
-        raise AssertionError("reduction failed its 7x7 verification")
-    return red
+    return CanonicalReduction(w=w, t=cur[0], S=3 * cur[2], m=levi_m_prime(total.inverse()))
 
 
 def reduction_json(w) -> dict:

@@ -120,7 +120,7 @@ def echelon(m: list, ncols: int) -> tuple:
     for c in range(ncols):
         r = len(pivots)
         if r == len(m):
-            break
+            break  # every row has its pivot
         if m[r][c] == 0:
             for i in range(r + 1, len(m)):
                 if m[i][c]:

@@ -60,18 +60,15 @@ class LiftCoefficient(CanonicalReduction):
 class LiftContext:
     """Holds the eigenform, its plus-space partner, and precisions.
 
-    two_k is the integral weight 2k; the half-integral side has weight
-    k + 1/2.  Precision defaults cover indices -tS and twists D up to
-    roughly ``prec_half`` and Satake primes below ``prec_int``.  L(f, 1)
-    is computed once per form and ``tol`` and kept under both, so a copy or
-    an instance whose ``f`` is replaced computes its own; a refusal is not
-    kept.
+    two_k is the integral weight 2k, k even (``plus_cusp_basis`` refuses
+    an odd k); the half-integral side has weight k + 1/2.  Precision
+    defaults cover indices -tS and twists D up to roughly ``prec_half`` and
+    Satake primes below ``prec_int``.  L(f, 1) is computed once per form and
+    ``tol`` and kept under both, so a copy or an instance whose ``f`` is
+    replaced computes its own; a refusal is not kept.
     """
 
     def __init__(self, two_k: int = 12, prec_int: int = 2000, prec_half: int = 600):
-        if two_k % 4 != 0:
-            # k = two_k/2 must be even for the root-number and sign conventions
-            raise BadInput("two_k must be divisible by 4")
         self.two_k = two_k
         self.k = two_k // 2
         self.f: QExpansion = eigenform(two_k, prec_int)
@@ -95,10 +92,7 @@ class LiftContext:
         w = CubicVector.of(*w)
         if not w.is_lattice():
             raise BadInput("w must lie in the integral lattice")
-        q = quartic_q(w) if q is None else q
-        if q >= 0:
-            raise BadInput("q(w) < 0 required")
-        red = reduce_to_canonical(w, q)  # raises on cubic-field orbits
+        red = reduce_to_canonical(w, q)  # refuses q(w) >= 0 and cubic-field orbits
         n = int(red.index)  # a positive integer: see CanonicalReduction.index
         c_val = Fraction(0) if n % 4 in (2, 3) else self.g.coeff(n)
         phase = (1 / mu_f(self.f, red.m.det())) * (1 / mu_f(self.f, red.S))
@@ -108,9 +102,7 @@ class LiftContext:
         """Move a record along m: the index vector becomes
         det(m')^2 rho3(m'^-1) w and the phase picks up
         mu_f(det m')^-1 sgn(det m')^k, with sign 1: ``LiftContext`` refuses odd k."""
-        if m.det() == 0:
-            raise BadInput("m must be invertible")
-        m_prime = levi_m_prime(m)
+        m_prime = levi_m_prime(m)  # refuses a singular m
         w_new = CubicVector.of(*coad_w(m_prime, coef.w))
         phase = coef.phase / mu_f(self.f, m_prime.det())
         rec = replace(coef, w=w_new, m=coef.m * m, phase=phase)

@@ -382,7 +382,10 @@ def test_output_matches_recording(capsys, monkeypatch, case):
     raise it.  The four long-input cases and the seven mf dump series at
     the precision cap keep the SHA-256 of their stdout (0.3 to 1 MB) in
     place of the text, still a byte-exact check; the cap series' products
-    run on the libmpdec that each CPython release ships."""
+    run on the libmpdec that each CPython release ships.  Five texts were
+    recorded again when each refused condition kept one check: reduce-zero
+    now has coeff's q(w) text, and four gross cases name the D that is not a
+    positive fundamental discriminant (100000 was refused for precision)."""
     if case["patch"] == "series_instability":
         unstable = _raising(lfunctions.SeriesInstability("series instability: 1.0 vs 2.0"))
         monkeypatch.setattr(lfunctions, "central_twisted_value", unstable)
@@ -450,6 +453,37 @@ def test_non_finite_tolerance_refused(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 2
     assert_refused(out, "BAD_INPUT")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [("reduce", "--w=-5,0,1/3,0"), ("mf", "dump", "--series", "delta", "--prec", "5000"),
+     ("reduce", "--w=0,0,0,0")],
+    ids=["short-answer", "long-answer", "refusal"],
+)
+def test_closed_stdout_exits_1_in_silence(argv, unbuffered):
+    """A reader that closed stdout before the answer was written (as
+    ``| head`` does) gets exit 1 and nothing on stderr: no INTERNAL_ERROR
+    written to the same closed pipe, no traceback, and no exit 120 from the
+    flush at interpreter exit.  The long answer fills the write buffer, so
+    it fails inside the command, the short one only at the final flush."""
+    import os
+    import subprocess
+
+    import g2lift
+
+    env = {"PYTHONPATH": str(pathlib.Path(g2lift.__file__).resolve().parents[1])}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "g2lift.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 class Deadline(BaseException):
@@ -573,7 +607,8 @@ def test_only_format_parsers_convert_foreign_errors():
     only handlers of Python's own errors are ParseError.reading and main's
     INTERNAL_ERROR, and only the parsers of outside formats read under it:
     --w, show words and --discs.  It converts ValueError only, since no
-    command opens a file."""
+    command opens a file.  main also takes BrokenPipeError, a closed stdout,
+    past INTERNAL_ERROR to its outer handler."""
     import ast
     import importlib
     import inspect
@@ -598,7 +633,7 @@ def test_only_format_parsers_convert_foreign_errors():
         "arith.fundamental_discriminant": ["SquarefreeCofactor"],
         "cubic.is_maximal": ["SquarefreeCofactor"],
         "cli.cmd_gross": ["CentralVanishing"],
-        "cli.main": ["Refusal", "Exception"],
+        "cli.main": ["BrokenPipeError", "Refusal", "BrokenPipeError", "Exception"],
     }
     assert readers == {"cli._parse_w", "cli._parse_word", "cli.cmd_gross"}
 

@@ -582,7 +582,7 @@ def test_reduction_roundtrip_translate():
 
 
 def test_reduction_errors():
-    with pytest.raises(ValueError, match="precondition"):
+    with pytest.raises(ValueError, match=r"^q\(w\) < 0 required$"):
         reduce_to_canonical((1, 0, 0, 1))
     with pytest.raises(CubicFieldOrbitUnsupported):
         reduce_to_canonical((1, 0, -1, 1))

@@ -101,7 +101,7 @@ def test_preconditions(lift_ctx):
     with pytest.raises(CubicFieldOrbitUnsupported, match="cubic-field orbit"):
         lift_ctx.gross_ratio((1, 0, -1, 1))
     rec = lift_ctx.fourier_coefficient((-5, 0, F(1, 3), 0))
-    with pytest.raises(ValueError, match="invertible"):
+    with pytest.raises(ValueError, match="^singular Levi parameter$"):
         lift_ctx.transform_coefficient(rec, mat2(1, 2, 2, 4))
 
 
@@ -222,7 +222,8 @@ def test_gross_ratio_reads_the_etale_type_off_the_record(lift_ctx, monkeypatch):
 
 def test_q_is_computed_once_per_op(lift_ctx, monkeypatch):
     """A coefficient, a ratio and a `reduce` record each compute q(w) once,
-    in shape and for a GL2 translate, and the refusal texts stay apart."""
+    in shape and for a GL2 translate, and q(w) >= 0 has one refusal text:
+    the coefficient passes its q to the reduction, which refuses it."""
     import g2lift.cubic as cubic
     import g2lift.lift as lift
 
@@ -239,7 +240,7 @@ def test_q_is_computed_once_per_op(lift_ctx, monkeypatch):
             assert len(calls) == 1, (op.__name__, w)
     with pytest.raises(BadInput, match=r"^q\(w\) < 0 required$"):
         lift_ctx.fourier_coefficient((1, 0, 0, 1))
-    with pytest.raises(BadInput, match=r"^precondition violation: q\(w\) >= 0$"):
+    with pytest.raises(BadInput, match=r"^q\(w\) < 0 required$"):
         cubic.reduce_to_canonical((1, 0, 0, 1))
 
 
