@@ -157,6 +157,8 @@ def cmd_gross(args) -> int:
     if len(set(discs)) < len(discs):  # a repeat is one point counted twice
         raise BadInput("repeated discriminant in --discs")
     for D in discs:  # constancy is predicted at fundamental D only (Kohnen-Zagier)
+        if D >= 1:
+            ctx.g.coeff(D)  # refuses a D beyond the plus form's precision before factoring it
         if not is_fundamental_discriminant(D):
             raise BadInput(f"D = {D} is not a positive fundamental discriminant")
     rows, ratios = [], []

@@ -36,6 +36,14 @@ one canonicalizing ``Matrix7._raw`` call:
 * The inverse of any element is its form adjoint GRAM^-1 g^T GRAM, a signed
   permuted transpose (``exact.form_adjoint``), with no 7x7 product.
 
+A coordinate reader checks its element without building one.  ``n_coords``,
+``n1_coords`` and ``u_coords`` read their coordinates as integers over
+powers of the element's denominator d, each reduced to one Fraction, and
+``_is_word_at`` compares the element with the word table at those
+coordinates by integer cross-multiplication on all 49 entries: the exact
+test g == n(a, t) or g == u(a, z), with no Matrix7 built.
+``levi_m_coords`` compares with the Fraction grid of m(A).
+
 Coordinate conventions on the 4-dimensional quotient W:
 
 * ``rho3(A, w)`` is the symmetric-cube substitution action read through
@@ -134,7 +142,9 @@ class GroupElement:
     not a trust assumption, so the type invariant survives.  The inverse is
     the form adjoint GRAM^-1 g^T GRAM, a signed permuted transpose built
     without a 7x7 product (``exact.form_adjoint``).  Coordinate readers
-    compare an element with a closed form and do not re-validate it.
+    compare an element with a closed form and do not re-validate it; the n-
+    and u-readers compare integers, cross-multiplying the element's grid
+    with the word table's at the coordinates they read (``_is_word_at``).
     """
 
     __slots__ = ("matrix",)
@@ -251,17 +261,17 @@ def _word_table(word):
     return tuple(index), terms
 
 
-def _word_eval(word, args) -> GroupElement:
-    """The word at rational arguments, evaluated from its expanded table as
-    one integer grid over 2^n prod q_k^2."""
+def _word_at(word, pairs):
+    """The word at arguments p/q, given as integer pairs (p, q) with q > 0,
+    evaluated from its expanded table: (grid, den), the word as the integer
+    grid over den = 2^n prod q_k^2, not reduced."""
     monomials, terms = _word_table(word)
     den = 1 << len(word)
     powers = []
-    for x in args:
-        x = rat(x)
-        p, q = x.numerator, x.denominator
-        den *= q * q
-        powers.append((q * q, p * q, p * p))
+    for p, q in pairs:
+        q2 = q * q
+        den *= q2
+        powers.append((q2, p * q, p * p))
     values = [prod(map(getitem, powers, c)) for c in monomials]
     grid = []
     for row_terms in terms:
@@ -269,7 +279,24 @@ def _word_eval(word, args) -> GroupElement:
         for j, monos in row_terms:
             row[j] = sum(coef * values[m] for coef, m in monos)
         grid.append(row)
-    return GroupElement._trusted(Matrix7._raw(grid, den))
+    return grid, den
+
+
+def _word_eval(word, args) -> GroupElement:
+    """The word at rational arguments: the grid of ``_word_at``,
+    canonicalized by ``Matrix7._raw``."""
+    pairs = [(x.numerator, x.denominator) for x in map(rat, args)]
+    return GroupElement._trusted(Matrix7._raw(*_word_at(word, pairs)))
+
+
+def _is_word_at(g: GroupElement, word, coords) -> bool:
+    """Whether g is the word at the Fraction arguments ``coords``: g's grid
+    num / d against the grid / den of ``_word_at`` by cross-multiplication,
+    num den == grid d on all 49 entries.  That is the exact test
+    g == word(coords), with no Matrix7 built and no gcd pass over the grid."""
+    grid, den = _word_at(word, [(x.numerator, x.denominator) for x in coords])
+    d = g.matrix.den
+    return [x * den for row in g.matrix.num for x in row] == [y * d for row in grid for y in row]
 
 
 def root_generator(gamma: RootLabel, u) -> GroupElement:
@@ -352,20 +379,34 @@ def heis_n1(a1, a2, a3, a4, t) -> GroupElement:
     return heis_n(a1, a2, a3, a4, t / 2 - (a1 * a4 / 2 - 3 * a2 * a3 / 2))
 
 
-def n_coords(g: GroupElement):
-    """Read (a1, a2, a3, a4, t) off a matrix of n-shape; validates exactly."""
-    m = g.matrix
-    a1, a2, a3, a4 = m[2, 5], m[2, 6], m[3, 6], m[4, 6]
-    t = m[1, 5] + a2 * a3
-    if g != heis_n(a1, a2, a3, a4, t):
+def _n_read(g: GroupElement):
+    """(coords, p, d) of ``n_coords``: the coordinates, their numerators
+    p = (p1, p2, p3, p4, p_t) and g's denominator d."""
+    num, d = g.matrix.num, g.matrix.den
+    p1, p2, p3, p4 = num[2][5], num[2][6], num[3][6], num[4][6]
+    pt = num[1][5] * d + p2 * p3
+    coords = Fraction(p1, d), Fraction(p2, d), Fraction(p3, d), Fraction(p4, d), Fraction(pt, d * d)
+    if not _is_word_at(g, _N_WORD, coords):
         raise ValueError("element is not in the Heisenberg unipotent group")
-    return a1, a2, a3, a4, t
+    return coords, (p1, p2, p3, p4, pt), d
+
+
+def n_coords(g: GroupElement):
+    """Read (a1, a2, a3, a4, t) off a matrix of n-shape; validates exactly.
+
+    With g = num / d, a1..a4 are entries over d and t = m[1, 5] + a2 a3 is
+    an integer over d^2.  g is checked against the word table at those
+    coordinates by integer cross-multiplication (``_is_word_at``), the
+    same exact test as g == heis_n(a1, a2, a3, a4, t)."""
+    return _n_read(g)[0]
 
 
 def n1_coords(g: GroupElement):
-    """Inverse of heis_n1: (a1..a4, t) in recentred coordinates."""
-    a1, a2, a3, a4, t_raw = n_coords(g)
-    return a1, a2, a3, a4, 2 * t_raw + a1 * a4 - 3 * a2 * a3
+    """Inverse of heis_n1: (a1..a4, t) in recentred coordinates, read and
+    checked as in ``n_coords``; the recentred t is
+    (2 p_t + p1 p4 - 3 p2 p3) / d^2."""
+    (a1, a2, a3, a4, _), (p1, p2, p3, p4, pt), d = _n_read(g)
+    return a1, a2, a3, a4, Fraction(2 * pt + p1 * p4 - 3 * p2 * p3, d * d)
 
 
 def _levi_m_matrix(A: Matrix2) -> Matrix7:
@@ -481,16 +522,23 @@ def z_coord(x, y) -> GroupElement:
 
 
 def u_coords(g: GroupElement):
-    """Read (a1, a2, a3, a4, z) off a matrix of u-shape; validates exactly."""
-    m = g.matrix
-    a1 = m[5, 6]
-    a2 = m[2, 6]
-    a3 = m[3, 6] + a1 * a2
-    a4 = m[4, 6] - a1 * a1 * a2 + 2 * a1 * a3
-    z = 2 * a2 * a3 - m[0, 6]
-    if g != u_coord(a1, a2, a3, a4, z):
+    """Read (a1, a2, a3, a4, z) off a matrix of u-shape; validates exactly.
+
+    With g = num / d, a1 and a2 are entries over d, a3 = m[3, 6] + a1 a2 is
+    an integer over d^2, and a4 = m[4, 6] - a1^2 a2 + 2 a1 a3 and
+    z = 2 a2 a3 - m[0, 6] are integers over d^3.  g is checked against the
+    word table at those coordinates by integer cross-multiplication
+    (``_is_word_at``), the same exact test as g == u_coord(a1, .., z)."""
+    num, d = g.matrix.num, g.matrix.den
+    p1, p2 = num[5][6], num[2][6]
+    p3 = num[3][6] * d + p1 * p2
+    d2 = d * d
+    p4 = num[4][6] * d2 - p1 * p1 * p2 + 2 * p1 * p3
+    pz = 2 * p2 * p3 - num[0][6] * d2
+    coords = Fraction(p1, d), Fraction(p2, d), Fraction(p3, d2), Fraction(p4, d2 * d), Fraction(pz, d2 * d)
+    if not _is_word_at(g, _U_WORD, coords):
         raise ValueError("element is not in the unipotent group U")
-    return a1, a2, a3, a4, z
+    return coords
 
 
 def u_tilde(a1, a2, a3) -> GroupElement:

@@ -1034,6 +1034,33 @@ def u_coord_by_products(a1, a2, a3, a4, z):
     return word_by_products(map(RootLabel, names), (a1, a2, a3, a4, z))
 
 
+def n_coords_by_fractions(g):
+    """(a1, a2, a3, a4, t) of g read as Fraction entries and validated
+    against ``heis_n_by_products``: the Fraction reader that the integer
+    cross-multiplication of ``group.n_coords`` replaced."""
+    m = g.matrix
+    a1, a2, a3, a4 = m[2, 5], m[2, 6], m[3, 6], m[4, 6]
+    t = m[1, 5] + a2 * a3
+    if g != heis_n_by_products(a1, a2, a3, a4, t):
+        raise ValueError("element is not in the Heisenberg unipotent group")
+    return a1, a2, a3, a4, t
+
+
+def u_coords_by_fractions(g):
+    """(a1, a2, a3, a4, z) of g read as Fraction entries and validated
+    against ``u_coord_by_products``: the Fraction reader that the integer
+    cross-multiplication of ``group.u_coords`` replaced."""
+    m = g.matrix
+    a1 = m[5, 6]
+    a2 = m[2, 6]
+    a3 = m[3, 6] + a1 * a2
+    a4 = m[4, 6] - a1 * a1 * a2 + 2 * a1 * a3
+    z = 2 * a2 * a3 - m[0, 6]
+    if g != u_coord_by_products(a1, a2, a3, a4, z):
+        raise ValueError("element is not in the unipotent group U")
+    return a1, a2, a3, a4, z
+
+
 def weyl_t_by_products(gamma, t):
     """w_gamma(t) = x_gamma(t) x_{-gamma}(-1/t) x_gamma(t), two 7x7 products:
     the construction that the signed monomial rows of ``group._weyl_rows``

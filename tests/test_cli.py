@@ -385,7 +385,9 @@ def test_output_matches_recording(capsys, monkeypatch, case):
     run on the libmpdec that each CPython release ships.  Five texts were
     recorded again when each refused condition kept one check: reduce-zero
     now has coeff's q(w) text, and four gross cases name the D that is not a
-    positive fundamental discriminant (100000 was refused for precision)."""
+    positive fundamental discriminant.  gross-disc-beyond-precision was
+    recorded again when gross came to read c(D) before factoring D: 100000
+    is refused for precision, as it was before those four."""
     if case["patch"] == "series_instability":
         unstable = _raising(lfunctions.SeriesInstability("series instability: 1.0 vs 2.0"))
         monkeypatch.setattr(lfunctions, "central_twisted_value", unstable)
@@ -529,6 +531,18 @@ def test_work_caps_refuse_before_the_work(capsys, argv):
         code, out = run_cli(capsys, *argv)
     assert code == 2
     assert_refused(out, "INPUT_TOO_LARGE")
+
+
+def test_gross_reads_c_before_factoring_d(capsys):
+    """gross reads c(D) before it factors D, so a D beyond the plus form's
+    precision is refused for that at once: a 4,300-digit D, the most the
+    digit limit lets through, spent over a second in trial division to 2^20
+    before its INPUT_TOO_LARGE."""
+    with deadline(0.5):
+        code, out = run_cli(capsys, "gross", "--discs", "5," + "1" * 4299 + "7")
+    assert code == 2
+    assert_refused(out, "BAD_INPUT")
+    assert json.loads(out)["message"].endswith(" beyond precision 600")
 
 
 @pytest.mark.parametrize(

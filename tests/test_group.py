@@ -9,6 +9,7 @@ from g2lift.arith import BadInput
 from g2lift.exact import GRAM, Matrix7, Poly, form_adjoint, mat2, preserves_form
 from g2lift.group import (
     ALL_ROOTS,
+    GroupElement,
     RootLabel,
     ad_w,
     ad_weyl_alpha,
@@ -44,11 +45,13 @@ from oracles import (
     heis_n_by_products,
     inverse_by_gram,
     levi_l_by_rows,
+    n_coords_by_fractions,
     preserves_form_by_products,
     rho3_oracle,
     root_coords,
     torus_by_products,
     u_coord_by_products,
+    u_coords_by_fractions,
     weyl_t_by_products,
     word_by_products,
 )
@@ -180,6 +183,55 @@ def test_u_coords_roundtrip(rng):
         assert u_coords(u_coord(*v)) == tuple(v)
     with pytest.raises(ValueError, match="not in the unipotent group U"):
         u_coords(levi_m(mat2(2, 0, 0, 1)))
+
+
+wide_rat_st = st.builds(F, st.integers(-(1 << 128), 1 << 128), st.integers(1, 1 << 128))
+wide_mat2_st = st.tuples(*[wide_rat_st] * 4).map(lambda v: mat2(*v)).filter(lambda A: A.det() != 0)
+
+
+def _reader_cases(v, A):
+    """(element, reader, oracle) for heis_n(v), heis_n1(v) and u_coord(v),
+    and the conjugates the modulus checks form: m(A) n m(A)^-1 of the first
+    two and l(A) u l(A)^-1 of the third."""
+    m, el = levi_m(A), levi_l(A)
+    cases = []
+    for g in (heis_n(*v), heis_n1(*v)):
+        cases += [(g, n_coords, n_coords_by_fractions), (m * g * m.inverse(), n_coords, n_coords_by_fractions)]
+    u = u_coord(*v)
+    return cases + [(u, u_coords, u_coords_by_fractions), (el * u * el.inverse(), u_coords, u_coords_by_fractions)]
+
+
+@given(v=st.tuples(*[wide_rat_st] * 5), A=wide_mat2_st)
+@settings(max_examples=25, deadline=None)
+def test_readers_match_the_fraction_oracles(v, A):
+    """The integer readers equal the Fraction readers validated by generator
+    products, on numerators and denominators of up to 128 bits; n1_coords is
+    the oracle's t recentred."""
+    assert n_coords(heis_n(*v)) == n1_coords(heis_n1(*v)) == u_coords(u_coord(*v)) == v
+    for g, read, oracle in _reader_cases(v, A):
+        want = oracle(g)
+        assert read(g) == want
+        if read is n_coords:
+            a1, a2, a3, a4, t = want
+            assert n1_coords(g) == (a1, a2, a3, a4, 2 * t + a1 * a4 - 3 * a2 * a3)
+
+
+@given(v=st.tuples(*[wide_rat_st] * 5), A=wide_mat2_st)
+@settings(max_examples=3, deadline=None)
+def test_readers_refuse_a_moved_numerator(v, A):
+    """Raising or lowering any one of the 49 numerators by 1 makes the reader
+    and its oracle refuse the element."""
+    for g, read, oracle in _reader_cases(v, A):
+        m = g.matrix
+        for i in range(7):
+            for j in range(7):
+                for step in (1, -1):
+                    num = [list(row) for row in m.num]
+                    num[i][j] += step
+                    moved = GroupElement._trusted(Matrix7._raw(num, m.den))
+                    for reader in (read, oracle) + ((n1_coords,) if read is n_coords else ()):
+                        with pytest.raises(ValueError):
+                            reader(moved)
 
 
 def test_levi_maps_reject_singular():

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from g2lift import structure
+from g2lift import group, structure
+from g2lift.exact import Matrix7
 from g2lift.group import heis_n1, u_tilde1, z_coord
 from g2lift.structure import CHECKS, IDENTITIES, _check, run_structure_suite
 
@@ -86,6 +87,27 @@ def test_modulus_bases_are_the_unit_elements_built_once(monkeypatch):
     assert list(n1_basis) == [heis_n1(*e) for e in units5]
     assert list(u_basis) == [u_tilde1(*e) for e in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]]
     assert list(z_basis) == [z_coord(*e) for e in [(1, 0), (0, 1)]]
+
+
+@pytest.mark.parametrize("name, products", [("modulus_det3_P", 11), ("modulus_det5_Q", 10)])
+def test_modulus_sample_reads_without_rebuilding(monkeypatch, name, products):
+    """One sample of a modulus check makes no heis_n or u_coord call: its
+    five coordinate reads compare integers with the word table instead of
+    rebuilding the element (five such calls a sample before).  Its 7x7
+    products stay the ten conjugation products, plus the form check of
+    the checking levi_m on the P side."""
+    structure._unit_bases()  # the bases themselves are built through heis_n and u_coord
+    calls = []
+
+    def counted(label, fn):
+        return lambda *a: calls.append(label) or fn(*a)
+
+    for build in ("heis_n", "u_coord"):
+        monkeypatch.setattr(group, build, counted(build, getattr(group, build)))
+    monkeypatch.setattr(Matrix7, "__mul__", counted("matmul", Matrix7.__mul__))
+    assert CHECKS[name](random.Random(name), 1) is None
+    assert calls.count("heis_n") == calls.count("u_coord") == 0
+    assert calls.count("matmul") == products
 
 
 @pytest.mark.parametrize(

@@ -135,8 +135,12 @@ MAY_STAY_UNREACHED = {
         FAULT, "the generator table is corrupt"),
     ("group.py", "_weyl_rows", 'raise AssertionError(f"Weyl word is not a signed monomial matrix at {gamma}")'): (
         FAULT, "the Weyl word is corrupt"),
-    ("group.py", "n_coords", 'raise ValueError("element is not in the Heisenberg unipotent group")'): (
-        LIBRARY, "`group.n_coords` of an element outside N; the package reads only elements it built in N"),
+    ("group.py", "n_coords", "return _n_read(g)[0]"): (
+        LIBRARY, "`group.n_coords`, the reader of `group.heis_n`'s coordinates, which no command calls; the "
+        "`structure` checks read N through `group.n1_coords`"),
+    ("group.py", "_n_read", 'raise ValueError("element is not in the Heisenberg unipotent group")'): (
+        LIBRARY, "`group.n_coords` or `group.n1_coords` of an element outside N; the package reads only elements "
+        "it built in N"),
     ("group.py", "levi_m_coords", 'raise ValueError("element is not in the Levi M")'): (
         LIBRARY, "`group.levi_m_coords` of an element outside M; `group.levi_m_prime` reads only Ad(w_alpha) m(A)"),
     ("group.py", "_certify_l_grid", 'raise AssertionError("l grid corrupt")'): (FAULT, "the closed form of l(A) is wrong"),
