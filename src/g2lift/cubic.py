@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Tuple
 
 from .arith import BadInput, SquarefreeCofactor, fundamental_discriminant, prime_powers
 from .exact import Matrix2, mat2, over_lcm, rat
-from .group import coad_w, heis_n1, levi_m, levi_m_prime
+from .group import coad_w, heis_n1, levi_m_coords, levi_m_prime, m_prime
 
 
 class NonEtaleInput(BadInput):
@@ -301,7 +301,9 @@ class CanonicalReduction:
 
     ``verify_reduction`` checks the identity through the 7x7 matrix model
     from the record alone, before the record is returned: it is never
-    trusted from coordinate algebra alone.
+    trusted from coordinate algebra alone.  It forms m' once in that model,
+    as the element Ad(w_alpha) m(A) at A = m, reads its GL2 coordinate off
+    it, and uses the same element in the identity.
     """
 
     w: CubicVector
@@ -355,12 +357,14 @@ def verify_reduction(red: CanonicalReduction) -> bool:
     """Exact 7x7 check of the record's w = det(m')^2 rho3(m'^-1) w0, with
     w0 = (t, 0, S/3, 0), as the one identity m'^-1 n1(w0, 0) m' == n1(w / det m', 0).
 
+    m' is formed once, as the 7x7 element ``m_prime(red.m)``; its GL2
+    coordinate, read by ``levi_m_coords`` (which refuses anything outside
+    M), gives det m', and the same element stands in the identity.
     Conjugation inside the matrix group gives the adjoint W-action, which
     coad = det * Ad(inverse) scales by det(m'); n1 is injective, so the
     matrices agree exactly when the coordinates do."""
-    b = levi_m_prime(red.m)
-    mp = levi_m(b)
-    dt = b.det()
+    mp = m_prime(red.m)
+    dt = levi_m_coords(mp).det()
     return mp.inverse() * heis_n1(red.t, 0, red.S / 3, 0, 0) * mp == heis_n1(*(x / dt for x in red.w), 0)
 
 

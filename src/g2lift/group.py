@@ -33,6 +33,9 @@ one canonicalizing ``Matrix7._raw`` call:
   columns permuted and signed by ``_weyl_rows`` (``ad_weyl_alpha``), with no
   7x7 product.
 * m(A) is still built from Fraction rows and validated on every call.
+  m' = Ad(w_alpha)(m(A)) is formed in the 7x7 model by ``m_prime`` alone:
+  ``levi_m_prime`` reads its GL2 coordinate, and ``cubic.verify_reduction``
+  reads that coordinate and uses the same element, building m' once.
 * The inverse of any element is its form adjoint GRAM^-1 g^T GRAM, a signed
   permuted transpose (``exact.form_adjoint``), with no 7x7 product.
 
@@ -40,8 +43,9 @@ A coordinate reader checks its element without building one.  ``n_coords``,
 ``n1_coords`` and ``u_coords`` read their coordinates as integers over
 powers of the element's denominator d, each reduced to one Fraction, and
 ``_is_word_at`` compares the element with the word table at those
-coordinates by integer cross-multiplication on all 49 entries: the exact
-test g == n(a, t) or g == u(a, z), with no Matrix7 built.
+coordinates by integer cross-multiplication where the table's grid is
+nonzero, and by a zero test where it is 0: the exact test g == n(a, t) or
+g == u(a, z), with no Matrix7 built.
 ``levi_m_coords`` compares with the Fraction grid of m(A).
 
 Coordinate conventions on the 4-dimensional quotient W:
@@ -292,11 +296,16 @@ def _word_eval(word, args) -> GroupElement:
 def _is_word_at(g: GroupElement, word, coords) -> bool:
     """Whether g is the word at the Fraction arguments ``coords``: g's grid
     num / d against the grid / den of ``_word_at`` by cross-multiplication,
-    num den == grid d on all 49 entries.  That is the exact test
+    num den == grid d on each entry where the word's grid is nonzero, and
+    num == 0 where it is 0 (den > 0).  That is the exact test
     g == word(coords), with no Matrix7 built and no gcd pass over the grid."""
     grid, den = _word_at(word, [(x.numerator, x.denominator) for x in coords])
     d = g.matrix.den
-    return [x * den for row in g.matrix.num for x in row] == [y * d for row in grid for y in row]
+    for row, word_row in zip(g.matrix.num, grid):
+        for x, y in zip(row, word_row):
+            if (x * den != y * d) if y else x:
+                return False
+    return True
 
 
 def root_generator(gamma: RootLabel, u) -> GroupElement:
@@ -646,9 +655,16 @@ def ad_weyl_alpha(g: GroupElement) -> GroupElement:
     return GroupElement._trusted(Matrix7._raw(grid, m.den))
 
 
+def m_prime(A: Matrix2) -> GroupElement:
+    """m' = Ad(w_alpha)(m(A)), formed in the 7x7 model: the validated m(A)
+    conjugated by the fixed Weyl representative, so a ``GroupElement`` by
+    closure with no second form check.  The one definition of m'."""
+    return ad_weyl_alpha(levi_m(A))
+
+
 def levi_m_prime(A: Matrix2) -> Matrix2:
-    """GL2 coordinate of m' = Ad(w_alpha)(m(A)), formed in the 7x7 model.
+    """GL2 coordinate of ``m_prime(A)``, read by ``levi_m_coords``.
     w_alpha^2 = m(-I) is central in M, so Ad(w_alpha) is an involution on M
     and the same map recovers A from m'."""
-    return levi_m_coords(ad_weyl_alpha(levi_m(A)))
+    return levi_m_coords(m_prime(A))
 

@@ -11,7 +11,10 @@ counterexample: the drawn arguments as exact strings, the failing left side
 under "got", and its kind.  ``weyl_levi_values`` compares constant matrices,
 so it has no sampler and is evaluated once.  Operands that do not depend
 on the draw, the unit elements of the modulus checks, are built once per
-process on first use; each sample's 7x7 work is unchanged.  The report is
+process on first use; each sample's 7x7 work is unchanged.  A conjugation
+g h g^-1 is formed as g (h g^-1), so the sparse unipotent factor h is the
+left factor of the first product, whose zero entries the kernel skips; the
+values and the product count are those of (g h) g^-1.  The report is
 deterministic given the seed, which is what the CLI contract requires.
 """
 
@@ -108,14 +111,14 @@ def _heisen4(a, b):
 
 def _action1(A, a, z):
     m = levi_m(A)
-    return [(None, m * heis_n1(*a, z) * m.inverse(), heis_n1(*ad_w(A, a), A.det() * z))]
+    return [(None, m * (heis_n1(*a, z) * m.inverse()), heis_n1(*ad_w(A, a), A.det() * z))]
 
 
 def _action_tilde_u(A, v):
     a, b, c, d = A.entries()
     dt = A.det()
     el = levi_l(A)
-    got = u_tilde1_coords_mod_center(el.inverse() * u_tilde1(*v) * el)
+    got = u_tilde1_coords_mod_center(el.inverse() * (u_tilde1(*v) * el))
     return [(None, got, ((a * v[0] + c * v[1]) / dt, (b * v[0] + d * v[1]) / dt, v[2] / dt))]
 
 
@@ -123,7 +126,7 @@ def _action_z(A, x, y):
     a, b, c, d = A.entries()
     dt2 = A.det() ** 2
     el = levi_l(A)
-    return [(None, el.inverse() * z_coord(x, y) * el, z_coord((x * a + y * c) / dt2, (x * b + y * d) / dt2))]
+    return [(None, el.inverse() * (z_coord(x, y) * el), z_coord((x * a + y * c) / dt2, (x * b + y * d) / dt2))]
 
 
 def _ml(a, d, b):
@@ -171,7 +174,7 @@ def _modulus_p(A):
     m = levi_m(A)
     mi = m.inverse()
     n1_basis = _unit_bases()[0]
-    return [(None, Matrix5([n1_coords(m * n * mi) for n in n1_basis]).det(), A.det() ** 3)]
+    return [(None, Matrix5([n1_coords(m * (n * mi)) for n in n1_basis]).det(), A.det() ** 3)]
 
 
 def _modulus_q(A):
@@ -180,10 +183,10 @@ def _modulus_q(A):
     _, u_basis, z_basis = _unit_bases()
     cols = []
     for u in u_basis:
-        c1, c2, c3, c4, cz = u_coords(el * u * eli)
+        c1, c2, c3, c4, cz = u_coords(el * (u * eli))
         cols.append((c1, c2, c3 - c1 * c2, c4, cz))
     for z in z_basis:
-        cols.append(u_coords(el * z * eli))
+        cols.append(u_coords(el * (z * eli)))
     return [(None, Matrix5(cols).det(), A.det() ** 5)]
 
 

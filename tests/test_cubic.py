@@ -697,6 +697,37 @@ def test_verify_reduction_rejects_wrong_m():
     assert not verify_reduction(wrong)
 
 
+def test_verification_reads_m_prime_once(monkeypatch):
+    """One verification forms m' once: one m(A), whose construction is the
+    one form check, one ``levi_m_coords`` read of Ad(w_alpha) m(A), and three
+    7x7 products (the form check's and the identity's two).  Rebuilding
+    m(m') from the coordinate read makes a second m(A), a second form check
+    and a fourth product."""
+    import g2lift.cubic as cubic
+    import g2lift.group as group
+    from g2lift.exact import Matrix7
+
+    red = reduce_to_canonical(coad_w(mat2(1, 2, 0, 1), (-5, 0, F(1, 3), 0)))
+    assert red.m != mat2(1, 0, 0, 1)
+    calls = {"preserves_form": 0, "levi_m": 0, "levi_m_coords": 0, "product": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    # cubic may hold its own binding of a group function; patch both
+    for name in ("preserves_form", "levi_m", "levi_m_coords"):
+        wrapped = counted(name, getattr(group, name))
+        monkeypatch.setattr(group, name, wrapped)
+        monkeypatch.setattr(cubic, name, wrapped, raising=False)
+    monkeypatch.setattr(Matrix7, "__mul__", counted("product", Matrix7.__mul__))
+    assert verify_reduction(red)
+    assert calls == {"preserves_form": 1, "levi_m": 1, "levi_m_coords": 1, "product": 3}
+
+
 def test_broken_reduction_steps_raise(monkeypatch):
     """Each invariant of the reduction raises its own AssertionError when the
     step before it is broken: a wrong square class, a wrong root (so a4 is

@@ -22,6 +22,7 @@ from g2lift.group import (
     levi_m,
     levi_m_coords,
     levi_m_prime,
+    m_prime,
     n1_coords,
     n_coords,
     rho3,
@@ -330,6 +331,18 @@ def test_levi_m_coords_and_m_prime_on_wide_entries(A):
     a, b, c, d = A.entries()
     assert levi_m_coords(levi_m(A)) == A
     assert levi_m_prime(A) == mat2(d, -c, -b, a)
+
+
+@given(A=wide_mat2_st)
+@settings(max_examples=200, deadline=None)
+def test_m_prime_is_the_element_verification_rebuilt(A):
+    """The element that ``verify_reduction`` reads, m_prime(A) =
+    Ad(w_alpha) m(A), is m(levi_m_prime(A)), the element it once rebuilt, and
+    its coordinate read is levi_m_prime(A), at 64-bit numerators and 32-bit
+    denominators."""
+    mp = m_prime(A)
+    assert mp == ad_weyl_alpha(levi_m(A)) == levi_m(levi_m_prime(A))
+    assert levi_m_coords(mp) == levi_m_prime(A)
 
 
 def test_ml_identities(rng):

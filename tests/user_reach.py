@@ -138,11 +138,15 @@ MAY_STAY_UNREACHED = {
     ("group.py", "n_coords", "return _n_read(g)[0]"): (
         LIBRARY, "`group.n_coords`, the reader of `group.heis_n`'s coordinates, which no command calls; the "
         "`structure` checks read N through `group.n1_coords`"),
+    ("group.py", "_is_word_at", "return False"): (
+        LIBRARY, "`group.n_coords`, `group.n1_coords` or `group.u_coords` of an element outside N or U; the "
+        "package reads only elements it built there"),
     ("group.py", "_n_read", 'raise ValueError("element is not in the Heisenberg unipotent group")'): (
         LIBRARY, "`group.n_coords` or `group.n1_coords` of an element outside N; the package reads only elements "
         "it built in N"),
     ("group.py", "levi_m_coords", 'raise ValueError("element is not in the Levi M")'): (
-        LIBRARY, "`group.levi_m_coords` of an element outside M; `group.levi_m_prime` reads only Ad(w_alpha) m(A)"),
+        LIBRARY, "`group.levi_m_coords` of an element outside M; its two readers, `group.levi_m_prime` and "
+        "`cubic.verify_reduction`, read only the Ad(w_alpha) m(A) of `group.m_prime`"),
     ("group.py", "_certify_l_grid", 'raise AssertionError("l grid corrupt")'): (FAULT, "the closed form of l(A) is wrong"),
     ("group.py", "u_coords", 'raise ValueError("element is not in the unipotent group U")'): (
         LIBRARY, "`group.u_coords` of an element outside U; the package reads only elements it built in U"),
